@@ -537,55 +537,6 @@ def planted_model(config: SyntheticConfig) -> PlantedModel:
     )
 
 
-class _RollingStream:
-    """Most-recent-`cap` docs of one user stream (optionally limited to a
-    trailing time window), with a running vector sum."""
-
-    __slots__ = ("cap", "window", "docs", "sums", "counts")
-
-    def __init__(self, cap: int, window: int | None = None) -> None:
-        self.cap = cap
-        self.window = window
-        self.docs: deque = deque()  # (timestamp, tweet_id, vec)
-        self.sums: dict = {}
-        self.counts: dict[int, int] = {}
-
-    def _drop_oldest(self) -> None:
-        _, old_id, old_vec = self.docs.popleft()
-        for t, w in old_vec.items():
-            self.sums[t] -= w
-        left = self.counts[old_id] - 1
-        if left:
-            self.counts[old_id] = left
-        else:
-            del self.counts[old_id]
-
-    def push(self, ts: int, tweet_id: int, vec: dict) -> None:
-        self.docs.append((ts, tweet_id, vec))
-        for t, w in vec.items():
-            self.sums[t] = self.sums.get(t, 0.0) + w
-        self.counts[tweet_id] = self.counts.get(tweet_id, 0) + 1
-        if len(self.docs) > self.cap:
-            self._drop_oldest()
-
-    def mean_similarity(self, vec: dict, exclude_tweet_id: int, now: int) -> float:
-        if self.window is not None:
-            horizon = now - self.window
-            while self.docs and self.docs[0][0] < horizon:
-                self._drop_oldest()
-        n = len(self.docs)
-        if n == 0:
-            return 0.0
-        total = sum(w * self.sums.get(t, 0.0) for t, w in vec.items())
-        dup = self.counts.get(exclude_tweet_id, 0)
-        if dup:
-            total -= dup * vectorspace.cosine(vec, vec)
-            n -= dup
-        if n <= 0:
-            return 0.0
-        return min(max(total / n, 0.0), 1.0)
-
-
 @dataclass(frozen=True, slots=True)
 class _Tweet:
     tweet_id: int
@@ -685,17 +636,17 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     uniform_idf = vectorspace.IdfTable.uniform()
 
     # plant state, visible strictly before the current timestamp
-    posts_streams: dict[int, _RollingStream] = {}
-    retweet_streams: dict[int, _RollingStream] = {}
-    retweet_week_streams: dict[int, _RollingStream] = {}
+    posts_streams: dict[int, vectorspace.RollingCentroid] = {}
+    retweet_streams: dict[int, vectorspace.RollingCentroid] = {}
+    retweet_week_streams: dict[int, vectorspace.RollingCentroid] = {}
     retweet_counts: dict[tuple[int, int], int] = {}
     pending: list[tuple[int, int, str, tuple]] = []  # (ts, seq, kind, payload)
     pending_seq = 0
 
-    def stream(table: dict, user: int, window: int | None = None) -> _RollingStream:
+    def stream(table: dict, user: int, window: int | None = None) -> vectorspace.RollingCentroid:
         s = table.get(user)
         if s is None:
-            s = table[user] = _RollingStream(PLANT_HISTORY_CAP, window)
+            s = table[user] = vectorspace.RollingCentroid(PLANT_HISTORY_CAP, window)
         return s
 
     def flush_before(ts: int) -> None:
@@ -718,7 +669,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         pending_seq += 1
 
     tweets: dict[int, _Tweet] = {}
-    tweet_vecs: dict[int, dict] = {}
+    tweet_vecs: dict[int, dict] = {}  # fixed-point vectors
     buffer: deque[_Tweet] = deque(maxlen=500)
     events: list[HistoryEvent] = []
     instances: list[Instance] = []
@@ -763,8 +714,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         events.append(HistoryEvent(u, tweet_id, "authored", ts, token_tuple, mention_target))
         status_counts[u] += 1
         if signal > 0:
-            vec = tweet_vecs.setdefault(
-                tweet_id, vectorspace.vectorize(token_tuple, uniform_idf)
+            vec = tweet_vecs[tweet_id] = vectorspace.to_fixed(
+                vectorspace.vectorize(token_tuple, uniform_idf)
             )
             push_pending(ts, "post", (u, tweet_id, vec))
         return tweet
@@ -813,9 +764,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             events.append(HistoryEvent(u, tweet.tweet_id, "retweeted", ts, tweet.tokens, None))
             status_counts[u] += 1
             if signal > 0:
-                vec = tweet_vecs.setdefault(
-                    tweet.tweet_id, vectorspace.vectorize(tweet.tokens, uniform_idf)
-                )
+                vec = tweet_vecs[tweet.tweet_id]
                 push_pending(ts, "retweet", (u, tweet.author_id, tweet.tweet_id, vec))
 
         author = tweet.author_id

@@ -71,14 +71,14 @@ class UserHistoryIndex:
         self._mention_times: dict[tuple[int, int], list[int]] = {}
         self._retweet_times: dict[tuple[int, int], list[int]] = {}
         self._tweet_retweeters: dict[int, list[tuple[int, int]]] = {}
-        self._author_of: dict[int, int] = {}
+        author_of: dict[int, int] = {}
         self._neighbours = {uid: p.neighbours for uid, p in corpus.profiles.items()}
 
         for e in corpus.events:
             if e.action == "authored":
-                self._author_of.setdefault(e.tweet_id, e.user_id)
+                author_of.setdefault(e.tweet_id, e.user_id)
         for inst in corpus.instances:
-            self._author_of.setdefault(inst.tweet_id, inst.author_id)
+            author_of.setdefault(inst.tweet_id, inst.author_id)
 
         def stream(table: dict[int, _Stream], user: int) -> _Stream:
             s = table.get(user)
@@ -96,7 +96,7 @@ class UserHistoryIndex:
                 self._tweet_retweeters.setdefault(e.tweet_id, []).append(
                     (e.timestamp, e.user_id)
                 )
-                author = self._author_of.get(e.tweet_id)
+                author = author_of.get(e.tweet_id)
                 if author is not None:
                     self._retweet_times.setdefault((e.user_id, author), []).append(
                         e.timestamp
@@ -118,7 +118,8 @@ class UserHistoryIndex:
         exclude_tweet_id: int | None = None,
     ) -> list[tuple[int, ...]]:
         """Tweets the user authored or retweeted strictly before `before`."""
-        return [d.tokens for d in self.posts_docs(user, before, cap, exclude_tweet_id)]
+        docs = self._query(self._posts, user, before, None, cap, exclude_tweet_id)
+        return [d.tokens for d in docs]
 
     def retweets_by(
         self,
@@ -129,10 +130,8 @@ class UserHistoryIndex:
         exclude_tweet_id: int | None = None,
     ) -> list[tuple[int, ...]]:
         """The user's retweets in [before-window, before), or all if no window."""
-        return [
-            d.tokens
-            for d in self.retweets_docs(user, before, window, cap, exclude_tweet_id)
-        ]
+        docs = self._query(self._retweets, user, before, window, cap, exclude_tweet_id)
+        return [d.tokens for d in docs]
 
     def seen_by(
         self,
@@ -143,41 +142,8 @@ class UserHistoryIndex:
         exclude_tweet_id: int | None = None,
     ) -> list[tuple[int, ...]]:
         """Tweets the user received strictly before `before`."""
-        return [
-            d.tokens for d in self.seen_docs(user, before, window, cap, exclude_tweet_id)
-        ]
-
-    # doc-level variants exposing timestamps and tweet ids (used by the
-    # feature extractors for caching and window splitting)
-
-    def posts_docs(
-        self,
-        user: int,
-        before: int,
-        cap: int = DEFAULT_CAP,
-        exclude_tweet_id: int | None = None,
-    ) -> list[HistoryDoc]:
-        return self._query(self._posts, user, before, None, cap, exclude_tweet_id)
-
-    def retweets_docs(
-        self,
-        user: int,
-        before: int,
-        window: int | None = None,
-        cap: int = DEFAULT_CAP,
-        exclude_tweet_id: int | None = None,
-    ) -> list[HistoryDoc]:
-        return self._query(self._retweets, user, before, window, cap, exclude_tweet_id)
-
-    def seen_docs(
-        self,
-        user: int,
-        before: int,
-        window: int | None = None,
-        cap: int = DEFAULT_CAP,
-        exclude_tweet_id: int | None = None,
-    ) -> list[HistoryDoc]:
-        return self._query(self._seen, user, before, window, cap, exclude_tweet_id)
+        docs = self._query(self._seen, user, before, window, cap, exclude_tweet_id)
+        return [d.tokens for d in docs]
 
     def _query(
         self,
@@ -226,9 +192,6 @@ class UserHistoryIndex:
             if ts < before and user in neighbours:
                 seen_users.add(user)
         return len(seen_users)
-
-    def author_of(self, tweet_id: int) -> int | None:
-        return self._author_of.get(tweet_id)
 
     def has_posts_in(self, user: int, before: int, window: int) -> bool:
         """Did the user author or retweet anything in [before-window, before)?"""

@@ -8,11 +8,16 @@ get a finite weight: idf = ln((N+1)/(df+1)) + 1.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Token = Hashable
 SparseVector = dict  # token -> weight, L2-normalized unless empty
+FixedVector = dict  # token -> weight as an exact integer in units of 2**-FIXED_BITS
+
+FIXED_BITS = 60
+_FIXED_SCALE = float(1 << FIXED_BITS)  # a power of two: w * scale is exact
 
 
 @dataclass(frozen=True)
@@ -82,3 +87,90 @@ def avg_similarity(
     if n == 0:
         return 0.0
     return min(max(total / n, 0.0), 1.0)
+
+
+def to_fixed(vec: SparseVector) -> FixedVector:
+    """Round each weight to the nearest multiple of 2**-FIXED_BITS."""
+    return {t: round(w * _FIXED_SCALE) for t, w in vec.items()}
+
+
+class RollingCentroid:
+    """The most recent `cap` docs of one time-ordered stream, optionally
+    only those in the trailing `window` seconds, kept as exact integer
+    sums of their fixed-point vectors.
+
+    Integer sums depend only on which docs are held, never on the order in
+    which docs were pushed or dropped, so `mean_similarity` is a pure
+    function of the docs held and the query.
+    """
+
+    __slots__ = ("cap", "window", "times", "ids", "vecs", "sums", "counts")
+
+    def __init__(self, cap: int, window: int | None = None) -> None:
+        self.cap = cap
+        self.window = window
+        # the held docs, oldest first, as parallel deques: a tuple per doc
+        # would be a tracked object and make the cyclic GC run more often
+        self.times: deque = deque()
+        self.ids: deque = deque()
+        self.vecs: deque = deque()
+        self.sums: dict = {}  # token -> exact int sum; a key at 0 is deleted
+        self.counts: dict = {}  # tweet_id -> copies held
+
+    def _drop_oldest(self) -> None:
+        self.times.popleft()
+        old_id = self.ids.popleft()
+        sums = self.sums
+        for t, w in self.vecs.popleft().items():
+            left = sums[t] - w
+            if left:
+                sums[t] = left
+            else:
+                del sums[t]
+        left = self.counts[old_id] - 1
+        if left:
+            self.counts[old_id] = left
+        else:
+            del self.counts[old_id]
+
+    def push(self, ts: int, tweet_id: int, vec: FixedVector) -> None:
+        """Add the newest doc as a `to_fixed` vector; docs arrive in
+        timestamp order, and the oldest is dropped beyond `cap`."""
+        self.times.append(ts)
+        self.ids.append(tweet_id)
+        self.vecs.append(vec)
+        sums = self.sums
+        for t, w in vec.items():
+            sums[t] = sums.get(t, 0) + w
+        self.counts[tweet_id] = self.counts.get(tweet_id, 0) + 1
+        if len(self.ids) > self.cap:
+            self._drop_oldest()
+
+    def mean_similarity(self, vec: FixedVector, exclude_tweet_id: int, now: int) -> float:
+        """Mean cosine between `vec` and the docs held at `now`, leaving out
+        copies of `exclude_tweet_id` (the tweet of `vec`).
+
+        Docs older than `now - window` are dropped first; a doc exactly
+        `window` seconds old stays. An empty collection gives 0. The dot
+        products are exact integers, so the one rounding is the division.
+        """
+        if self.window is not None:
+            horizon = now - self.window
+            times = self.times
+            while times and times[0] < horizon:
+                self._drop_oldest()
+        n = len(self.ids)
+        if n == 0:
+            return 0.0
+        sums = self.sums
+        dot = sum(w * sums.get(t, 0) for t, w in vec.items())
+        dup = self.counts.get(exclude_tweet_id, 0)
+        if dup:
+            dot -= dup * sum(w * w for w in vec.values())
+            n -= dup
+        if n <= 0:
+            return 0.0
+        # clamped like avg_similarity: rounding the weights to fixed point
+        # can lift the mean over identical docs just past 1
+        mean = dot / (n << 2 * FIXED_BITS)
+        return 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean

@@ -187,8 +187,9 @@ def strong_pipeline():
 
 def test_criterion_5_leak_freedom(strong_pipeline):
     # Exact equality is asserted on the definitional per-instance
-    # extraction; the batched sweep (same numbers up to summation order) is
-    # pinned to it within 1e-9 on the same sample.
+    # extraction; the batched sweep (exact fixed-point sums, so it differs
+    # from the per-instance float means only by rounding) is pinned to it
+    # within 1e-9 on the same sample.
     corpus = strong_pipeline["corpus"]
     idf = strong_pipeline["idf"]
     rng = random.Random(20240505)

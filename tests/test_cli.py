@@ -183,3 +183,14 @@ def test_bad_feature_list(workspace, tmp_path, capsys):
     rc = main(["train", "--corpus", str(corpus), "--splits", str(splits),
                "--features", "ten,43", "--out", str(tmp_path / "m.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_nonpositive_cap_is_error(workspace, tmp_path, capsys, cap):
+    root, corpus, splits, *_ = workspace
+    rc = main(["rank", "--corpus", str(corpus), "--splits", str(splits),
+               "--cap", cap, "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error:")
+    assert f"cap={cap}" in err

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,29 @@ def test_batch_matches_per_instance(small_signal_corpus):
     assert np.allclose(X, direct, atol=1e-9)
     assert list(ids) == [i.instance_id for i in sample]
     assert list(y) == [int(i.label) for i in sample]
+
+
+@pytest.mark.parametrize("cap", [1000, 5, 1])
+def test_subset_rows_match_full_sweep_bitwise(small_signal_corpus, cap):
+    # a row is a pure function of the instance and the context: which other
+    # instances share the sweep must not move even the last bit
+    _, corpus = small_signal_corpus
+    hist = UserHistoryIndex(corpus)
+    idf = build_idf(e.tokens for e in corpus.events)
+    _, X_full, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), corpus.instances)
+    row_of = {inst.instance_id: r for r, inst in enumerate(corpus.instances)}
+    rng = random.Random(cap)
+    for _ in range(3):
+        subset = rng.sample(corpus.instances, 200)
+        _, X_sub, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), subset)
+        rows = [row_of[inst.instance_id] for inst in subset]
+        assert np.array_equal(X_sub, X_full[rows])
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.0, True, "5"])
+def test_context_rejects_bad_cap(cap):
+    with pytest.raises(ValueError, match="cap"):
+        context_for([make_profile(1)], cap=cap)
 
 
 def test_no_leak_from_future_events(small_signal_corpus):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from refilter.vectorspace import IdfTable, avg_similarity, build_idf, cosine, vectorize
+from refilter.vectorspace import (
+    IdfTable,
+    RollingCentroid,
+    avg_similarity,
+    build_idf,
+    cosine,
+    to_fixed,
+    vectorize,
+)
 
 
 # Naive reference implementation: no shared code with the module under
@@ -164,3 +172,80 @@ def test_cosine_invariant_under_count_multiplication():
         u3 = vectorize(tokens * 3, table)
         v = vectorize(other, table)
         assert cosine(u1, v) == pytest.approx(cosine(u3, v), abs=1e-12)
+
+
+# -- RollingCentroid -------------------------------------------------------------
+
+UNIFORM = IdfTable.uniform()
+
+
+def _vec(tokens):
+    return to_fixed(vectorize(tokens, UNIFORM))
+
+
+def _push(centroid, ts, tweet_id, tokens):
+    centroid.push(ts, tweet_id, _vec(tokens))
+
+
+def test_rolling_centroid_evicts_beyond_cap():
+    c = RollingCentroid(cap=2)
+    for ts, (tid, tok) in enumerate([(1, "a"), (2, "b"), (3, "c")]):
+        _push(c, ts, tid, [tok])
+    assert list(c.ids) == [2, 3]
+    assert set(c.sums) == {"b", "c"}
+    assert c.mean_similarity(_vec(["a"]), 99, now=10) == 0.0
+    assert c.mean_similarity(_vec(["b"]), 99, now=10) == 0.5
+
+
+def test_rolling_centroid_window_horizon_is_strict():
+    # a doc exactly `window` seconds old is still in the window
+    c = RollingCentroid(cap=10, window=10)
+    _push(c, 0, 1, ["a"])
+    assert c.mean_similarity(_vec(["a"]), 99, now=10) == 1.0
+    assert c.mean_similarity(_vec(["a"]), 99, now=11) == 0.0
+    assert not c.ids and not c.sums
+
+
+def test_rolling_centroid_excludes_the_tweet_itself():
+    c = RollingCentroid(cap=10)
+    _push(c, 0, 1, ["a"])
+    assert c.mean_similarity(_vec(["a"]), 1, now=5) == 0.0
+    _push(c, 1, 2, ["a", "b"])
+    _push(c, 2, 1, ["a"])  # a retweet of the same tweet: both copies are left out
+    half = cosine(vectorize(["a"], UNIFORM), vectorize(["a", "b"], UNIFORM))
+    assert c.mean_similarity(_vec(["a"]), 1, now=5) == pytest.approx(half, abs=1e-15)
+    assert c.mean_similarity(_vec(["a"]), 3, now=5) == pytest.approx((2 + half) / 3, abs=1e-15)
+
+
+def test_rolling_centroid_sums_independent_of_interleaving():
+    rng = random.Random(2024)
+    vocabulary = [f"w{i}" for i in range(30)]
+    table = build_idf([rng.sample(vocabulary, 5) for _ in range(40)])
+    docs = []
+    for i in range(200):
+        tokens = [rng.choice(vocabulary) for _ in range(rng.randint(1, 10))]
+        docs.append((10 * i + rng.randint(0, 9), i, to_fixed(vectorize(tokens, table))))
+    query = to_fixed(vectorize(["w1", "w2", "w2", "w3"], table))
+
+    eager = RollingCentroid(cap=40, window=300)
+    for ts, tid, vec in docs:  # expire after every push
+        eager.push(ts, tid, vec)
+        eager.mean_similarity(query, -1, now=ts)
+    lazy = RollingCentroid(cap=40, window=300)
+    for ts, tid, vec in docs:  # expire once at the end
+        lazy.push(ts, tid, vec)
+    now = docs[-1][0] + 1
+    lazy.mean_similarity(query, -1, now=now)
+    fresh = RollingCentroid(cap=40, window=300)
+    for doc in zip(eager.times, eager.ids, eager.vecs):  # only the docs still held
+        fresh.push(*doc)
+
+    assert list(eager.ids) == list(lazy.ids) == list(fresh.ids)
+    assert eager.sums == lazy.sums == fresh.sums
+    assert (eager.mean_similarity(query, -1, now)
+            == lazy.mean_similarity(query, -1, now)
+            == fresh.mean_similarity(query, -1, now)
+            > 0.0)
+
+    assert lazy.mean_similarity(query, -1, now=now + 1000) == 0.0
+    assert not lazy.ids and lazy.sums == {} and lazy.counts == {}
