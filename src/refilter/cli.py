@@ -412,7 +412,11 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
 
     if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            print("refilter: error: --config needs a file path", file=sys.stderr)
+            return 1
+        config_path = argv[at]
         try:
             defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:

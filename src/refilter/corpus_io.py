@@ -9,6 +9,7 @@ text normalization. Field names are frozen in docs/FORMATS.md.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -194,6 +195,18 @@ def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, di
             yield lineno, record
 
 
+def _token_ids(raw, path: Path, lineno: int) -> tuple[int, ...]:
+    """The record's `tokens` as ints. A value that `int` would change (a
+    fraction, a numeric string) or cannot take is a format error."""
+    try:
+        tokens = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        tokens = None
+    if tokens is None or list(tokens) != raw:
+        raise CorpusFormatError(f"{path}:{lineno}: field 'tokens' must be a list of integer ids")
+    return tokens
+
+
 _PROFILE_REQUIRED = (
     "user_id", "followers", "following", "statuses", "listed", "verified",
     "account_age_days", "has_profile_url", "neighbours",
@@ -215,8 +228,19 @@ def load_corpus(
     Malformed lines raise CorpusFormatError naming the file and line;
     references to unknown users raise CorpusIntegrityError naming the id.
     """
+    # every record built here lives as long as the corpus: the cyclic
+    # collector would only rescan them, in full collections
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) -> Corpus:
     profiles: dict[int, UserProfile] = {}
-    profiles_path = Path(profiles_path)
     for lineno, rec in _read_records(profiles_path, _PROFILE_REQUIRED):
         uid = int(rec["user_id"])
         if uid in profiles:
@@ -238,7 +262,6 @@ def load_corpus(
         )
 
     events: list[HistoryEvent] = []
-    history_path = Path(history_path)
     for lineno, rec in _read_records(history_path, _EVENT_REQUIRED):
         action = rec["action"]
         if action not in ACTIONS:
@@ -250,14 +273,13 @@ def load_corpus(
                 tweet_id=int(rec["tweet_id"]),
                 action=action,
                 timestamp=int(rec["timestamp"]),
-                tokens=tuple(int(t) for t in rec["tokens"]),
+                tokens=_token_ids(rec["tokens"], history_path, lineno),
                 mentions_user=None if mentions_user is None else int(mentions_user),
             )
         )
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
-    instances_path = Path(instances_path)
     for lineno, rec in _read_records(instances_path, _INSTANCE_REQUIRED):
         iid = int(rec["instance_id"])
         if iid in seen_ids:
@@ -277,7 +299,7 @@ def load_corpus(
                 timestamp=int(rec["timestamp"]),
                 label=bool(label),
                 tweet=EncodedTweet(
-                    tokens=tuple(int(t) for t in rec["tokens"]),
+                    tokens=_token_ids(rec["tokens"], instances_path, lineno),
                     char_length=int(rec["char_length"]),
                     has_url=bool(rec.get("has_url", False)),
                     has_photo=bool(rec.get("has_photo", False)),

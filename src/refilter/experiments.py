@@ -12,16 +12,16 @@ and cut into fixed-size batches that feed train/dev/test splits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus_io import Corpus, Instance
-from .features import FeatureContext, extract_matrix, fit_scaling, apply_scaling
+from .features import FeatureContext, ScalingParams, apply_scaling, extract_matrix
 from .history import WEEK_SECONDS, UserHistoryIndex
-from .learner import Hyper, Model, predict_proba_matrix, train
+from .learner import Hyper, Model, check_threshold, predict_proba_matrix, train
 
 
 class DatasetError(ValueError):
@@ -280,6 +280,7 @@ def evaluate(
     threshold: float = 0.5,
 ) -> Metrics:
     """Score raw feature vectors with the model and count outcomes."""
+    check_threshold(threshold)
     probs = predict_proba_matrix(model, vectors)
     return metrics_from_predictions(probs >= threshold, labels)
 
@@ -337,6 +338,33 @@ class CurvePoint:
     eval_f1: float
 
 
+class _BatchPrefixes:
+    """The train rows, gathered once in batch order, so that the first k
+    batches are the prefix `X[:ends[k-1]]`.
+
+    The scaling of each prefix is the running column min/max over the
+    per-batch extremes. Min and max are exact, so it equals `fit_scaling`
+    on the prefix bit for bit.
+    """
+
+    def __init__(self, splits: DatasetSplits, table: FeatureTable) -> None:
+        self.X, self.y = table.rows(splits.train_instances)
+        sizes = np.array([len(batch) for batch in splits.train_batches])
+        self.ends = np.cumsum(sizes)
+        batches = [self.X[end - size : end] for size, end in zip(sizes, self.ends)]
+        # an empty batch yields the identity of min (max), which leaves the
+        # running extremes as they were
+        self.mins = np.minimum.accumulate([b.min(axis=0, initial=np.inf) for b in batches])
+        self.maxs = np.maximum.accumulate([b.max(axis=0, initial=-np.inf) for b in batches])
+
+    def scaled(self, k: int) -> tuple[np.ndarray, np.ndarray, ScalingParams]:
+        """The first k batches' rows in their own scaling, their labels,
+        and that scaling."""
+        n = self.ends[k - 1]
+        scaling = ScalingParams(mins=self.mins[k - 1], maxs=self.maxs[k - 1])
+        return apply_scaling(self.X[:n], scaling), self.y[:n], scaling
+
+
 def train_on_batches(
     splits: DatasetSplits,
     table: FeatureTable,
@@ -345,14 +373,12 @@ def train_on_batches(
     k: int | None = None,
 ) -> Model:
     """Train on the first k train batches (all of them by default), with
-    scaling fit on exactly those rows."""
+    scaling fit on exactly those rows: the model of curve point k."""
     k = len(splits.train_batches) if k is None else k
     if not 1 <= k <= len(splits.train_batches):
         raise ValueError(f"k must be in 1..{len(splits.train_batches)}")
-    insts = [inst for batch in splits.train_batches[:k] for inst in batch]
-    X_raw, y = table.rows(insts)
-    scaling = fit_scaling(X_raw)
-    return train(apply_scaling(X_raw, scaling), y, selected, hyper, scaling)
+    X, y, scaling = _BatchPrefixes(splits, table).scaled(k)
+    return train(X, y, selected, hyper, scaling)
 
 
 def incremental_eval(
@@ -369,25 +395,26 @@ def incremental_eval(
     a fixed evaluation set.
 
     The feature ranking is computed once on the full training set and
-    reused for all k; scaling is re-fit on the first k batches each time.
+    reused for all k. The scaling at k is the running min/max of the first
+    k batches, which equals a refit on those rows. Each k's rows are scaled
+    once, and the fit and the train F1 share them.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
-    train_insts = splits.train_instances
+    check_threshold(threshold)
+    prefixes = _BatchPrefixes(splits, table)
     if ranking is None:
-        X_all, y_all = table.rows(train_insts)
-        ranking = rank_features(X_all, y_all, folds=folds)
+        ranking = rank_features(prefixes.X, prefixes.y, folds=folds)
     selected = [rf.ft_id for rf in ranking[:top_m]]
 
-    eval_insts = splits.eval_set(eval_set)
-    eval_X, eval_y = table.rows(eval_insts)
+    eval_X, eval_y = table.rows(splits.eval_set(eval_set))
 
     points: list[CurvePoint] = []
     for k in range(1, len(splits.train_batches) + 1):
-        model = train_on_batches(splits, table, selected, hyper, k=k)
-        insts_k = [inst for batch in splits.train_batches[:k] for inst in batch]
-        Xk, yk = table.rows(insts_k)
-        train_f1 = evaluate(model, Xk, yk, threshold).f1
+        Xk, yk, scaling = prefixes.scaled(k)
+        model = train(Xk, yk, selected, hyper, scaling)
+        # Xk is already in the model's space: score it without rescaling
+        train_f1 = evaluate(replace(model, scaling=None), Xk, yk, threshold).f1
         eval_f1 = evaluate(model, eval_X, eval_y, threshold).f1
         points.append(CurvePoint(k=k, train_f1=train_f1, eval_f1=eval_f1))
     return points
@@ -421,6 +448,7 @@ def scatter_export(
     separator parameters refer to the scaled feature space the model was
     trained in.
     """
+    check_threshold(threshold)
     if set(model.selected_features) != {ft_a, ft_b}:
         raise ValueError(
             f"model uses features {model.selected_features}, expected {{{ft_a}, {ft_b}}}"

@@ -52,14 +52,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss(Xs, y, w, b, lam) -> float:
-    z = Xs @ w + b
+def _loss(z, y, w, lam) -> float:
+    """Objective at the margins z = Xs @ w + b."""
     nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * lam * float(w @ w)
 
 
-def _gradient(Xs, y, w, b, lam) -> np.ndarray:
-    p = _sigmoid(Xs @ w + b)
+def _gradient(Xs, y, p, w, lam) -> np.ndarray:
+    """Gradient from the probabilities p = sigmoid(Xs @ w + b)."""
     resid = (p - y) / len(y)
     return np.concatenate([Xs.T @ resid + lam * w, [float(np.sum(resid))]])
 
@@ -105,17 +105,20 @@ def train(
     b = 0.0
     converged = False
     n_iter = 0
-    loss = _loss(Xs, y, w, b, lam)
+    # the margins of the current iterate come from the accepted line-search
+    # step; one sigmoid of them serves the gradient and the Hessian
+    z = Xs @ w + b
+    loss = _loss(z, y, w, lam)
 
     for n_iter in range(max_iter + 1):
-        g = _gradient(Xs, y, w, b, lam)
+        p = _sigmoid(z)
+        g = _gradient(Xs, y, p, w, lam)
         if float(np.max(np.abs(g))) < tol:
             converged = True
             break
         if n_iter == max_iter:
             break
 
-        p = _sigmoid(Xs @ w + b)
         d = np.maximum(p * (1.0 - p), 1e-12) / len(y)
         H = np.empty((k + 1, k + 1))
         Xd = Xs * d[:, None]
@@ -139,14 +142,15 @@ def train(
         while t > 1e-12:
             w_new = w + t * step[:k]
             b_new = b + t * float(step[k])
-            loss_new = _loss(Xs, y, w_new, b_new, lam)
+            z_new = Xs @ w_new + b_new
+            loss_new = _loss(z_new, y, w_new, lam)
             if loss_new <= loss + 1e-4 * t * slope:
                 improved = True
                 break
             t *= 0.5
         if not improved:
             break  # step size underflow: no further numeric progress
-        w, b, loss = w_new, b_new, loss_new
+        w, b, z, loss = w_new, b_new, z_new, loss_new
 
     return Model(
         weights=w,
@@ -196,10 +200,15 @@ def predict_proba_matrix(model: Model, vectors: np.ndarray) -> np.ndarray:
     return _sigmoid(decision_values(model, vectors))
 
 
+def check_threshold(threshold: float) -> None:
+    """A decision threshold lies strictly inside (0, 1); nan does not."""
+    if not 0.0 < threshold < 1.0:
+        raise LearnerError(f"threshold must lie in (0, 1), got threshold={threshold!r}")
+
+
 def classify(model: Model, vector: np.ndarray, threshold: float = 0.5) -> bool:
     """True when the retweet probability reaches the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise LearnerError("threshold must lie in (0, 1)")
+    check_threshold(threshold)
     return predict_proba(model, vector) >= threshold
 
 
@@ -226,6 +235,13 @@ def model_to_json(model: Model) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _finite_array(values, field: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise LearnerError(f"model field {field!r} holds a non-finite value")
+    return arr
+
+
 def model_from_json(text: str) -> Model:
     try:
         record = json.loads(text)
@@ -235,14 +251,14 @@ def model_from_json(text: str) -> Model:
         raise LearnerError("unrecognized model format")
     scaling = record["scaling"]
     return Model(
-        weights=np.array(record["weights"], dtype=np.float64),
-        intercept=float(record["intercept"]),
+        weights=_finite_array(record["weights"], "weights"),
+        intercept=float(_finite_array(record["intercept"], "intercept")),
         selected_features=tuple(int(f) for f in record["selected_features"]),
         scaling=None
         if scaling is None
         else ScalingParams(
-            mins=np.array(scaling["mins"], dtype=np.float64),
-            maxs=np.array(scaling["maxs"], dtype=np.float64),
+            mins=_finite_array(scaling["mins"], "scaling.mins"),
+            maxs=_finite_array(scaling["maxs"], "scaling.maxs"),
         ),
         hyper=Hyper(
             lam=float(record["hyper"]["lam"]),

@@ -160,6 +160,24 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert manifest_b["config"]["days"] == 5
 
 
+def test_trailing_config_flag_is_error(tmp_path, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "c"), "--config"])
+    assert rc == 1
+    assert capsys.readouterr().err == "refilter: error: --config needs a file path\n"
+
+
+@pytest.mark.parametrize("threshold", ["2", "nan", "0"])
+def test_threshold_outside_unit_interval_is_error(workspace, tmp_path, capsys, threshold):
+    root, corpus, splits, ranking, model = workspace
+    out = tmp_path / "metrics.csv"
+    rc = main(["eval", "--corpus", str(corpus), "--splits", str(splits),
+               "--model", str(model), "--threshold", threshold, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error:") and "threshold" in err
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("REFILTER_SEED", "9")
     out = tmp_path / "env"

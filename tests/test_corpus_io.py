@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -133,6 +134,37 @@ def test_unknown_action_rejected(tmp_path):
     history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="liked"):
         load_corpus(*corpus_paths(tmp_path))
+
+
+@pytest.mark.parametrize("file_index,tokens", [(1, [10, 11.5]), (2, [10, "11"]), (2, 12)])
+def test_non_integer_token_id_rejected(tmp_path, file_index, tokens):
+    write_corpus(small_corpus(), *corpus_paths(tmp_path))
+    path = corpus_paths(tmp_path)[file_index]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["tokens"] = tokens
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field 'tokens'"):
+        load_corpus(*corpus_paths(tmp_path))
+
+
+def test_load_restores_collector_state(tmp_path):
+    write_corpus(small_corpus(), *corpus_paths(tmp_path))
+    assert gc.isenabled()
+    load_corpus(*corpus_paths(tmp_path))
+    assert gc.isenabled()
+    corpus_paths(tmp_path)[2].write_text("{not json\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError):
+        load_corpus(*corpus_paths(tmp_path))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(CorpusFormatError):
+            load_corpus(*corpus_paths(tmp_path))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_self_delivery_rejected(tmp_path):

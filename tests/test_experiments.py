@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from refilter import experiments
 from refilter.corpus_io import HistoryEvent
 from refilter.experiments import (
     CurvePoint,
@@ -28,9 +30,9 @@ from refilter.experiments import (
     write_scatter,
     write_scores,
 )
-from refilter.features import FeatureContext
+from refilter.features import FeatureContext, apply_scaling, fit_scaling
 from refilter.history import UserHistoryIndex
-from refilter.learner import Hyper, Model, train
+from refilter.learner import Hyper, LearnerError, Model, train
 from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
@@ -363,6 +365,90 @@ def test_incremental_eval_rejects_bad_top_m(signal_pipeline):
     splits, table = signal_pipeline
     with pytest.raises(ValueError):
         incremental_eval(splits, table, top_m=0)
+
+
+def per_k_oracle(splits, table, top_m, ranking=None):
+    """The learning curve computed the direct way: for every k, gather the
+    first k batches' rows, refit the scaling on them and scale them anew.
+    Returns the curve and the model of each k."""
+    if ranking is None:
+        ranking = rank_features(*table.rows(splits.train_instances))
+    selected = [rf.ft_id for rf in ranking[:top_m]]
+    eval_X, eval_y = table.rows(splits.dev_unbalanced)
+    points, models = [], []
+    for k in range(1, len(splits.train_batches) + 1):
+        X_raw, y = table.rows([inst for batch in splits.train_batches[:k] for inst in batch])
+        scaling = fit_scaling(X_raw)
+        model = train(apply_scaling(X_raw, scaling), y, selected, Hyper(), scaling)
+        points.append(CurvePoint(k, evaluate(model, X_raw, y).f1,
+                                 evaluate(model, eval_X, eval_y).f1))
+        models.append(model)
+    return points, models
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert a.intercept == b.intercept
+    assert a.n_iter == b.n_iter and a.converged == b.converged
+    assert a.selected_features == b.selected_features
+    assert np.array_equal(a.scaling.mins, b.scaling.mins)
+    assert np.array_equal(a.scaling.maxs, b.scaling.maxs)
+
+
+@pytest.mark.parametrize("top_m", [3, 50])
+@pytest.mark.parametrize("explicit_ranking", [False, True])
+def test_incremental_eval_matches_per_k_oracle(signal_pipeline, top_m, explicit_ranking):
+    splits, table = signal_pipeline
+    ranking = None
+    if explicit_ranking:  # a ranking the curve would not compute itself
+        ranking = rank_features(*table.rows(splits.train_instances))[::-1]
+    expected, _ = per_k_oracle(splits, table, top_m, ranking)
+    assert incremental_eval(splits, table, top_m=top_m, ranking=ranking) == expected
+
+
+def test_curve_model_at_every_k_is_train_on_batches(signal_pipeline, monkeypatch):
+    splits, table = signal_pipeline
+    fitted = []
+
+    def recording_train(*args, **kwargs):
+        fitted.append(train(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(experiments, "train", recording_train)
+    incremental_eval(splits, table, top_m=10)
+    monkeypatch.undo()
+    _, oracle_models = per_k_oracle(splits, table, top_m=10)
+    assert len(fitted) == len(oracle_models) == len(splits.train_batches)
+    for k, (model, oracle) in enumerate(zip(fitted, oracle_models), start=1):
+        assert_same_model(model, oracle)
+        assert_same_model(train_on_batches(splits, table, model.selected_features, k=k), model)
+
+
+def test_train_on_batches_skips_empty_batch(signal_pipeline):
+    splits, table = signal_pipeline
+    first, *rest = splits.train_batches[:3]
+    gapped = dataclasses.replace(splits, train_batches=[first, [], *rest])
+    _, oracle_models = per_k_oracle(gapped, table, top_m=50)
+    for k, oracle in enumerate(oracle_models, start=1):
+        assert_same_model(train_on_batches(gapped, table, oracle.selected_features, k=k), oracle)
+    empty_first = dataclasses.replace(splits, train_batches=[[], first])
+    with pytest.raises(LearnerError, match="degenerate labels"):
+        train_on_batches(empty_first, table, [13], k=1)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, math.nan])
+def test_threshold_outside_unit_interval_rejected(signal_pipeline, threshold, monkeypatch):
+    splits, table = signal_pipeline
+    X, y = table.rows(splits.dev_unbalanced)
+    model = train(X, y, selected=(10, 43))
+    with pytest.raises(LearnerError, match="threshold"):
+        evaluate(model, X, y, threshold=threshold)
+    with pytest.raises(LearnerError, match="threshold"):
+        scatter_export(X, y, 10, 43, model, threshold=threshold)
+    # rejected before the first fit
+    monkeypatch.setattr(experiments, "train", None)
+    with pytest.raises(LearnerError, match="threshold"):
+        incremental_eval(splits, table, top_m=3, threshold=threshold)
 
 
 def test_train_on_batches_k_validation(signal_pipeline):

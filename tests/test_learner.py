@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -206,6 +207,24 @@ def test_serialization_round_trip_exact():
     assert np.array_equal(back.scaling.maxs, model.scaling.maxs)
     assert back.hyper == model.hyper
     assert model_to_json(back) == text
+
+
+@pytest.mark.parametrize("field", ["weights", "intercept", "scaling.mins", "scaling.maxs"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_from_json_rejects_non_finite(field, value):
+    X = np.zeros((4, N_FEATURES))
+    X[:2, 0] = 1.0
+    scaling = fit_scaling(X)
+    model = train(apply_scaling(X, scaling), [1, 1, 0, 0], selected=(1,), scaling=scaling)
+    record = json.loads(model_to_json(model))
+    if field == "intercept":
+        record["intercept"] = value
+    else:
+        *outer, name = field.split(".")
+        target = record[outer[0]] if outer else record
+        target[name][-1] = value
+    with pytest.raises(LearnerError, match=f"'{field}'"):
+        model_from_json(json.dumps(record))
 
 
 def test_scaled_model_scores_raw_vectors():
