@@ -16,11 +16,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus_io, experiments, features, history, learner, vectorspace
 from .corpus_io import SyntheticConfig
-from .experiments import SplitSpec
+from .experiments import EVAL_SETS, SplitSpec
 
-EVAL_SETS = ("dev_balanced", "dev_unbalanced", "test_balanced", "test_unbalanced")
 SPLIT_FILES = {
     "train": "train_ids.csv",
     "dev_balanced": "dev_balanced_ids.csv",
@@ -28,6 +29,11 @@ SPLIT_FILES = {
     "test_balanced": "test_balanced_ids.csv",
     "test_unbalanced": "test_unbalanced_ids.csv",
 }
+SPLIT_MANIFEST = "manifest.json"
+# the raw features of every split instance, saved by the first command
+# that needs them (docs/FORMATS.md)
+TABLE_FILE = "feature_table.npz"
+IDF_SOURCES = ("history", "instances")
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -63,26 +69,79 @@ def _parse_feature_list(text: str) -> tuple[int, ...]:
 # shared pipeline plumbing
 
 
-def _load_corpus(args) -> corpus_io.Corpus:
-    return corpus_io.load_corpus_dir(args.corpus)
+def _idf_table(idf_source: str, corpus: corpus_io.Corpus) -> vectorspace.IdfTable:
+    if idf_source == "history":
+        return vectorspace.build_idf(e.tokens for e in corpus.events)
+    return vectorspace.build_idf(i.tweet.tokens for i in corpus.instances)
 
 
-def _feature_context(args, corpus, hist) -> features.FeatureContext:
-    if args.idf_source == "history":
-        idf = vectorspace.build_idf(e.tokens for e in corpus.events)
-    elif args.idf_source == "instances":
-        idf = vectorspace.build_idf(i.tweet.tokens for i in corpus.instances)
-    else:
+def _table_key(args, split_dir: Path) -> str:
+    """sha256 over every input the feature table depends on: the corpus
+    files, the split files, the lexicons, the IDF source and history cap,
+    this package's sources, and the Python and numpy versions."""
+    import hashlib  # deferred: only the table lookup hashes
+
+    def file_digest(path: Path) -> str:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        return digest.hexdigest()
+
+    parts = [
+        f"python {sys.version}",
+        f"numpy {np.__version__}",
+        f"idf_source {args.idf_source}",
+        f"cap {args.cap}",
+    ]
+    parts += [f"corpus/{p.name} {file_digest(p)}" for p in corpus_io.corpus_paths(args.corpus)]
+    for name in (*SPLIT_FILES.values(), SPLIT_MANIFEST):
+        parts.append(f"splits/{name} {file_digest(split_dir / name)}")
+    for flag in ("share_lexicon", "good_lexicon", "bad_lexicon"):
+        path = getattr(args, flag)
+        parts.append(f"{flag} {file_digest(Path(path)) if path else 'absent'}")
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        parts.append(f"refilter/{source.name} {file_digest(source)}")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _split_table(args) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
+    """The split ids and the raw feature table of every split instance.
+
+    The table is read from TABLE_FILE in the splits directory when it was
+    saved under the current `_table_key`. Otherwise it is computed from
+    the corpus and saved there, replacing whatever the file held. Every
+    flag and split file is checked before the lookup, so a bad input fails
+    the same way whether or not the table is saved.
+    """
+    features.check_cap(args.cap)
+    if args.idf_source not in IDF_SOURCES:
         raise ValueError(f"unknown idf source {args.idf_source!r}")
     keywords = features.KeywordConfig.from_files(
         share_path=args.share_lexicon, good_path=args.good_lexicon, bad_path=args.bad_lexicon
     )
-    return features.FeatureContext(corpus, hist, idf, keywords=keywords, cap=args.cap)
+    split_dir = Path(args.splits)
+    ids = _read_split_ids(split_dir)
+    key = _table_key(args, split_dir)
+    path = split_dir / TABLE_FILE
+    members = ids.train + [iid for name in EVAL_SETS for iid in ids.eval_set(name)]
+    table = experiments.read_table(path, key, members)
+    if table is None:
+        corpus = corpus_io.load_corpus_dir(args.corpus)
+        hist = history.UserHistoryIndex(corpus)
+        idf = _idf_table(args.idf_source, corpus)
+        ctx = features.FeatureContext(corpus, hist, idf, keywords=keywords, cap=args.cap)
+        table = experiments.featurize_splits(ctx, ids.resolve(corpus))
+        try:
+            experiments.write_table(path, table, key)
+        except OSError:
+            pass  # an unwritable splits directory only means the next command recomputes
+    return ids, table
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus directory")
-    parser.add_argument("--idf-source", choices=("history", "instances"), default="history")
+    parser.add_argument("--idf-source", choices=IDF_SOURCES, default="history")
     parser.add_argument("--cap", type=int, default=history.DEFAULT_CAP,
                         help="history collection size cap")
     parser.add_argument("--share-lexicon", default=None)
@@ -103,35 +162,38 @@ def _write_split_ids(splits: experiments.DatasetSplits, out_dir: Path) -> None:
                 fh.write(f"{inst.instance_id}\n")
 
 
-def _load_splits(args, corpus) -> experiments.DatasetSplits:
-    split_dir = Path(args.splits)
-    manifest = json.loads((split_dir / "manifest.json").read_text(encoding="utf-8"))
+def _id_rows(path: Path, columns: int) -> list[tuple[int, list[int]]]:
+    """(line number, integer fields) of every row of a split file below
+    its header."""
+    rows = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [int(field) for field in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != columns:
+            raise ValueError(f"{path}:{lineno}: expected {columns} integer field(s), got {line!r}")
+        rows.append((lineno, row))
+    return rows
+
+
+def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
+    manifest = json.loads((split_dir / SPLIT_MANIFEST).read_text(encoding="utf-8"))
     spec = SplitSpec(**manifest["spec"])
-
-    def instance(iid: int) -> corpus_io.Instance:
-        inst = corpus.instance_by_id.get(iid)
-        if inst is None:
-            raise ValueError(f"split references unknown instance_id {iid}")
-        return inst
-
-    batches: list[list[corpus_io.Instance]] = [[] for _ in range(spec.train_batches)]
-    lines = (split_dir / SPLIT_FILES["train"]).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        b, iid = line.split(",")
-        batches[int(b)].append(instance(int(iid)))
-
-    def eval_list(name: str) -> list[corpus_io.Instance]:
-        text = (split_dir / SPLIT_FILES[name]).read_text(encoding="utf-8").splitlines()
-        return [instance(int(line)) for line in text[1:]]
-
-    return experiments.DatasetSplits(
-        train_batches=batches,
-        dev_balanced=eval_list("dev_balanced"),
-        dev_unbalanced=eval_list("dev_unbalanced"),
-        test_balanced=eval_list("test_balanced"),
-        test_unbalanced=eval_list("test_unbalanced"),
-        spec=spec,
-    )
+    batches: list[list[int]] = [[] for _ in range(spec.train_batches)]
+    train_path = split_dir / SPLIT_FILES["train"]
+    for lineno, (b, iid) in _id_rows(train_path, 2):
+        if not 0 <= b < spec.train_batches:
+            raise ValueError(
+                f"{train_path}:{lineno}: batch {b} outside 0..{spec.train_batches - 1}"
+            )
+        batches[b].append(iid)
+    eval_sets = {
+        name: [iid for _, (iid,) in _id_rows(split_dir / SPLIT_FILES[name], 1)]
+        for name in EVAL_SETS
+    }
+    return experiments.SplitIds(train_batches=batches, eval_sets=eval_sets, spec=spec)
 
 
 def _hyper_from_args(args) -> learner.Hyper:
@@ -171,7 +233,7 @@ def cmd_synth(args) -> int:
 
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
-    corpus = _load_corpus(args)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
     spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
     # unbalanced defaults follow the 5%-positives convention for any batch size
     if spec_kwargs["unbalanced_neg_per_batch"] is None:
@@ -195,7 +257,7 @@ def cmd_build(args) -> int:
             "test_unbalanced": len(splits.test_unbalanced),
         },
     }
-    (out / "manifest.json").write_text(
+    (out / SPLIT_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {spec.total_batches} batches to {out}")
@@ -203,12 +265,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize(ctx, splits.train_instances)
-    X, y = table.rows(splits.train_instances)
+    ids, table = _split_table(args)
+    X, y = table.rows_by_id(ids.train)
     ranking = experiments.rank_features(X, y, folds=args.folds)
     experiments.write_ranking(args.out, ranking)
     print(f"wrote ranking of {len(ranking)} features to {args.out}")
@@ -225,15 +283,9 @@ def _selected_features(args) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
     selected = _selected_features(args)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize(ctx, splits.train_instances)
-    model = experiments.train_on_batches(
-        splits, table, selected, _hyper_from_args(args), k=args.k
-    )
+    ids, table = _split_table(args)
+    model = experiments.train_on_batches(ids, table, selected, _hyper_from_args(args), k=args.k)
     Path(args.out).write_text(learner.model_to_json(model) + "\n", encoding="utf-8")
     status = "converged" if model.converged else "hit max_iter"
     print(f"trained on features {list(selected)} ({status}, {model.n_iter} iterations)")
@@ -245,14 +297,9 @@ def _load_model(path: str) -> learner.Model:
 
 
 def cmd_eval(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
     model = _load_model(args.model)
-    insts = splits.eval_set(args.eval_set)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize(ctx, insts)
-    X, y = table.rows(insts)
+    ids, table = _split_table(args)
+    X, y = table.rows_by_id(ids.eval_set(args.eval_set))
     metrics = experiments.evaluate(model, X, y, threshold=args.threshold)
     experiments.write_metrics(args.out, metrics)
     print(f"{args.eval_set}: precision={metrics.precision:.4f} "
@@ -261,14 +308,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize_splits(ctx, splits)
+    ids, table = _split_table(args)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
     points = experiments.incremental_eval(
-        splits,
+        ids,
         table,
         top_m=args.top_m,
         hyper=_hyper_from_args(args),
@@ -283,32 +326,20 @@ def cmd_curve(args) -> int:
 
 
 def cmd_score(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
     model = _load_model(args.model)
-    if args.split == "train":
-        insts = splits.train_instances
-    else:
-        insts = splits.eval_set(args.split)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize(ctx, insts)
-    X, _ = table.rows(insts)
+    ids, table = _split_table(args)
+    members = ids.train if args.split == "train" else ids.eval_set(args.split)
+    X, _ = table.rows_by_id(members)
     probs = learner.predict_proba_matrix(model, X)
-    experiments.write_scores(args.out, [i.instance_id for i in insts], probs)
-    print(f"scored {len(insts)} instances to {args.out}")
+    experiments.write_scores(args.out, members, probs)
+    print(f"scored {len(members)} instances to {args.out}")
     return 0
 
 
 def cmd_scatter(args) -> int:
-    corpus = _load_corpus(args)
-    hist = history.UserHistoryIndex(corpus)
-    splits = _load_splits(args, corpus)
     model = _load_model(args.model)
-    insts = splits.eval_set(args.eval_set)
-    ctx = _feature_context(args, corpus, hist)
-    table = experiments.featurize(ctx, insts)
-    X, y = table.rows(insts)
+    ids, table = _split_table(args)
+    X, y = table.rows_by_id(ids.eval_set(args.eval_set))
     data = experiments.scatter_export(X, y, args.ft_a, args.ft_b, model, threshold=args.threshold)
     experiments.write_scatter(args.out, data)
     print(f"wrote {len(data.rows)} scatter rows to {args.out}")
@@ -425,8 +456,16 @@ def main(argv=None) -> int:
         if not isinstance(defaults, dict):
             print("refilter: error: config file must hold a JSON object", file=sys.stderr)
             return 1
-        for p in subparsers.values():
-            p.set_defaults(**defaults)
+        # the subcommand is the first argument; anything else fails to parse below
+        command = subparsers.get(argv[0])
+        if command is not None:
+            unknown = sorted(set(defaults) - {action.dest for action in command._actions})
+            if unknown:
+                keys = ", ".join(map(repr, unknown))
+                print(f"refilter: error: config {config_path} has keys that are not options "
+                      f"of {argv[0]}: {keys}", file=sys.stderr)
+                return 1
+            command.set_defaults(**defaults)
 
     args = parser.parse_args(argv)
     try:

@@ -195,16 +195,28 @@ def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, di
             yield lineno, record
 
 
-def _token_ids(raw, path: Path, lineno: int) -> tuple[int, ...]:
-    """The record's `tokens` as ints. A value that `int` would change (a
-    fraction, a numeric string) or cannot take is a format error."""
-    try:
-        tokens = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
-        tokens = None
-    if tokens is None or list(tokens) != raw:
-        raise CorpusFormatError(f"{path}:{lineno}: field 'tokens' must be a list of integer ids")
-    return tokens
+# Integer fields must hold JSON integers. `type(v) is int` rejects floats,
+# strings and bools (`int` would truncate 1200.7, and `True == 1`).
+
+
+def _check_ints(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
+    for key in keys:
+        if type(rec[key]) is not int:
+            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be an integer")
+
+
+def _check_counts(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
+    """Integers >= 0; an absent optional count is 0."""
+    for key in keys:
+        value = rec.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be an integer >= 0")
+
+
+def _int_list(raw, key: str, path: Path, lineno: int) -> tuple[int, ...]:
+    if type(raw) is not list or not {int}.issuperset(map(type, raw)):
+        raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a list of integers")
+    return tuple(raw)
 
 
 _PROFILE_REQUIRED = (
@@ -216,6 +228,10 @@ _INSTANCE_REQUIRED = (
     "instance_id", "tweet_id", "author_id", "sender_id", "recipient_id",
     "timestamp", "label", "tokens", "char_length",
 )
+_PROFILE_COUNTS = ("followers", "following", "statuses", "listed", "account_age_days")
+_EVENT_INTS = ("user_id", "tweet_id", "timestamp")
+_INSTANCE_INTS = ("instance_id", "tweet_id", "author_id", "sender_id", "recipient_id", "timestamp")
+_INSTANCE_COUNTS = ("char_length", "global_retweet_count", "global_favourite_count")
 
 
 def load_corpus(
@@ -242,23 +258,25 @@ def load_corpus(
 def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) -> Corpus:
     profiles: dict[int, UserProfile] = {}
     for lineno, rec in _read_records(profiles_path, _PROFILE_REQUIRED):
-        uid = int(rec["user_id"])
+        _check_ints(rec, ("user_id",), profiles_path, lineno)
+        _check_counts(rec, _PROFILE_COUNTS, profiles_path, lineno)
+        uid = rec["user_id"]
         if uid in profiles:
             raise CorpusIntegrityError(f"{profiles_path}: duplicate user_id {uid}")
         profiles[uid] = UserProfile(
             user_id=uid,
-            followers=int(rec["followers"]),
-            following=int(rec["following"]),
-            statuses=int(rec["statuses"]),
-            listed=int(rec["listed"]),
+            followers=rec["followers"],
+            following=rec["following"],
+            statuses=rec["statuses"],
+            listed=rec["listed"],
             verified=bool(rec["verified"]),
-            account_age_days=int(rec["account_age_days"]),
+            account_age_days=rec["account_age_days"],
             has_profile_url=bool(rec["has_profile_url"]),
             klout=float(rec.get("klout", 0.0)),
             klout_delta_1d=float(rec.get("klout_delta_1d", 0.0)),
             klout_delta_7d=float(rec.get("klout_delta_7d", 0.0)),
             klout_delta_30d=float(rec.get("klout_delta_30d", 0.0)),
-            neighbours=frozenset(int(n) for n in rec["neighbours"]),
+            neighbours=frozenset(_int_list(rec["neighbours"], "neighbours", profiles_path, lineno)),
         )
 
     events: list[HistoryEvent] = []
@@ -266,22 +284,29 @@ def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) 
         action = rec["action"]
         if action not in ACTIONS:
             raise CorpusFormatError(f"{history_path}:{lineno}: unknown action {action!r}")
+        _check_ints(rec, _EVENT_INTS, history_path, lineno)
         mentions_user = rec.get("mentions_user")
+        if mentions_user is not None and type(mentions_user) is not int:
+            raise CorpusFormatError(
+                f"{history_path}:{lineno}: field 'mentions_user' must be an integer or null"
+            )
         events.append(
             HistoryEvent(
-                user_id=int(rec["user_id"]),
-                tweet_id=int(rec["tweet_id"]),
+                user_id=rec["user_id"],
+                tweet_id=rec["tweet_id"],
                 action=action,
-                timestamp=int(rec["timestamp"]),
-                tokens=_token_ids(rec["tokens"], history_path, lineno),
-                mentions_user=None if mentions_user is None else int(mentions_user),
+                timestamp=rec["timestamp"],
+                tokens=_int_list(rec["tokens"], "tokens", history_path, lineno),
+                mentions_user=mentions_user,
             )
         )
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
     for lineno, rec in _read_records(instances_path, _INSTANCE_REQUIRED):
-        iid = int(rec["instance_id"])
+        _check_ints(rec, _INSTANCE_INTS, instances_path, lineno)
+        _check_counts(rec, _INSTANCE_COUNTS, instances_path, lineno)
+        iid = rec["instance_id"]
         if iid in seen_ids:
             raise CorpusIntegrityError(f"{instances_path}:{lineno}: duplicate instance_id {iid}")
         seen_ids.add(iid)
@@ -289,27 +314,33 @@ def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) 
         if label not in (0, 1, True, False):
             raise CorpusFormatError(f"{instances_path}:{lineno}: label must be 0 or 1")
         pos_counts = rec.get("pos_counts")
+        if pos_counts is not None and (
+            type(pos_counts) is not dict or not {int}.issuperset(map(type, pos_counts.values()))
+        ):
+            raise CorpusFormatError(
+                f"{instances_path}:{lineno}: field 'pos_counts' must map names to integers"
+            )
         instances.append(
             Instance(
                 instance_id=iid,
-                tweet_id=int(rec["tweet_id"]),
-                author_id=int(rec["author_id"]),
-                sender_id=int(rec["sender_id"]),
-                recipient_id=int(rec["recipient_id"]),
-                timestamp=int(rec["timestamp"]),
+                tweet_id=rec["tweet_id"],
+                author_id=rec["author_id"],
+                sender_id=rec["sender_id"],
+                recipient_id=rec["recipient_id"],
+                timestamp=rec["timestamp"],
                 label=bool(label),
                 tweet=EncodedTweet(
-                    tokens=_token_ids(rec["tokens"], instances_path, lineno),
-                    char_length=int(rec["char_length"]),
+                    tokens=_int_list(rec["tokens"], "tokens", instances_path, lineno),
+                    char_length=rec["char_length"],
                     has_url=bool(rec.get("has_url", False)),
                     has_photo=bool(rec.get("has_photo", False)),
                     has_hashtag=bool(rec.get("has_hashtag", False)),
                     has_exclamation=bool(rec.get("has_exclamation", False)),
-                    mentions=tuple(int(m) for m in rec.get("mentions", ())),
+                    mentions=_int_list(rec.get("mentions", []), "mentions", instances_path, lineno),
                 ),
-                global_retweet_count=int(rec.get("global_retweet_count", 0)),
-                global_favourite_count=int(rec.get("global_favourite_count", 0)),
-                pos_counts=None if pos_counts is None else {k: int(v) for k, v in pos_counts.items()},
+                global_retweet_count=rec.get("global_retweet_count", 0),
+                global_favourite_count=rec.get("global_favourite_count", 0),
+                pos_counts=pos_counts,
             )
         )
 

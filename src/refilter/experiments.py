@@ -11,7 +11,10 @@ and cut into fixed-size batches that feed train/dev/test splits.
 
 from __future__ import annotations
 
+import io
+import os
 import random
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,9 +22,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, Instance
-from .features import FeatureContext, ScalingParams, apply_scaling, extract_matrix
+from .features import N_FEATURES, FeatureContext, ScalingParams, apply_scaling, extract_matrix
 from .history import WEEK_SECONDS, UserHistoryIndex
 from .learner import Hyper, Model, check_threshold, predict_proba_matrix, train
+
+
+EVAL_SETS = ("dev_balanced", "dev_unbalanced", "test_balanced", "test_unbalanced")
 
 
 class DatasetError(ValueError):
@@ -92,15 +98,60 @@ class DatasetSplits:
         return [inst for batch in self.train_batches for inst in batch]
 
     def eval_set(self, name: str) -> list[Instance]:
-        sets = {
-            "dev_balanced": self.dev_balanced,
-            "dev_unbalanced": self.dev_unbalanced,
-            "test_balanced": self.test_balanced,
-            "test_unbalanced": self.test_unbalanced,
-        }
-        if name not in sets:
-            raise ValueError(f"unknown eval set {name!r}; one of {sorted(sets)}")
-        return sets[name]
+        if name not in EVAL_SETS:
+            raise ValueError(f"unknown eval set {name!r}; one of {sorted(EVAL_SETS)}")
+        return getattr(self, name)
+
+    def ids(self) -> "SplitIds":
+        return SplitIds(
+            train_batches=[[inst.instance_id for inst in batch] for batch in self.train_batches],
+            eval_sets={
+                name: [inst.instance_id for inst in self.eval_set(name)] for name in EVAL_SETS
+            },
+            spec=self.spec,
+        )
+
+
+@dataclass
+class SplitIds:
+    """The instance ids of each split, in split order: what a split
+    directory stores, and all that training and scoring need besides the
+    feature table."""
+
+    train_batches: list[list[int]]
+    eval_sets: dict[str, list[int]]
+    spec: SplitSpec
+
+    @property
+    def train(self) -> list[int]:
+        return [iid for batch in self.train_batches for iid in batch]
+
+    def eval_set(self, name: str) -> list[int]:
+        if name not in EVAL_SETS:
+            raise ValueError(f"unknown eval set {name!r}; one of {sorted(EVAL_SETS)}")
+        return self.eval_sets[name]
+
+    def resolve(self, corpus: Corpus) -> DatasetSplits:
+        """The splits with each id replaced by the corpus instance."""
+
+        def instances(ids: list[int]) -> list[Instance]:
+            out = []
+            for iid in ids:
+                inst = corpus.instance_by_id.get(iid)
+                if inst is None:
+                    raise ValueError(f"split references unknown instance_id {iid}")
+                out.append(inst)
+            return out
+
+        return DatasetSplits(
+            train_batches=[instances(batch) for batch in self.train_batches],
+            **{name: instances(self.eval_set(name)) for name in EVAL_SETS},
+            spec=self.spec,
+        )
+
+
+def _split_ids(splits: DatasetSplits | SplitIds) -> SplitIds:
+    return splits.ids() if isinstance(splits, DatasetSplits) else splits
 
 
 def _time_key(inst: Instance) -> tuple[int, int]:
@@ -303,7 +354,10 @@ class FeatureTable:
         )
 
     def rows(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-        idx = [self._row_of[inst.instance_id] for inst in instances]
+        return self.rows_by_id([inst.instance_id for inst in instances])
+
+    def rows_by_id(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        idx = [self._row_of[iid] for iid in ids]
         return self.X[idx], self.y[idx]
 
 
@@ -327,6 +381,66 @@ def featurize_splits(ctx: FeatureContext, splits: DatasetSplits) -> FeatureTable
     return featurize(ctx, instances)
 
 
+_TABLE_ARRAYS = ("key", "ids", "X", "y")
+
+
+def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
+    """Save the table and its key as an uncompressed `.npz` archive.
+
+    Every member carries the same fixed timestamp, so the bytes depend on
+    the arrays alone. The file appears atomically: it is written to a
+    temporary file in the same directory, then renamed over `path`.
+    """
+    path = Path(path)
+    arrays = {"key": np.array(key), "ids": table.ids, "X": table.X, "y": table.y}
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as zf:
+            for name in _TABLE_ARRAYS:
+                member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+                member.external_attr = 0o644 << 16
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, arrays[name], allow_pickle=False)
+                zf.writestr(member, buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_table(path: str | Path, key: str, ids: Iterable[int]) -> FeatureTable | None:
+    """The table saved at `path`, or None unless the file is intact, was
+    saved under `key`, and holds exactly one row for each of `ids`."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            arrays = {
+                name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")),
+                                               allow_pickle=False)
+                for name in _TABLE_ARRAYS
+            }
+    except Exception:
+        # a missing file raises OSError, but a damaged archive can fail in
+        # zipfile or numpy with almost any exception type; each one means
+        # the table must be recomputed
+        return None
+    stored_key, table_ids, X, y = (arrays[name] for name in _TABLE_ARRAYS)
+    wanted = set(ids)
+    n = len(wanted)
+    if (
+        stored_key.shape != ()
+        or str(stored_key) != key
+        or table_ids.dtype != np.int64
+        or table_ids.shape != (n,)
+        or X.dtype != np.float64
+        or X.shape != (n, N_FEATURES)
+        or y.dtype != np.int64
+        or y.shape != (n,)
+        or set(table_ids.tolist()) != wanted
+    ):
+        return None
+    return FeatureTable(ids=table_ids, X=X, y=y)
+
+
 # ---------------------------------------------------------------------------
 # incremental training and evaluation
 
@@ -347,8 +461,8 @@ class _BatchPrefixes:
     on the prefix bit for bit.
     """
 
-    def __init__(self, splits: DatasetSplits, table: FeatureTable) -> None:
-        self.X, self.y = table.rows(splits.train_instances)
+    def __init__(self, splits: SplitIds, table: FeatureTable) -> None:
+        self.X, self.y = table.rows_by_id(splits.train)
         sizes = np.array([len(batch) for batch in splits.train_batches])
         self.ends = np.cumsum(sizes)
         batches = [self.X[end - size : end] for size, end in zip(sizes, self.ends)]
@@ -366,7 +480,7 @@ class _BatchPrefixes:
 
 
 def train_on_batches(
-    splits: DatasetSplits,
+    splits: DatasetSplits | SplitIds,
     table: FeatureTable,
     selected: Sequence[int],
     hyper: Hyper = Hyper(),
@@ -374,6 +488,7 @@ def train_on_batches(
 ) -> Model:
     """Train on the first k train batches (all of them by default), with
     scaling fit on exactly those rows: the model of curve point k."""
+    splits = _split_ids(splits)
     k = len(splits.train_batches) if k is None else k
     if not 1 <= k <= len(splits.train_batches):
         raise ValueError(f"k must be in 1..{len(splits.train_batches)}")
@@ -382,7 +497,7 @@ def train_on_batches(
 
 
 def incremental_eval(
-    splits: DatasetSplits,
+    splits: DatasetSplits | SplitIds,
     table: FeatureTable,
     top_m: int,
     hyper: Hyper = Hyper(),
@@ -402,12 +517,13 @@ def incremental_eval(
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
     check_threshold(threshold)
+    splits = _split_ids(splits)
     prefixes = _BatchPrefixes(splits, table)
     if ranking is None:
         ranking = rank_features(prefixes.X, prefixes.y, folds=folds)
     selected = [rf.ft_id for rf in ranking[:top_m]]
 
-    eval_X, eval_y = table.rows(splits.eval_set(eval_set))
+    eval_X, eval_y = table.rows_by_id(splits.eval_set(eval_set))
 
     points: list[CurvePoint] = []
     for k in range(1, len(splits.train_batches) + 1):

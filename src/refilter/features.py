@@ -105,6 +105,12 @@ class FeatureVector:
     label: int
 
 
+def check_cap(cap: int) -> None:
+    """A history cap is an integer >= 1; a bool is not one."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"history cap must be an integer >= 1, got cap={cap!r}")
+
+
 class FeatureContext:
     """Everything extraction needs besides the instance itself."""
 
@@ -118,8 +124,7 @@ class FeatureContext:
         cap: int = DEFAULT_CAP,
         week: int = WEEK_SECONDS,
     ) -> None:
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"history cap must be an integer >= 1, got cap={cap!r}")
+        check_cap(cap)
         self.corpus = corpus
         self.hist = hist
         self.idf = idf

@@ -236,10 +236,19 @@ def model_to_json(model: Model) -> str:
 
 
 def _finite_array(values, field: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise LearnerError(f"model field {field!r} must hold numbers") from exc
     if not np.all(np.isfinite(arr)):
         raise LearnerError(f"model field {field!r} holds a non-finite value")
     return arr
+
+
+def _field(record: dict, name: str, where: str = ""):
+    if not isinstance(record, dict) or name not in record:
+        raise LearnerError(f"model record lacks field {where + name!r}")
+    return record[name]
 
 
 def model_from_json(text: str) -> Model:
@@ -247,24 +256,44 @@ def model_from_json(text: str) -> Model:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LearnerError(f"invalid model record: {exc.msg}") from exc
-    if record.get("format") != "refilter-model-v1":
+    if not isinstance(record, dict) or record.get("format") != "refilter-model-v1":
         raise LearnerError("unrecognized model format")
-    scaling = record["scaling"]
+    try:
+        selected = tuple(int(f) for f in _field(record, "selected_features"))
+    except (TypeError, ValueError) as exc:
+        raise LearnerError("model field 'selected_features' must list feature ids") from exc
+    if not selected:
+        raise LearnerError("model field 'selected_features' is empty")
+    weights = _finite_array(_field(record, "weights"), "weights")
+    if weights.shape != (len(selected),):
+        raise LearnerError(
+            f"model field 'weights' holds {weights.size} values for {len(selected)} "
+            "selected features"
+        )
+    scaling = _field(record, "scaling")
+    if scaling is not None:
+        mins = _finite_array(_field(scaling, "mins", "scaling."), "scaling.mins")
+        maxs = _finite_array(_field(scaling, "maxs", "scaling."), "scaling.maxs")
+        for name, values in (("scaling.mins", mins), ("scaling.maxs", maxs)):
+            if values.shape != (N_FEATURES,):
+                raise LearnerError(
+                    f"model field {name!r} holds {values.size} values, not {N_FEATURES}"
+                )
+        scaling = ScalingParams(mins=mins, maxs=maxs)
+    intercept = _finite_array(_field(record, "intercept"), "intercept")
+    if intercept.shape != ():
+        raise LearnerError("model field 'intercept' must be one number")
+    hyper = _field(record, "hyper")
     return Model(
-        weights=_finite_array(record["weights"], "weights"),
-        intercept=float(_finite_array(record["intercept"], "intercept")),
-        selected_features=tuple(int(f) for f in record["selected_features"]),
-        scaling=None
-        if scaling is None
-        else ScalingParams(
-            mins=_finite_array(scaling["mins"], "scaling.mins"),
-            maxs=_finite_array(scaling["maxs"], "scaling.maxs"),
-        ),
+        weights=weights,
+        intercept=float(intercept),
+        selected_features=selected,
+        scaling=scaling,
         hyper=Hyper(
-            lam=float(record["hyper"]["lam"]),
-            tol=float(record["hyper"]["tol"]),
-            max_iter=int(record["hyper"]["max_iter"]),
+            lam=float(_field(hyper, "lam", "hyper.")),
+            tol=float(_field(hyper, "tol", "hyper.")),
+            max_iter=int(_field(hyper, "max_iter", "hyper.")),
         ),
-        converged=bool(record["converged"]),
-        n_iter=int(record["n_iter"]),
+        converged=bool(_field(record, "converged")),
+        n_iter=int(_field(record, "n_iter")),
     )

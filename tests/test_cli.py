@@ -212,3 +212,15 @@ def test_nonpositive_cap_is_error(workspace, tmp_path, capsys, cap):
     err = capsys.readouterr().err
     assert err.startswith("refilter: error:")
     assert f"cap={cap}" in err
+
+
+@pytest.mark.parametrize("key", ["batch_pos", "func", "command"])
+def test_unknown_config_key_is_error(tmp_path, capsys, key):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"days": 5, key: 10}), encoding="utf-8")
+    out = tmp_path / "c"
+    rc = main(["synth", "--out", str(out), "--config", str(config_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error:") and repr(key) in err and "synth" in err
+    assert not out.exists()

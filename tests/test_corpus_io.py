@@ -307,3 +307,36 @@ def test_referential_integrity_of_generated(small_signal_corpus):
         assert inst.sender_id != inst.recipient_id
     for e in corpus.events:
         assert e.user_id in users
+
+
+# one case per kind of integer field: a scalar id or timestamp, a count
+# that must be >= 0, an optional id, a list of ids, and a map of counts
+@pytest.mark.parametrize("file_index,field,value", [
+    (0, "user_id", True),
+    (0, "followers", -3),
+    (0, "listed", 2.0),
+    (0, "account_age_days", "500"),
+    (0, "neighbours", [1.5]),
+    (1, "timestamp", 1100.5),
+    (1, "tweet_id", "100"),
+    (1, "mentions_user", 2.9),
+    (1, "tokens", [True, 11]),
+    (2, "timestamp", 1200.7),
+    (2, "sender_id", "3"),
+    (2, "instance_id", False),
+    (2, "char_length", -1),
+    (2, "global_retweet_count", 1.5),
+    (2, "mentions", [2.9]),
+    (2, "tokens", [True]),
+    (2, "pos_counts", {"nouns_verbs": 2.0, "definite_articles": 1, "indefinite_articles": 0}),
+])
+def test_non_integer_value_rejected(tmp_path, file_index, field, value):
+    write_corpus(small_corpus(), *corpus_paths(tmp_path))
+    path = corpus_paths(tmp_path)[file_index]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field '{field}'"):
+        load_corpus(*corpus_paths(tmp_path))

@@ -1,0 +1,309 @@
+"""The feature table the CLI saves in a splits directory: every featurizing
+command writes the same bytes whether the table is computed or read, and
+any change to an input the table depends on forces a recompute."""
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import zipfile
+
+import numpy as np
+import pytest
+
+from refilter import corpus_io
+from refilter.cli import TABLE_FILE, main
+from refilter.experiments import FeatureTable, read_table, write_table
+
+SYNTH_FLAGS = [
+    "--num-recipients", "10", "--neighbours-per-user", "6", "--days", "20",
+    "--retweet-rate", "0.35", "--signal-strength", "8.0", "--posts-per-day", "2.0",
+]
+BUILD_FLAGS = [
+    "--batch-pos", "25", "--batch-neg", "25", "--train-batches", "8",
+    "--dev-batches", "2", "--test-batches", "2", "--unbalanced-pos-per-batch", "2",
+]
+# the README walkthrough after `build`, on relative paths
+COMMANDS = (
+    ("rank", ["rank", "--out", "ranking.csv"]),
+    ("train", ["train", "--ranking", "ranking.csv", "--top-m", "10", "--out", "model.json"]),
+    ("eval", ["eval", "--model", "model.json", "--eval-set", "dev_balanced",
+              "--out", "metrics.csv"]),
+    ("curve", ["curve", "--top-m", "5", "--eval-set", "dev_balanced", "--out", "curve.csv"]),
+    ("score", ["score", "--model", "model.json", "--split", "dev_unbalanced",
+               "--out", "scores.csv"]),
+    ("train_pair", ["train", "--features", "10,43", "--out", "two.json"]),
+    ("scatter", ["scatter", "--model", "two.json", "--eval-set", "dev_unbalanced",
+                 "--ft-a", "10", "--ft-b", "43", "--out", "scatter.csv"]),
+)
+OUTPUTS = ("ranking.csv", "model.json", "metrics.csv", "curve.csv", "scores.csv",
+           "two.json", "scatter.csv")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A corpus and its splits, with no feature table."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "--out", str(root / "corpus"), "--seed", "5", *SYNTH_FLAGS]) == 0
+    assert main(["build", "--corpus", str(root / "corpus"), "--out", str(root / "splits"),
+                 "--seed", "3", *BUILD_FLAGS]) == 0
+    (root / "lexicon.txt").write_text("share\nrt\n", encoding="utf-8")
+    return root
+
+
+def _copy(inputs, dest):
+    shutil.copytree(inputs, dest)
+    return dest
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Counts corpus parses; `loads.forbid()` makes any parse fail."""
+
+    class Loads:
+        count = 0
+        allowed = True
+
+        def forbid(self):
+            self.allowed = False
+
+    counter = Loads()
+    original = corpus_io.load_corpus
+
+    def counting(*paths):
+        assert counter.allowed, "the corpus was parsed although the table was saved"
+        counter.count += 1
+        return original(*paths)
+
+    monkeypatch.setattr(corpus_io, "load_corpus", counting)
+    return counter
+
+
+def _walk(root, extra=(), cold=False):
+    """Run the walkthrough commands in `root`; with `cold`, delete the
+    table before each. Returns every output file's bytes and every stdout."""
+    seen = {}
+    home = os.getcwd()
+    os.chdir(root)
+    try:
+        for name, argv in COMMANDS:
+            if cold:
+                (root / "splits" / TABLE_FILE).unlink(missing_ok=True)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([*argv, "--corpus", "corpus", "--splits", "splits", *extra])
+            assert code == 0, name
+            seen[f"stdout:{name}"] = out.getvalue()
+    finally:
+        os.chdir(home)
+    for name in OUTPUTS:
+        seen[name] = (root / name).read_bytes()
+    return seen
+
+
+def _run(root, *argv):
+    home = os.getcwd()
+    os.chdir(root)
+    try:
+        return main([*argv, "--corpus", "corpus", "--splits", "splits"])
+    finally:
+        os.chdir(home)
+
+
+@pytest.fixture(scope="module")
+def cold_outputs(inputs, tmp_path_factory):
+    """The walkthrough's outputs with the table recomputed by every command."""
+    return _walk(_copy(inputs, tmp_path_factory.mktemp("cold") / "w"), cold=True)
+
+
+def test_cold_and_warm_commands_write_identical_bytes(inputs, cold_outputs, tmp_path, loads):
+    root = _copy(inputs, tmp_path / "warm")
+    assert _run(root, "curve", "--out", "c.csv") == 0
+    assert loads.count == 1 and (root / "splits" / TABLE_FILE).is_file()
+    loads.forbid()
+    assert _walk(root) == cold_outputs
+
+
+def test_table_bytes_do_not_depend_on_the_run(inputs, tmp_path, capsys):
+    a = _copy(inputs, tmp_path / "a")
+    b = _copy(inputs, tmp_path / "b")
+    assert _run(a, "rank", "--out", "r.csv") == 0
+    # a command that fails before featurizing saves nothing
+    assert _run(b, "score", "--model", "absent.json", "--out", "s.csv") == 1
+    assert not (b / "splits" / TABLE_FILE).exists()
+    assert _run(b, "curve", "--out", "c.csv") == 0
+    assert (a / "splits" / TABLE_FILE).read_bytes() == (b / "splits" / TABLE_FILE).read_bytes()
+
+
+def _flip_first_train_label(root):
+    first = int((root / "splits" / "train_ids.csv").read_text().splitlines()[1].split(",")[1])
+    path = root / "corpus" / "instances.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["instance_id"] == first:
+            record["label"] = 1 - record["label"]
+            lines[i] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _swap_one_split_id(root):
+    """Replace the first dev_unbalanced id with a dev_balanced id it lacks."""
+    splits = root / "splits"
+    balanced = splits.joinpath("dev_balanced_ids.csv").read_text().splitlines()[1:]
+    path = splits / "dev_unbalanced_ids.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = next(iid for iid in balanced if iid not in lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rewrite_lexicon(root):
+    (root / "lexicon.txt").write_text("share\n", encoding="utf-8")
+
+
+CHANGES = {
+    "label": (_flip_first_train_label, ()),
+    "split_id": (_swap_one_split_id, ()),
+    "lexicon": (_rewrite_lexicon, ()),
+    "cap": (None, ("--cap", "5")),
+    "idf_source": (None, ("--idf-source", "instances")),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_changed_input_recomputes_the_table(inputs, tmp_path, loads, change):
+    edit, flags = CHANGES[change]
+    lexicon = ("--share-lexicon", "lexicon.txt")
+    warm = _copy(inputs, tmp_path / "warm")
+    _walk(warm, extra=lexicon)
+    assert loads.count == 1
+    fresh = _copy(inputs, tmp_path / "fresh")
+    if edit is not None:
+        edit(warm)
+        edit(fresh)
+    changed = _walk(warm, extra=(*lexicon, *flags))
+    assert loads.count == 2  # the first command recomputed, the rest reused
+    assert changed == _walk(fresh, extra=(*lexicon, *flags))
+    table = (warm / "splits" / TABLE_FILE).read_bytes()
+    assert table == (fresh / "splits" / TABLE_FILE).read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "other_key"])
+def test_damaged_table_is_recomputed(inputs, cold_outputs, tmp_path, loads, damage):
+    root = _copy(inputs, tmp_path / "w")
+    assert _run(root, "rank", "--out", "r.csv") == 0
+    path = root / "splits" / TABLE_FILE
+    good = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(good[: len(good) // 2])
+    elif damage == "garbage":
+        path.write_bytes(bytes(range(256)) * 64)
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        with np.load(path) as data:
+            table = FeatureTable(ids=data["ids"], X=data["X"], y=data["y"])
+        write_table(path, table, "0" * 64)
+    assert _walk(root) == cold_outputs
+    assert loads.count == 2
+    assert path.read_bytes() == good
+
+
+def test_unwritable_table_path_changes_nothing(inputs, cold_outputs, tmp_path, loads):
+    root = _copy(inputs, tmp_path / "w")
+    # a directory where the table file belongs: it can be neither read nor
+    # replaced, whoever runs the test
+    (root / "splits" / TABLE_FILE).mkdir()
+    before = sorted(p.name for p in (root / "splits").iterdir())
+    assert _walk(root) == cold_outputs
+    assert loads.count == len(COMMANDS)
+    assert sorted(p.name for p in (root / "splits").iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["rank", "eval"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_bad_cap_fails_with_a_saved_table(inputs, tmp_path, capsys, loads, command, cap):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    loads.forbid()
+    capsys.readouterr()
+    assert _run(root, *dict(COMMANDS)[command], "--cap", cap) == 1
+    err = capsys.readouterr().err
+    assert err == f"refilter: error: history cap must be an integer >= 1, got cap={cap}\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--share-lexicon", "absent.txt"),
+                                        ("--bad-lexicon", "absent.txt")])
+def test_missing_lexicon_fails_with_a_saved_table(inputs, tmp_path, capsys, loads, flag,
+                                                  value):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    loads.forbid()
+    assert _run(root, "rank", "--out", "r.csv", flag, value) == 1
+    assert "absent.txt" in capsys.readouterr().err
+
+
+def test_malformed_split_file_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    loads.forbid()
+    path = root / "splits" / "train_ids.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = "99," + lines[3].split(",")[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert _run(root, "rank", "--out", "r.csv") == 1
+    assert capsys.readouterr().err.endswith("train_ids.csv:4: batch 99 outside 0..7\n")
+
+
+def test_bad_idf_source_in_config_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    loads.forbid()
+    (root / "run.json").write_text(json.dumps({"idf_source": "tweets"}), encoding="utf-8")
+    assert _run(root, "rank", "--out", "r.csv", "--config", "run.json") == 1
+    assert capsys.readouterr().err == "refilter: error: unknown idf source 'tweets'\n"
+
+
+def test_table_file_round_trip(tmp_path):
+    rng = np.random.default_rng(3)
+    ids = np.array([7, 3, 11], dtype=np.int64)
+    table = FeatureTable(ids=ids, X=rng.normal(size=(3, 50)), y=np.array([1, 0, 1]))
+    path = tmp_path / TABLE_FILE
+    write_table(path, table, "k" * 64)
+    first = path.read_bytes()
+    back = read_table(path, "k" * 64, [3, 7, 11])
+    assert np.array_equal(back.ids, ids)
+    assert np.array_equal(back.X, table.X) and np.array_equal(back.y, table.y)
+    # the file is a plain .npz, stamped with no clock
+    with np.load(path) as data:
+        assert sorted(data.files) == ["X", "ids", "key", "y"]
+    with zipfile.ZipFile(path) as zf:
+        assert {member.date_time for member in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    # a key or an id set that differs is a miss
+    assert read_table(path, "j" * 64, [3, 7, 11]) is None
+    assert read_table(path, "k" * 64, [3, 7]) is None
+    assert read_table(path, "k" * 64, [3, 7, 12]) is None
+    write_table(path, table, "k" * 64)
+    assert path.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [TABLE_FILE]
+
+
+def test_corrupted_table_file_reads_as_a_miss(tmp_path):
+    """Seeded single-byte damage anywhere in the file: the read either
+    fails cleanly (None) or returns the saved arrays unchanged."""
+    rng = np.random.default_rng(5)
+    ids = np.arange(4, dtype=np.int64)
+    table = FeatureTable(ids=ids, X=rng.normal(size=(4, 50)), y=np.array([1, 0, 1, 0]))
+    path = tmp_path / TABLE_FILE
+    write_table(path, table, "k" * 64)
+    good = path.read_bytes()
+    damage = np.random.default_rng(6)
+    for _ in range(300):
+        data = bytearray(good)
+        at = int(damage.integers(len(data)))
+        data[at] ^= int(damage.integers(1, 256))
+        path.write_bytes(bytes(data))
+        back = read_table(path, "k" * 64, ids.tolist())
+        if back is not None:
+            assert np.array_equal(back.X, table.X) and np.array_equal(back.y, table.y)

@@ -249,3 +249,36 @@ def test_decision_values_match_probabilities():
     z = decision_values(model, X)
     p = predict_proba_matrix(model, X)
     assert np.allclose(1 / (1 + np.exp(-z)), p)
+
+
+def _model_record() -> dict:
+    X = np.zeros((4, N_FEATURES))
+    X[:2, 0] = 1.0
+    scaling = fit_scaling(X)
+    model = train(apply_scaling(X, scaling), [1, 1, 0, 0], selected=(1,), scaling=scaling)
+    return json.loads(model_to_json(model))
+
+
+@pytest.mark.parametrize("field", [
+    "selected_features", "weights", "intercept", "scaling", "scaling.mins", "scaling.maxs",
+    "hyper", "hyper.lam", "converged", "n_iter",
+])
+def test_model_from_json_names_missing_field(field):
+    record = _model_record()
+    *outer, name = field.split(".")
+    del (record[outer[0]] if outer else record)[name]
+    with pytest.raises(LearnerError, match=f"'{field}'"):
+        model_from_json(json.dumps(record))
+
+
+@pytest.mark.parametrize("field,length", [
+    ("weights", 2), ("weights", 0), ("scaling.mins", N_FEATURES - 1),
+    ("scaling.maxs", N_FEATURES + 1),
+])
+def test_model_from_json_rejects_wrong_length(field, length):
+    record = _model_record()
+    *outer, name = field.split(".")
+    target = record[outer[0]] if outer else record
+    target[name] = [0.5] * length
+    with pytest.raises(LearnerError, match=f"'{field}'"):
+        model_from_json(json.dumps(record))
