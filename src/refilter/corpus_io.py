@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 import json
 import math
 from bisect import bisect_left
@@ -191,7 +192,7 @@ def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, di
                 raise CorpusFormatError(f"{path}:{lineno}: record is not an object")
             for key in required:
                 if key not in record:
-                    raise CorpusFormatError(f"{path}:{lineno}: missing field {key!r}")
+                    raise CorpusFormatError(f"{path}:{lineno}: field {key!r} is missing")
             yield lineno, record
 
 
@@ -213,6 +214,28 @@ def _check_counts(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> No
             raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be an integer >= 0")
 
 
+def _check_flags(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
+    """JSON 0 or 1; an absent optional flag is 0."""
+    for key in keys:
+        value = rec.get(key, 0)
+        if type(value) is not int or value not in (0, 1):
+            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be 0 or 1")
+
+
+def _finite_number(rec: dict, key: str, path: Path, lineno: int) -> float:
+    """A JSON integer or float that is finite as a float; absent is 0.0.
+    `json.loads` accepts the non-standard literals NaN and Infinity."""
+    value = rec.get(key, 0.0)
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a finite number")
+
+
 def _int_list(raw, key: str, path: Path, lineno: int) -> tuple[int, ...]:
     if type(raw) is not list or not {int}.issuperset(map(type, raw)):
         raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a list of integers")
@@ -229,9 +252,12 @@ _INSTANCE_REQUIRED = (
     "timestamp", "label", "tokens", "char_length",
 )
 _PROFILE_COUNTS = ("followers", "following", "statuses", "listed", "account_age_days")
+_PROFILE_FLAGS = ("verified", "has_profile_url")
+_PROFILE_NUMBERS = ("klout", "klout_delta_1d", "klout_delta_7d", "klout_delta_30d")
 _EVENT_INTS = ("user_id", "tweet_id", "timestamp")
 _INSTANCE_INTS = ("instance_id", "tweet_id", "author_id", "sender_id", "recipient_id", "timestamp")
 _INSTANCE_COUNTS = ("char_length", "global_retweet_count", "global_favourite_count")
+_INSTANCE_FLAGS = ("label", "has_url", "has_photo", "has_hashtag", "has_exclamation")
 
 
 def load_corpus(
@@ -241,8 +267,9 @@ def load_corpus(
 ) -> Corpus:
     """Read the three record files into a validated, indexed corpus.
 
-    Malformed lines raise CorpusFormatError naming the file and line;
-    references to unknown users raise CorpusIntegrityError naming the id.
+    Malformed lines raise CorpusFormatError, and references to unknown
+    users or repeated ids raise CorpusIntegrityError; both name the file,
+    the line and the field.
     """
     # every record built here lives as long as the corpus: the cyclic
     # collector would only rescan them, in full collections
@@ -255,64 +282,83 @@ def load_corpus(
             gc.enable()
 
 
+def _check_reference(problem: tuple[str, str] | None, path: Path, lineno: int) -> None:
+    if problem is not None:
+        field, message = problem
+        raise CorpusIntegrityError(f"{path}:{lineno}: field {field!r}: {message}")
+
+
 def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) -> Corpus:
     profiles: dict[int, UserProfile] = {}
+    profile_lines: dict[int, int] = {}
     for lineno, rec in _read_records(profiles_path, _PROFILE_REQUIRED):
         _check_ints(rec, ("user_id",), profiles_path, lineno)
         _check_counts(rec, _PROFILE_COUNTS, profiles_path, lineno)
+        _check_flags(rec, _PROFILE_FLAGS, profiles_path, lineno)
+        klout, delta_1d, delta_7d, delta_30d = (
+            _finite_number(rec, key, profiles_path, lineno) for key in _PROFILE_NUMBERS
+        )
         uid = rec["user_id"]
         if uid in profiles:
-            raise CorpusIntegrityError(f"{profiles_path}: duplicate user_id {uid}")
+            raise CorpusIntegrityError(
+                f"{profiles_path}:{lineno}: field 'user_id': duplicate user_id {uid}"
+            )
+        profile_lines[uid] = lineno
         profiles[uid] = UserProfile(
             user_id=uid,
             followers=rec["followers"],
             following=rec["following"],
             statuses=rec["statuses"],
             listed=rec["listed"],
-            verified=bool(rec["verified"]),
+            verified=rec["verified"] == 1,
             account_age_days=rec["account_age_days"],
-            has_profile_url=bool(rec["has_profile_url"]),
-            klout=float(rec.get("klout", 0.0)),
-            klout_delta_1d=float(rec.get("klout_delta_1d", 0.0)),
-            klout_delta_7d=float(rec.get("klout_delta_7d", 0.0)),
-            klout_delta_30d=float(rec.get("klout_delta_30d", 0.0)),
+            has_profile_url=rec["has_profile_url"] == 1,
+            klout=klout,
+            klout_delta_1d=delta_1d,
+            klout_delta_7d=delta_7d,
+            klout_delta_30d=delta_30d,
             neighbours=frozenset(_int_list(rec["neighbours"], "neighbours", profiles_path, lineno)),
         )
+    for uid, profile in profiles.items():
+        _check_reference(_profile_problem(profile, profiles), profiles_path, profile_lines[uid])
 
     events: list[HistoryEvent] = []
     for lineno, rec in _read_records(history_path, _EVENT_REQUIRED):
         action = rec["action"]
         if action not in ACTIONS:
-            raise CorpusFormatError(f"{history_path}:{lineno}: unknown action {action!r}")
+            raise CorpusFormatError(
+                f"{history_path}:{lineno}: field 'action' must be one of "
+                f"{', '.join(ACTIONS)}, not {action!r}"
+            )
         _check_ints(rec, _EVENT_INTS, history_path, lineno)
         mentions_user = rec.get("mentions_user")
         if mentions_user is not None and type(mentions_user) is not int:
             raise CorpusFormatError(
                 f"{history_path}:{lineno}: field 'mentions_user' must be an integer or null"
             )
-        events.append(
-            HistoryEvent(
-                user_id=rec["user_id"],
-                tweet_id=rec["tweet_id"],
-                action=action,
-                timestamp=rec["timestamp"],
-                tokens=_int_list(rec["tokens"], "tokens", history_path, lineno),
-                mentions_user=mentions_user,
-            )
+        event = HistoryEvent(
+            user_id=rec["user_id"],
+            tweet_id=rec["tweet_id"],
+            action=action,
+            timestamp=rec["timestamp"],
+            tokens=_int_list(rec["tokens"], "tokens", history_path, lineno),
+            mentions_user=mentions_user,
         )
+        _check_reference(_event_problem(event, profiles), history_path, lineno)
+        events.append(event)
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
     for lineno, rec in _read_records(instances_path, _INSTANCE_REQUIRED):
         _check_ints(rec, _INSTANCE_INTS, instances_path, lineno)
         _check_counts(rec, _INSTANCE_COUNTS, instances_path, lineno)
+        _check_flags(rec, _INSTANCE_FLAGS, instances_path, lineno)
         iid = rec["instance_id"]
         if iid in seen_ids:
-            raise CorpusIntegrityError(f"{instances_path}:{lineno}: duplicate instance_id {iid}")
+            raise CorpusIntegrityError(
+                f"{instances_path}:{lineno}: field 'instance_id': duplicate instance_id {iid}"
+            )
         seen_ids.add(iid)
-        label = rec["label"]
-        if label not in (0, 1, True, False):
-            raise CorpusFormatError(f"{instances_path}:{lineno}: label must be 0 or 1")
         pos_counts = rec.get("pos_counts")
         if pos_counts is not None and (
             type(pos_counts) is not dict or not {int}.issuperset(map(type, pos_counts.values()))
@@ -320,64 +366,90 @@ def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) 
             raise CorpusFormatError(
                 f"{instances_path}:{lineno}: field 'pos_counts' must map names to integers"
             )
-        instances.append(
-            Instance(
-                instance_id=iid,
-                tweet_id=rec["tweet_id"],
-                author_id=rec["author_id"],
-                sender_id=rec["sender_id"],
-                recipient_id=rec["recipient_id"],
-                timestamp=rec["timestamp"],
-                label=bool(label),
-                tweet=EncodedTweet(
-                    tokens=_int_list(rec["tokens"], "tokens", instances_path, lineno),
-                    char_length=rec["char_length"],
-                    has_url=bool(rec.get("has_url", False)),
-                    has_photo=bool(rec.get("has_photo", False)),
-                    has_hashtag=bool(rec.get("has_hashtag", False)),
-                    has_exclamation=bool(rec.get("has_exclamation", False)),
-                    mentions=_int_list(rec.get("mentions", []), "mentions", instances_path, lineno),
-                ),
-                global_retweet_count=rec.get("global_retweet_count", 0),
-                global_favourite_count=rec.get("global_favourite_count", 0),
-                pos_counts=pos_counts,
-            )
+        instance = Instance(
+            instance_id=iid,
+            tweet_id=rec["tweet_id"],
+            author_id=rec["author_id"],
+            sender_id=rec["sender_id"],
+            recipient_id=rec["recipient_id"],
+            timestamp=rec["timestamp"],
+            label=rec["label"] == 1,
+            tweet=EncodedTweet(
+                tokens=_int_list(rec["tokens"], "tokens", instances_path, lineno),
+                char_length=rec["char_length"],
+                has_url=rec.get("has_url", 0) == 1,
+                has_photo=rec.get("has_photo", 0) == 1,
+                has_hashtag=rec.get("has_hashtag", 0) == 1,
+                has_exclamation=rec.get("has_exclamation", 0) == 1,
+                mentions=_int_list(rec.get("mentions", []), "mentions", instances_path, lineno),
+            ),
+            global_retweet_count=rec.get("global_retweet_count", 0),
+            global_favourite_count=rec.get("global_favourite_count", 0),
+            pos_counts=pos_counts,
         )
+        _check_reference(_instance_problem(instance, profiles), instances_path, lineno)
+        instances.append(instance)
 
-    corpus = Corpus(profiles=profiles, events=events, instances=instances)
-    _check_integrity(corpus)
-    return corpus
+    return Corpus(profiles=profiles, events=events, instances=instances)
 
 
 def load_corpus_dir(directory: str | Path) -> Corpus:
     return load_corpus(*corpus_paths(directory))
 
 
-def _check_integrity(corpus: Corpus) -> None:
-    known = corpus.profiles.keys()
+# Reference checks of one record against the known user ids: None, or the
+# offending field and what is wrong with it.
 
-    def need(uid: int, where: str) -> None:
+
+def _unknown(uid: int, where: str) -> str:
+    return f"unknown user_id {uid} referenced by {where}"
+
+
+def _profile_problem(profile: UserProfile, known: Mapping) -> tuple[str, str] | None:
+    uid = profile.user_id
+    if uid in profile.neighbours:
+        return "neighbours", f"user {uid} lists itself as a neighbour"
+    for n in sorted(profile.neighbours):
+        if n not in known:
+            return "neighbours", _unknown(n, f"neighbours of user {uid}")
+    return None
+
+
+def _event_problem(e: HistoryEvent, known: Mapping) -> tuple[str, str] | None:
+    if e.user_id not in known:
+        return "user_id", _unknown(e.user_id, f"history event on tweet {e.tweet_id}")
+    if e.mentions_user is not None and e.mentions_user not in known:
+        return "mentions_user", _unknown(
+            e.mentions_user, f"mention in history event on tweet {e.tweet_id}"
+        )
+    return None
+
+
+def _instance_problem(inst: Instance, known: Mapping) -> tuple[str, str] | None:
+    where = f"instance {inst.instance_id}"
+    for field, role in (("sender_id", "sender"), ("recipient_id", "recipient"),
+                        ("author_id", "author")):
+        uid = getattr(inst, field)
         if uid not in known:
-            raise CorpusIntegrityError(f"unknown user_id {uid} referenced by {where}")
+            return field, _unknown(uid, f"{role} of {where}")
+    for m in inst.tweet.mentions:
+        if m not in known:
+            return "mentions", _unknown(m, f"mention in {where}")
+    if inst.sender_id == inst.recipient_id:
+        return "recipient_id", f"{where} has sender == recipient ({inst.sender_id})"
+    return None
 
-    for uid, profile in corpus.profiles.items():
-        if uid in profile.neighbours:
-            raise CorpusIntegrityError(f"user {uid} lists itself as a neighbour")
-        for n in profile.neighbours:
-            need(n, f"neighbours of user {uid}")
-    for e in corpus.events:
-        need(e.user_id, f"history event on tweet {e.tweet_id}")
-        if e.mentions_user is not None:
-            need(e.mentions_user, f"mention in history event on tweet {e.tweet_id}")
-    for inst in corpus.instances:
-        where = f"instance {inst.instance_id}"
-        need(inst.sender_id, f"sender of {where}")
-        need(inst.recipient_id, f"recipient of {where}")
-        need(inst.author_id, f"author of {where}")
-        for m in inst.tweet.mentions:
-            need(m, f"mention in {where}")
-        if inst.sender_id == inst.recipient_id:
-            raise CorpusIntegrityError(f"{where} has sender == recipient ({inst.sender_id})")
+
+def _check_integrity(corpus: Corpus) -> None:
+    known = corpus.profiles
+    problems = itertools.chain(
+        (_profile_problem(p, known) for p in corpus.profiles.values()),
+        (_event_problem(e, known) for e in corpus.events),
+        (_instance_problem(i, known) for i in corpus.instances),
+    )
+    for problem in problems:
+        if problem is not None:
+            raise CorpusIntegrityError(problem[1])
 
 
 def _dump(record: dict) -> str:

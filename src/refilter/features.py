@@ -3,18 +3,24 @@
 Feature values are extracted raw; min-max scaling parameters are fit on
 training data only and applied (with clamping) everywhere else. Two
 extraction paths exist: `assemble` computes one instance directly from
-history queries, and `extract_matrix` sweeps many instances in timestamp
-order with one exact `RollingCentroid` per history stream, which is orders
-of magnitude faster on large corpora. The sweep's similarity features
-agree with `assemble` to within a few units of 1e-16, and each of its
-rows depends only on the instance and the context: featurizing any subset
-of instances gives bitwise the same rows as featurizing them all.
+history queries, and `extract_matrix` featurizes many instances in two
+passes, orders of magnitude faster on large corpora. Its similarity pass
+sweeps the instances in timestamp order with one cursor per history
+stream, feeding exact `RollingCentroid`s, and answers a query repeated
+within one second from a memo cleared whenever the timestamp advances.
+Its column pass fills the other 44 features one column at a time. Those
+44 columns equal `assemble` bitwise; the six similarity features agree
+with it to within a few units of 1e-16. Each row depends only on the
+instance and the context: featurizing any subset of instances gives
+bitwise the same rows as featurizing them all.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
+from operator import attrgetter, contains, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -339,7 +345,8 @@ def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
 
 
 # ---------------------------------------------------------------------------
-# batch extraction with rolling history summaries
+# batch extraction: a similarity pass over rolling history summaries, then a
+# column pass for the other 44 features
 
 
 def extract_matrix(
@@ -347,71 +354,209 @@ def extract_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature matrix for many instances: (ids, X of shape (n, 50), labels).
 
-    Rows are returned in the order of `instances`; internally the sweep
-    runs in timestamp order so each history summary is built once.
+    Rows are returned in the order of `instances`. Two passes write
+    straight into X. The similarity pass (FT10-13, FT42-43) runs in
+    timestamp order with one cursor per history stream, which feeds the
+    stream's capped `RollingCentroid` and, for the recipient's seen and
+    retweet streams, its weekly one; a query repeated within one second
+    (same stream, same tweet) is answered from a memo cleared whenever
+    the timestamp advances. The column pass fills the other 44 columns one
+    column at a time, with each user's profile values and each token
+    tuple's wording counts computed once.
     """
     n = len(instances)
     ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
     labels = np.array([int(inst.label) for inst in instances], dtype=np.int64)
     X = np.empty((n, N_FEATURES), dtype=np.float64)
+    _similarity_pass(ctx, instances, X)
+    _column_pass(ctx, instances, X)
+    return ids, X, labels
 
+
+class _Cursor:
+    """One user's stream of one kind, pushed in time order into a capped
+    centroid and, given a window, into a windowed centroid too.
+
+    `means` answers every query at one timestamp from a memo keyed by the
+    tweet id. That is exact: the held docs change only when the timestamp
+    grows, and a query vector is a function of its tweet id.
+    """
+
+    __slots__ = ("docs", "next", "capped", "windowed", "ts", "memo", "vector_for")
+
+    def __init__(self, docs: Sequence, cap: int, window: int | None, vector_for) -> None:
+        self.docs = docs
+        self.next = 0  # the first doc not yet pushed
+        self.capped = RollingCentroid(cap)
+        self.windowed = None if window is None else RollingCentroid(cap, window)
+        self.ts = None
+        self.memo: dict[int, tuple] = {}
+        self.vector_for = vector_for
+
+    def means(self, ts: int, tweet_id: int, vec: FixedVector) -> tuple:
+        """(capped, windowed or None) mean similarity of `vec` to the docs
+        strictly before `ts`, leaving out copies of `tweet_id`."""
+        if ts != self.ts:
+            self.ts = ts
+            self.memo.clear()
+            docs, i, end = self.docs, self.next, len(self.docs)
+            capped, windowed = self.capped, self.windowed
+            while i < end and docs[i].timestamp < ts:
+                d = docs[i]
+                dvec = self.vector_for(d.tweet_id, d.tokens)
+                capped.push(d.timestamp, d.tweet_id, dvec)
+                if windowed is not None:
+                    windowed.push(d.timestamp, d.tweet_id, dvec)
+                i += 1
+            self.next = i
+        got = self.memo.get(tweet_id)
+        if got is None:
+            windowed = self.windowed
+            got = self.memo[tweet_id] = (
+                self.capped.mean_similarity(vec, tweet_id, ts),
+                None if windowed is None else windowed.mean_similarity(vec, tweet_id, ts),
+            )
+        return got
+
+
+class _Cursors(dict):
+    """user -> `_Cursor` over one kind of stream, made on first use."""
+
+    def __init__(self, ctx: FeatureContext, stream, window: int | None) -> None:
+        super().__init__()
+        self.stream = stream  # user -> that user's time-sorted docs
+        self.cap = ctx.cap
+        self.window = window
+        self.vector_for = ctx.vector_for
+
+    def __missing__(self, user: int) -> _Cursor:
+        cursor = self[user] = _Cursor(self.stream(user), self.cap, self.window, self.vector_for)
+        return cursor
+
+
+def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
     hist = ctx.hist
-    # (kind, user, weekly) -> [centroid, that user's stream, next doc to push]
-    rolling: dict[tuple[str, int, bool], list] = {}
+    posts = _Cursors(ctx, hist.posts_stream, None)
+    seen = _Cursors(ctx, hist.seen_stream, ctx.week)
+    retweets = _Cursors(ctx, hist.retweets_stream, ctx.week)
+    sender_posts, recipient_posts, recipient_seen, recipient_retweets = (
+        X[:, col] for col in range(9, 13)
+    )
+    seen_week, retweets_week = X[:, 41], X[:, 42]
+    vector_for = ctx.vector_for
 
-    def similarity(kind: str, user: int, weekly: bool) -> float:
-        """Mean similarity of the current row's tweet (`vec`, `tid`) to the
-        user's stream strictly before the row's timestamp `ts`."""
-        key = (kind, user, weekly)
-        state = rolling.get(key)
-        if state is None:
-            state = rolling[key] = [
-                RollingCentroid(ctx.cap, ctx.week if weekly else None),
-                getattr(hist, f"{kind}_stream")(user),
-                0,
-            ]
-        centroid, docs, i = state
-        while i < len(docs) and docs[i].timestamp < ts:
-            d = docs[i]
-            centroid.push(d.timestamp, d.tweet_id, ctx.vector_for(d.tweet_id, d.tokens))
-            i += 1
-        state[2] = i
-        return centroid.mean_similarity(vec, tid, ts)
-
-    order = sorted(range(n), key=lambda i: (instances[i].timestamp, instances[i].instance_id))
-    warned = ctx._warned_fallback
+    keys = [(inst.timestamp, inst.instance_id) for inst in instances]
+    order = sorted(range(len(instances)), key=keys.__getitem__)
+    del keys  # n tuples, not to be held through the sweep
     for row in order:
         inst = instances[row]
-        ts = inst.timestamp
-        vec = ctx.vector_for(inst.tweet_id, inst.tweet.tokens)
-        tid = inst.tweet_id
-        recipient = inst.recipient_id
+        ts, tid, recipient = inst.timestamp, inst.tweet_id, inst.recipient_id
+        vec = vector_for(tid, inst.tweet.tokens)
+        sender_posts[row] = posts[inst.sender_id].means(ts, tid, vec)[0]
+        recipient_posts[row] = posts[recipient].means(ts, tid, vec)[0]
+        recipient_seen[row], seen_week[row] = seen[recipient].means(ts, tid, vec)
+        recipient_retweets[row], retweets_week[row] = retweets[recipient].means(ts, tid, vec)
 
-        group2 = [
-            similarity("posts", inst.sender_id, False),
-            similarity("posts", recipient, False),
-            similarity("seen", recipient, False),
-            similarity("retweets", recipient, False),
-        ]
-        group5 = [
-            similarity("seen", recipient, True),
-            similarity("retweets", recipient, True),
-        ]
-        values = (
-            extract_group1(inst)
-            + group2
-            + extract_group3(
-                ctx.corpus.profiles[inst.sender_id], ctx.corpus.profiles[inst.recipient_id]
-            )
-            + extract_group4(inst, hist)
-            + group5
-            + extract_group6(inst, hist, ctx.corpus.profiles)
-            + extract_group7(inst, ctx.keywords, ctx.vocab, warn=not warned)
-        )
-        warned = True
-        X[row, :] = values
-    ctx._warned_fallback = warned
-    return ids, X, labels
+
+def _column(values: Iterable, n: int, dtype=np.float64) -> np.ndarray:
+    """n values as an array; with dtype=bool, each value's truth."""
+    return np.fromiter(values, dtype=dtype, count=n)
+
+
+_NO_POS_COUNTS: Mapping[str, int] = {}
+
+
+def _column_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+    """Groups 1, 3, 4, 6 and 7, one column at a time, each value the one
+    `assemble` computes for its row."""
+    hist, profiles, n = ctx.hist, ctx.corpus.profiles, len(instances)
+    tweets = [inst.tweet for inst in instances]
+    senders = [inst.sender_id for inst in instances]
+    recipients = [inst.recipient_id for inst in instances]
+    times = [inst.timestamp for inst in instances]
+
+    def attr(objects: Sequence, name: str, dtype=np.float64) -> np.ndarray:
+        return _column(map(attrgetter(name), objects), n, dtype)
+
+    # group 1: FT1-9
+    X[:, 0] = attr(tweets, "char_length")
+    X[:, 1] = attr(tweets, "has_url", bool)
+    X[:, 3] = attr(tweets, "has_hashtag", bool)
+    X[:, 4] = attr(instances, "global_retweet_count")
+    X[:, 5] = attr(instances, "global_favourite_count")
+    X[:, 6] = attr(tweets, "has_exclamation", bool)
+    X[:, 7] = attr(tweets, "has_photo", bool)
+    X[:, 8] = _column(map(len, map(attrgetter("mentions"), tweets)), n)
+    X[:, 2] = X[:, 8] > 0.0
+
+    # group 3: FT14-35, each user's eleven profile values once
+    slot: dict[int, int] = {}
+    for user in itertools.chain(senders, recipients):
+        slot.setdefault(user, len(slot))
+    table = np.array([_profile_values(profiles[uid]) for uid in slot], dtype=np.float64)
+    table = table.reshape(len(slot), 11)
+    for first, users in ((13, senders), (24, recipients)):
+        rows = _column(map(slot.__getitem__, users), n, np.intp)
+        for j in range(11):
+            X[:, first + j] = table[rows, j]
+
+    # group 4: FT36-41
+    X[:, 35] = _column(map(contains, map(attrgetter("mentions"), tweets), recipients), n, bool)
+    X[:, 36] = _column(map(hist.mention_count, senders, recipients, times), n, bool)
+    X[:, 37] = _column(map(hist.mention_count, recipients, senders, times), n, bool)
+    X[:, 38] = _column(map(hist.retweet_count, senders, recipients, times), n, bool)
+    X[:, 40] = _column(map(hist.retweet_count, recipients, senders, times), n)
+    X[:, 39] = X[:, 40] > 0.0
+
+    # group 6: FT44-45
+    X[:, 43] = _column(
+        (i.author_id in profiles[i.recipient_id].neighbours for i in instances), n, bool)
+    tweet_ids = map(attrgetter("tweet_id"), instances)
+    X[:, 44] = _column(map(hist.neighbour_retweets, tweet_ids, recipients, times), n)
+
+    _wording_columns(ctx, instances, X)
+
+
+def _wording(tokens: Sequence, keywords: KeywordConfig, vocab: Mapping[int, str] | None) -> tuple:
+    """(share count, good minus bad count, fallback pos counts or None
+    when the tokens do not resolve to strings), as `extract_group7`."""
+    strings = _token_strings(tokens, vocab)
+    if strings is None:
+        return 0, 0, None
+    return (
+        sum(1 for t in strings if t in keywords.share_words),
+        sum(1 for t in strings if t in keywords.good_words)
+        - sum(1 for t in strings if t in keywords.bad_words),
+        fallback_pos_counts(strings),
+    )
+
+
+def _wording_columns(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+    """Group 7 (FT46-50), with the token-string work once per distinct
+    token tuple; the fallback-tagger warning is logged once per context."""
+    n = len(instances)
+    token_rows = [inst.tweet.tokens for inst in instances]
+    wording = dict.fromkeys(token_rows)
+    for tokens in wording:
+        wording[tokens] = _wording(tokens, ctx.keywords, ctx.vocab)
+    words_of = list(map(wording.__getitem__, token_rows))
+    pos_of = [inst.pos_counts for inst in instances]
+    for row, pos in enumerate(pos_of):
+        if pos is None:
+            fallback = words_of[row][2]
+            if fallback is None:
+                pos_of[row] = _NO_POS_COUNTS
+            else:
+                if not ctx._warned_fallback:
+                    logger.info("instance %s: pos_counts missing, using fallback tagger",
+                                instances[row].instance_id)
+                    ctx._warned_fallback = True
+                pos_of[row] = fallback
+
+    X[:, 45] = _column(map(itemgetter(0), words_of), n)
+    for col, name in ((46, "nouns_verbs"), (47, "definite_articles"), (48, "indefinite_articles")):
+        X[:, col] = _column((pos.get(name, 0) for pos in pos_of), n)
+    X[:, 49] = _column(map(itemgetter(1), words_of), n)
 
 
 # ---------------------------------------------------------------------------

@@ -174,12 +174,18 @@ class UserHistoryIndex:
 
     def interaction(self, a: int, b: int, before: int) -> InteractionCounts:
         """How often `a` mentioned / retweeted `b` strictly before `before`."""
-        mentions = self._mention_times.get((a, b), ())
-        retweets = self._retweet_times.get((a, b), ())
         return InteractionCounts(
-            a_mentioned_b=bisect_left(mentions, before),
-            a_retweeted_b=bisect_left(retweets, before),
+            a_mentioned_b=self.mention_count(a, b, before),
+            a_retweeted_b=self.retweet_count(a, b, before),
         )
+
+    def mention_count(self, a: int, b: int, before: int) -> int:
+        """How often `a` mentioned `b` strictly before `before`."""
+        return bisect_left(self._mention_times.get((a, b), ()), before)
+
+    def retweet_count(self, a: int, b: int, before: int) -> int:
+        """How often `a` retweeted a tweet of `b` strictly before `before`."""
+        return bisect_left(self._retweet_times.get((a, b), ()), before)
 
     def neighbour_retweets(self, tweet_id: int, recipient: int, before: int) -> int:
         """Number of the recipient's neighbours that retweeted the tweet

@@ -10,6 +10,7 @@ bitwise-identical models.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,14 +236,34 @@ def model_to_json(model: Model) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a bool is not a number here
+
+
 def _finite_array(values, field: str) -> np.ndarray:
+    """A JSON number, or a list of them, as float64; every value finite."""
+    if not (_is_number(values) or type(values) is list and all(map(_is_number, values))):
+        raise LearnerError(f"model field {field!r} must hold numbers")
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise LearnerError(f"model field {field!r} must hold numbers") from exc
+    except OverflowError:  # an integer beyond the float range
+        arr = np.array(math.inf)
     if not np.all(np.isfinite(arr)):
         raise LearnerError(f"model field {field!r} holds a non-finite value")
     return arr
+
+
+def _finite_float(value, field: str) -> float:
+    arr = _finite_array(value, field)
+    if arr.shape != ():
+        raise LearnerError(f"model field {field!r} must be one number")
+    return float(arr)
+
+
+def _count(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        raise LearnerError(f"model field {field!r} must be an integer >= 0")
+    return value
 
 
 def _field(record: dict, name: str, where: str = ""):
@@ -252,18 +273,20 @@ def _field(record: dict, name: str, where: str = ""):
 
 
 def model_from_json(text: str) -> Model:
+    """Parse a `model_to_json` record; a missing or malformed field raises
+    LearnerError naming it."""
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LearnerError(f"invalid model record: {exc.msg}") from exc
     if not isinstance(record, dict) or record.get("format") != "refilter-model-v1":
-        raise LearnerError("unrecognized model format")
-    try:
-        selected = tuple(int(f) for f in _field(record, "selected_features"))
-    except (TypeError, ValueError) as exc:
-        raise LearnerError("model field 'selected_features' must list feature ids") from exc
+        raise LearnerError("unrecognized model format: field 'format' must be 'refilter-model-v1'")
+    selected = _field(record, "selected_features")
+    if type(selected) is not list or not all(type(f) is int and f >= 1 for f in selected):
+        raise LearnerError("model field 'selected_features' must list feature ids >= 1")
     if not selected:
         raise LearnerError("model field 'selected_features' is empty")
+    selected = tuple(selected)
     weights = _finite_array(_field(record, "weights"), "weights")
     if weights.shape != (len(selected),):
         raise LearnerError(
@@ -280,20 +303,21 @@ def model_from_json(text: str) -> Model:
                     f"model field {name!r} holds {values.size} values, not {N_FEATURES}"
                 )
         scaling = ScalingParams(mins=mins, maxs=maxs)
-    intercept = _finite_array(_field(record, "intercept"), "intercept")
-    if intercept.shape != ():
-        raise LearnerError("model field 'intercept' must be one number")
+    intercept = _finite_float(_field(record, "intercept"), "intercept")
     hyper = _field(record, "hyper")
+    converged = _field(record, "converged")
+    if type(converged) is not bool:
+        raise LearnerError("model field 'converged' must be true or false")
     return Model(
         weights=weights,
-        intercept=float(intercept),
+        intercept=intercept,
         selected_features=selected,
         scaling=scaling,
         hyper=Hyper(
-            lam=float(_field(hyper, "lam", "hyper.")),
-            tol=float(_field(hyper, "tol", "hyper.")),
-            max_iter=int(_field(hyper, "max_iter", "hyper.")),
+            lam=_finite_float(_field(hyper, "lam", "hyper."), "hyper.lam"),
+            tol=_finite_float(_field(hyper, "tol", "hyper."), "hyper.tol"),
+            max_iter=_count(_field(hyper, "max_iter", "hyper."), "hyper.max_iter"),
         ),
-        converged=bool(_field(record, "converged")),
-        n_iter=int(_field(record, "n_iter")),
+        converged=converged,
+        n_iter=_count(_field(record, "n_iter"), "n_iter"),
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -115,6 +116,26 @@ def test_scatter_two_feature_model(workspace, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines[0].split(",")) == 4
     assert len(lines) - 1 == 2 * 27
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_rank_rejects_non_finite_klout(workspace, tmp_path, capsys, value):
+    root, corpus, splits, *_ = workspace
+    bad_corpus, bad_splits = tmp_path / "corpus", tmp_path / "splits"
+    shutil.copytree(corpus, bad_corpus)
+    shutil.copytree(splits, bad_splits)
+    profiles = bad_corpus / "profiles.jsonl"
+    lines = profiles.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["klout"] = float(value)  # json.dumps writes the literal NaN or Infinity
+    lines[0] = json.dumps(record)
+    profiles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "ranking.csv"
+    rc = main(["rank", "--corpus", str(bad_corpus), "--splits", str(bad_splits),
+               "--out", str(out)])
+    assert rc == 1
+    assert "profiles.jsonl:1: field 'klout'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_corpus_is_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -111,7 +112,8 @@ def test_dangling_sender_names_id(tmp_path):
     record["sender_id"] = 999
     lines[0] = json.dumps(record)
     inst_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusIntegrityError, match="999"):
+    with pytest.raises(CorpusIntegrityError,
+                       match=r"instances\.jsonl:1: field 'sender_id': unknown user_id 999"):
         load_corpus(*corpus_paths(tmp_path))
 
 
@@ -120,7 +122,8 @@ def test_duplicate_instance_id_rejected(tmp_path):
     inst_path = corpus_paths(tmp_path)[2]
     lines = inst_path.read_text(encoding="utf-8").splitlines()
     inst_path.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusIntegrityError, match="duplicate instance_id"):
+    with pytest.raises(CorpusIntegrityError,
+                       match=r"instances\.jsonl:3: field 'instance_id': duplicate instance_id"):
         load_corpus(*corpus_paths(tmp_path))
 
 
@@ -174,7 +177,8 @@ def test_self_delivery_rejected(tmp_path):
         instances=[make_instance(1, 10, sender=1, recipient=1, timestamp=5)],
     )
     write_corpus(corpus, *corpus_paths(tmp_path))
-    with pytest.raises(CorpusIntegrityError, match="sender == recipient"):
+    with pytest.raises(CorpusIntegrityError,
+                       match=r"instances\.jsonl:1: field 'recipient_id': .*sender == recipient"):
         load_corpus(*corpus_paths(tmp_path))
 
 
@@ -310,7 +314,9 @@ def test_referential_integrity_of_generated(small_signal_corpus):
 
 
 # one case per kind of integer field: a scalar id or timestamp, a count
-# that must be >= 0, an optional id, a list of ids, and a map of counts
+# that must be >= 0, an optional id, a list of ids, and a map of counts;
+# then the 0/1 flags, which take JSON 0 or 1 only, and the klout numbers,
+# which must be finite
 @pytest.mark.parametrize("file_index,field,value", [
     (0, "user_id", True),
     (0, "followers", -3),
@@ -329,6 +335,24 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     (2, "mentions", [2.9]),
     (2, "tokens", [True]),
     (2, "pos_counts", {"nouns_verbs": 2.0, "definite_articles": 1, "indefinite_articles": 0}),
+    (0, "verified", "0"),
+    (0, "verified", "no"),
+    (0, "has_profile_url", True),
+    (0, "has_profile_url", 2),
+    (2, "label", 1.0),
+    (2, "label", True),
+    (2, "label", "1"),
+    (2, "has_url", "0"),
+    (2, "has_photo", -1),
+    (2, "has_hashtag", None),
+    (2, "has_exclamation", [1]),
+    (0, "klout", math.nan),
+    (0, "klout", math.inf),
+    (0, "klout_delta_1d", -math.inf),
+    (0, "klout_delta_7d", "0.5"),
+    (0, "klout_delta_30d", True),
+    (0, "klout", 10**400),
+    (0, "klout", None),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     write_corpus(small_corpus(), *corpus_paths(tmp_path))

@@ -310,6 +310,96 @@ def test_batch_matches_per_instance(small_signal_corpus):
     assert list(y) == [int(i.label) for i in sample]
 
 
+SIMILARITY_COLUMNS = [ft - 1 for ft in (10, 11, 12, 13, 42, 43)]
+OTHER_COLUMNS = [c for c in range(N_FEATURES) if c not in SIMILARITY_COLUMNS]
+
+
+@pytest.mark.parametrize("cap", [1000, 5, 1])
+def test_sweep_matches_assemble_on_every_row(small_signal_corpus, cap):
+    # the column pass reproduces assemble's 44 other values exactly; the
+    # similarity pass agrees up to the rounding of the fixed-point sums
+    _, corpus = small_signal_corpus
+    hist = UserHistoryIndex(corpus)
+    idf = build_idf(e.tokens for e in corpus.events)
+    _, X, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), corpus.instances)
+    ctx = FeatureContext(corpus, hist, idf, cap=cap)
+    direct = np.stack([assemble(inst, ctx).values for inst in corpus.instances])
+    assert np.array_equal(X[:, OTHER_COLUMNS], direct[:, OTHER_COLUMNS])
+    assert np.abs(X[:, SIMILARITY_COLUMNS] - direct[:, SIMILARITY_COLUMNS]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("vocab", [None, {6: "please", 7: "rt", 8: "the", 9: "great",
+                                         10: "president", 11: "awful"}])
+def test_sweep_wording_columns_match_assemble(vocab, caplog):
+    # string tokens (or ids resolved through a vocabulary), with and
+    # without pos_counts, and a token tuple that repeats
+    words = {v: k for k, v in (vocab or {}).items()}
+    tokens = [("please", "rt", "the", "great", "president"), ("a", "awful", "rt"), ("x",)]
+    if vocab:
+        tokens = [tuple(words.get(t, 99) for t in toks) for toks in tokens]
+    instances = [
+        make_instance(1, 10, sender=2, recipient=1, timestamp=100, tokens=tokens[0]),
+        make_instance(2, 11, sender=2, recipient=1, timestamp=101, tokens=tokens[1],
+                      pos_counts={"nouns_verbs": 4}),
+        make_instance(3, 12, sender=1, recipient=2, timestamp=102, tokens=tokens[0]),
+        make_instance(4, 13, sender=1, recipient=2, timestamp=103, tokens=tokens[2]),
+    ]
+    keywords = KeywordConfig(good_words=frozenset({"great"}), bad_words=frozenset({"awful"}))
+    kw = dict(keywords=keywords, vocab=vocab)
+    profiles = [make_profile(1), make_profile(2)]
+    with caplog.at_level("INFO", logger="refilter.features"):
+        _, X, _ = extract_matrix(context_for(profiles, instances=instances, **kw), instances)
+    assert [r.getMessage() for r in caplog.records] == [
+        "instance 1: pos_counts missing, using fallback tagger"]
+    ctx = context_for(profiles, instances=instances, **kw)
+    direct = np.stack([assemble(inst, ctx).values for inst in instances])
+    assert np.array_equal(X[:, OTHER_COLUMNS], direct[:, OTHER_COLUMNS])
+    assert X[0, 45] == 1.0 and X[0, 49] == 1.0 and X[1, 46] == 4.0 and X[0, 47] == 1.0
+
+
+def test_repeated_queries_within_one_second_match_rows_alone():
+    # within one second: sender 2 delivers tweet 40 to recipients 1, 3
+    # and 4, sender 5 forwards tweet 40 to recipient 1, and sender 2 also
+    # delivers tweet 41. Queries repeat (same stream, same second) with
+    # the same tweet and with a different one; an event at that second
+    # must reach the queries of the next one.
+    now = 10 * DAY
+    profiles = [make_profile(u, neighbours=[2, 5] if u in (1, 3, 4) else [])
+                for u in (1, 2, 3, 4, 5)]
+    events = [
+        HistoryEvent(2, 40, "authored", now - 500, (6, 7, 8)),
+        HistoryEvent(2, 30, "authored", now - 400, (6, 9)),
+        HistoryEvent(5, 40, "retweeted", now - 300, (6, 7, 8)),
+        HistoryEvent(5, 31, "authored", now - 200, (8, 9, 10)),
+        HistoryEvent(1, 40, "seen", now - 300, (6, 7, 8)),
+        HistoryEvent(1, 31, "retweeted", now - 100, (8, 9, 10)),
+        HistoryEvent(3, 30, "seen", now - 400, (6, 9)),
+        HistoryEvent(3, 30, "retweeted", now - 50, (6, 9)),
+        HistoryEvent(4, 32, "authored", now - 30, (7, 10)),
+        HistoryEvent(2, 42, "authored", now, (7, 9)),
+    ]
+    a, b = (6, 7, 8), (7, 9, 10)
+    instances = [
+        make_instance(1, 40, sender=2, recipient=1, timestamp=now, tokens=a),
+        make_instance(2, 40, sender=2, recipient=3, timestamp=now, tokens=a),
+        make_instance(3, 40, sender=2, recipient=4, timestamp=now, tokens=a),
+        make_instance(4, 40, sender=5, recipient=1, timestamp=now, tokens=a, author=2),
+        make_instance(5, 41, sender=2, recipient=3, timestamp=now, tokens=b),
+        make_instance(6, 41, sender=2, recipient=1, timestamp=now + 1, tokens=b),
+    ]
+    idf_docs = [e.tokens for e in events]
+    ctx = context_for(profiles, events, instances, idf_docs=idf_docs)
+    _, X, _ = extract_matrix(ctx, instances)
+    for row, inst in enumerate(instances):
+        _, alone, _ = extract_matrix(
+            context_for(profiles, events, instances, idf_docs=idf_docs), [inst])
+        assert np.array_equal(X[row], alone[0]), inst.instance_id
+    # the rows hold real evidence, and the memo told the tweets apart
+    assert np.all(X[:, SIMILARITY_COLUMNS[0]] > 0.0)
+    assert X[0, SIMILARITY_COLUMNS[0]] != X[4, SIMILARITY_COLUMNS[0]]
+    assert X[4, SIMILARITY_COLUMNS[0]] != X[5, SIMILARITY_COLUMNS[0]]
+
+
 @pytest.mark.parametrize("cap", [1000, 5, 1])
 def test_subset_rows_match_full_sweep_bitwise(small_signal_corpus, cap):
     # a row is a pure function of the instance and the context: which other

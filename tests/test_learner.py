@@ -282,3 +282,17 @@ def test_model_from_json_rejects_wrong_length(field, length):
     target[name] = [0.5] * length
     with pytest.raises(LearnerError, match=f"'{field}'"):
         model_from_json(json.dumps(record))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("selected_features", [0]), ("selected_features", [1.0]), ("selected_features", "1"),
+    ("weights", [10**400]), ("weights", [True]), ("intercept", "0.5"),
+    ("hyper.lam", "1e-8"), ("hyper.tol", math.nan), ("hyper.max_iter", 1000.0),
+    ("n_iter", -1), ("converged", 1),
+])
+def test_model_from_json_rejects_mistyped_field(field, value):
+    record = _model_record()
+    *outer, name = field.split(".")
+    (record[outer[0]] if outer else record)[name] = value
+    with pytest.raises(LearnerError, match=f"'{field}'"):
+        model_from_json(json.dumps(record))
