@@ -235,13 +235,6 @@ def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
-    # unbalanced defaults follow the 5%-positives convention for any batch size
-    if spec_kwargs["unbalanced_neg_per_batch"] is None:
-        spec_kwargs["unbalanced_neg_per_batch"] = spec_kwargs["batch_neg"]
-    if spec_kwargs["unbalanced_pos_per_batch"] is None:
-        spec_kwargs["unbalanced_pos_per_batch"] = max(
-            1, min(spec_kwargs["batch_pos"], round(spec_kwargs["unbalanced_neg_per_batch"] / 19))
-        )
     spec = SplitSpec(seed=seed, **spec_kwargs)
     splits = experiments.build_dataset(corpus, spec)
     out = Path(args.out)
@@ -283,9 +276,10 @@ def _selected_features(args) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
+    hyper = _hyper_from_args(args)
     selected = _selected_features(args)
     ids, table = _split_table(args)
-    model = experiments.train_on_batches(ids, table, selected, _hyper_from_args(args), k=args.k)
+    model = experiments.train_on_batches(ids, table, selected, hyper, k=args.k)
     Path(args.out).write_text(learner.model_to_json(model) + "\n", encoding="utf-8")
     status = "converged" if model.converged else "hit max_iter"
     print(f"trained on features {list(selected)} ({status}, {model.n_iter} iterations)")
@@ -308,13 +302,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    hyper = _hyper_from_args(args)
     ids, table = _split_table(args)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
     points = experiments.incremental_eval(
         ids,
         table,
         top_m=args.top_m,
-        hyper=_hyper_from_args(args),
+        hyper=hyper,
         eval_set=args.eval_set,
         threshold=args.threshold,
         folds=args.folds,

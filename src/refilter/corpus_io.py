@@ -14,6 +14,7 @@ import heapq
 import itertools
 import json
 import math
+import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
@@ -55,14 +56,6 @@ class CorpusFormatError(CorpusError):
 
 class CorpusIntegrityError(CorpusError):
     """A reference that does not resolve, or a duplicated identifier."""
-
-
-@dataclass(frozen=True, slots=True)
-class EncodedToken:
-    """A vocabulary entry of the encoded release format."""
-
-    token_id: int
-    is_pseudo: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,15 +151,8 @@ class Vocabulary:
             out.append(tid)
         return tuple(out)
 
-    def decode(self, ids: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self._to_token[i] for i in ids)
-
     def id_to_token(self) -> dict[int, str]:
         return dict(self._to_token)
-
-    @staticmethod
-    def is_pseudo_id(token_id: int) -> bool:
-        return 0 <= token_id < FIRST_WORD_ID
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +183,28 @@ def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, di
 
 
 # Integer fields must hold JSON integers. `type(v) is int` rejects floats,
-# strings and bools (`int` would truncate 1200.7, and `True == 1`).
+# strings and bools (`int` would truncate 1200.7, and `True == 1`). Ids and
+# timestamps fit in 64 bits, as the feature table stores instance ids; a
+# count becomes a float feature value, so it must not exceed the float range.
+_INT64 = range(-(2**63), 2**63)
+_FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
 
 
 def _check_ints(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
     for key in keys:
-        if type(rec[key]) is not int:
-            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be an integer")
+        value = rec[key]
+        if type(value) is not int or value not in _INT64:
+            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a 64-bit integer")
 
 
 def _check_counts(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
-    """Integers >= 0; an absent optional count is 0."""
+    """Integers >= 0 within the float range; an absent optional count is 0."""
     for key in keys:
         value = rec.get(key, 0)
-        if type(value) is not int or value < 0:
-            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be an integer >= 0")
+        if type(value) is not int or value not in _FLOAT_COUNTS:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: field {key!r} must be an integer >= 0 within the float range"
+            )
 
 
 def _check_flags(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
@@ -631,12 +624,6 @@ class PlantedModel:
     target_rate: float
     weights: Mapping[str, float]
     centers: Mapping[str, float]
-    history_cap: int = PLANT_HISTORY_CAP
-    count_cap: float = PLANT_RETWEET_COUNT_CAP
-    sim_scale: float = PLANT_SIM_SCALE
-    adapt_rate: float = PLANT_ADAPT_RATE
-    drift_limit: float = PLANT_DRIFT_LIMIT
-    week: int = PLANT_WEEK
 
     def decision_value(self, planted: Mapping[str, float], drift: float = 0.0) -> float:
         z = self.intercept + drift
@@ -648,8 +635,8 @@ class PlantedModel:
         return _sigmoid(self.decision_value(planted, drift))
 
     def next_drift(self, drift: float, label: bool) -> float:
-        drift -= self.adapt_rate * ((1.0 if label else 0.0) - self.target_rate)
-        return max(-self.drift_limit, min(self.drift_limit, drift))
+        drift -= PLANT_ADAPT_RATE * ((1.0 if label else 0.0) - self.target_rate)
+        return max(-PLANT_DRIFT_LIMIT, min(PLANT_DRIFT_LIMIT, drift))
 
 
 def planted_model(config: SyntheticConfig) -> PlantedModel:
@@ -784,7 +771,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 user, author, tweet_id, vec = payload
                 stream(posts_streams, user).push(ev_ts, tweet_id, vec)
                 stream(retweet_streams, user).push(ev_ts, tweet_id, vec)
-                stream(retweet_week_streams, user, plant.week).push(ev_ts, tweet_id, vec)
+                stream(retweet_week_streams, user, PLANT_WEEK).push(ev_ts, tweet_id, vec)
                 key = (user, author)
                 retweet_counts[key] = retweet_counts.get(key, 0) + 1
 
@@ -911,7 +898,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                         1.0,
                     ),
                     "retweet_week_sim": min(
-                        stream(retweet_week_streams, r, plant.week).mean_similarity(
+                        stream(retweet_week_streams, r, PLANT_WEEK).mean_similarity(
                             vec, tweet.tweet_id, ts
                         )
                         / PLANT_SIM_SCALE,
@@ -988,10 +975,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 def planted_features(
     corpus: Corpus,
     instances: Sequence[Instance] | None = None,
-    history_cap: int = PLANT_HISTORY_CAP,
-    count_cap: float = PLANT_RETWEET_COUNT_CAP,
-    sim_scale: float = PLANT_SIM_SCALE,
-    week: int = PLANT_WEEK,
 ) -> list[dict[str, float]]:
     """Recompute the planted quantities for instances of a synthetic corpus.
 
@@ -1040,7 +1023,7 @@ def planted_features(
         lo = 0
         if window is not None:
             lo = bisect_left(stream, before - window, 0, hi, key=lambda d: d[0])
-        return [tid for _, tid in stream[max(lo, hi - history_cap):hi]]
+        return [tid for _, tid in stream[max(lo, hi - PLANT_HISTORY_CAP):hi]]
 
     def mean_sim(tweet_id: int, members: list[int]) -> float:
         kept = [m for m in members if m != tweet_id]
@@ -1059,12 +1042,12 @@ def planted_features(
             inst.tweet_id, recent(posts.get(inst.sender_id, []), inst.timestamp)
         )
         retweet_sim = mean_sim(inst.tweet_id, recent(r_retweets, inst.timestamp))
-        week_sim = mean_sim(inst.tweet_id, recent(r_retweets, inst.timestamp, week))
+        week_sim = mean_sim(inst.tweet_id, recent(r_retweets, inst.timestamp, PLANT_WEEK))
         out.append({
-            "sender_sim": min(sender_sim / sim_scale, 1.0),
-            "retweet_sim": min(retweet_sim / sim_scale, 1.0),
-            "retweet_week_sim": min(week_sim / sim_scale, 1.0),
-            "retweet_count": min(count, count_cap) / count_cap,
+            "sender_sim": min(sender_sim / PLANT_SIM_SCALE, 1.0),
+            "retweet_sim": min(retweet_sim / PLANT_SIM_SCALE, 1.0),
+            "retweet_week_sim": min(week_sim / PLANT_SIM_SCALE, 1.0),
+            "retweet_count": min(count, PLANT_RETWEET_COUNT_CAP) / PLANT_RETWEET_COUNT_CAP,
             "author_neighbour": 1.0
             if inst.author_id in corpus.profiles[inst.recipient_id].neighbours
             else 0.0,

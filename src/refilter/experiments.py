@@ -36,14 +36,29 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """Batch sizes and counts of the splits.
+
+    An unbalanced dev/test batch keeps `unbalanced_neg_per_batch`
+    negatives (default: `batch_neg`) and `unbalanced_pos_per_batch`
+    positives (default: 5% of the batch, at least 1 and at most
+    `batch_pos`); 475+475 batches give 25+475.
+    """
+
     batch_pos: int = 475
     batch_neg: int = 475
     train_batches: int = 120
     dev_batches: int = 10
     test_batches: int = 10
-    unbalanced_pos_per_batch: int = 25
-    unbalanced_neg_per_batch: int = 475
+    unbalanced_pos_per_batch: int | None = None
+    unbalanced_neg_per_batch: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.unbalanced_neg_per_batch is None:
+            object.__setattr__(self, "unbalanced_neg_per_batch", self.batch_neg)
+        if self.unbalanced_pos_per_batch is None:
+            pos = max(1, min(self.batch_pos, round(self.unbalanced_neg_per_batch / 19)))
+            object.__setattr__(self, "unbalanced_pos_per_batch", pos)
 
     def validate(self) -> None:
         for name in ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches"):
@@ -181,7 +196,7 @@ def build_dataset(
             # 'easy' negatives (sender never retweeted by the recipient
             # before this arrival) and negatives from senders with no
             # posts in the prior week are excluded
-            if hist.interaction(inst.recipient_id, inst.sender_id, inst.timestamp).a_retweeted_b == 0:
+            if hist.retweet_count(inst.recipient_id, inst.sender_id, inst.timestamp) == 0:
                 continue
             if not hist.has_posts_in(inst.sender_id, inst.timestamp, WEEK_SECONDS):
                 continue

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, Instance, UserProfile
-from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex
+from .history import DEFAULT_CAP, WEEK_SECONDS, HistoryDoc, UserHistoryIndex, recent
 from .vectorspace import (
     FixedVector,
     IdfTable,
@@ -128,7 +128,6 @@ class FeatureContext:
         keywords: KeywordConfig | None = None,
         vocab: Mapping[int, str] | None = None,
         cap: int = DEFAULT_CAP,
-        week: int = WEEK_SECONDS,
     ) -> None:
         check_cap(cap)
         self.corpus = corpus
@@ -137,7 +136,6 @@ class FeatureContext:
         self.keywords = keywords or KeywordConfig()
         self.vocab = vocab
         self.cap = cap
-        self.week = week
         self._vec_cache: dict[int, FixedVector] = {}
         self._warned_fallback = False
 
@@ -168,19 +166,36 @@ def extract_group1(instance: Instance) -> list[float]:
     ]
 
 
+def _history_similarities(
+    instance: Instance,
+    streams: Iterable[Sequence[HistoryDoc]],
+    window: int | None,
+    idf: IdfTable,
+    cap: int,
+) -> list[float]:
+    """Mean similarity of the tweet to the `recent` docs of each stream,
+    leaving out copies of the tweet itself."""
+    t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
+    return [
+        avg_similarity(t, [d.tokens for d in recent(docs, ts, window, cap, tid)], idf)
+        for docs in streams
+    ]
+
+
 def extract_group2(
     instance: Instance,
     hist: UserHistoryIndex,
     idf: IdfTable,
     cap: int = DEFAULT_CAP,
 ) -> list[float]:
-    t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
-    return [
-        avg_similarity(t, hist.posts_by(instance.sender_id, ts, cap, tid), idf),
-        avg_similarity(t, hist.posts_by(instance.recipient_id, ts, cap, tid), idf),
-        avg_similarity(t, hist.seen_by(instance.recipient_id, ts, None, cap, tid), idf),
-        avg_similarity(t, hist.retweets_by(instance.recipient_id, ts, None, cap, tid), idf),
-    ]
+    r = instance.recipient_id
+    streams = (
+        hist.posts_stream(instance.sender_id),
+        hist.posts_stream(r),
+        hist.seen_stream(r),
+        hist.retweets_stream(r),
+    )
+    return _history_similarities(instance, streams, None, idf, cap)
 
 
 def _profile_values(p: UserProfile) -> list[float]:
@@ -206,15 +221,14 @@ def extract_group3(sender: UserProfile, recipient: UserProfile) -> list[float]:
 def extract_group4(instance: Instance, hist: UserHistoryIndex) -> list[float]:
     ts = instance.timestamp
     s, r = instance.sender_id, instance.recipient_id
-    sr = hist.interaction(s, r, ts)
-    rs = hist.interaction(r, s, ts)
+    r_retweeted_s = hist.retweet_count(r, s, ts)
     return [
         1.0 if r in instance.tweet.mentions else 0.0,
-        1.0 if sr.a_mentioned_b > 0 else 0.0,
-        1.0 if rs.a_mentioned_b > 0 else 0.0,
-        1.0 if sr.a_retweeted_b > 0 else 0.0,
-        1.0 if rs.a_retweeted_b > 0 else 0.0,
-        float(rs.a_retweeted_b),
+        1.0 if hist.mention_count(s, r, ts) > 0 else 0.0,
+        1.0 if hist.mention_count(r, s, ts) > 0 else 0.0,
+        1.0 if hist.retweet_count(s, r, ts) > 0 else 0.0,
+        1.0 if r_retweeted_s > 0 else 0.0,
+        float(r_retweeted_s),
     ]
 
 
@@ -223,13 +237,10 @@ def extract_group5(
     hist: UserHistoryIndex,
     idf: IdfTable,
     cap: int = DEFAULT_CAP,
-    week: int = WEEK_SECONDS,
 ) -> list[float]:
-    t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
-    return [
-        avg_similarity(t, hist.seen_by(instance.recipient_id, ts, week, cap, tid), idf),
-        avg_similarity(t, hist.retweets_by(instance.recipient_id, ts, week, cap, tid), idf),
-    ]
+    r = instance.recipient_id
+    streams = (hist.seen_stream(r), hist.retweets_stream(r))
+    return _history_similarities(instance, streams, WEEK_SECONDS, idf, cap)
 
 
 def extract_group6(
@@ -294,7 +305,6 @@ def extract_group7(
     instance: Instance,
     keywords: KeywordConfig,
     vocab: Mapping[int, str] | None = None,
-    warn: bool = True,
 ) -> list[float]:
     strings = _token_strings(instance.tweet.tokens, vocab)
     if strings is None:
@@ -306,9 +316,6 @@ def extract_group7(
 
     pos = instance.pos_counts
     if pos is None and strings is not None:
-        if warn:
-            logger.info("instance %s: pos_counts missing, using fallback tagger",
-                        instance.instance_id)
         pos = fallback_pos_counts(strings)
     if pos is None:
         pos = {"nouns_verbs": 0, "definite_articles": 0, "indefinite_articles": 0}
@@ -322,8 +329,17 @@ def extract_group7(
     ]
 
 
+def _note_fallback(ctx: FeatureContext, instance_id: int) -> None:
+    """Log the first instance of a context that uses the fallback tagger."""
+    if not ctx._warned_fallback:
+        logger.info("instance %s: pos_counts missing, using fallback tagger", instance_id)
+        ctx._warned_fallback = True
+
+
 def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
     """All 50 raw features of one instance, straight from history queries."""
+    if instance.pos_counts is None and _token_strings(instance.tweet.tokens, ctx.vocab) is not None:
+        _note_fallback(ctx, instance.instance_id)
     values = (
         extract_group1(instance)
         + extract_group2(instance, ctx.hist, ctx.idf, ctx.cap)
@@ -332,11 +348,10 @@ def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
             ctx.corpus.profiles[instance.recipient_id],
         )
         + extract_group4(instance, ctx.hist)
-        + extract_group5(instance, ctx.hist, ctx.idf, ctx.cap, ctx.week)
+        + extract_group5(instance, ctx.hist, ctx.idf, ctx.cap)
         + extract_group6(instance, ctx.hist, ctx.corpus.profiles)
-        + extract_group7(instance, ctx.keywords, ctx.vocab, warn=not ctx._warned_fallback)
+        + extract_group7(instance, ctx.keywords, ctx.vocab)
     )
-    ctx._warned_fallback = True
     return FeatureVector(
         values=np.array(values, dtype=np.float64),
         instance_id=instance.instance_id,
@@ -437,8 +452,8 @@ class _Cursors(dict):
 def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
     hist = ctx.hist
     posts = _Cursors(ctx, hist.posts_stream, None)
-    seen = _Cursors(ctx, hist.seen_stream, ctx.week)
-    retweets = _Cursors(ctx, hist.retweets_stream, ctx.week)
+    seen = _Cursors(ctx, hist.seen_stream, WEEK_SECONDS)
+    retweets = _Cursors(ctx, hist.retweets_stream, WEEK_SECONDS)
     sender_posts, recipient_posts, recipient_seen, recipient_retweets = (
         X[:, col] for col in range(9, 13)
     )
@@ -547,10 +562,7 @@ def _wording_columns(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
             if fallback is None:
                 pos_of[row] = _NO_POS_COUNTS
             else:
-                if not ctx._warned_fallback:
-                    logger.info("instance %s: pos_counts missing, using fallback tagger",
-                                instances[row].instance_id)
-                    ctx._warned_fallback = True
+                _note_fallback(ctx, instances[row].instance_id)
                 pos_of[row] = fallback
 
     X[:, 45] = _column(map(itemgetter(0), words_of), n)

@@ -23,11 +23,41 @@ class LearnerError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Hyper:
+    """Training settings, checked on construction: the L2 penalty `lam`
+    is finite and >= 0, the gradient tolerance `tol` finite and > 0, and
+    `max_iter` an integer >= 1. Errors name the model field and the flag."""
+
     lam: float = 1e-8
     tol: float = 1e-6
     max_iter: int = 1000
+
+    def __post_init__(self) -> None:
+        if not (_is_finite(self.lam) and self.lam >= 0):
+            raise LearnerError(
+                f"field 'hyper.lam' (--lambda) must be a finite number >= 0, got {self.lam!r}"
+            )
+        if not (_is_finite(self.tol) and self.tol > 0):
+            raise LearnerError(
+                f"field 'hyper.tol' (--tol) must be a finite number > 0, got {self.tol!r}"
+            )
+        if type(self.max_iter) is not int or self.max_iter < 1:
+            raise LearnerError(
+                f"field 'hyper.max_iter' (--max-iter) must be an integer >= 1, "
+                f"got {self.max_iter!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -57,6 +87,11 @@ def _loss(z, y, w, lam) -> float:
     """Objective at the margins z = Xs @ w + b."""
     nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * lam * float(w @ w)
+
+
+# a damping of 1e-10 * 100**19 = 1e28 dwarfs any finite Hessian of this
+# problem; a solve that still gives no descent step never will
+_DAMPING_TRIES = 21
 
 
 def _gradient(Xs, y, p, w, lam) -> np.ndarray:
@@ -128,7 +163,7 @@ def train(
         H[k, k] = float(d.sum())
 
         damping = 0.0
-        while True:
+        for _ in range(_DAMPING_TRIES):
             try:
                 step = np.linalg.solve(H + damping * np.eye(k + 1), -g)
             except np.linalg.LinAlgError:
@@ -136,6 +171,11 @@ def train(
             if step is not None and float(g @ step) < 0:
                 break
             damping = 1e-10 if damping == 0.0 else damping * 100.0
+        else:
+            raise LearnerError(
+                f"no descent direction at Newton iteration {n_iter}, "
+                f"even with damping {damping:g}"
+            )
 
         slope = float(g @ step)
         t = 1.0
@@ -236,10 +276,6 @@ def model_to_json(model: Model) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a bool is not a number here
-
-
 def _finite_array(values, field: str) -> np.ndarray:
     """A JSON number, or a list of them, as float64; every value finite."""
     if not (_is_number(values) or type(values) is list and all(map(_is_number, values))):
@@ -313,11 +349,7 @@ def model_from_json(text: str) -> Model:
         intercept=intercept,
         selected_features=selected,
         scaling=scaling,
-        hyper=Hyper(
-            lam=_finite_float(_field(hyper, "lam", "hyper."), "hyper.lam"),
-            tol=_finite_float(_field(hyper, "tol", "hyper."), "hyper.tol"),
-            max_iter=_count(_field(hyper, "max_iter", "hyper."), "hyper.max_iter"),
-        ),
+        hyper=Hyper(**{name: _field(hyper, name, "hyper.") for name in ("lam", "tol", "max_iter")}),
         converged=converged,
         n_iter=_count(_field(record, "n_iter"), "n_iter"),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 URL_TOKEN = "_url_"
 NUM_TOKEN = "_num_"
@@ -63,20 +63,6 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
         if line:
             entries.append(line)
     return frozenset(entries)
-
-
-def load_smiley_lexicons(paths: Mapping[str, str | Path]) -> dict[str, frozenset[str]]:
-    """Load per-class smiley lexicon files, falling back to the defaults.
-
-    `paths` maps a smiley class name (love/positive/negative/neutral) to a
-    file; classes without a file keep their shipped default set.
-    """
-    lexicons = dict(DEFAULT_SMILEYS)
-    for cls, path in paths.items():
-        if cls not in SMILEY_TOKENS:
-            raise ValueError(f"unknown smiley class: {cls!r}")
-        lexicons[cls] = load_lexicon(path)
-    return lexicons
 
 
 def normalize(
@@ -146,15 +132,3 @@ def normalize(
         smiley_counts=counts,
     )
 
-
-def detokenize(tokens: Iterable[str]) -> str:
-    """Inverse-ish of tokenization: join tokens with single spaces."""
-    return " ".join(tokens)
-
-
-def is_pseudo_token(token: str) -> bool:
-    return token in (URL_TOKEN, NUM_TOKEN) or token in SMILEY_TOKENS.values()
-
-
-def mention_count(tokens: Sequence[str]) -> int:
-    return sum(1 for t in tokens if t.startswith("@") and len(t) > 1)

@@ -235,6 +235,21 @@ def test_nonpositive_cap_is_error(workspace, tmp_path, capsys, cap):
     assert f"cap={cap}" in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--lambda", "nan"), ("train", "--lambda", "1e400"), ("train", "--lambda", "-1"),
+    ("train", "--tol", "0"), ("curve", "--tol", "-1"), ("curve", "--max-iter", "-5"),
+])
+def test_invalid_hyper_flag_is_error(workspace, tmp_path, capsys, command, flag, value):
+    root, corpus, splits, ranking, _ = workspace
+    out = tmp_path / "out"
+    rc = main([command, "--corpus", str(corpus), "--splits", str(splits),
+               "--ranking", str(ranking), flag, value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error: field 'hyper.") and f"({flag})" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["batch_pos", "func", "command"])
 def test_unknown_config_key_is_error(tmp_path, capsys, key):
     config_file = tmp_path / "run.json"

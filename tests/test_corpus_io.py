@@ -193,8 +193,8 @@ def test_vocabulary_reserved_ids():
     ids = vocab.encode(["_url_", "_num_", "hello", "_pos_", "hello"])
     assert ids[0] == 0 and ids[1] == 1 and ids[3] == 3
     assert ids[2] == ids[4] >= corpus_io.FIRST_WORD_ID
-    assert vocab.decode(ids) == ("_url_", "_num_", "hello", "_pos_", "hello")
-    assert Vocabulary.is_pseudo_id(0) and not Vocabulary.is_pseudo_id(6)
+    id_to_token = vocab.id_to_token()
+    assert [id_to_token[i] for i in ids] == ["_url_", "_num_", "hello", "_pos_", "hello"]
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +353,10 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     (0, "klout_delta_30d", True),
     (0, "klout", 10**400),
     (0, "klout", None),
+    pytest.param(0, "followers", 10**400, id="0-followers-10**400"),
+    pytest.param(2, "global_favourite_count", 10**400, id="2-global_favourite_count-10**400"),
+    (2, "instance_id", 2**63),
+    (1, "timestamp", -(2**63) - 1),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     write_corpus(small_corpus(), *corpus_paths(tmp_path))

@@ -279,6 +279,16 @@ def test_spec_validation():
         SplitSpec(unbalanced_neg_per_batch=500).validate()
 
 
+def test_spec_defaults_to_five_percent_unbalanced_positives():
+    spec = SplitSpec(batch_pos=50, batch_neg=50)
+    assert (spec.unbalanced_pos_per_batch, spec.unbalanced_neg_per_batch) == (3, 50)
+    spec.validate()
+    default = SplitSpec()
+    assert (default.unbalanced_pos_per_batch, default.unbalanced_neg_per_batch) == (25, 475)
+    assert SplitSpec(batch_pos=1, batch_neg=100).unbalanced_pos_per_batch == 1
+    assert SplitSpec(unbalanced_neg_per_batch=38).unbalanced_pos_per_batch == 2
+
+
 def test_eval_set_name_validation():
     corpus, _ = _flowing_corpus()
     splits = build_dataset(corpus, small_spec())

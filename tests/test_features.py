@@ -357,6 +357,24 @@ def test_sweep_wording_columns_match_assemble(vocab, caplog):
     assert X[0, 45] == 1.0 and X[0, 49] == 1.0 and X[1, 46] == 4.0 and X[0, 47] == 1.0
 
 
+def test_assemble_logs_the_first_fallback_after_instances_that_need_none(caplog):
+    # integer ids without a vocabulary, and given pos_counts, use no
+    # fallback; neither may silence the log for a later instance that does
+    instances = [
+        make_instance(1, 10, sender=2, recipient=1, timestamp=100, tokens=(6, 7)),
+        make_instance(2, 11, sender=2, recipient=1, timestamp=101, tokens=("the", "news"),
+                      pos_counts={"nouns_verbs": 1}),
+        make_instance(3, 12, sender=2, recipient=1, timestamp=102, tokens=("the", "news")),
+        make_instance(4, 13, sender=2, recipient=1, timestamp=103, tokens=("a", "vote")),
+    ]
+    ctx = context_for([make_profile(1), make_profile(2)], instances=instances)
+    with caplog.at_level("INFO", logger="refilter.features"):
+        for inst in instances:
+            assemble(inst, ctx)
+    assert [r.getMessage() for r in caplog.records] == [
+        "instance 3: pos_counts missing, using fallback tagger"]
+
+
 def test_repeated_queries_within_one_second_match_rows_alone():
     # within one second: sender 2 delivers tweet 40 to recipients 1, 3
     # and 4, sender 5 forwards tweet 40 to recipient 1, and sender 2 also

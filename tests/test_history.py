@@ -1,7 +1,7 @@
 import random
 
 from refilter.corpus_io import HistoryEvent
-from refilter.history import WEEK_SECONDS, UserHistoryIndex
+from refilter.history import WEEK_SECONDS, UserHistoryIndex, recent
 
 from conftest import make_corpus, make_profile
 
@@ -15,17 +15,21 @@ def build_index(events, profiles=None, instances=()):
     return UserHistoryIndex(make_corpus(profiles, events, instances))
 
 
+def tokens(docs):
+    return [d.tokens for d in docs]
+
+
 def test_unknown_user_gives_empty():
     idx = build_index([])
-    assert idx.posts_by(42, before=10**9) == []
-    assert idx.retweets_by(42, before=10**9) == []
-    assert idx.seen_by(42, before=10**9) == []
+    assert recent(idx.posts_stream(42), before=10**9) == []
+    assert recent(idx.retweets_stream(42), before=10**9) == []
+    assert recent(idx.seen_stream(42), before=10**9) == []
 
 
 def test_query_at_event_time_excludes_it():
     idx = build_index([HistoryEvent(1, 7, "authored", 5000, (1, 2))])
-    assert idx.posts_by(1, before=5000) == []
-    assert idx.posts_by(1, before=5001) == [(1, 2)]
+    assert tokens(recent(idx.posts_stream(1), before=5000)) == []
+    assert tokens(recent(idx.posts_stream(1), before=5001)) == [(1, 2)]
 
 
 def test_posts_merge_authored_and_retweeted():
@@ -34,13 +38,13 @@ def test_posts_merge_authored_and_retweeted():
         HistoryEvent(1, 8, "retweeted", 200, (2,)),
         HistoryEvent(1, 9, "seen", 300, (3,)),
     ])
-    assert idx.posts_by(1, before=1000) == [(1,), (2,)]
+    assert tokens(recent(idx.posts_stream(1), before=1000)) == [(1,), (2,)]
 
 
 def test_cap_keeps_most_recent():
     events = [HistoryEvent(1, i, "authored", 100 * i, (i,)) for i in range(1, 6)]
     idx = build_index(events)
-    assert idx.posts_by(1, before=10**6, cap=3) == [(3,), (4,), (5,)]
+    assert tokens(recent(idx.posts_stream(1), before=10**6, cap=3)) == [(3,), (4,), (5,)]
 
 
 def test_window_boundaries():
@@ -49,11 +53,11 @@ def test_window_boundaries():
         HistoryEvent(1, 1, "retweeted", now - 8 * DAY, (8,)),
         HistoryEvent(1, 2, "retweeted", now - 1 * DAY, (1,)),
     ])
-    assert idx.retweets_by(1, before=now, window=WEEK_SECONDS) == [(1,)]
-    assert idx.retweets_by(1, before=now) == [(8,), (1,)]
+    assert tokens(recent(idx.retweets_stream(1), before=now, window=WEEK_SECONDS)) == [(1,)]
+    assert tokens(recent(idx.retweets_stream(1), before=now)) == [(8,), (1,)]
     # a retweet exactly a week old falls inside the closed left edge
     idx2 = build_index([HistoryEvent(1, 3, "retweeted", now - WEEK_SECONDS, (7,))])
-    assert idx2.retweets_by(1, before=now, window=WEEK_SECONDS) == [(7,)]
+    assert tokens(recent(idx2.retweets_stream(1), before=now, window=WEEK_SECONDS)) == [(7,)]
 
 
 def test_exclude_tweet_id():
@@ -61,13 +65,15 @@ def test_exclude_tweet_id():
         HistoryEvent(1, 7, "authored", 100, (1,)),
         HistoryEvent(1, 8, "authored", 200, (2,)),
     ])
-    assert idx.posts_by(1, before=300, exclude_tweet_id=7) == [(2,)]
+    assert tokens(recent(idx.posts_stream(1), before=300, exclude_tweet_id=7)) == [(2,)]
+    # the cap applies before the exclusion
+    assert tokens(recent(idx.posts_stream(1), before=300, cap=1, exclude_tweet_id=8)) == []
 
 
 def test_interaction_zero_for_unknown_pair():
     idx = build_index([])
-    counts = idx.interaction(1, 2, before=10**9)
-    assert counts.a_mentioned_b == 0 and counts.a_retweeted_b == 0
+    assert idx.mention_count(1, 2, before=10**9) == 0
+    assert idx.retweet_count(1, 2, before=10**9) == 0
 
 
 def test_interaction_counts_and_strictness():
@@ -75,11 +81,10 @@ def test_interaction_counts_and_strictness():
     events += [HistoryEvent(1, 50, "retweeted", 100 * i, (1,)) for i in range(1, 4)]
     events += [HistoryEvent(1, 60, "authored", 150, (2,), mentions_user=9)]
     idx = build_index(events, profiles=[make_profile(u) for u in (1, 9)])
-    counts = idx.interaction(1, 9, before=10**6)
-    assert counts.a_retweeted_b == 3
-    assert counts.a_mentioned_b == 1
-    assert idx.interaction(1, 9, before=100).a_retweeted_b == 0
-    assert idx.interaction(9, 1, before=10**6).a_retweeted_b == 0
+    assert idx.retweet_count(1, 9, before=10**6) == 3
+    assert idx.mention_count(1, 9, before=10**6) == 1
+    assert idx.retweet_count(1, 9, before=100) == 0
+    assert idx.retweet_count(9, 1, before=10**6) == 0
 
 
 def test_retweet_attribution_uses_tweet_author():
@@ -91,8 +96,8 @@ def test_retweet_attribution_uses_tweet_author():
         HistoryEvent(1, 50, "retweeted", 30, (1,)),
     ]
     idx = build_index(events, profiles=[make_profile(u) for u in (1, 5, 9)])
-    assert idx.interaction(1, 9, before=100).a_retweeted_b == 1
-    assert idx.interaction(1, 5, before=100).a_retweeted_b == 0
+    assert idx.retweet_count(1, 9, before=100) == 1
+    assert idx.retweet_count(1, 5, before=100) == 0
 
 
 def test_neighbour_retweets_counts_distinct_users_strictly_before():
@@ -122,15 +127,15 @@ def test_has_posts_in_window():
 # randomized comparison against a brute-force scan of the raw event list
 
 
-def naive_stream(events, user, actions, before, window, cap):
+def naive_stream(events, user, actions, before, window, cap, exclude):
     docs = [
-        (e.timestamp, e.tokens)
+        (e.timestamp, e.tweet_id, e.tokens)
         for e in events
         if e.user_id == user and e.action in actions and e.timestamp < before
         and (window is None or e.timestamp >= before - window)
     ]
     docs.sort(key=lambda d: d[0])
-    return [tokens for _, tokens in docs[-cap:]]
+    return [tokens for _, tweet_id, tokens in docs[-cap:] if tweet_id != exclude]
 
 
 def naive_interaction(events, a, b, before, author_of):
@@ -186,16 +191,16 @@ def test_queries_match_brute_force_scan():
             before = rng.randint(0, 31 * DAY)
             window = rng.choice([None, WEEK_SECONDS, 3 * DAY])
             cap = rng.choice([2, 10, 1000])
-            assert idx.posts_by(user, before, cap) == naive_stream(
-                corpus.events, user, ("authored", "retweeted"), before, None, cap)
-            assert idx.retweets_by(user, before, window, cap) == naive_stream(
-                corpus.events, user, ("retweeted",), before, window, cap)
-            assert idx.seen_by(user, before, window, cap) == naive_stream(
-                corpus.events, user, ("seen",), before, window, cap)
+            exclude = rng.choice([None, rng.randint(1, 40)])
+            for stream, actions in ((idx.posts_stream, ("authored", "retweeted")),
+                                    (idx.retweets_stream, ("retweeted",)),
+                                    (idx.seen_stream, ("seen",))):
+                got = tokens(recent(stream(user), before, window, cap, exclude))
+                assert got == naive_stream(
+                    corpus.events, user, actions, before, window, cap, exclude)
             other = rng.choice([v for v in users if v != user])
-            got = idx.interaction(user, other, before)
-            want = naive_interaction(corpus.events, user, other, before, author_of)
-            assert (got.a_mentioned_b, got.a_retweeted_b) == want
+            got = (idx.mention_count(user, other, before), idx.retweet_count(user, other, before))
+            assert got == naive_interaction(corpus.events, user, other, before, author_of)
             tweet = rng.randint(1, 40)
             assert idx.neighbour_retweets(tweet, user, before) == naive_neighbour_retweets(
                 corpus.events, tweet, corpus.profiles[user].neighbours, before)

@@ -180,6 +180,38 @@ def test_non_finite_feature_names_ft_id():
         train(X, y, selected=(1, 2, 3))
 
 
+def _small_problem():
+    rng = np.random.default_rng(12)
+    X = rng.normal(0, 1, size=(40, 3))
+    return X, (X[:, 0] + 0.5 * rng.normal(size=40) > 0).astype(float)
+
+
+@pytest.mark.parametrize("field,settings", [
+    ("hyper.lam", dict(lam=math.nan)),  # looped in the damping forever
+    ("hyper.lam", dict(lam=-1.0)),  # diverged: huge weights, or no return
+    ("hyper.tol", dict(tol=0.0)),  # ran to max_iter
+    ("hyper.max_iter", dict(max_iter=-5)),  # gave an all-zero model
+])
+def test_invalid_hyper_is_rejected(field, settings):
+    X, y = _small_problem()
+    with pytest.raises(LearnerError, match=f"'{field}'"):
+        train(X, y, selected=(1, 2, 3), hyper=Hyper(**settings))
+
+
+def test_damping_gives_up_without_a_descent_direction(monkeypatch):
+    calls = []
+
+    def no_solution(*_):
+        calls.append(1)
+        assert len(calls) < 1000, "the damping loop does not stop"
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solution)
+    X, y = _small_problem()
+    with pytest.raises(LearnerError, match="no descent direction"):
+        train(X, y, selected=(1, 2, 3))
+
+
 def test_missing_coordinate_rejected():
     model = Model(weights=np.ones(2), intercept=0.0, selected_features=(1, 40),
                   scaling=None, hyper=Hyper(), converged=True, n_iter=0)

@@ -5,7 +5,8 @@ record, changes its type, or sets it (or one of its elements) to NaN, a
 negative value, a huge value or a nested value. Loading must then either
 succeed or fail with the loader's own error naming the field: a
 `CorpusError` naming file:line and field, or a `LearnerError` naming the
-model field. Any other exception is a failure.
+model field. Any other exception is a failure, and so is any exception
+from featurizing a corpus that loaded.
 """
 
 import json
@@ -23,8 +24,17 @@ from refilter.corpus_io import (
     load_corpus,
     write_corpus,
 )
-from refilter.features import N_FEATURES, apply_scaling, fit_scaling
+from refilter.features import (
+    N_FEATURES,
+    FeatureContext,
+    apply_scaling,
+    assemble,
+    extract_matrix,
+    fit_scaling,
+)
+from refilter.history import UserHistoryIndex
 from refilter.learner import LearnerError, model_from_json, model_to_json, train
+from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
 
@@ -85,6 +95,14 @@ def _valid_corpus():
     return make_corpus(profiles, events, instances)
 
 
+def _featurize(corpus) -> None:
+    """Both extraction paths over every instance of a loaded corpus."""
+    ctx = FeatureContext(corpus, UserHistoryIndex(corpus), build_idf(e.tokens for e in corpus.events))
+    extract_matrix(ctx, corpus.instances)
+    for inst in corpus.instances:
+        assemble(inst, ctx)
+
+
 _LOCATED = re.compile(r"(\w+\.jsonl):(\d+): field '(\w+)'")
 
 
@@ -92,7 +110,7 @@ def test_corpus_field_mutations_load_or_name_the_field(tmp_path):
     paths = corpus_paths(tmp_path)
     write_corpus(_valid_corpus(), *paths)
     originals = [path.read_text(encoding="utf-8").splitlines() for path in paths]
-    assert load_corpus(*paths) is not None
+    _featurize(load_corpus(*paths))
 
     rng = random.Random(5)
     bad = []
@@ -111,7 +129,7 @@ def test_corpus_field_mutations_load_or_name_the_field(tmp_path):
         paths[f].write_text("\n".join(lines) + "\n", encoding="utf-8")
         where = (paths[f].name, i + 1, field)
         try:
-            load_corpus(*paths)
+            corpus = load_corpus(*paths)
         except CorpusError as exc:
             named = _LOCATED.search(str(exc))
             # a format error is the mutated line's own; a broken reference
@@ -121,6 +139,12 @@ def test_corpus_field_mutations_load_or_name_the_field(tmp_path):
                 bad.append(f"case {case} {kind} {where}: {exc}")
         except Exception as exc:  # noqa: BLE001 - any other type is the failure
             bad.append(f"case {case} {kind} {where}: {type(exc).__name__}: {exc}")
+        else:
+            try:
+                _featurize(corpus)
+            except Exception as exc:  # noqa: BLE001 - a corpus that loads must featurize
+                bad.append(f"case {case} {kind} {where}: featurizing raised "
+                           f"{type(exc).__name__}: {exc}")
         finally:
             paths[f].write_text("\n".join(originals[f]) + "\n", encoding="utf-8")
     assert not bad, "\n".join(bad)
