@@ -202,7 +202,8 @@ def _hyper_from_args(args) -> learner.Hyper:
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="reg_lambda", type=float, default=learner.Hyper.lam)
-    parser.add_argument("--tol", type=float, default=learner.Hyper.tol)
+    parser.add_argument("--tol", type=float, default=learner.Hyper.tol,
+                        help="Newton stops at a decrement <= tol * (1 + loss)")
     parser.add_argument("--max-iter", type=int, default=learner.Hyper.max_iter)
 
 
@@ -433,6 +434,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
+def _config_default(action: argparse.Action, value):
+    """A --config value as its flag would parse it from the command line;
+    ValueError names the key and the flag when the flag would refuse it."""
+    if value is None and action.default is None:
+        return None
+    kind = action.type or str
+    flag = max(action.option_strings, key=len)
+    # the command line hands the type a string: a JSON string as it is, any
+    # other value as its JSON text; a flag without a type takes strings only
+    try:
+        if action.type is None and not isinstance(value, str):
+            raise ValueError
+        return kind(value if isinstance(value, str) else json.dumps(value))
+    except ValueError:
+        raise ValueError(
+            f"key {action.dest!r} ({flag}) takes {kind.__name__} values, got {value!r}"
+        ) from None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
@@ -454,13 +474,20 @@ def main(argv=None) -> int:
         # the subcommand is the first argument; anything else fails to parse below
         command = subparsers.get(argv[0])
         if command is not None:
-            unknown = sorted(set(defaults) - {action.dest for action in command._actions})
+            actions = {action.dest: action for action in command._actions}
+            unknown = sorted(set(defaults) - set(actions))
             if unknown:
                 keys = ", ".join(map(repr, unknown))
                 print(f"refilter: error: config {config_path} has keys that are not options "
                       f"of {argv[0]}: {keys}", file=sys.stderr)
                 return 1
-            command.set_defaults(**defaults)
+            try:
+                command.set_defaults(
+                    **{key: _config_default(actions[key], value) for key, value in defaults.items()}
+                )
+            except ValueError as exc:
+                print(f"refilter: error: config {config_path}: {exc}", file=sys.stderr)
+                return 1
 
     args = parser.parse_args(argv)
     try:

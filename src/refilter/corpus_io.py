@@ -445,8 +445,8 @@ def _check_integrity(corpus: Corpus) -> None:
             raise CorpusIntegrityError(problem[1])
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+# json.dumps with keyword arguments builds a new encoder on every call
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def write_corpus(

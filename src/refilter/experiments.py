@@ -22,7 +22,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, Instance
-from .features import N_FEATURES, FeatureContext, ScalingParams, apply_scaling, extract_matrix
+from .features import (
+    N_FEATURES,
+    SCALED_FEATURE_IDS,
+    FeatureContext,
+    ScalingParams,
+    apply_scaling,
+    extract_matrix,
+)
 from .history import WEEK_SECONDS, UserHistoryIndex
 from .learner import Hyper, Model, check_threshold, predict_proba_matrix, train
 
@@ -494,6 +501,28 @@ class _BatchPrefixes:
         return apply_scaling(self.X[:n], scaling), self.y[:n], scaling
 
 
+def _rescaled_start(model: Model, scaling: ScalingParams) -> tuple[np.ndarray, float]:
+    """The model's weights and intercept re-expressed in a wider `scaling`,
+    so that every row inside the model's own scaling keeps its margin.
+
+    A scaled column maps x to (x - min) / span. Writing x through both
+    scalings gives w' = w * span' / span and b' = b + sum w (min' - min) / span.
+    A column that was degenerate contributed 0 and starts at weight 0.
+    Unchanged extremes give back the model's own weights and intercept.
+    """
+    old = model.scaling
+    cols = [ft - 1 for ft in model.selected_features]
+    old_span = (old.maxs - old.mins)[cols]
+    new_span = (scaling.maxs - scaling.mins)[cols]
+    scaled = np.array([ft in SCALED_FEATURE_IDS for ft in model.selected_features])
+    live = scaled & (old_span > 0)
+    w = model.weights.copy()
+    w[live] = model.weights[live] * (new_span[live] / old_span[live])
+    w[scaled & ~live] = 0.0
+    shift = (scaling.mins - old.mins)[cols][live] / old_span[live]
+    return w, model.intercept + float(model.weights[live] @ shift)
+
+
 def train_on_batches(
     splits: DatasetSplits | SplitIds,
     table: FeatureTable,
@@ -527,7 +556,9 @@ def incremental_eval(
     The feature ranking is computed once on the full training set and
     reused for all k. The scaling at k is the running min/max of the first
     k batches, which equals a refit on those rows. Each k's rows are scaled
-    once, and the fit and the train F1 share them.
+    once, and the fit and the train F1 share them. The fit at k starts from
+    the optimum at k-1, mapped into the scaling at k; Newton runs to the
+    optimum, so the start moves its path but not its result.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -541,9 +572,11 @@ def incremental_eval(
     eval_X, eval_y = table.rows_by_id(splits.eval_set(eval_set))
 
     points: list[CurvePoint] = []
+    model = None
     for k in range(1, len(splits.train_batches) + 1):
         Xk, yk, scaling = prefixes.scaled(k)
-        model = train(Xk, yk, selected, hyper, scaling)
+        start = None if model is None else _rescaled_start(model, scaling)
+        model = train(Xk, yk, selected, hyper, scaling, start)
         # Xk is already in the model's space: score it without rescaling
         train_f1 = evaluate(replace(model, scaling=None), Xk, yk, threshold).f1
         eval_f1 = evaluate(model, eval_X, eval_y, threshold).f1

@@ -3,8 +3,9 @@ probability prediction.
 
 Training minimizes mean negative log-likelihood plus (lambda/2)*||w||^2
 (intercept unpenalized) with damped Newton steps and a backtracking line
-search. Full-batch and free of randomness, so identical inputs yield
-bitwise-identical models.
+search, run to the optimum: until the Newton decrement is negligible
+against the loss, or a step no longer lowers the loss at all. Full-batch
+and free of randomness, so identical inputs yield bitwise-identical models.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ def _is_finite(value) -> bool:
 @dataclass(frozen=True)
 class Hyper:
     """Training settings, checked on construction: the L2 penalty `lam`
-    is finite and >= 0, the gradient tolerance `tol` finite and > 0, and
-    `max_iter` an integer >= 1. Errors name the model field and the flag."""
+    is finite and >= 0, the tolerance `tol` finite and > 0, and `max_iter`
+    an integer >= 1. Errors name the model field and the flag.
+
+    Newton stops when its decrement, the loss drop a full Newton step
+    predicts, is at most `tol * (1 + loss)`."""
 
     lam: float = 1e-8
-    tol: float = 1e-6
+    tol: float = 1e-15
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
@@ -100,18 +104,28 @@ def _gradient(Xs, y, p, w, lam) -> np.ndarray:
     return np.concatenate([Xs.T @ resid + lam * w, [float(np.sum(resid))]])
 
 
+def _solve(H, g, damping: float) -> np.ndarray | None:
+    try:
+        return np.linalg.solve(H + damping * np.eye(len(g)), -g)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def train(
     vectors: np.ndarray,
     labels: Sequence[int] | np.ndarray,
     selected: Sequence[int],
     hyper: Hyper = Hyper(),
     scaling: ScalingParams | None = None,
+    start: tuple[np.ndarray, float] | None = None,
 ) -> Model:
     """Fit the model on pre-scaled feature vectors.
 
     `vectors` holds full feature rows; `selected` names the feature ids
     (1-based) the model actually uses. Requires both classes present and
-    finite values in every selected column.
+    finite values in every selected column. Newton starts from `start`,
+    a (weights, intercept) pair, or from zero; a fit that converges
+    reaches the same optimum from any start.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -137,8 +151,12 @@ def train(
 
     lam, tol, max_iter = hyper.lam, hyper.tol, hyper.max_iter
     k = len(cols)
-    w = np.zeros(k)
-    b = 0.0
+    if start is None:
+        w, b = np.zeros(k), 0.0
+    else:
+        w, b = np.array(start[0], dtype=np.float64), float(start[1])
+        if w.shape != (k,) or not (np.all(np.isfinite(w)) and math.isfinite(b)):
+            raise LearnerError(f"start must be {k} finite weights and a finite intercept")
     converged = False
     n_iter = 0
     # the margins of the current iterate come from the accepted line-search
@@ -149,29 +167,28 @@ def train(
     for n_iter in range(max_iter + 1):
         p = _sigmoid(z)
         g = _gradient(Xs, y, p, w, lam)
-        if float(np.max(np.abs(g))) < tol:
-            converged = True
-            break
-        if n_iter == max_iter:
-            break
-
         d = np.maximum(p * (1.0 - p), 1e-12) / len(y)
         H = np.empty((k + 1, k + 1))
         Xd = Xs * d[:, None]
         H[:k, :k] = Xs.T @ Xd + lam * np.eye(k)
         H[:k, k] = H[k, :k] = Xd.sum(axis=0)
         H[k, k] = float(d.sum())
+        step = _solve(H, g, 0.0)
+        # the Newton decrement is the loss drop a full step predicts; it is
+        # 0 at the optimum, so a start there takes no step
+        if step is not None and 0.0 <= -float(g @ step) / 2.0 <= tol * (1.0 + loss):
+            converged = True
+            break
+        if n_iter == max_iter:
+            break
 
         damping = 0.0
-        for _ in range(_DAMPING_TRIES):
-            try:
-                step = np.linalg.solve(H + damping * np.eye(k + 1), -g)
-            except np.linalg.LinAlgError:
-                step = None
+        for _ in range(_DAMPING_TRIES - 1):
             if step is not None and float(g @ step) < 0:
                 break
             damping = 1e-10 if damping == 0.0 else damping * 100.0
-        else:
+            step = _solve(H, g, damping)
+        if step is None or float(g @ step) >= 0:
             raise LearnerError(
                 f"no descent direction at Newton iteration {n_iter}, "
                 f"even with damping {damping:g}"
@@ -191,6 +208,11 @@ def train(
             t *= 0.5
         if not improved:
             break  # step size underflow: no further numeric progress
+        if loss_new >= loss:
+            # the predicted drop is below the loss's rounding: the float
+            # floor of the optimum
+            converged = True
+            break
         w, b, z, loss = w_new, b_new, z_new, loss_new
 
     return Model(

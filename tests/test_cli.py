@@ -260,3 +260,34 @@ def test_unknown_config_key_is_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("refilter: error:") and repr(key) in err and "synth" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,flag", [
+    ("days", 2.5, "--days"),
+    ("num_recipients", 4.0, "--num-recipients"),
+    ("retweet_rate", "high", "--retweet-rate"),
+    ("days", True, "--days"),
+    ("out", 5, "--out"),
+])
+def test_config_value_the_flag_refuses_is_error(tmp_path, capsys, key, value, flag):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "c"
+    rc = main(["synth", "--out", str(out), "--config", str(config_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error: config ")
+    assert f"{key!r} ({flag})" in err
+    assert not out.exists()
+
+
+def test_config_values_parse_as_their_flags(tmp_path):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"signal_strength": 2, "num_recipients": "4",
+                                       "neighbours_per_user": 3, "days": 3}), encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--config", str(config_file)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["signal_strength"] == 2.0
+    assert isinstance(manifest["config"]["signal_strength"], float)
+    assert manifest["config"]["num_recipients"] == 4

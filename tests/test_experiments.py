@@ -4,13 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from refilter import experiments
 from refilter.corpus_io import HistoryEvent
 from refilter.experiments import (
+    EVAL_SETS,
     CurvePoint,
     DatasetError,
+    FeatureTable,
     Metrics,
+    SplitIds,
     SplitSpec,
     build_dataset,
     evaluate,
@@ -30,12 +35,19 @@ from refilter.experiments import (
     write_scatter,
     write_scores,
 )
-from refilter.features import FeatureContext, apply_scaling, fit_scaling
+from refilter.features import (
+    N_FEATURES,
+    SCALED_FEATURE_IDS,
+    FeatureContext,
+    apply_scaling,
+    fit_scaling,
+)
 from refilter.history import UserHistoryIndex
-from refilter.learner import Hyper, LearnerError, Model, train
+from refilter.learner import Hyper, LearnerError, Model, predict_proba_matrix, train
 from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
+from test_learner import meets_stopping_rule
 
 DAY = 86400
 
@@ -416,8 +428,8 @@ def test_incremental_eval_matches_per_k_oracle(signal_pipeline, top_m, explicit_
     assert incremental_eval(splits, table, top_m=top_m, ranking=ranking) == expected
 
 
-def test_curve_model_at_every_k_is_train_on_batches(signal_pipeline, monkeypatch):
-    splits, table = signal_pipeline
+def record_curve_fits(monkeypatch, *args, **kwargs):
+    """Run `incremental_eval` and return it with the model of every k."""
     fitted = []
 
     def recording_train(*args, **kwargs):
@@ -425,13 +437,118 @@ def test_curve_model_at_every_k_is_train_on_batches(signal_pipeline, monkeypatch
         return fitted[-1]
 
     monkeypatch.setattr(experiments, "train", recording_train)
-    incremental_eval(splits, table, top_m=10)
+    points = incremental_eval(*args, **kwargs)
     monkeypatch.undo()
+    return points, fitted
+
+
+# Curve fits start from the optimum at k-1 and train_on_batches fits cold;
+# both run Newton to the optimum, so their probabilities agree to this bound
+CURVE_PROBABILITY_BOUND = 1e-4
+
+
+def test_curve_model_at_every_k_matches_train_on_batches(signal_pipeline, monkeypatch):
+    splits, table = signal_pipeline
+    _, fitted = record_curve_fits(monkeypatch, splits, table, top_m=10)
     _, oracle_models = per_k_oracle(splits, table, top_m=10)
     assert len(fitted) == len(oracle_models) == len(splits.train_batches)
+    # the first fit has no earlier optimum to start from
+    assert_same_model(fitted[0], oracle_models[0])
+    worst = 0.0
     for k, (model, oracle) in enumerate(zip(fitted, oracle_models), start=1):
-        assert_same_model(model, oracle)
-        assert_same_model(train_on_batches(splits, table, model.selected_features, k=k), model)
+        cold = train_on_batches(splits, table, model.selected_features, k=k)
+        assert_same_model(cold, oracle)
+        X_train, y_train = table.rows([i for batch in splits.train_batches[:k] for i in batch])
+        for X in (X_train, table.X):  # the first k batches, then every train and eval row
+            warm_p, cold_p = predict_proba_matrix(model, X), predict_proba_matrix(cold, X)
+            assert np.array_equal(warm_p >= 0.5, cold_p >= 0.5)
+            worst = max(worst, float(np.max(np.abs(warm_p - cold_p))))
+        cols = [ft - 1 for ft in model.selected_features]
+        S = apply_scaling(X_train, model.scaling)[:, cols]
+        assert model.converged and meets_stopping_rule(model, S, y_train)
+        assert cold.converged and meets_stopping_rule(cold, S, y_train)
+    assert worst <= CURVE_PROBABILITY_BOUND, worst
+
+
+def nearly_separable_curve(batches=40, per_batch=10, eval_rows=200, seed=0):
+    """Hand-built splits and feature table whose first few batches are
+    linearly separable: five informative columns, three of them min-max
+    scaled and two passed through, the rest constant."""
+    rng = np.random.default_rng(seed)
+    n = batches * per_batch + eval_rows
+    y = np.tile([0, 1], n // 2)
+    X = np.zeros((n, N_FEATURES))
+    for j, ft in enumerate(sorted(SCALED_FEATURE_IDS)[:3] + [2, 3]):
+        signal = rng.normal(0, 1, n) + 0.3 * (j + 1) * (2 * y - 1)
+        X[:, ft - 1] = np.exp(signal) if ft in SCALED_FEATURE_IDS else 1 / (1 + np.exp(-signal))
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    splits = SplitIds(
+        train_batches=[ids[i * per_batch:(i + 1) * per_batch].tolist() for i in range(batches)],
+        eval_sets={name: ids[batches * per_batch:].tolist() for name in EVAL_SETS},
+        spec=SplitSpec(),
+    )
+    return splits, FeatureTable(ids=ids, X=X, y=y.astype(np.int64))
+
+
+def _objective(theta, A, y, lam):
+    z = A @ theta
+    w = theta[:-1]
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * w @ w)
+
+
+def _objective_gradient(theta, A, y, lam):
+    g = A.T @ ((expit(A @ theta) - y) / len(y))
+    g[:-1] += lam * theta[:-1]
+    return g
+
+
+def _objective_hessian(theta, A, y, lam):
+    p = expit(A @ theta)
+    H = A.T @ (A * (p * (1 - p) / len(y))[:, None])
+    H[:-1, :-1] += lam * np.eye(len(theta) - 1)
+    return H
+
+
+def test_small_k_curve_points_reach_the_optimum(monkeypatch):
+    """At lambda = 1e-8 on nearly separable data, each curve fit is within
+    1e-12 of the loss scipy's exact-Hessian trust region reaches (gtol
+    1e-10), and its probabilities within 1e-3 of scipy's on every train
+    and eval row."""
+    splits, table = nearly_separable_curve()
+    _, fitted = record_curve_fits(monkeypatch, splits, table, top_m=5)
+    eval_X, _ = table.rows_by_id(splits.eval_set("dev_unbalanced"))
+    for k in (1, 2, 3, 5, 8, 13, 21, 34):
+        model = fitted[k - 1]
+        assert model.hyper.lam == 1e-8
+        X_train, y_train = table.rows_by_id(
+            [iid for batch in splits.train_batches[:k] for iid in batch])
+        cols = [ft - 1 for ft in model.selected_features]
+
+        def design(X):
+            S = apply_scaling(X, model.scaling)[:, cols]
+            return np.hstack([S, np.ones((len(S), 1))])
+
+        A = design(X_train)
+        res = minimize(_objective, np.zeros(A.shape[1]), args=(A, y_train, 1e-8),
+                       jac=_objective_gradient, hess=_objective_hessian, method="trust-exact",
+                       options={"gtol": 1e-10, "maxiter": 10000})
+        assert res.success, res.message
+        theta = np.concatenate([model.weights, [model.intercept]])
+        assert _objective(theta, A, y_train, 1e-8) <= res.fun + 1e-12, k
+        for rows in (A, design(eval_X)):
+            assert np.max(np.abs(expit(rows @ theta) - expit(rows @ res.x))) <= 1e-3, k
+
+
+def test_empty_batch_mid_curve_takes_no_step(monkeypatch):
+    splits, table = nearly_separable_curve(batches=6)
+    batches = splits.train_batches
+    gapped = dataclasses.replace(splits, train_batches=[*batches[:3], [], *batches[3:]])
+    points, fitted = record_curve_fits(monkeypatch, gapped, table, top_m=5)
+    before, after = fitted[2], fitted[3]  # k = 3, and k = 4 on the same rows
+    assert after.converged and after.n_iter == 0
+    assert np.array_equal(after.weights, before.weights)
+    assert after.intercept == before.intercept
+    assert points[3].train_f1 == points[2].train_f1 and points[3].eval_f1 == points[2].eval_f1
 
 
 def test_train_on_batches_skips_empty_batch(signal_pipeline):

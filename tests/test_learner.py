@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from refilter.features import N_FEATURES, fit_scaling, apply_scaling
 from refilter.learner import (
@@ -50,6 +51,23 @@ def grad_max_norm(model, X, y):
     return max(float(np.max(np.abs(grad_w))), abs(grad_b))
 
 
+def meets_stopping_rule(model, X, y):
+    """The trainer's stopping rule, checked independently at the model: the
+    Newton decrement is at most tol * (1 + loss), or a full Newton step no
+    longer lowers the loss (its float floor)."""
+    lam, tol = model.hyper.lam, model.hyper.tol
+    theta = np.concatenate([model.weights, [model.intercept]])
+    A = np.hstack([X, np.ones((len(y), 1))])
+    p = expit(A @ theta)
+    g = A.T @ ((p - y) / len(y))
+    g[:-1] += lam * model.weights
+    H = A.T @ (A * (np.maximum(p * (1 - p), 1e-12) / len(y))[:, None])
+    H[:-1, :-1] += lam * np.eye(len(model.weights))
+    step = np.linalg.solve(H, -g)
+    loss = reference_loss(theta, X, y, lam)
+    return -g @ step / 2 <= tol * (1 + loss) or reference_loss(theta + step, X, y, lam) >= loss
+
+
 def test_uninformative_features_give_half_probability():
     X = np.zeros((10, 2))
     y = np.array([0, 1] * 5)
@@ -66,7 +84,8 @@ def test_perfectly_separable_1d():
     model = train(X, y, selected=(1,), hyper=Hyper(lam=1e-8))
     assert model.converged
     assert np.isfinite(model.weights).all()
-    assert grad_max_norm(model, X, y) < model.hyper.tol
+    assert meets_stopping_rule(model, X, y)
+    assert grad_max_norm(model, X, y) < 1e-6
     preds = predict_proba_matrix(model, X) >= 0.5
     assert np.array_equal(preds, y.astype(bool))
 
@@ -153,6 +172,46 @@ def test_training_is_deterministic():
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.intercept == m2.intercept
     assert m1.n_iter == m2.n_iter
+
+
+def test_start_at_the_optimum_takes_no_step():
+    X, y = _small_problem()
+    model = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8))
+    assert model.converged and model.n_iter > 0
+    again = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8),
+                  start=(model.weights, model.intercept))
+    assert again.converged and again.n_iter == 0
+    assert np.array_equal(again.weights, model.weights)
+    assert again.intercept == model.intercept
+
+
+def test_any_start_reaches_the_same_optimum():
+    X, y = _small_problem()
+    cold = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8))
+    best = reference_loss(np.concatenate([cold.weights, [cold.intercept]]), X, y, 1e-8)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        start = (rng.normal(0, 5, size=3), float(rng.normal(0, 5)))
+        warm = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8), start=start)
+        assert warm.converged and meets_stopping_rule(warm, X, y)
+        theta = np.concatenate([warm.weights, [warm.intercept]])
+        assert abs(reference_loss(theta, X, y, 1e-8) - best) <= 1e-14
+        assert np.max(np.abs(predict_proba_matrix(warm, X) - predict_proba_matrix(cold, X))) < 1e-6
+
+
+@pytest.mark.parametrize("start", [
+    (np.zeros(2), 0.0), (np.zeros(3), math.nan), (np.array([0.0, math.inf, 0.0]), 0.0),
+])
+def test_invalid_start_is_rejected(start):
+    X, y = _small_problem()
+    with pytest.raises(LearnerError, match="start"):
+        train(X, y, selected=(1, 2, 3), start=start)
+
+
+def test_max_iter_stops_short_unconverged():
+    X, y = _small_problem()
+    model = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8, max_iter=1))
+    assert model.n_iter == 1 and not model.converged
 
 
 def test_regularization_shrinks_weights():
