@@ -30,8 +30,8 @@ SPLIT_FILES = {
     "test_unbalanced": "test_unbalanced_ids.csv",
 }
 SPLIT_MANIFEST = "manifest.json"
-# the raw features of every split instance, saved by the first command
-# that needs them (docs/FORMATS.md)
+# the raw features of every split instance, saved by `build` and by any
+# later command whose inputs changed the table key (docs/FORMATS.md)
 TABLE_FILE = "feature_table.npz"
 IDF_SOURCES = ("history", "instances")
 
@@ -105,30 +105,44 @@ def _table_key(args, split_dir: Path) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _split_table(args) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
-    """The split ids and the raw feature table of every split instance.
-
-    The table is read from TABLE_FILE in the splits directory when it was
-    saved under the current `_table_key`. Otherwise it is computed from
-    the corpus and saved there, replacing whatever the file held. Every
-    flag and split file is checked before the lookup, so a bad input fails
-    the same way whether or not the table is saved.
-    """
+def _pipeline_keywords(args) -> features.KeywordConfig:
+    """Check `--cap` and `--idf-source`, and read the lexicons."""
     features.check_cap(args.cap)
     if args.idf_source not in IDF_SOURCES:
         raise ValueError(f"unknown idf source {args.idf_source!r}")
-    keywords = features.KeywordConfig.from_files(
+    return features.KeywordConfig.from_files(
         share_path=args.share_lexicon, good_path=args.good_lexicon, bad_path=args.bad_lexicon
     )
-    split_dir = Path(args.splits)
+
+
+def _split_table(
+    args,
+    *,
+    split_dir: Path | None = None,
+    corpus: corpus_io.Corpus | None = None,
+    hist: history.UserHistoryIndex | None = None,
+) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
+    """The split ids and the raw feature table of every split instance.
+
+    The table is read from TABLE_FILE in the splits directory (`split_dir`,
+    by default `--splits`) when it was saved under the current
+    `_table_key`. Otherwise it is computed from the corpus, or from
+    `corpus` and its `hist` when the caller already holds them, and saved
+    there, replacing whatever the file held. Every flag and split file is
+    checked before the lookup, so a bad input fails the same way whether
+    or not the table is saved.
+    """
+    keywords = _pipeline_keywords(args)
+    split_dir = Path(args.splits) if split_dir is None else split_dir
     ids = _read_split_ids(split_dir)
     key = _table_key(args, split_dir)
     path = split_dir / TABLE_FILE
     members = ids.train + [iid for name in EVAL_SETS for iid in ids.eval_set(name)]
     table = experiments.read_table(path, key, members)
     if table is None:
-        corpus = corpus_io.load_corpus_dir(args.corpus)
-        hist = history.UserHistoryIndex(corpus)
+        if corpus is None:
+            corpus = corpus_io.load_corpus_dir(args.corpus)
+            hist = history.UserHistoryIndex(corpus)
         idf = _idf_table(args.idf_source, corpus)
         ctx = features.FeatureContext(corpus, hist, idf, keywords=keywords, cap=args.cap)
         table = experiments.featurize_splits(ctx, ids.resolve(corpus))
@@ -234,10 +248,12 @@ def cmd_synth(args) -> int:
 
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
+    _pipeline_keywords(args)  # bad pipeline flags fail before the corpus parse
     corpus = corpus_io.load_corpus_dir(args.corpus)
+    hist = history.UserHistoryIndex(corpus)
     spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
     spec = SplitSpec(seed=seed, **spec_kwargs)
-    splits = experiments.build_dataset(corpus, spec)
+    splits = experiments.build_dataset(corpus, spec, hist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_split_ids(splits, out)
@@ -254,6 +270,9 @@ def cmd_build(args) -> int:
     (out / SPLIT_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    # the table under the key every later command with the same pipeline
+    # flags computes, so none of them parses the corpus again
+    _split_table(args, split_dir=out, corpus=corpus, hist=hist)
     print(f"wrote {spec.total_batches} batches to {out}")
     return 0
 
@@ -368,8 +387,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="output corpus directory")
     _add_dataclass_flags(p, SyntheticConfig)
 
-    p = add("build", cmd_build, "construct batched train/dev/test splits")
-    p.add_argument("--corpus", required=True)
+    p = add("build", cmd_build, "construct batched train/dev/test splits and their feature table")
+    _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="output split directory")
     _add_dataclass_flags(
         p, SplitSpec, skip=("seed", "unbalanced_pos_per_batch", "unbalanced_neg_per_batch")

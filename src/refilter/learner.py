@@ -38,7 +38,7 @@ def _is_finite(value) -> bool:
 @dataclass(frozen=True)
 class Hyper:
     """Training settings, checked on construction: the L2 penalty `lam`
-    is finite and >= 0, the tolerance `tol` finite and > 0, and `max_iter`
+    is finite and > 0, the tolerance `tol` finite and > 0, and `max_iter`
     an integer >= 1. Errors name the model field and the flag.
 
     Newton stops when its decrement, the loss drop a full Newton step
@@ -49,9 +49,10 @@ class Hyper:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not (_is_finite(self.lam) and self.lam >= 0):
+        # with no penalty, separable rows have no optimum to converge to
+        if not (_is_finite(self.lam) and self.lam > 0):
             raise LearnerError(
-                f"field 'hyper.lam' (--lambda) must be a finite number >= 0, got {self.lam!r}"
+                f"field 'hyper.lam' (--lambda) must be a finite number > 0, got {self.lam!r}"
             )
         if not (_is_finite(self.tol) and self.tol > 0):
             raise LearnerError(

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from refilter import corpus_io
 from refilter.cli import main
 from refilter.corpus_io import SyntheticConfig, config_from_dict, load_corpus_dir
 from refilter.experiments import read_curve, read_ranking
@@ -235,8 +236,29 @@ def test_nonpositive_cap_is_error(workspace, tmp_path, capsys, cap):
     assert f"cap={cap}" in err
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--cap", "0", "cap=0"),
+    ("--share-lexicon", "missing.txt", "missing.txt"),
+])
+def test_bad_pipeline_flag_fails_build_before_the_parse(workspace, tmp_path, capsys, monkeypatch,
+                                                        flag, value, named):
+    root, corpus, *_ = workspace
+    parses = []
+    monkeypatch.setattr(corpus_io, "load_corpus", lambda *paths: parses.append(paths))
+    out = tmp_path / "splits"
+    if flag.endswith("lexicon"):
+        value = str(tmp_path / value)
+    rc = main(["build", "--corpus", str(corpus), "--out", str(out), "--seed", "3",
+               *BUILD_FLAGS, flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error:") and named in err
+    assert parses == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("train", "--lambda", "nan"), ("train", "--lambda", "1e400"), ("train", "--lambda", "-1"),
+    ("train", "--lambda", "0"), ("curve", "--lambda", "0"),
     ("train", "--tol", "0"), ("curve", "--tol", "-1"), ("curve", "--max-iter", "-5"),
 ])
 def test_invalid_hyper_flag_is_error(workspace, tmp_path, capsys, command, flag, value):

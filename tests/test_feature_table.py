@@ -41,13 +41,24 @@ OUTPUTS = ("ranking.csv", "model.json", "metrics.csv", "curve.csv", "scores.csv"
            "two.json", "scatter.csv")
 
 
+def _build(root, *extra):
+    """`build` in `root`, on relative paths."""
+    home = os.getcwd()
+    os.chdir(root)
+    try:
+        return main(["build", "--corpus", "corpus", "--out", "splits", "--seed", "3",
+                     *BUILD_FLAGS, *extra])
+    finally:
+        os.chdir(home)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A corpus and its splits, with no feature table."""
     root = tmp_path_factory.mktemp("inputs")
     assert main(["synth", "--out", str(root / "corpus"), "--seed", "5", *SYNTH_FLAGS]) == 0
-    assert main(["build", "--corpus", str(root / "corpus"), "--out", str(root / "splits"),
-                 "--seed", "3", *BUILD_FLAGS]) == 0
+    assert _build(root) == 0
+    (root / "splits" / TABLE_FILE).unlink()  # the table `build` saved
     (root / "lexicon.txt").write_text("share\nrt\n", encoding="utf-8")
     return root
 
@@ -134,6 +145,45 @@ def test_table_bytes_do_not_depend_on_the_run(inputs, tmp_path, capsys):
     assert not (b / "splits" / TABLE_FILE).exists()
     assert _run(b, "curve", "--out", "c.csv") == 0
     assert (a / "splits" / TABLE_FILE).read_bytes() == (b / "splits" / TABLE_FILE).read_bytes()
+
+
+def _corpus_only(inputs, dest):
+    dest.mkdir()
+    shutil.copytree(inputs / "corpus", dest / "corpus")
+    return dest
+
+
+def test_build_and_the_walkthrough_parse_the_corpus_once(inputs, cold_outputs, tmp_path,
+                                                          loads):
+    root = _corpus_only(inputs, tmp_path / "w")
+    assert _build(root) == 0
+    assert loads.count == 1
+    assert _walk(root) == cold_outputs
+    assert loads.count == 1
+
+
+def test_build_saves_the_table_rank_would_compute(inputs, tmp_path, loads):
+    root = _corpus_only(inputs, tmp_path / "w")
+    assert _build(root) == 0
+    path = root / "splits" / TABLE_FILE
+    built = path.read_bytes()
+    path.unlink()
+    assert _run(root, "rank", "--out", "r.csv") == 0
+    assert loads.count == 2
+    assert path.read_bytes() == built
+
+
+def test_build_table_is_keyed_by_its_pipeline_flags(inputs, tmp_path, loads):
+    root = _corpus_only(inputs, tmp_path / "w")
+    assert _build(root, "--cap", "50") == 0
+    assert _run(root, "rank", "--cap", "50", "--out", "r.csv") == 0
+    assert loads.count == 1  # same flags: a hit
+    assert _run(root, "rank", "--out", "r.csv") == 0
+    assert loads.count == 2  # the default cap: a miss, recomputed and saved
+    fresh = _corpus_only(inputs, tmp_path / "fresh")
+    assert _build(fresh) == 0
+    table = (root / "splits" / TABLE_FILE).read_bytes()
+    assert table == (fresh / "splits" / TABLE_FILE).read_bytes()
 
 
 def _flip_first_train_label(root):

@@ -257,6 +257,18 @@ def test_invalid_hyper_is_rejected(field, settings):
         train(X, y, selected=(1, 2, 3), hyper=Hyper(**settings))
 
 
+def test_zero_lambda_is_rejected():
+    """Without the penalty, separable rows have no optimum: Newton ran all
+    `max_iter` steps and reported `converged: false`."""
+    with pytest.raises(LearnerError, match=r"^field 'hyper\.lam' \(--lambda\) must be a finite "
+                                           r"number > 0, got 0\.0$"):
+        Hyper(lam=0.0)
+    record = _model_record()
+    record["hyper"]["lam"] = 0.0
+    with pytest.raises(LearnerError, match=r"'hyper\.lam' \(--lambda\)"):
+        model_from_json(json.dumps(record))
+
+
 def test_damping_gives_up_without_a_descent_direction(monkeypatch):
     calls = []
 
