@@ -248,11 +248,13 @@ def cmd_synth(args) -> int:
 
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
-    _pipeline_keywords(args)  # bad pipeline flags fail before the corpus parse
-    corpus = corpus_io.load_corpus_dir(args.corpus)
-    hist = history.UserHistoryIndex(corpus)
     spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
     spec = SplitSpec(seed=seed, **spec_kwargs)
+    # bad split sizes and pipeline flags fail before the corpus parse
+    spec.validate()
+    _pipeline_keywords(args)
+    corpus = corpus_io.load_corpus_dir(args.corpus)
+    hist = history.UserHistoryIndex(corpus)
     splits = experiments.build_dataset(corpus, spec, hist)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -286,6 +288,11 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _check_top_m(args) -> None:
+    if not 1 <= args.top_m <= features.N_FEATURES:
+        raise ValueError(f"--top-m must be in 1..{features.N_FEATURES}, got {args.top_m}")
+
+
 def _selected_features(args) -> tuple[int, ...]:
     if args.features:
         return _parse_feature_list(args.features)
@@ -297,6 +304,7 @@ def _selected_features(args) -> tuple[int, ...]:
 
 def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
+    _check_top_m(args)
     selected = _selected_features(args)
     ids, table = _split_table(args)
     model = experiments.train_on_batches(ids, table, selected, hyper, k=args.k)
@@ -323,6 +331,7 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     hyper = _hyper_from_args(args)
+    _check_top_m(args)
     ids, table = _split_table(args)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
     points = experiments.incremental_eval(

@@ -27,8 +27,8 @@ from .features import (
     SCALED_FEATURE_IDS,
     FeatureContext,
     ScalingParams,
-    apply_scaling,
     extract_matrix,
+    scale_columns,
 )
 from .history import WEEK_SECONDS, UserHistoryIndex
 from .learner import Hyper, Model, check_threshold, predict_proba_matrix, train
@@ -474,6 +474,9 @@ class CurvePoint:
     eval_f1: float
 
 
+_SCALED_COLUMNS = np.array(sorted(SCALED_FEATURE_IDS)) - 1
+
+
 class _BatchPrefixes:
     """The train rows, gathered once in batch order, so that the first k
     batches are the prefix `X[:ends[k-1]]`.
@@ -481,24 +484,52 @@ class _BatchPrefixes:
     The scaling of each prefix is the running column min/max over the
     per-batch extremes. Min and max are exact, so it equals `fit_scaling`
     on the prefix bit for bit.
+
+    `scaled` serves every prefix from one buffer `S` of scaled rows. A
+    call brings `S[:n]` to the prefix's scaling: a scaled column whose
+    extremes differ from the buffer's is scaled anew over the whole
+    prefix, any other only on the rows the last call left out. X and S
+    are column-major (Fortran order), so a column's rows are contiguous.
+    `train` gathers its columns of the view into a column-major copy, as
+    it does from a row-major matrix, so its BLAS products see the layout,
+    and give the bits, of a prefix scaled anew.
     """
 
     def __init__(self, splits: SplitIds, table: FeatureTable) -> None:
-        self.X, self.y = table.rows_by_id(splits.train)
+        X, self.y = table.rows_by_id(splits.train)
         sizes = np.array([len(batch) for batch in splits.train_batches])
         self.ends = np.cumsum(sizes)
-        batches = [self.X[end - size : end] for size, end in zip(sizes, self.ends)]
+        batches = [X[end - size : end] for size, end in zip(sizes, self.ends)]
         # an empty batch yields the identity of min (max), which leaves the
         # running extremes as they were
         self.mins = np.minimum.accumulate([b.min(axis=0, initial=np.inf) for b in batches])
         self.maxs = np.maximum.accumulate([b.max(axis=0, initial=-np.inf) for b in batches])
+        self.X = np.asfortranarray(X)
+        # S holds the unscaled columns from the start; its scaled columns
+        # hold X[:_rows] in the scaling (_mins, _maxs)
+        self._S = self.X.copy(order="F")
+        self._rows = 0
+        self._mins = self._maxs = np.zeros(X.shape[1])
 
     def scaled(self, k: int) -> tuple[np.ndarray, np.ndarray, ScalingParams]:
         """The first k batches' rows in their own scaling, their labels,
-        and that scaling."""
+        and that scaling. The rows are a view of the buffer, which the
+        next call overwrites."""
         n = self.ends[k - 1]
-        scaling = ScalingParams(mins=self.mins[k - 1], maxs=self.maxs[k - 1])
-        return apply_scaling(self.X[:n], scaling), self.y[:n], scaling
+        mins, maxs = self.mins[k - 1], self.maxs[k - 1]
+        # compared bit for bit: the scaled value is a function of the bits
+        # of x, min and max, so equal bits leave a scaled row as it is
+        moved = (mins.view(np.int64) != self._mins.view(np.int64)) | (
+            maxs.view(np.int64) != self._maxs.view(np.int64)
+        )
+        moved = moved[_SCALED_COLUMNS]
+        for cols, rows in (
+            (_SCALED_COLUMNS[moved], slice(0, n)),
+            (_SCALED_COLUMNS[~moved], slice(self._rows, n)),
+        ):
+            self._S[rows, cols] = scale_columns(self.X[rows, cols], mins[cols], maxs[cols])
+        self._rows, self._mins, self._maxs = n, mins, maxs
+        return self._S[:n], self.y[:n], ScalingParams(mins=mins, maxs=maxs)
 
 
 def _rescaled_start(model: Model, scaling: ScalingParams) -> tuple[np.ndarray, float]:
@@ -555,13 +586,15 @@ def incremental_eval(
 
     The feature ranking is computed once on the full training set and
     reused for all k. The scaling at k is the running min/max of the first
-    k batches, which equals a refit on those rows. Each k's rows are scaled
-    once, and the fit and the train F1 share them. The fit at k starts from
-    the optimum at k-1, mapped into the scaling at k; Newton runs to the
-    optimum, so the start moves its path but not its result.
+    k batches, which equals a refit on those rows. The scaled rows of k are
+    a view of one column-major buffer that each k updates only where its
+    scaling moved; the fit and the train F1 share that view, and the next
+    k overwrites it. The fit at k starts from the optimum at k-1, mapped
+    into the scaling at k; Newton runs to the optimum, so the start moves
+    its path but not its result.
     """
-    if top_m < 1:
-        raise ValueError("top_m must be at least 1")
+    if not 1 <= top_m <= N_FEATURES:
+        raise ValueError(f"top_m must be in 1..{N_FEATURES}")
     check_threshold(threshold)
     splits = _split_ids(splits)
     prefixes = _BatchPrefixes(splits, table)

@@ -595,15 +595,24 @@ def fit_scaling(matrix: np.ndarray) -> ScalingParams:
     return ScalingParams(mins=matrix.min(axis=0), maxs=matrix.max(axis=0))
 
 
+def scale_columns(block: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """Scale `block` in place and return it. Each of its columns is a
+    scaled feature with extremes `mins`, `maxs`: x maps to
+    (x-min)/(max-min) clamped to [0, 1], a degenerate (min == max) column
+    to 0, and a column whose span is NaN passes through. The formula is
+    elementwise, so any rows of a column scale alone."""
+    span = maxs - mins
+    ok = span > 0
+    block[..., ok] = np.clip((block[..., ok] - mins[ok]) / span[ok], 0.0, 1.0)
+    block[..., span <= 0] = 0.0
+    return block
+
+
 def apply_scaling(values: np.ndarray, params: ScalingParams) -> np.ndarray:
-    """Clamp-scaled copy: scaled ids map to (x-min)/(max-min) in [0, 1],
-    degenerate (min == max) columns map to 0, the rest pass through."""
+    """Clamp-scaled copy: scaled ids go through `scale_columns`, the rest
+    pass through."""
     values = np.asarray(values, dtype=np.float64)
     out = values.copy()
-    span = params.maxs - params.mins
-    ok = _SCALED_MASK & (span > 0)
-    degenerate = _SCALED_MASK & (span <= 0)
-    scaled = (values[..., ok] - params.mins[ok]) / span[ok]
-    out[..., ok] = np.clip(scaled, 0.0, 1.0)
-    out[..., degenerate] = 0.0
+    m = _SCALED_MASK
+    out[..., m] = scale_columns(values[..., m], params.mins[m], params.maxs[m])
     return out

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from refilter import corpus_io
+from refilter import corpus_io, experiments
 from refilter.cli import main
 from refilter.corpus_io import SyntheticConfig, config_from_dict, load_corpus_dir
 from refilter.experiments import read_curve, read_ranking
@@ -254,6 +254,42 @@ def test_bad_pipeline_flag_fails_build_before_the_parse(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("refilter: error:") and named in err
     assert parses == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--train-batches", "0", "train_batches"),
+    ("--batch-neg", "-1", "batch_neg"),
+    ("--unbalanced-pos-per-batch", "26", "unbalanced_pos_per_batch"),
+])
+def test_bad_split_size_fails_build_before_the_parse(workspace, tmp_path, capsys, monkeypatch,
+                                                     flag, value, named):
+    root, corpus, *_ = workspace
+    parses = []
+    monkeypatch.setattr(corpus_io, "load_corpus", lambda *paths: parses.append(paths))
+    out = tmp_path / "splits"
+    rc = main(["build", "--corpus", str(corpus), "--out", str(out), "--seed", "3",
+               *BUILD_FLAGS, flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error:") and named in err
+    assert parses == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "curve"])
+@pytest.mark.parametrize("top_m", ["-1", "0", "51", "60"])
+def test_top_m_outside_the_features_fails_before_the_table(workspace, tmp_path, capsys,
+                                                           monkeypatch, command, top_m):
+    root, corpus, splits, ranking, _ = workspace
+    reads = []
+    monkeypatch.setattr(experiments, "read_table", lambda *args: reads.append(args))
+    monkeypatch.setattr(corpus_io, "load_corpus", lambda *paths: reads.append(paths))
+    out = tmp_path / "out"
+    rc = main([command, "--corpus", str(corpus), "--splits", str(splits),
+               "--ranking", str(ranking), "--top-m", top_m, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"refilter: error: --top-m must be in 1..50, got {top_m}\n"
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [

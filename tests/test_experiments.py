@@ -387,6 +387,8 @@ def test_incremental_eval_rejects_bad_top_m(signal_pipeline):
     splits, table = signal_pipeline
     with pytest.raises(ValueError):
         incremental_eval(splits, table, top_m=0)
+    with pytest.raises(ValueError):
+        incremental_eval(splits, table, top_m=N_FEATURES + 1)
 
 
 def per_k_oracle(splits, table, top_m, ranking=None):
@@ -561,6 +563,116 @@ def test_train_on_batches_skips_empty_batch(signal_pipeline):
     empty_first = dataclasses.replace(splits, train_batches=[[], first])
     with pytest.raises(LearnerError, match="degenerate labels"):
         train_on_batches(empty_first, table, [13], k=1)
+
+
+def late_extremes_curve(nonfinite=False):
+    """`nearly_separable_curve` with scaled columns whose extremes move
+    late: FT9 is constant for the first three batches and then carries
+    signal. With `nonfinite`, FT14 gains a NaN in batch 6 and FT15 an inf
+    in batch 8, so their spans turn NaN and inf."""
+    splits, table = nearly_separable_curve(batches=12)
+    X = table.X.copy()
+    rng = np.random.default_rng(5)
+    X[:, 8] = np.exp(rng.normal(0, 1, len(X)) + 0.5 * (2 * table.y - 1))
+    X[:30, 8] = 3.0
+    if nonfinite:
+        X[:, [13, 14]] = rng.uniform(0, 10, size=(len(X), 2))
+        X[55, 13] = np.nan
+        X[73, 14] = np.inf
+    return splits, FeatureTable(ids=table.ids, X=X, y=table.y)
+
+
+def prefix_rows(splits, table, k):
+    """The raw rows and labels of the first k train batches, gathered anew."""
+    return table.rows_by_id([iid for batch in splits.train_batches[:k] for iid in batch])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("pipeline", ["signal", "late"])
+def test_scaled_prefix_is_a_fresh_scaling_bit_for_bit(request, order, pipeline):
+    if pipeline == "signal":
+        splits, table = request.getfixturevalue("signal_pipeline")
+        splits = splits.ids()
+    else:
+        splits, table = late_extremes_curve(nonfinite=True)
+    ks = list(range(1, len(splits.train_batches) + 1))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(0).shuffle(ks)
+    prefixes = experiments._BatchPrefixes(splits, table)
+    for k in ks:
+        S, y, scaling = prefixes.scaled(k)
+        X, expected_y = prefix_rows(splits, table, k)
+        fresh = fit_scaling(X)
+        assert np.array_equal(bits(scaling.mins), bits(fresh.mins))
+        assert np.array_equal(bits(scaling.maxs), bits(fresh.maxs))
+        assert np.array_equal(bits(S), bits(apply_scaling(X, fresh))), k
+        assert np.array_equal(y, expected_y)
+        assert S.strides[0] == S.itemsize  # column-major
+
+
+@pytest.mark.parametrize("pipeline", ["signal", "late"])
+def test_each_curve_model_is_the_direct_warm_fit(request, monkeypatch, pipeline):
+    """Every curve model is bitwise the fit on the prefix scaled anew,
+    started from the model of k-1 mapped into the scaling at k."""
+    if pipeline == "signal":
+        splits, table = request.getfixturevalue("signal_pipeline")
+        kwargs = dict(top_m=50)
+    else:
+        splits, table = late_extremes_curve()
+        ranking = [experiments.RankedFeature(ft, 0.0, rank)
+                   for rank, ft in enumerate([9, 1, 5, 6, 2, 3], start=1)]
+        kwargs = dict(top_m=6, ranking=ranking)
+    _, fitted = record_curve_fits(monkeypatch, splits, table, **kwargs)
+    assert 9 in fitted[-1].selected_features and fitted[-1].weights[0] != 0.0
+    for k, model in enumerate(fitted, start=1):
+        X, y = prefix_rows(experiments._split_ids(splits), table, k)
+        scaling = fit_scaling(X)
+        start = None if k == 1 else experiments._rescaled_start(fitted[k - 2], scaling)
+        expected = train(apply_scaling(X, scaling), y, model.selected_features, Hyper(),
+                         scaling, start)
+        assert_same_model(model, expected)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("ft,value,row", [
+    (1, math.nan, 24),  # scaled: a NaN span passes the column through
+    (1, math.inf, 24),  # scaled: inf / inf is NaN at the row itself
+    (1, -math.inf, 0),  # scaled: the -inf minimum makes every row NaN
+    (2, math.nan, 24),  # passed through
+    (3, math.inf, 24),  # passed through
+])
+def test_nonfinite_value_in_batch_3_fails_the_curve_at_k_3(monkeypatch, ft, value, row):
+    splits, table = nearly_separable_curve(batches=6)
+    X = table.X.copy()
+    X[24, ft - 1] = value  # the fifth row of the third batch
+    bad = FeatureTable(ids=table.ids, X=X, y=table.y)
+    ranking = [experiments.RankedFeature(f, 0.0, rank)
+               for rank, f in enumerate([1, 2, 3, 5, 6], start=1)]
+    fits = []
+    monkeypatch.setattr(experiments, "train", lambda *a: fits.append(a) or train(*a))
+    message = f"non-finite feature value at instance row {row}, FT{ft}"
+    with pytest.raises(LearnerError) as raised:
+        incremental_eval(splits, bad, top_m=5, ranking=ranking)
+    assert str(raised.value) == message and len(fits) == 3
+    # the same error as a fit on the third prefix, scaled anew
+    X3, y3 = prefix_rows(splits, bad, 3)
+    with pytest.raises(LearnerError) as direct:
+        train(apply_scaling(X3, fit_scaling(X3)), y3, (1, 2, 3, 5, 6))
+    assert str(direct.value) == message
+
+
+def test_curve_with_empty_first_batch_has_degenerate_labels(signal_pipeline):
+    splits, table = signal_pipeline
+    empty_first = dataclasses.replace(splits.ids(), train_batches=[[], *splits.ids().train_batches])
+    with pytest.raises(LearnerError, match="degenerate labels"):
+        incremental_eval(empty_first, table, top_m=10)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, math.nan])

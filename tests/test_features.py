@@ -22,6 +22,7 @@ from refilter.features import (
     extract_matrix,
     fallback_pos_counts,
     fit_scaling,
+    scale_columns,
 )
 from refilter.history import UserHistoryIndex
 from refilter.vectorspace import avg_similarity, build_idf
@@ -484,6 +485,19 @@ def test_unscaled_features_pass_through():
     params = fit_scaling(rows)
     out = apply_scaling(rows, params)
     assert out[0, 9] == 0.25 and out[1, 9] == 0.75
+
+
+def test_nan_span_passes_through_and_rows_scale_alone():
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(0, 100, size=(40, N_FEATURES))
+    rows[7, 0] = np.nan  # FT1 is scaled; its span is NaN
+    params = fit_scaling(rows)
+    out = apply_scaling(rows, params)
+    assert np.array_equal(out[:, 0], rows[:, 0], equal_nan=True)
+    # scaling any rows of a column alone gives the bits of the whole
+    cols = np.array(sorted(SCALED_FEATURE_IDS)) - 1
+    part = scale_columns(rows[10:25][:, cols], params.mins[cols], params.maxs[cols])
+    assert np.array_equal(part.view(np.int64), out[10:25][:, cols].view(np.int64))
 
 
 def test_negative_feature_shifted_into_unit_interval():

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from refilter.features import N_FEATURES, fit_scaling, apply_scaling
+from refilter import learner
 from refilter.learner import (
     Hyper,
     LearnerError,
@@ -352,6 +353,29 @@ def test_decision_values_match_probabilities():
     z = decision_values(model, X)
     p = predict_proba_matrix(model, X)
     assert np.allclose(1 / (1 + np.exp(-z)), p)
+
+
+def masked_sigmoid(z):
+    """The sigmoid in two masked halves, each of which keeps exp finite."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(8)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123],
+                    dtype=np.uint64).view(np.float64)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
+    far = np.linspace(700.0, 800.0, 101)
+    for z in (rng.normal(0, 10, 6000), rng.normal(0, 1000, 6000), edges, nans,
+              np.concatenate([far, -far])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = masked_sigmoid(z)
+        assert np.array_equal(learner._sigmoid(z).view(np.int64), expected.view(np.int64))
 
 
 def _model_record() -> dict:
