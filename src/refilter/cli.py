@@ -77,8 +77,8 @@ def _idf_table(idf_source: str, corpus: corpus_io.Corpus) -> vectorspace.IdfTabl
 
 def _table_key(args, split_dir: Path) -> str:
     """sha256 over every input the feature table depends on: the corpus
-    files, the split files, the lexicons, the IDF source and history cap,
-    this package's sources, and the Python and numpy versions."""
+    files, the split files, the IDF source and history cap, this package's
+    sources, and the Python and numpy versions."""
     import hashlib  # deferred: only the table lookup hashes
 
     def file_digest(path: Path) -> str:
@@ -97,22 +97,16 @@ def _table_key(args, split_dir: Path) -> str:
     parts += [f"corpus/{p.name} {file_digest(p)}" for p in corpus_io.corpus_paths(args.corpus)]
     for name in (*SPLIT_FILES.values(), SPLIT_MANIFEST):
         parts.append(f"splits/{name} {file_digest(split_dir / name)}")
-    for flag in ("share_lexicon", "good_lexicon", "bad_lexicon"):
-        path = getattr(args, flag)
-        parts.append(f"{flag} {file_digest(Path(path)) if path else 'absent'}")
     for source in sorted(Path(__file__).parent.glob("*.py")):
         parts.append(f"refilter/{source.name} {file_digest(source)}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _pipeline_keywords(args) -> features.KeywordConfig:
-    """Check `--cap` and `--idf-source`, and read the lexicons."""
+def _check_pipeline_flags(args) -> None:
+    """Check `--cap` and `--idf-source`."""
     features.check_cap(args.cap)
     if args.idf_source not in IDF_SOURCES:
         raise ValueError(f"unknown idf source {args.idf_source!r}")
-    return features.KeywordConfig.from_files(
-        share_path=args.share_lexicon, good_path=args.good_lexicon, bad_path=args.bad_lexicon
-    )
 
 
 def _split_table(
@@ -132,7 +126,7 @@ def _split_table(
     checked before the lookup, so a bad input fails the same way whether
     or not the table is saved.
     """
-    keywords = _pipeline_keywords(args)
+    _check_pipeline_flags(args)
     split_dir = Path(args.splits) if split_dir is None else split_dir
     ids = _read_split_ids(split_dir)
     key = _table_key(args, split_dir)
@@ -144,7 +138,7 @@ def _split_table(
             corpus = corpus_io.load_corpus_dir(args.corpus)
             hist = history.UserHistoryIndex(corpus)
         idf = _idf_table(args.idf_source, corpus)
-        ctx = features.FeatureContext(corpus, hist, idf, keywords=keywords, cap=args.cap)
+        ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
         table = experiments.featurize_splits(ctx, ids.resolve(corpus))
         try:
             experiments.write_table(path, table, key)
@@ -158,9 +152,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--idf-source", choices=IDF_SOURCES, default="history")
     parser.add_argument("--cap", type=int, default=history.DEFAULT_CAP,
                         help="history collection size cap")
-    parser.add_argument("--share-lexicon", default=None)
-    parser.add_argument("--good-lexicon", default=None)
-    parser.add_argument("--bad-lexicon", default=None)
 
 
 def _write_split_ids(splits: experiments.DatasetSplits, out_dir: Path) -> None:
@@ -252,7 +243,7 @@ def cmd_build(args) -> int:
     spec = SplitSpec(seed=seed, **spec_kwargs)
     # bad split sizes and pipeline flags fail before the corpus parse
     spec.validate()
-    _pipeline_keywords(args)
+    _check_pipeline_flags(args)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     hist = history.UserHistoryIndex(corpus)
     splits = experiments.build_dataset(corpus, spec, hist)
@@ -297,8 +288,7 @@ def _selected_features(args) -> tuple[int, ...]:
     if args.features:
         return _parse_feature_list(args.features)
     if args.ranking:
-        ranking = experiments.read_ranking(args.ranking)
-        return tuple(rf.ft_id for rf in ranking[: args.top_m])
+        return tuple(experiments.top_features(experiments.read_ranking(args.ranking), args.top_m))
     raise ValueError("need either --features or --ranking with --top-m")
 
 
@@ -332,8 +322,8 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     hyper = _hyper_from_args(args)
     _check_top_m(args)
-    ids, table = _split_table(args)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
+    ids, table = _split_table(args)
     points = experiments.incremental_eval(
         ids,
         table,

@@ -18,6 +18,7 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -164,7 +165,139 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
     return d / PROFILES_FILE, d / HISTORY_FILE, d / INSTANCES_FILE
 
 
-def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, dict]]:
+# Each record kind is one table of (name, kind, value when absent) rows in
+# record order, which is also the order of its dataclass's fields; an
+# instance's tweet fields sit flat, from `tokens` to `mentions`. The loader
+# and the writer both walk these tables. A kind loads one JSON value into
+# its Python value, or raises _BadValue with what the field must hold;
+# _REQUIRED marks a field that has no value when absent.
+
+
+class _BadValue(ValueError):
+    """What a field must hold; the loader adds the file, line and field."""
+
+
+_REQUIRED = object()
+
+# Integer fields must hold JSON integers. `type(v) is int` rejects floats,
+# strings and bools (`int` would truncate 1200.7, and `True == 1`). Ids and
+# timestamps fit in 64 bits, as the feature table stores instance ids; a
+# count becomes a float feature value, so it must not exceed the float range.
+_INT64 = range(-(2**63), 2**63)
+_FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
+
+
+def _id(value) -> int:
+    if type(value) is int and value in _INT64:
+        return value
+    raise _BadValue("must be a 64-bit integer")
+
+
+def _count(value) -> int:
+    if type(value) is int and value in _FLOAT_COUNTS:
+        return value
+    raise _BadValue("must be an integer >= 0 within the float range")
+
+
+def _flag(value) -> bool:
+    """JSON 0 or 1."""
+    if type(value) is int and (value == 0 or value == 1):
+        return value == 1
+    raise _BadValue("must be 0 or 1")
+
+
+def _number(value) -> float:
+    """A JSON integer or float that is finite as a float; `json.loads`
+    accepts the non-standard literals NaN and Infinity."""
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise _BadValue("must be a finite number")
+
+
+def _id_list(value) -> tuple[int, ...]:
+    if type(value) is list and {int}.issuperset(map(type, value)):
+        return tuple(value)
+    raise _BadValue("must be a list of integers")
+
+
+def _id_set(value) -> frozenset[int]:
+    return frozenset(_id_list(value))
+
+
+def _action(value) -> str:
+    if value in ACTIONS:
+        return value
+    raise _BadValue(f"must be one of {', '.join(ACTIONS)}, not {value!r}")
+
+
+def _user_or_null(value) -> int | None:
+    if value is None or type(value) is int:
+        return value
+    raise _BadValue("must be an integer or null")
+
+
+def _pos_counts(value) -> dict | None:
+    if value is None:
+        return None
+    if type(value) is not dict or not {int}.issuperset(map(type, value.values())):
+        raise _BadValue("must map names to integers")
+    if not all(n in _FLOAT_COUNTS for n in value.values()):
+        raise _BadValue("must map names to integers >= 0 within the float range")
+    return value
+
+
+_PROFILE_FIELDS = (
+    ("user_id", _id, _REQUIRED),
+    ("followers", _count, _REQUIRED),
+    ("following", _count, _REQUIRED),
+    ("statuses", _count, _REQUIRED),
+    ("listed", _count, _REQUIRED),
+    ("verified", _flag, _REQUIRED),
+    ("account_age_days", _count, _REQUIRED),
+    ("has_profile_url", _flag, _REQUIRED),
+    ("klout", _number, 0.0),
+    ("klout_delta_1d", _number, 0.0),
+    ("klout_delta_7d", _number, 0.0),
+    ("klout_delta_30d", _number, 0.0),
+    ("neighbours", _id_set, _REQUIRED),
+)
+_EVENT_FIELDS = (
+    ("user_id", _id, _REQUIRED),
+    ("tweet_id", _id, _REQUIRED),
+    ("action", _action, _REQUIRED),
+    ("timestamp", _id, _REQUIRED),
+    ("tokens", _id_list, _REQUIRED),
+    ("mentions_user", _user_or_null, None),
+)
+_INSTANCE_FIELDS = (
+    ("instance_id", _id, _REQUIRED),
+    ("tweet_id", _id, _REQUIRED),
+    ("author_id", _id, _REQUIRED),
+    ("sender_id", _id, _REQUIRED),
+    ("recipient_id", _id, _REQUIRED),
+    ("timestamp", _id, _REQUIRED),
+    ("label", _flag, _REQUIRED),
+    ("tokens", _id_list, _REQUIRED),
+    ("char_length", _count, _REQUIRED),
+    ("has_url", _flag, False),
+    ("has_photo", _flag, False),
+    ("has_hashtag", _flag, False),
+    ("has_exclamation", _flag, False),
+    ("mentions", _id_list, ()),
+    ("global_retweet_count", _count, 0),
+    ("global_favourite_count", _count, 0),
+    ("pos_counts", _pos_counts, None),
+)
+_TWEET = slice(7, 14)  # the instance rows that hold its tweet's fields
+
+
+def _read_records(path: Path, table: Sequence[tuple]) -> Iterable[tuple[int, list]]:
+    """(line number, field values in table order) of every record line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -176,81 +309,19 @@ def _read_records(path: Path, required: Sequence[str]) -> Iterable[tuple[int, di
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: record is not an object")
-            for key in required:
-                if key not in record:
-                    raise CorpusFormatError(f"{path}:{lineno}: field {key!r} is missing")
-            yield lineno, record
-
-
-# Integer fields must hold JSON integers. `type(v) is int` rejects floats,
-# strings and bools (`int` would truncate 1200.7, and `True == 1`). Ids and
-# timestamps fit in 64 bits, as the feature table stores instance ids; a
-# count becomes a float feature value, so it must not exceed the float range.
-_INT64 = range(-(2**63), 2**63)
-_FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
-
-
-def _check_ints(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
-    for key in keys:
-        value = rec[key]
-        if type(value) is not int or value not in _INT64:
-            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a 64-bit integer")
-
-
-def _check_counts(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
-    """Integers >= 0 within the float range; an absent optional count is 0."""
-    for key in keys:
-        value = rec.get(key, 0)
-        if type(value) is not int or value not in _FLOAT_COUNTS:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: field {key!r} must be an integer >= 0 within the float range"
-            )
-
-
-def _check_flags(rec: dict, keys: Sequence[str], path: Path, lineno: int) -> None:
-    """JSON 0 or 1; an absent optional flag is 0."""
-    for key in keys:
-        value = rec.get(key, 0)
-        if type(value) is not int or value not in (0, 1):
-            raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be 0 or 1")
-
-
-def _finite_number(rec: dict, key: str, path: Path, lineno: int) -> float:
-    """A JSON integer or float that is finite as a float; absent is 0.0.
-    `json.loads` accepts the non-standard literals NaN and Infinity."""
-    value = rec.get(key, 0.0)
-    if type(value) in (int, float):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a finite number")
-
-
-def _int_list(raw, key: str, path: Path, lineno: int) -> tuple[int, ...]:
-    if type(raw) is not list or not {int}.issuperset(map(type, raw)):
-        raise CorpusFormatError(f"{path}:{lineno}: field {key!r} must be a list of integers")
-    return tuple(raw)
-
-
-_PROFILE_REQUIRED = (
-    "user_id", "followers", "following", "statuses", "listed", "verified",
-    "account_age_days", "has_profile_url", "neighbours",
-)
-_EVENT_REQUIRED = ("user_id", "tweet_id", "action", "timestamp", "tokens")
-_INSTANCE_REQUIRED = (
-    "instance_id", "tweet_id", "author_id", "sender_id", "recipient_id",
-    "timestamp", "label", "tokens", "char_length",
-)
-_PROFILE_COUNTS = ("followers", "following", "statuses", "listed", "account_age_days")
-_PROFILE_FLAGS = ("verified", "has_profile_url")
-_PROFILE_NUMBERS = ("klout", "klout_delta_1d", "klout_delta_7d", "klout_delta_30d")
-_EVENT_INTS = ("user_id", "tweet_id", "timestamp")
-_INSTANCE_INTS = ("instance_id", "tweet_id", "author_id", "sender_id", "recipient_id", "timestamp")
-_INSTANCE_COUNTS = ("char_length", "global_retweet_count", "global_favourite_count")
-_INSTANCE_FLAGS = ("label", "has_url", "has_photo", "has_hashtag", "has_exclamation")
+            values = []
+            try:
+                for name, load, absent in table:
+                    raw = record.get(name, _REQUIRED)
+                    if raw is not _REQUIRED:
+                        values.append(load(raw))
+                    elif absent is not _REQUIRED:
+                        values.append(absent)
+                    else:
+                        raise _BadValue("is missing")
+            except _BadValue as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: field {name!r} {exc}") from None
+            yield lineno, values
 
 
 def load_corpus(
@@ -284,102 +355,34 @@ def _check_reference(problem: tuple[str, str] | None, path: Path, lineno: int) -
 def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) -> Corpus:
     profiles: dict[int, UserProfile] = {}
     profile_lines: dict[int, int] = {}
-    for lineno, rec in _read_records(profiles_path, _PROFILE_REQUIRED):
-        _check_ints(rec, ("user_id",), profiles_path, lineno)
-        _check_counts(rec, _PROFILE_COUNTS, profiles_path, lineno)
-        _check_flags(rec, _PROFILE_FLAGS, profiles_path, lineno)
-        klout, delta_1d, delta_7d, delta_30d = (
-            _finite_number(rec, key, profiles_path, lineno) for key in _PROFILE_NUMBERS
-        )
-        uid = rec["user_id"]
+    for lineno, values in _read_records(profiles_path, _PROFILE_FIELDS):
+        profile = UserProfile(*values)
+        uid = profile.user_id
         if uid in profiles:
             raise CorpusIntegrityError(
                 f"{profiles_path}:{lineno}: field 'user_id': duplicate user_id {uid}"
             )
         profile_lines[uid] = lineno
-        profiles[uid] = UserProfile(
-            user_id=uid,
-            followers=rec["followers"],
-            following=rec["following"],
-            statuses=rec["statuses"],
-            listed=rec["listed"],
-            verified=rec["verified"] == 1,
-            account_age_days=rec["account_age_days"],
-            has_profile_url=rec["has_profile_url"] == 1,
-            klout=klout,
-            klout_delta_1d=delta_1d,
-            klout_delta_7d=delta_7d,
-            klout_delta_30d=delta_30d,
-            neighbours=frozenset(_int_list(rec["neighbours"], "neighbours", profiles_path, lineno)),
-        )
+        profiles[uid] = profile
     for uid, profile in profiles.items():
         _check_reference(_profile_problem(profile, profiles), profiles_path, profile_lines[uid])
 
     events: list[HistoryEvent] = []
-    for lineno, rec in _read_records(history_path, _EVENT_REQUIRED):
-        action = rec["action"]
-        if action not in ACTIONS:
-            raise CorpusFormatError(
-                f"{history_path}:{lineno}: field 'action' must be one of "
-                f"{', '.join(ACTIONS)}, not {action!r}"
-            )
-        _check_ints(rec, _EVENT_INTS, history_path, lineno)
-        mentions_user = rec.get("mentions_user")
-        if mentions_user is not None and type(mentions_user) is not int:
-            raise CorpusFormatError(
-                f"{history_path}:{lineno}: field 'mentions_user' must be an integer or null"
-            )
-        event = HistoryEvent(
-            user_id=rec["user_id"],
-            tweet_id=rec["tweet_id"],
-            action=action,
-            timestamp=rec["timestamp"],
-            tokens=_int_list(rec["tokens"], "tokens", history_path, lineno),
-            mentions_user=mentions_user,
-        )
+    for lineno, values in _read_records(history_path, _EVENT_FIELDS):
+        event = HistoryEvent(*values)
         _check_reference(_event_problem(event, profiles), history_path, lineno)
         events.append(event)
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
-    for lineno, rec in _read_records(instances_path, _INSTANCE_REQUIRED):
-        _check_ints(rec, _INSTANCE_INTS, instances_path, lineno)
-        _check_counts(rec, _INSTANCE_COUNTS, instances_path, lineno)
-        _check_flags(rec, _INSTANCE_FLAGS, instances_path, lineno)
-        iid = rec["instance_id"]
+    for lineno, v in _read_records(instances_path, _INSTANCE_FIELDS):
+        instance = Instance(*v[:7], EncodedTweet(*v[_TWEET]), *v[14:])
+        iid = instance.instance_id
         if iid in seen_ids:
             raise CorpusIntegrityError(
                 f"{instances_path}:{lineno}: field 'instance_id': duplicate instance_id {iid}"
             )
         seen_ids.add(iid)
-        pos_counts = rec.get("pos_counts")
-        if pos_counts is not None and (
-            type(pos_counts) is not dict or not {int}.issuperset(map(type, pos_counts.values()))
-        ):
-            raise CorpusFormatError(
-                f"{instances_path}:{lineno}: field 'pos_counts' must map names to integers"
-            )
-        instance = Instance(
-            instance_id=iid,
-            tweet_id=rec["tweet_id"],
-            author_id=rec["author_id"],
-            sender_id=rec["sender_id"],
-            recipient_id=rec["recipient_id"],
-            timestamp=rec["timestamp"],
-            label=rec["label"] == 1,
-            tweet=EncodedTweet(
-                tokens=_int_list(rec["tokens"], "tokens", instances_path, lineno),
-                char_length=rec["char_length"],
-                has_url=rec.get("has_url", 0) == 1,
-                has_photo=rec.get("has_photo", 0) == 1,
-                has_hashtag=rec.get("has_hashtag", 0) == 1,
-                has_exclamation=rec.get("has_exclamation", 0) == 1,
-                mentions=_int_list(rec.get("mentions", []), "mentions", instances_path, lineno),
-            ),
-            global_retweet_count=rec.get("global_retweet_count", 0),
-            global_favourite_count=rec.get("global_favourite_count", 0),
-            pos_counts=pos_counts,
-        )
         _check_reference(_instance_problem(instance, profiles), instances_path, lineno)
         instances.append(instance)
 
@@ -449,6 +452,38 @@ def _check_integrity(corpus: Corpus) -> None:
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
+# what a field's value needs before it encodes as its JSON value; a tuple
+# of ids encodes as an array as it is
+_WRITE_AS = {
+    _flag: int,
+    _id_set: sorted,
+    _pos_counts: lambda counts: None if counts is None else dict(counts),
+}
+
+
+def _encoder(table: Sequence[tuple], tweet: slice = slice(0)):
+    """One record's JSON line from its object, keys in table order; the
+    rows in `tweet` are read from the object's `tweet`."""
+    names = [name for name, _, _ in table]
+    attrs = list(names)
+    attrs[tweet] = [f"tweet.{name}" for name in names[tweet]]
+    get = attrgetter(*attrs)
+    converts = [(i, _WRITE_AS[kind]) for i, (_, kind, _) in enumerate(table) if kind in _WRITE_AS]
+
+    def encode(obj) -> str:
+        values = list(get(obj))
+        for i, convert in converts:
+            values[i] = convert(values[i])
+        return _dump(dict(zip(names, values))) + "\n"
+
+    return encode
+
+
+_encode_profile = _encoder(_PROFILE_FIELDS)
+_encode_event = _encoder(_EVENT_FIELDS)
+_encode_instance = _encoder(_INSTANCE_FIELDS, _TWEET)
+
+
 def write_corpus(
     corpus: Corpus,
     profiles_path: str | Path,
@@ -456,56 +491,13 @@ def write_corpus(
     instances_path: str | Path,
 ) -> None:
     """Write the three record files with a deterministic field and row order."""
+    profiles = corpus.profiles
     with open(profiles_path, "w", encoding="utf-8") as fh:
-        for uid in sorted(corpus.profiles):
-            p = corpus.profiles[uid]
-            fh.write(_dump({
-                "user_id": p.user_id,
-                "followers": p.followers,
-                "following": p.following,
-                "statuses": p.statuses,
-                "listed": p.listed,
-                "verified": int(p.verified),
-                "account_age_days": p.account_age_days,
-                "has_profile_url": int(p.has_profile_url),
-                "klout": p.klout,
-                "klout_delta_1d": p.klout_delta_1d,
-                "klout_delta_7d": p.klout_delta_7d,
-                "klout_delta_30d": p.klout_delta_30d,
-                "neighbours": sorted(p.neighbours),
-            }) + "\n")
+        fh.writelines(_encode_profile(profiles[uid]) for uid in sorted(profiles))
     with open(history_path, "w", encoding="utf-8") as fh:
-        for e in corpus.events:
-            fh.write(_dump({
-                "user_id": e.user_id,
-                "tweet_id": e.tweet_id,
-                "action": e.action,
-                "timestamp": e.timestamp,
-                "tokens": list(e.tokens),
-                "mentions_user": e.mentions_user,
-            }) + "\n")
+        fh.writelines(map(_encode_event, corpus.events))
     with open(instances_path, "w", encoding="utf-8") as fh:
-        for inst in corpus.instances:
-            record = {
-                "instance_id": inst.instance_id,
-                "tweet_id": inst.tweet_id,
-                "author_id": inst.author_id,
-                "sender_id": inst.sender_id,
-                "recipient_id": inst.recipient_id,
-                "timestamp": inst.timestamp,
-                "label": int(inst.label),
-                "tokens": list(inst.tweet.tokens),
-                "char_length": inst.tweet.char_length,
-                "has_url": int(inst.tweet.has_url),
-                "has_photo": int(inst.tweet.has_photo),
-                "has_hashtag": int(inst.tweet.has_hashtag),
-                "has_exclamation": int(inst.tweet.has_exclamation),
-                "mentions": list(inst.tweet.mentions),
-                "global_retweet_count": inst.global_retweet_count,
-                "global_favourite_count": inst.global_favourite_count,
-                "pos_counts": None if inst.pos_counts is None else dict(inst.pos_counts),
-            }
-            fh.write(_dump(record) + "\n")
+        fh.writelines(map(_encode_instance, corpus.instances))
 
 
 def write_corpus_dir(corpus: Corpus, directory: str | Path) -> None:

@@ -106,6 +106,13 @@ class RankedFeature:
     rank: int
 
 
+def top_features(ranking: Sequence[RankedFeature], top_m: int) -> list[int]:
+    """The ids of the first `top_m` features of a ranking that has that many."""
+    if len(ranking) < top_m:
+        raise ValueError(f"top_m={top_m} exceeds the {len(ranking)} features the ranking lists")
+    return [rf.ft_id for rf in ranking[:top_m]]
+
+
 @dataclass
 class DatasetSplits:
     train_batches: list[list[Instance]]
@@ -600,7 +607,7 @@ def incremental_eval(
     prefixes = _BatchPrefixes(splits, table)
     if ranking is None:
         ranking = rank_features(prefixes.X, prefixes.y, folds=folds)
-    selected = [rf.ft_id for rf in ranking[:top_m]]
+    selected = top_features(ranking, top_m)
 
     eval_X, eval_y = table.rows_by_id(splits.eval_set(eval_set))
 
@@ -710,9 +717,13 @@ def write_ranking(path: str | Path, ranking: Sequence[RankedFeature]) -> None:
 def read_ranking(path: str | Path) -> list[RankedFeature]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     out = []
-    for line in lines[1:]:
-        ft_id, score, rank = line.split(",")
-        out.append(RankedFeature(int(ft_id), float(score), int(rank)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            ft_id, score, rank = line.split(",")
+            out.append(RankedFeature(int(ft_id), float(score), int(rank)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected ft_id,mean_abs_pearson,rank, "
+                             f"got {line!r}") from None
     return out
 
 

@@ -21,7 +21,6 @@ import itertools
 import logging
 from dataclasses import dataclass
 from operator import attrgetter, contains, itemgetter
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -86,20 +85,6 @@ class KeywordConfig:
     share_words: frozenset[str] = DEFAULT_SHARE_KEYWORDS
     good_words: frozenset[str] = frozenset()
     bad_words: frozenset[str] = frozenset()
-
-    @staticmethod
-    def from_files(
-        share_path: str | Path | None = None,
-        good_path: str | Path | None = None,
-        bad_path: str | Path | None = None,
-    ) -> "KeywordConfig":
-        from .textnorm import load_lexicon
-
-        return KeywordConfig(
-            share_words=load_lexicon(share_path) if share_path else DEFAULT_SHARE_KEYWORDS,
-            good_words=load_lexicon(good_path) if good_path else frozenset(),
-            bad_words=load_lexicon(bad_path) if bad_path else frozenset(),
-        )
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,11 @@ def train(
     selected = tuple(int(s) for s in selected)
     if not selected:
         raise LearnerError("no features selected")
-    for ft in selected:
+    for i, ft in enumerate(selected):
         if not 1 <= ft <= X.shape[1]:
             raise LearnerError(f"selected feature FT{ft} outside vector width {X.shape[1]}")
+        if ft in selected[:i]:
+            raise LearnerError(f"feature FT{ft} is selected twice")
     if len(np.unique(y)) < 2:
         raise LearnerError("degenerate labels: need at least one example of each class")
 

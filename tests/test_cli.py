@@ -238,7 +238,6 @@ def test_nonpositive_cap_is_error(workspace, tmp_path, capsys, cap):
 
 @pytest.mark.parametrize("flag,value,named", [
     ("--cap", "0", "cap=0"),
-    ("--share-lexicon", "missing.txt", "missing.txt"),
 ])
 def test_bad_pipeline_flag_fails_build_before_the_parse(workspace, tmp_path, capsys, monkeypatch,
                                                         flag, value, named):
@@ -246,8 +245,6 @@ def test_bad_pipeline_flag_fails_build_before_the_parse(workspace, tmp_path, cap
     parses = []
     monkeypatch.setattr(corpus_io, "load_corpus", lambda *paths: parses.append(paths))
     out = tmp_path / "splits"
-    if flag.endswith("lexicon"):
-        value = str(tmp_path / value)
     rc = main(["build", "--corpus", str(corpus), "--out", str(out), "--seed", "3",
                *BUILD_FLAGS, flag, value])
     assert rc == 1
@@ -290,6 +287,29 @@ def test_top_m_outside_the_features_fails_before_the_table(workspace, tmp_path, 
     err = capsys.readouterr().err
     assert err == f"refilter: error: --top-m must be in 1..50, got {top_m}\n"
     assert reads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,ranked,flags,named", [
+    ("train", None, ["--features", "13,13"], "feature FT13 is selected twice"),
+    ("train", (13, 13), ["--top-m", "2"], "feature FT13 is selected twice"),
+    ("curve", (13, 13), ["--top-m", "2"], "feature FT13 is selected twice"),
+    ("train", (13,), ["--top-m", "10"], "top_m=10 exceeds the 1 features the ranking lists"),
+    ("curve", (13,), ["--top-m", "10"], "top_m=10 exceeds the 1 features the ranking lists"),
+])
+def test_repeated_or_missing_feature_selection_is_error(workspace, tmp_path, capsys, command,
+                                                        ranked, flags, named):
+    root, corpus, splits, *_ = workspace
+    if ranked is not None:  # the feature ids of a ranking file, in rank order
+        ranking = tmp_path / "ranking.csv"
+        ranking.write_text("ft_id,mean_abs_pearson,rank\n" + "".join(
+            f"{ft},0.5,{r}\n" for r, ft in enumerate(ranked, start=1)), encoding="utf-8")
+        flags = ["--ranking", str(ranking), *flags]
+    out = tmp_path / "out"
+    rc = main([command, "--corpus", str(corpus), "--splits", str(splits), *flags,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"refilter: error: {named}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -357,6 +358,8 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     pytest.param(2, "global_favourite_count", 10**400, id="2-global_favourite_count-10**400"),
     (2, "instance_id", 2**63),
     (1, "timestamp", -(2**63) - 1),
+    pytest.param(2, "pos_counts", {"nouns_verbs": 10**400}, id="2-pos_counts-10**400"),
+    pytest.param(2, "pos_counts", {"nouns_verbs": -5}, id="2-pos_counts--5"),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     write_corpus(small_corpus(), *corpus_paths(tmp_path))
@@ -368,3 +371,131 @@ def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field '{field}'"):
         load_corpus(*corpus_paths(tmp_path))
+
+
+def every_field_corpus():
+    """Three records of each kind. The second of each sets every optional
+    field to a value other than its default; the first instance and the
+    first profile hold the defaults."""
+    profiles = [
+        make_profile(1, neighbours=[3], klout=0.0, klout_delta_1d=0.0, klout_delta_7d=0.0,
+                     klout_delta_30d=0.0),
+        make_profile(2, neighbours=[3, 1], verified=True, has_profile_url=True, klout=61.5,
+                     klout_delta_1d=0.25, klout_delta_7d=-1.5, klout_delta_30d=2.0),
+        make_profile(3),
+    ]
+    events = [
+        HistoryEvent(3, 100, "authored", 1000, (10, 11)),
+        HistoryEvent(1, 100, "retweeted", 1100, (10, 11), mentions_user=2),
+        HistoryEvent(2, 100, "seen", 1100, (10, 11)),
+    ]
+    instances = [
+        make_instance(1, 100, sender=3, recipient=1, timestamp=1000),
+        make_instance(2, 101, sender=3, recipient=2, timestamp=1300, label=True, author=1,
+                      tokens=(12, 0), global_retweet_count=4, global_favourite_count=9,
+                      pos_counts={"nouns_verbs": 2, "definite_articles": 1,
+                                  "indefinite_articles": 0},
+                      tweet_overrides=dict(char_length=31, has_url=True, has_photo=True,
+                                           has_hashtag=True, has_exclamation=True,
+                                           mentions=(2, 1))),
+        make_instance(3, 101, sender=1, recipient=3, timestamp=1400, author=1),
+    ]
+    return make_corpus(profiles, events, instances)
+
+
+EVERY_FIELD_LINES = (
+    [
+        '{"user_id":1,"followers":100,"following":50,"statuses":200,"listed":3,"verified":0,'
+        '"account_age_days":500,"has_profile_url":0,"klout":0.0,"klout_delta_1d":0.0,'
+        '"klout_delta_7d":0.0,"klout_delta_30d":0.0,"neighbours":[3]}',
+        '{"user_id":2,"followers":100,"following":50,"statuses":200,"listed":3,"verified":1,'
+        '"account_age_days":500,"has_profile_url":1,"klout":61.5,"klout_delta_1d":0.25,'
+        '"klout_delta_7d":-1.5,"klout_delta_30d":2.0,"neighbours":[1,3]}',
+        '{"user_id":3,"followers":100,"following":50,"statuses":200,"listed":3,"verified":0,'
+        '"account_age_days":500,"has_profile_url":0,"klout":40.0,"klout_delta_1d":0.1,'
+        '"klout_delta_7d":-0.2,"klout_delta_30d":0.5,"neighbours":[]}',
+    ],
+    [
+        '{"user_id":3,"tweet_id":100,"action":"authored","timestamp":1000,"tokens":[10,11],'
+        '"mentions_user":null}',
+        '{"user_id":1,"tweet_id":100,"action":"retweeted","timestamp":1100,"tokens":[10,11],'
+        '"mentions_user":2}',
+        '{"user_id":2,"tweet_id":100,"action":"seen","timestamp":1100,"tokens":[10,11],'
+        '"mentions_user":null}',
+    ],
+    [
+        '{"instance_id":1,"tweet_id":100,"author_id":3,"sender_id":3,"recipient_id":1,'
+        '"timestamp":1000,"label":0,"tokens":[10,11,12],"char_length":18,"has_url":0,'
+        '"has_photo":0,"has_hashtag":0,"has_exclamation":0,"mentions":[],'
+        '"global_retweet_count":0,"global_favourite_count":0,"pos_counts":null}',
+        '{"instance_id":2,"tweet_id":101,"author_id":1,"sender_id":3,"recipient_id":2,'
+        '"timestamp":1300,"label":1,"tokens":[12,0],"char_length":31,"has_url":1,'
+        '"has_photo":1,"has_hashtag":1,"has_exclamation":1,"mentions":[2,1],'
+        '"global_retweet_count":4,"global_favourite_count":9,'
+        '"pos_counts":{"nouns_verbs":2,"definite_articles":1,"indefinite_articles":0}}',
+        '{"instance_id":3,"tweet_id":101,"author_id":1,"sender_id":1,"recipient_id":3,'
+        '"timestamp":1400,"label":0,"tokens":[10,11,12],"char_length":18,"has_url":0,'
+        '"has_photo":0,"has_hashtag":0,"has_exclamation":0,"mentions":[],'
+        '"global_retweet_count":0,"global_favourite_count":0,"pos_counts":null}',
+    ],
+)
+
+
+def test_writer_sets_every_field_in_its_documented_order(tmp_path):
+    paths = corpus_paths(tmp_path)
+    write_corpus(every_field_corpus(), *paths)
+    for path, lines in zip(paths, EVERY_FIELD_LINES):
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    assert load_corpus(*paths) == every_field_corpus()
+
+
+# the optional fields of docs/FORMATS.md and the value each loads as when
+# absent; every other field is required
+OPTIONAL_DEFAULTS = (
+    {"klout": 0.0, "klout_delta_1d": 0.0, "klout_delta_7d": 0.0, "klout_delta_30d": 0.0},
+    {"mentions_user": None},
+    {"has_url": False, "has_photo": False, "has_hashtag": False, "has_exclamation": False,
+     "mentions": (), "global_retweet_count": 0, "global_favourite_count": 0,
+     "pos_counts": None},
+)
+
+
+def _with_default(corpus, file_index, field, default):
+    """`corpus` with `field` of the second record of its file at `default`."""
+    if file_index == 0:
+        profile = corpus.profiles[2]
+        corpus.profiles[2] = dataclasses.replace(profile, **{field: default})
+    elif file_index == 1:
+        corpus.events[1] = dataclasses.replace(corpus.events[1], **{field: default})
+    else:
+        inst = corpus.instances[1]
+        if field in {f.name for f in dataclasses.fields(inst.tweet)}:
+            inst = dataclasses.replace(inst, tweet=dataclasses.replace(inst.tweet,
+                                                                       **{field: default}))
+        else:
+            inst = dataclasses.replace(inst, **{field: default})
+        corpus.instances[1] = inst
+    return make_corpus(corpus.profiles.values(), corpus.events, corpus.instances)
+
+
+@pytest.mark.parametrize("file_index", [0, 1, 2])
+def test_each_dropped_field_is_missing_or_its_default(tmp_path, file_index):
+    paths = corpus_paths(tmp_path)
+    write_corpus(every_field_corpus(), *paths)
+    path = paths[file_index]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    optional = OPTIONAL_DEFAULTS[file_index]
+    assert set(optional) < set(record)
+    for field in record:
+        dropped = dict(record)
+        del dropped[field]
+        path.write_text("\n".join([lines[0], json.dumps(dropped), *lines[2:]]) + "\n",
+                        encoding="utf-8")
+        if field in optional:
+            expected = _with_default(every_field_corpus(), file_index, field, optional[field])
+            assert load_corpus(*paths) == expected, field
+        else:
+            with pytest.raises(CorpusFormatError) as exc:
+                load_corpus(*paths)
+            assert str(exc.value) == f"{path}:2: field {field!r} is missing"

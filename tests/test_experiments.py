@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -391,6 +392,13 @@ def test_incremental_eval_rejects_bad_top_m(signal_pipeline):
         incremental_eval(splits, table, top_m=N_FEATURES + 1)
 
 
+def test_incremental_eval_rejects_a_ranking_shorter_than_top_m(signal_pipeline):
+    splits, table = signal_pipeline
+    ranking = [experiments.RankedFeature(10, 0.5, 1)]
+    with pytest.raises(ValueError, match="top_m=10 exceeds the 1 features the ranking lists"):
+        incremental_eval(splits, table, top_m=10, ranking=ranking)
+
+
 def per_k_oracle(splits, table, top_m, ranking=None):
     """The learning curve computed the direct way: for every k, gather the
     first k batches' rows, refit the scaling on them and scale them anew.
@@ -779,6 +787,15 @@ def test_ranking_file_round_trip(tmp_path):
     write_ranking(path, ranking)
     assert read_ranking(path) == ranking
     assert path.read_text(encoding="utf-8").splitlines()[0] == "ft_id,mean_abs_pearson,rank"
+
+
+@pytest.mark.parametrize("row", ["13", "13,0.5", "13,0.5,1,4", "FT13,0.5,1", ""])
+def test_malformed_ranking_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "ranking.csv"
+    path.write_text(f"ft_id,mean_abs_pearson,rank\n10,0.9,1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"ranking.csv:3: expected ft_id,mean_abs_pearson,rank, got {row!r}")):
+        read_ranking(path)
 
 
 def test_scatter_file_format(tmp_path, signal_pipeline):

@@ -59,7 +59,6 @@ def inputs(tmp_path_factory):
     assert main(["synth", "--out", str(root / "corpus"), "--seed", "5", *SYNTH_FLAGS]) == 0
     assert _build(root) == 0
     (root / "splits" / TABLE_FILE).unlink()  # the table `build` saved
-    (root / "lexicon.txt").write_text("share\nrt\n", encoding="utf-8")
     return root
 
 
@@ -208,14 +207,9 @@ def _swap_one_split_id(root):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _rewrite_lexicon(root):
-    (root / "lexicon.txt").write_text("share\n", encoding="utf-8")
-
-
 CHANGES = {
     "label": (_flip_first_train_label, ()),
     "split_id": (_swap_one_split_id, ()),
-    "lexicon": (_rewrite_lexicon, ()),
     "cap": (None, ("--cap", "5")),
     "idf_source": (None, ("--idf-source", "instances")),
 }
@@ -224,17 +218,16 @@ CHANGES = {
 @pytest.mark.parametrize("change", sorted(CHANGES))
 def test_changed_input_recomputes_the_table(inputs, tmp_path, loads, change):
     edit, flags = CHANGES[change]
-    lexicon = ("--share-lexicon", "lexicon.txt")
     warm = _copy(inputs, tmp_path / "warm")
-    _walk(warm, extra=lexicon)
+    _walk(warm)
     assert loads.count == 1
     fresh = _copy(inputs, tmp_path / "fresh")
     if edit is not None:
         edit(warm)
         edit(fresh)
-    changed = _walk(warm, extra=(*lexicon, *flags))
+    changed = _walk(warm, extra=flags)
     assert loads.count == 2  # the first command recomputed, the rest reused
-    assert changed == _walk(fresh, extra=(*lexicon, *flags))
+    assert changed == _walk(fresh, extra=flags)
     table = (warm / "splits" / TABLE_FILE).read_bytes()
     assert table == (fresh / "splits" / TABLE_FILE).read_bytes()
 
@@ -281,17 +274,6 @@ def test_bad_cap_fails_with_a_saved_table(inputs, tmp_path, capsys, loads, comma
     assert _run(root, *dict(COMMANDS)[command], "--cap", cap) == 1
     err = capsys.readouterr().err
     assert err == f"refilter: error: history cap must be an integer >= 1, got cap={cap}\n"
-
-
-@pytest.mark.parametrize("flag,value", [("--share-lexicon", "absent.txt"),
-                                        ("--bad-lexicon", "absent.txt")])
-def test_missing_lexicon_fails_with_a_saved_table(inputs, tmp_path, capsys, loads, flag,
-                                                  value):
-    root = _copy(inputs, tmp_path / "w")
-    _walk(root)
-    loads.forbid()
-    assert _run(root, "rank", "--out", "r.csv", flag, value) == 1
-    assert "absent.txt" in capsys.readouterr().err
 
 
 def test_malformed_split_file_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):

@@ -296,6 +296,11 @@ def test_selected_feature_out_of_range():
         train(np.zeros((4, 3)), np.array([0, 1, 0, 1]), selected=(7,))
 
 
+def test_repeated_selected_feature_rejected():
+    with pytest.raises(LearnerError, match="FT2 is selected twice"):
+        train(np.eye(4, 3), np.array([0, 1, 0, 1]), selected=(2, 1, 2))
+
+
 def test_serialization_round_trip_exact():
     rng = np.random.default_rng(2)
     X = rng.normal(0, 1, size=(80, 50))
