@@ -171,6 +171,10 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
 # and the writer both walk these tables. A kind loads one JSON value into
 # its Python value, or raises _BadValue with what the field must hold;
 # _REQUIRED marks a field that has no value when absent.
+#
+# A kind also takes the load's _Memo: token tuples repeat across tens of
+# thousands of records, so the kinds of repeated fields return the object
+# the load already holds for an equal value, not this line's parsed copy.
 
 
 class _BadValue(ValueError):
@@ -178,6 +182,23 @@ class _BadValue(ValueError):
 
 
 _REQUIRED = object()
+
+
+class _Memo:
+    """One object per distinct value of one load's repeated fields.
+
+    `ids` maps each id tuple, and each int inside one, to itself; `counts`
+    maps a pos_counts record's items, in key order, to its dict. Only
+    exact ints and tuples of them are keys of `ids`, never floats or bools,
+    which hash like the equal ints. It lives for one load.
+    """
+
+    __slots__ = ("ids", "counts")
+
+    def __init__(self) -> None:
+        self.ids: dict = {}
+        self.counts: dict = {}
+
 
 # Integer fields must hold JSON integers. `type(v) is int` rejects floats,
 # strings and bools (`int` would truncate 1200.7, and `True == 1`). Ids and
@@ -187,26 +208,26 @@ _INT64 = range(-(2**63), 2**63)
 _FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
 
 
-def _id(value) -> int:
+def _id(value, memo: _Memo) -> int:
     if type(value) is int and value in _INT64:
         return value
     raise _BadValue("must be a 64-bit integer")
 
 
-def _count(value) -> int:
+def _count(value, memo: _Memo) -> int:
     if type(value) is int and value in _FLOAT_COUNTS:
         return value
     raise _BadValue("must be an integer >= 0 within the float range")
 
 
-def _flag(value) -> bool:
+def _flag(value, memo: _Memo) -> bool:
     """JSON 0 or 1."""
     if type(value) is int and (value == 0 or value == 1):
         return value == 1
     raise _BadValue("must be 0 or 1")
 
 
-def _number(value) -> float:
+def _number(value, memo: _Memo) -> float:
     """A JSON integer or float that is finite as a float; `json.loads`
     accepts the non-standard literals NaN and Infinity."""
     if type(value) in (int, float):
@@ -219,36 +240,57 @@ def _number(value) -> float:
     raise _BadValue("must be a finite number")
 
 
-def _id_list(value) -> tuple[int, ...]:
+def _id_list(value, memo: _Memo) -> tuple[int, ...]:
     if type(value) is list and {int}.issuperset(map(type, value)):
-        return tuple(value)
+        ids = memo.ids
+        key = tuple(value)
+        shared = ids.get(key)
+        if shared is None:
+            shared = tuple(map(ids.setdefault, value, value))
+            ids[shared] = shared
+        return shared
     raise _BadValue("must be a list of integers")
 
 
-def _id_set(value) -> frozenset[int]:
-    return frozenset(_id_list(value))
+def _id_set(value, memo: _Memo) -> frozenset[int]:
+    return frozenset(_id_list(value, memo))
 
 
-def _action(value) -> str:
+def _action(value, memo: _Memo) -> str:
     if value in ACTIONS:
-        return value
+        return ACTIONS[ACTIONS.index(value)]
     raise _BadValue(f"must be one of {', '.join(ACTIONS)}, not {value!r}")
 
 
-def _user_or_null(value) -> int | None:
+def _user_or_null(value, memo: _Memo) -> int | None:
     if value is None or type(value) is int:
         return value
     raise _BadValue("must be an integer or null")
 
 
-def _pos_counts(value) -> dict | None:
+# the part-of-speech counts FT47-FT49 read; a missing one reads 0
+_POS_COUNT_NAMES = {name: name for name in
+                    ("nouns_verbs", "definite_articles", "indefinite_articles")}
+
+
+def _pos_counts(value, memo: _Memo) -> dict | None:
     if value is None:
         return None
     if type(value) is not dict or not {int}.issuperset(map(type, value.values())):
         raise _BadValue("must map names to integers")
+    for name in value:
+        if name not in _POS_COUNT_NAMES:
+            raise _BadValue(
+                f"has unknown name {name!r}, not one of {', '.join(_POS_COUNT_NAMES)}"
+            )
     if not all(n in _FLOAT_COUNTS for n in value.values()):
         raise _BadValue("must map names to integers >= 0 within the float range")
-    return value
+    key = tuple(value.items())
+    shared = memo.counts.get(key)
+    if shared is None:
+        # the keys become the module's name strings
+        shared = memo.counts[key] = {_POS_COUNT_NAMES[k]: n for k, n in key}
+    return shared
 
 
 _PROFILE_FIELDS = (
@@ -296,7 +338,8 @@ _INSTANCE_FIELDS = (
 _TWEET = slice(7, 14)  # the instance rows that hold its tweet's fields
 
 
-def _read_records(path: Path, table: Sequence[tuple]) -> Iterable[tuple[int, list]]:
+def _read_records(path: Path, table: Sequence[tuple],
+                  memo: _Memo) -> Iterable[tuple[int, list]]:
     """(line number, field values in table order) of every record line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -314,7 +357,7 @@ def _read_records(path: Path, table: Sequence[tuple]) -> Iterable[tuple[int, lis
                 for name, load, absent in table:
                     raw = record.get(name, _REQUIRED)
                     if raw is not _REQUIRED:
-                        values.append(load(raw))
+                        values.append(load(raw, memo))
                     elif absent is not _REQUIRED:
                         values.append(absent)
                     else:
@@ -334,13 +377,19 @@ def load_corpus(
     Malformed lines raise CorpusFormatError, and references to unknown
     users or repeated ids raise CorpusIntegrityError; both name the file,
     the line and the field.
+
+    Equal id tuples (tokens, mentions, neighbours), the ints inside them,
+    actions and equal pos_counts dicts are each one shared object, as in a
+    generated corpus; no value is shared with another load.
     """
     # every record built here lives as long as the corpus: the cyclic
     # collector would only rescan them, in full collections
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path))
+        return _read_corpus(
+            Path(profiles_path), Path(history_path), Path(instances_path), _Memo()
+        )
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -352,10 +401,12 @@ def _check_reference(problem: tuple[str, str] | None, path: Path, lineno: int) -
         raise CorpusIntegrityError(f"{path}:{lineno}: field {field!r}: {message}")
 
 
-def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) -> Corpus:
+def _read_corpus(
+    profiles_path: Path, history_path: Path, instances_path: Path, memo: _Memo
+) -> Corpus:
     profiles: dict[int, UserProfile] = {}
     profile_lines: dict[int, int] = {}
-    for lineno, values in _read_records(profiles_path, _PROFILE_FIELDS):
+    for lineno, values in _read_records(profiles_path, _PROFILE_FIELDS, memo):
         profile = UserProfile(*values)
         uid = profile.user_id
         if uid in profiles:
@@ -368,14 +419,14 @@ def _read_corpus(profiles_path: Path, history_path: Path, instances_path: Path) 
         _check_reference(_profile_problem(profile, profiles), profiles_path, profile_lines[uid])
 
     events: list[HistoryEvent] = []
-    for lineno, values in _read_records(history_path, _EVENT_FIELDS):
+    for lineno, values in _read_records(history_path, _EVENT_FIELDS, memo):
         event = HistoryEvent(*values)
         _check_reference(_event_problem(event, profiles), history_path, lineno)
         events.append(event)
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
-    for lineno, v in _read_records(instances_path, _INSTANCE_FIELDS):
+    for lineno, v in _read_records(instances_path, _INSTANCE_FIELDS, memo):
         instance = Instance(*v[:7], EncodedTweet(*v[_TWEET]), *v[14:])
         iid = instance.instance_id
         if iid in seen_ids:
@@ -453,9 +504,11 @@ _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 # what a field's value needs before it encodes as its JSON value; a tuple
-# of ids encodes as an array as it is
+# of ids encodes as an array as it is, and a number is written as the float
+# it loads as, so an integer klout written back is byte-stable
 _WRITE_AS = {
     _flag: int,
+    _number: float,
     _id_set: sorted,
     _pos_counts: lambda counts: None if counts is None else dict(counts),
 }

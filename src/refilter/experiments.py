@@ -417,7 +417,8 @@ def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
     """Save the table and its key as an uncompressed `.npz` archive.
 
     Every member carries the same fixed timestamp, so the bytes depend on
-    the arrays alone. The file appears atomically: it is written to a
+    the arrays alone. Each array streams into its member, with no second
+    copy in memory. The file appears atomically: it is written to a
     temporary file in the same directory, then renamed over `path`.
     """
     path = Path(path)
@@ -428,9 +429,8 @@ def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
             for name in _TABLE_ARRAYS:
                 member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
                 member.external_attr = 0o644 << 16
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, arrays[name], allow_pickle=False)
-                zf.writestr(member, buf.getvalue())
+                with zf.open(member, "w") as fh:
+                    np.lib.format.write_array(fh, arrays[name], allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -346,6 +346,9 @@ def model_from_json(text: str) -> Model:
         raise LearnerError("model field 'selected_features' must list feature ids >= 1")
     if not selected:
         raise LearnerError("model field 'selected_features' is empty")
+    for i, ft in enumerate(selected):
+        if ft in selected[:i]:
+            raise LearnerError(f"model field 'selected_features' selects FT{ft} twice")
     selected = tuple(selected)
     weights = _finite_array(_field(record, "weights"), "weights")
     if weights.shape != (len(selected),):

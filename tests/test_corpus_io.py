@@ -24,6 +24,9 @@ from refilter.corpus_io import (
     write_corpus_dir,
 )
 from refilter.experiments import metrics_from_predictions
+from refilter.features import FeatureContext, extract_matrix
+from refilter.history import UserHistoryIndex
+from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
 
@@ -362,6 +365,14 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     pytest.param(2, "pos_counts", {"nouns_verbs": -5}, id="2-pos_counts--5"),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
+    path = _set_second_record_field(tmp_path, file_index, field, value)
+    with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field '{field}'"):
+        load_corpus(*corpus_paths(tmp_path))
+
+
+def _set_second_record_field(tmp_path, file_index, field, value):
+    """Write small_corpus() with `field` of the second record of one file
+    set to `value`; the path of that file."""
     write_corpus(small_corpus(), *corpus_paths(tmp_path))
     path = corpus_paths(tmp_path)[file_index]
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -369,8 +380,98 @@ def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     record[field] = value
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field '{field}'"):
+    return path
+
+
+@pytest.mark.parametrize("counts,name", [
+    ({"nouns": 7}, "nouns"),
+    ({"nouns_verbs": 1, "articles": 2, "definite_articles": 0}, "articles"),
+])
+def test_unknown_pos_counts_name_rejected(tmp_path, counts, name):
+    path = _set_second_record_field(tmp_path, 2, "pos_counts", counts)
+    with pytest.raises(CorpusFormatError) as exc:
         load_corpus(*corpus_paths(tmp_path))
+    assert str(exc.value) == (
+        f"{path}:2: field 'pos_counts' has unknown name {name!r}, "
+        "not one of nouns_verbs, definite_articles, indefinite_articles"
+    )
+
+
+def test_pos_counts_subset_loads_and_a_missing_name_reads_zero(tmp_path):
+    _set_second_record_field(tmp_path, 2, "pos_counts", {"definite_articles": 3})
+    corpus = load_corpus(*corpus_paths(tmp_path))
+    assert corpus.instances[1].pos_counts == {"definite_articles": 3}
+    ctx = FeatureContext(corpus, UserHistoryIndex(corpus),
+                         build_idf(e.tokens for e in corpus.events))
+    _, X, _ = extract_matrix(ctx, corpus.instances)
+    assert X[1, 46:49].tolist() == [0.0, 3.0, 0.0]
+
+
+def test_integer_klout_round_trip_is_byte_stable(tmp_path):
+    corpus = make_corpus([make_profile(1, klout=40)])
+    write_corpus_dir(corpus, tmp_path / "a")
+    write_corpus_dir(load_corpus_dir(tmp_path / "a"), tmp_path / "b")
+    for a, b in zip(corpus_paths(tmp_path / "a"), corpus_paths(tmp_path / "b")):
+        assert a.read_bytes() == b.read_bytes()
+    assert '"klout":40.0,' in corpus_paths(tmp_path / "a")[0].read_text(encoding="utf-8")
+
+
+# A loaded corpus keeps one object per distinct value of its repeated
+# fields, as a generated one does.
+
+
+def _id_tuples(corpus):
+    """Every id tuple of a corpus: tokens and mentions."""
+    return ([e.tokens for e in corpus.events]
+            + [i.tweet.tokens for i in corpus.instances]
+            + [i.tweet.mentions for i in corpus.instances])
+
+
+def _assert_shared(corpus):
+    rows = _id_tuples(corpus)
+    for part in ([e.tokens for e in corpus.events], [i.tweet.tokens for i in corpus.instances],
+                 rows):
+        assert len({id(t) for t in part}) == len(set(part))
+    ints = [n for row in rows for n in row]
+    ints += [n for p in corpus.profiles.values() for n in p.neighbours]
+    assert len({id(n) for n in ints}) == len(set(ints))
+    assert all(any(e.action is a for a in corpus_io.ACTIONS) for e in corpus.events)
+    counts = [i.pos_counts for i in corpus.instances if i.pos_counts is not None]
+    assert len({id(c) for c in counts}) == len({tuple(c.items()) for c in counts})
+    assert len({id(name) for c in counts for name in c}) == len({name for c in counts for name in c})
+
+
+def test_loaded_corpus_shares_equal_values(tmp_path, small_signal_corpus):
+    _, generated = small_signal_corpus
+    write_corpus_dir(generated, tmp_path)
+    corpus = load_corpus_dir(tmp_path)
+    assert corpus == generated
+    assert len(set(_id_tuples(corpus))) < len(_id_tuples(corpus)) // 4
+    assert sum(i.pos_counts is not None for i in corpus.instances) > 100
+    _assert_shared(corpus)
+
+
+def test_two_loads_share_no_id_tuple(tmp_path, small_signal_corpus):
+    _, generated = small_signal_corpus
+    write_corpus_dir(generated, tmp_path)
+    first, second = load_corpus_dir(tmp_path), load_corpus_dir(tmp_path)
+    # the empty tuple is one object in the interpreter itself
+    first_ids = {id(t) for t in _id_tuples(first) if t}
+    assert first_ids and not first_ids & {id(t) for t in _id_tuples(second) if t}
+
+
+def test_failed_load_leaves_the_next_load_correct(tmp_path, small_signal_corpus):
+    _, generated = small_signal_corpus
+    write_corpus_dir(generated, tmp_path / "good")
+    write_corpus_dir(generated, tmp_path / "bad")
+    path = corpus_paths(tmp_path / "bad")[2]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1] + ["{not json"]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=rf"{path.name}:{len(lines)}: invalid JSON"):
+        load_corpus_dir(tmp_path / "bad")
+    corpus = load_corpus_dir(tmp_path / "good")
+    assert corpus == generated
+    _assert_shared(corpus)
 
 
 def every_field_corpus():

@@ -3,6 +3,7 @@ command writes the same bytes whether the table is computed or read, and
 any change to an input the table depends on forces a recompute."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -319,6 +320,20 @@ def test_table_file_round_trip(tmp_path):
     write_table(path, table, "k" * 64)
     assert path.read_bytes() == first
     assert sorted(p.name for p in tmp_path.iterdir()) == [TABLE_FILE]
+
+
+def test_table_file_bytes_are_pinned(tmp_path):
+    """The archive's bytes for a fixed table, as the in-memory writer of
+    earlier versions produced them; the streamed writer must match."""
+    ids = np.array([7, 3, 11], dtype=np.int64)
+    X = np.arange(3 * 50, dtype=np.float64).reshape(3, 50) / 8.0
+    X[1, 4] = -0.0
+    y = np.array([1, 0, 1], dtype=np.int64)
+    path = tmp_path / TABLE_FILE
+    write_table(path, FeatureTable(ids=ids, X=X, y=y), "a fixed key")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cca82f5110256cbffd5130106c19a51d138e4229f73c2c9adefe50368163f778"
+    )
 
 
 def test_corrupted_table_file_reads_as_a_miss(tmp_path):

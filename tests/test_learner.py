@@ -301,6 +301,14 @@ def test_repeated_selected_feature_rejected():
         train(np.eye(4, 3), np.array([0, 1, 0, 1]), selected=(2, 1, 2))
 
 
+def test_model_with_repeated_selected_feature_rejected():
+    record = _model_record()
+    record["selected_features"] = [6, 6]
+    record["weights"] = [0.5, 0.5]
+    with pytest.raises(LearnerError, match="'selected_features' selects FT6 twice"):
+        model_from_json(json.dumps(record))
+
+
 def test_serialization_round_trip_exact():
     rng = np.random.default_rng(2)
     X = rng.normal(0, 1, size=(80, 50))
