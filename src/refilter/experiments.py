@@ -15,7 +15,7 @@ import io
 import os
 import random
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +31,16 @@ from .features import (
     scale_columns,
 )
 from .history import WEEK_SECONDS, UserHistoryIndex
-from .learner import Hyper, Model, check_threshold, predict_proba_matrix, train
+from .learner import (
+    Design,
+    Hyper,
+    Model,
+    check_threshold,
+    checked_selection,
+    design_matrix,
+    predict_proba_matrix,
+    train,
+)
 
 
 EVAL_SETS = ("dev_balanced", "dev_unbalanced", "test_balanced", "test_unbalanced")
@@ -309,7 +318,12 @@ def rank_features(
     matrix: np.ndarray, labels: np.ndarray, folds: int = 10
 ) -> list[RankedFeature]:
     """Rank features by mean |pearson r| to the label across contiguous
-    cross-validation folds (each fold's training portion is scored)."""
+    cross-validation folds (each fold's training portion is scored).
+
+    All columns of a fold are scored in one pass, with `pearson`'s rules
+    (an exactly constant column or label vector scores 0), by reductions
+    that do not go through BLAS: the scores are the same bits on any BLAS
+    thread count."""
     if folds < 2:
         raise ValueError("folds must be at least 2")
     X = np.asarray(matrix, dtype=np.float64)
@@ -324,8 +338,18 @@ def rank_features(
         keep = np.ones(n, dtype=bool)
         keep[fold] = False
         Xf, yf = X[keep], y[keep]
-        for j in range(X.shape[1]):
-            scores[j] += abs(pearson(Xf[:, j], yf))
+        if len(yf) < 2:
+            raise ValueError("pearson needs at least 2 points")
+        if np.all(yf == yf[0]):
+            continue  # every column scores 0
+        live = ~np.all(Xf == Xf[0], axis=0)
+        Xf -= Xf.mean(axis=0)  # Xf is this fold's own copy
+        yc = yf - yf.mean()
+        denom = np.sqrt(np.einsum("ij,ij->j", Xf, Xf) * np.einsum("i,i->", yc, yc))
+        live &= denom != 0.0
+        r = np.zeros(X.shape[1])
+        np.divide(np.einsum("ij,i->j", Xf, yc), denom, out=r, where=live)
+        scores += np.abs(r)
     scores /= folds
 
     order = sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
@@ -481,29 +505,29 @@ class CurvePoint:
     eval_f1: float
 
 
-_SCALED_COLUMNS = np.array(sorted(SCALED_FEATURE_IDS)) - 1
-
-
 class _BatchPrefixes:
-    """The train rows, gathered once in batch order, so that the first k
-    batches are the prefix `X[:ends[k-1]]`.
+    """The train rows in batch order, laid out once as the design of
+    `selected`, so that the first k batches are the prefix `A[:ends[k-1]]`.
 
     The scaling of each prefix is the running column min/max over the
     per-batch extremes. Min and max are exact, so it equals `fit_scaling`
     on the prefix bit for bit.
 
-    `scaled` serves every prefix from one buffer `S` of scaled rows. A
-    call brings `S[:n]` to the prefix's scaling: a scaled column whose
-    extremes differ from the buffer's is scaled anew over the whole
-    prefix, any other only on the rows the last call left out. X and S
-    are column-major (Fortran order), so a column's rows are contiguous.
-    `train` gathers its columns of the view into a column-major copy, as
-    it does from a row-major matrix, so its BLAS products see the layout,
-    and give the bits, of a prefix scaled anew.
+    `scaled` serves every prefix from the one design matrix `A`: the
+    selected columns, in selected order, then a column of ones, in
+    column-major order (`learner.design_matrix`). A call brings `A[:n]` to
+    the prefix's scaling: a scaled column whose extremes differ from the
+    buffer's is scaled anew over the whole prefix, any other only on the
+    rows the last call left out. The returned view holds the values, the
+    layout and so the fit bits of a prefix scaled anew and gathered by
+    `train`.
     """
 
-    def __init__(self, splits: SplitIds, table: FeatureTable) -> None:
-        X, self.y = table.rows_by_id(splits.train)
+    def __init__(self, splits: SplitIds, X: np.ndarray, y: np.ndarray,
+                 selected: Sequence[int]) -> None:
+        selected = checked_selection(selected, X.shape[1])
+        self.width = X.shape[1]
+        self.y = y
         sizes = np.array([len(batch) for batch in splits.train_batches])
         self.ends = np.cumsum(sizes)
         batches = [X[end - size : end] for size, end in zip(sizes, self.ends)]
@@ -511,17 +535,21 @@ class _BatchPrefixes:
         # running extremes as they were
         self.mins = np.minimum.accumulate([b.min(axis=0, initial=np.inf) for b in batches])
         self.maxs = np.maximum.accumulate([b.max(axis=0, initial=-np.inf) for b in batches])
-        self.X = np.asfortranarray(X)
-        # S holds the unscaled columns from the start; its scaled columns
-        # hold X[:_rows] in the scaling (_mins, _maxs)
-        self._S = self.X.copy(order="F")
+        # A holds the unscaled columns from the start; its scaled columns
+        # (at positions _pos, feature columns _cols) hold X[:_rows] in the
+        # scaling (_mins, _maxs), and _raw keeps their raw values
+        self._A = design_matrix(X, selected)
+        self._pos = np.array([j for j, ft in enumerate(selected) if ft in SCALED_FEATURE_IDS],
+                             dtype=np.intp)
+        self._cols = np.array([selected[j] - 1 for j in self._pos], dtype=np.intp)
+        self._raw = np.asfortranarray(X[:, self._cols])
         self._rows = 0
         self._mins = self._maxs = np.zeros(X.shape[1])
 
-    def scaled(self, k: int) -> tuple[np.ndarray, np.ndarray, ScalingParams]:
-        """The first k batches' rows in their own scaling, their labels,
-        and that scaling. The rows are a view of the buffer, which the
-        next call overwrites."""
+    def scaled(self, k: int) -> tuple[Design, np.ndarray, ScalingParams]:
+        """The design of the first k batches' rows in their own scaling,
+        their labels, and that scaling. The design is a view of the
+        buffer, which the next call overwrites."""
         n = self.ends[k - 1]
         mins, maxs = self.mins[k - 1], self.maxs[k - 1]
         # compared bit for bit: the scaled value is a function of the bits
@@ -529,14 +557,14 @@ class _BatchPrefixes:
         moved = (mins.view(np.int64) != self._mins.view(np.int64)) | (
             maxs.view(np.int64) != self._maxs.view(np.int64)
         )
-        moved = moved[_SCALED_COLUMNS]
-        for cols, rows in (
-            (_SCALED_COLUMNS[moved], slice(0, n)),
-            (_SCALED_COLUMNS[~moved], slice(self._rows, n)),
-        ):
-            self._S[rows, cols] = scale_columns(self.X[rows, cols], mins[cols], maxs[cols])
+        moved = moved[self._cols]
+        for which, rows in ((moved, slice(0, n)), (~moved, slice(self._rows, n))):
+            cols = self._cols[which]
+            self._A[rows, self._pos[which]] = scale_columns(
+                self._raw[rows, which], mins[cols], maxs[cols]
+            )
         self._rows, self._mins, self._maxs = n, mins, maxs
-        return self._S[:n], self.y[:n], ScalingParams(mins=mins, maxs=maxs)
+        return Design(self._A[:n], self.width), self.y[:n], ScalingParams(mins=mins, maxs=maxs)
 
 
 def _rescaled_start(model: Model, scaling: ScalingParams) -> tuple[np.ndarray, float]:
@@ -574,8 +602,9 @@ def train_on_batches(
     k = len(splits.train_batches) if k is None else k
     if not 1 <= k <= len(splits.train_batches):
         raise ValueError(f"k must be in 1..{len(splits.train_batches)}")
-    X, y, scaling = _BatchPrefixes(splits, table).scaled(k)
-    return train(X, y, selected, hyper, scaling)
+    X, y = table.rows_by_id(splits.train)
+    design, y, scaling = _BatchPrefixes(splits, X, y, selected).scaled(k)
+    return train(design, y, selected, hyper, scaling)
 
 
 def incremental_eval(
@@ -593,32 +622,36 @@ def incremental_eval(
 
     The feature ranking is computed once on the full training set and
     reused for all k. The scaling at k is the running min/max of the first
-    k batches, which equals a refit on those rows. The scaled rows of k are
-    a view of one column-major buffer that each k updates only where its
-    scaling moved; the fit and the train F1 share that view, and the next
-    k overwrites it. The fit at k starts from the optimum at k-1, mapped
-    into the scaling at k; Newton runs to the optimum, so the start moves
-    its path but not its result.
+    k batches, which equals a refit on those rows. The train rows are
+    gathered once; the design of k is a view of one column-major buffer of
+    the selected columns that each k updates only where its scaling moved.
+    The fit and the train F1 share that view, and the next k overwrites
+    it. The fit at k starts from the optimum at k-1, mapped into the
+    scaling at k; Newton runs to the optimum, so the start moves its path
+    but not its result.
     """
     if not 1 <= top_m <= N_FEATURES:
         raise ValueError(f"top_m must be in 1..{N_FEATURES}")
     check_threshold(threshold)
     splits = _split_ids(splits)
-    prefixes = _BatchPrefixes(splits, table)
+    X, y = table.rows_by_id(splits.train)
     if ranking is None:
-        ranking = rank_features(prefixes.X, prefixes.y, folds=folds)
+        ranking = rank_features(X, y, folds=folds)
     selected = top_features(ranking, top_m)
+    prefixes = _BatchPrefixes(splits, X, y, selected)
+    del X  # the prefixes keep the selected columns
 
     eval_X, eval_y = table.rows_by_id(splits.eval_set(eval_set))
 
     points: list[CurvePoint] = []
     model = None
     for k in range(1, len(splits.train_batches) + 1):
-        Xk, yk, scaling = prefixes.scaled(k)
+        design, yk, scaling = prefixes.scaled(k)
         start = None if model is None else _rescaled_start(model, scaling)
-        model = train(Xk, yk, selected, hyper, scaling, start)
-        # Xk is already in the model's space: score it without rescaling
-        train_f1 = evaluate(replace(model, scaling=None), Xk, yk, threshold).f1
+        model = train(design, yk, selected, hyper, scaling, start)
+        # the design is already in the model's space: its margins are the
+        # fit's own, with no copy of the rows
+        train_f1 = evaluate(model, design, yk, threshold).f1
         eval_f1 = evaluate(model, eval_X, eval_y, threshold).f1
         points.append(CurvePoint(k=k, train_f1=train_f1, eval_f1=eval_f1))
     return points

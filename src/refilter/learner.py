@@ -5,7 +5,11 @@ Training minimizes mean negative log-likelihood plus (lambda/2)*||w||^2
 (intercept unpenalized) with damped Newton steps and a backtracking line
 search, run to the optimum: until the Newton decrement is negligible
 against the loss, or a step no longer lowers the loss at all. Full-batch
-and free of randomness, so identical inputs yield bitwise-identical models.
+and free of randomness, so identical inputs yield bitwise-identical models,
+on any BLAS thread count: each fit works on one column-major design matrix
+A = [Xs, 1], and reduces over its rows only through `A @ v` and the syrk
+`B.T @ B`, whose bits do not depend on how many threads OpenBLAS runs,
+and through `einsum`, which does not call BLAS.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _loss(z, y, w, lam) -> float:
-    """Objective at the margins z = Xs @ w + b."""
+    """Objective at the margins z = A @ [w, b]."""
     nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return nll + 0.5 * lam * float(w @ w)
 
@@ -98,12 +102,6 @@ def _loss(z, y, w, lam) -> float:
 _DAMPING_TRIES = 21
 
 
-def _gradient(Xs, y, p, w, lam) -> np.ndarray:
-    """Gradient from the probabilities p = sigmoid(Xs @ w + b)."""
-    resid = (p - y) / len(y)
-    return np.concatenate([Xs.T @ resid + lam * w, [float(np.sum(resid))]])
-
-
 def _solve(H, g, damping: float) -> np.ndarray | None:
     try:
         return np.linalg.solve(H + damping * np.eye(len(g)), -g)
@@ -111,8 +109,42 @@ def _solve(H, g, damping: float) -> np.ndarray | None:
         return None
 
 
+@dataclass(frozen=True)
+class Design:
+    """Training rows already in the layout a fit works on: the columns of
+    the selected features, in selected order, then a column of ones, in
+    column-major order (`design_matrix`). `width` is the width of the
+    feature vectors the columns came from. `train` fits a Design where it
+    lies, with no copy."""
+
+    A: np.ndarray
+    width: int
+
+
+def checked_selection(selected: Sequence[int], width: int) -> tuple[int, ...]:
+    """The feature ids as a tuple: at least one, each in 1..width, none twice."""
+    selected = tuple(int(s) for s in selected)
+    if not selected:
+        raise LearnerError("no features selected")
+    for i, ft in enumerate(selected):
+        if not 1 <= ft <= width:
+            raise LearnerError(f"selected feature FT{ft} outside vector width {width}")
+        if ft in selected[:i]:
+            raise LearnerError(f"feature FT{ft} is selected twice")
+    return selected
+
+
+def design_matrix(vectors: np.ndarray, selected: Sequence[int]) -> np.ndarray:
+    """[X[:, cols], 1] for the feature ids `selected`, column-major."""
+    X = np.asarray(vectors, dtype=np.float64)
+    A = np.empty((X.shape[0], len(selected) + 1), order="F")
+    A[:, :-1] = X[:, [ft - 1 for ft in selected]]
+    A[:, -1] = 1.0
+    return A
+
+
 def train(
-    vectors: np.ndarray,
+    vectors: np.ndarray | Design,
     labels: Sequence[int] | np.ndarray,
     selected: Sequence[int],
     hyper: Hyper = Hyper(),
@@ -121,60 +153,78 @@ def train(
 ) -> Model:
     """Fit the model on pre-scaled feature vectors.
 
-    `vectors` holds full feature rows; `selected` names the feature ids
-    (1-based) the model actually uses. Requires both classes present and
-    finite values in every selected column. Newton starts from `start`,
-    a (weights, intercept) pair, or from zero; a fit that converges
-    reaches the same optimum from any start.
+    `vectors` holds full feature rows, or is a `Design` of them;
+    `selected` names the feature ids (1-based) the model actually uses.
+    Requires both classes present and finite values in every selected
+    column. Newton starts from `start`, a (weights, intercept) pair, or
+    from zero; a fit that converges reaches the same optimum from any
+    start.
     """
-    X = np.asarray(vectors, dtype=np.float64)
+    design = isinstance(vectors, Design)
+    X = vectors.A if design else np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
         raise LearnerError("vectors must be a 2-d array")
     y = np.asarray(labels, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
         raise LearnerError("labels length does not match vectors")
-    selected = tuple(int(s) for s in selected)
-    if not selected:
-        raise LearnerError("no features selected")
-    for i, ft in enumerate(selected):
-        if not 1 <= ft <= X.shape[1]:
-            raise LearnerError(f"selected feature FT{ft} outside vector width {X.shape[1]}")
-        if ft in selected[:i]:
-            raise LearnerError(f"feature FT{ft} is selected twice")
+    selected = checked_selection(selected, vectors.width if design else X.shape[1])
+    if design and X.shape[1] != len(selected) + 1:
+        raise LearnerError(
+            f"a design of {len(selected)} features needs {len(selected) + 1} columns, "
+            f"got {X.shape[1]}"
+        )
     if len(np.unique(y)) < 2:
         raise LearnerError("degenerate labels: need at least one example of each class")
 
-    cols = [ft - 1 for ft in selected]
-    Xs = X[:, cols]
-    bad = ~np.isfinite(Xs)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    # the one copy of the selected columns; a Design is fitted where it lies
+    A = X if design else design_matrix(X, selected)
+    finite = np.isfinite(A)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise LearnerError(f"non-finite feature value at instance row {row}, FT{selected[col]}")
 
-    lam, tol, max_iter = hyper.lam, hyper.tol, hyper.max_iter
-    k = len(cols)
+    k = len(selected)
     if start is None:
-        w, b = np.zeros(k), 0.0
+        theta = np.zeros(k + 1)
     else:
-        w, b = np.array(start[0], dtype=np.float64), float(start[1])
+        w, b = np.asarray(start[0], dtype=np.float64), float(start[1])
         if w.shape != (k,) or not (np.all(np.isfinite(w)) and math.isfinite(b)):
             raise LearnerError(f"start must be {k} finite weights and a finite intercept")
+        theta = np.append(w, b)
+    theta, converged, n_iter = _newton(A, y, theta, hyper)
+    return Model(
+        weights=theta[:k],
+        intercept=float(theta[k]),
+        selected_features=selected,
+        scaling=scaling,
+        hyper=hyper,
+        converged=converged,
+        n_iter=n_iter,
+    )
+
+
+def _newton(A: np.ndarray, y: np.ndarray, theta: np.ndarray, hyper: Hyper):
+    """Damped Newton with backtracking on the design A = [Xs, 1] from
+    theta = [w, b]: the optimum's theta, whether the stopping rule was
+    met, and the number of iterations."""
+    lam, tol, max_iter = hyper.lam, hyper.tol, hyper.max_iter
+    n, k = A.shape[0], A.shape[1] - 1
+    penalty = np.full(k + 1, lam)
+    penalty[k] = 0.0  # the intercept is not penalized
     converged = False
     n_iter = 0
     # the margins of the current iterate come from the accepted line-search
     # step; one sigmoid of them serves the gradient and the Hessian
-    z = Xs @ w + b
-    loss = _loss(z, y, w, lam)
+    z = A @ theta
+    loss = _loss(z, y, theta[:k], lam)
 
     for n_iter in range(max_iter + 1):
         p = _sigmoid(z)
-        g = _gradient(Xs, y, p, w, lam)
-        d = np.maximum(p * (1.0 - p), 1e-12) / len(y)
-        H = np.empty((k + 1, k + 1))
-        Xd = Xs * d[:, None]
-        H[:k, :k] = Xs.T @ Xd + lam * np.eye(k)
-        H[:k, k] = H[k, :k] = Xd.sum(axis=0)
-        H[k, k] = float(d.sum())
+        g = np.einsum("ij,i->j", A, (p - y) / n) + penalty * theta
+        d = np.maximum(p * (1.0 - p), 1e-12) / n
+        B = A * np.sqrt(d)[:, None]
+        H = B.T @ B  # numpy's syrk path: one triangle, mirrored
+        H[np.diag_indices_from(H)] += penalty
         step = _solve(H, g, 0.0)
         # the Newton decrement is the loss drop a full step predicts; it is
         # 0 at the optimum, so a start there takes no step
@@ -200,10 +250,9 @@ def train(
         t = 1.0
         improved = False
         while t > 1e-12:
-            w_new = w + t * step[:k]
-            b_new = b + t * float(step[k])
-            z_new = Xs @ w_new + b_new
-            loss_new = _loss(z_new, y, w_new, lam)
+            theta_new = theta + t * step
+            z_new = A @ theta_new
+            loss_new = _loss(z_new, y, theta_new[:k], lam)
             if loss_new <= loss + 1e-4 * t * slope:
                 improved = True
                 break
@@ -215,17 +264,8 @@ def train(
             # floor of the optimum
             converged = True
             break
-        w, b, z, loss = w_new, b_new, z_new, loss_new
-
-    return Model(
-        weights=w,
-        intercept=b,
-        selected_features=selected,
-        scaling=scaling,
-        hyper=hyper,
-        converged=converged,
-        n_iter=n_iter,
-    )
+        theta, z, loss = theta_new, z_new, loss_new
+    return theta, converged, n_iter
 
 
 def _prepare(model: Model, vectors: np.ndarray) -> np.ndarray:
@@ -247,7 +287,17 @@ def _prepare(model: Model, vectors: np.ndarray) -> np.ndarray:
     return Xs[0] if single else Xs
 
 
-def decision_values(model: Model, vectors: np.ndarray) -> np.ndarray:
+def decision_values(model: Model, vectors: np.ndarray | Design) -> np.ndarray:
+    """Margins of raw feature vectors, or of a `Design` of rows already in
+    the model's scaling: for the design a fit ran on, bitwise the margins
+    its last iterate had."""
+    if isinstance(vectors, Design):
+        if vectors.A.shape[1] != len(model.selected_features) + 1:
+            raise LearnerError(
+                f"a design of {vectors.A.shape[1]} columns cannot score a model "
+                f"of {len(model.selected_features)} features"
+            )
+        return vectors.A @ np.append(model.weights, model.intercept)
     Xs = np.atleast_2d(_prepare(model, vectors))
     return Xs @ model.weights + model.intercept
 
@@ -261,7 +311,7 @@ def predict_proba(model: Model, vector: np.ndarray) -> float:
     return float(_sigmoid(np.array([z]))[0])
 
 
-def predict_proba_matrix(model: Model, vectors: np.ndarray) -> np.ndarray:
+def predict_proba_matrix(model: Model, vectors: np.ndarray | Design) -> np.ndarray:
     return _sigmoid(decision_values(model, vectors))
 
 

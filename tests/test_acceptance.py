@@ -10,7 +10,12 @@ import pytest
 
 from refilter import corpus_io, features
 from refilter.cli import main as cli_main
-from refilter.corpus_io import SyntheticConfig, generate_synthetic, planted_decision_values
+from refilter.corpus_io import (
+    HistoryEvent,
+    SyntheticConfig,
+    generate_synthetic,
+    planted_decision_values,
+)
 from refilter.experiments import (
     SplitSpec,
     build_dataset,
@@ -210,6 +215,44 @@ def test_criterion_5_leak_freedom(strong_pipeline):
         assert np.array_equal(row, cut_row), f"instance {inst.instance_id} leaked"
     report(5, "100 sampled instances: deleting events at or after the instance "
               "timestamp left every feature vector bitwise unchanged")
+
+
+def adversarial_events(inst):
+    """Events that only a leak could see: at the instance's own second and
+    one second later, by its sender, its recipient and its author, with
+    every action, carrying its tweet id and tokens, with and without a
+    mention of the recipient."""
+    users = sorted({inst.sender_id, inst.recipient_id, inst.author_id})
+    return [
+        HistoryEvent(user, inst.tweet_id, action, inst.timestamp + delay, inst.tweet.tokens,
+                     mentions)
+        for delay in (0, 1)
+        for user in users
+        for action in corpus_io.ACTIONS
+        for mentions in (None, inst.recipient_id)
+    ]
+
+
+def test_production_sweep_is_leak_free(strong_pipeline):
+    """`extract_matrix`, the sweep every command runs, gives bitwise the
+    same row from the events before the instance as from those events plus
+    adversarial ones at and just after it."""
+    corpus = strong_pipeline["corpus"]
+    idf = strong_pipeline["idf"]
+    sample = random.Random(20240512).sample(corpus.instances, 30)
+
+    def row(events, inst):
+        cut = corpus_io.Corpus(profiles=corpus.profiles, events=events, instances=[inst])
+        # the idf background is configuration, held fixed while events change
+        return extract_matrix(FeatureContext(cut, UserHistoryIndex(cut), idf), [inst])[1][0]
+
+    for inst in sample:
+        before = [e for e in corpus.events if e.timestamp < inst.timestamp]
+        clean, attacked = row(before, inst), row(before + adversarial_events(inst), inst)
+        assert np.array_equal(clean.view(np.int64), attacked.view(np.int64)), (
+            f"instance {inst.instance_id} leaked")
+    report(5, "30 sampled instances: the production sweep gave bitwise the same row with "
+              "adversarial events at and one second after each instance")
 
 
 def test_criterion_6_planted_signal_recovery(strong_pipeline):

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,14 @@ from refilter.features import (
     fit_scaling,
 )
 from refilter.history import UserHistoryIndex
-from refilter.learner import Hyper, LearnerError, Model, predict_proba_matrix, train
+from refilter.learner import (
+    Hyper,
+    LearnerError,
+    Model,
+    design_matrix,
+    predict_proba_matrix,
+    train,
+)
 from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
@@ -356,6 +367,73 @@ def test_ranking_deterministic():
     assert rank_features(X, y) == rank_features(X, y)
 
 
+def test_ranking_matches_per_column_pearson():
+    """`rank_features` scores every column of a fold at once; `pearson` on
+    each column of the same folds is its oracle. Column 3 is constant, and
+    the first fold holds the only positives, so the training portion of that
+    fold is all one class: both score 0."""
+    rng = np.random.default_rng(12)
+    n, folds = 400, 10
+    y = np.zeros(n)
+    y[:40] = 1.0  # exactly the first fold's rows
+    X = rng.normal(0, 1, size=(n, 7)) + 0.5 * y[:, None] * np.arange(7)
+    X[:, 2] = 4.25
+    X[:, 5] = np.exp(X[:, 5])
+    expected = np.zeros(X.shape[1])
+    for fold in np.array_split(np.arange(n), folds):
+        keep = np.ones(n, dtype=bool)
+        keep[fold] = False
+        scores = [abs(pearson(X[keep, j], y[keep])) for j in range(X.shape[1])]
+        if fold[0] == 0:
+            assert np.all(y[keep] == 0.0) and scores == [0.0] * X.shape[1]
+        expected += scores
+    expected /= folds
+    ranking = rank_features(X, y, folds=folds)
+    oracle = sorted(range(X.shape[1]), key=lambda j: (-expected[j], j))
+    assert [rf.ft_id for rf in ranking] == [j + 1 for j in oracle]
+    for rf in ranking:
+        assert abs(rf.pearson_r - expected[rf.ft_id - 1]) <= 1e-12
+    assert ranking[-1].ft_id == 3 and ranking[-1].pearson_r == 0.0
+
+
+# Ranks 12,000 rows and fits a 50-feature model on them through
+# train_on_batches; prints the ranking and the model record.
+_THREAD_PROBE = """
+import numpy as np
+from refilter.experiments import (EVAL_SETS, FeatureTable, SplitIds, SplitSpec,
+                                  rank_features, train_on_batches)
+from refilter.learner import model_to_json
+
+rng = np.random.default_rng(3)
+n, batches = 12000, 240
+y = rng.integers(0, 2, n)
+X = rng.normal(size=(n, 50)) + 0.3 * y[:, None] * rng.normal(size=50)
+X[:, :20] = np.exp(X[:, :20])
+ids = np.arange(1, n + 1, dtype=np.int64)
+per = n // batches
+splits = SplitIds([ids[i * per:(i + 1) * per].tolist() for i in range(batches)],
+                  {name: ids[:10].tolist() for name in EVAL_SETS}, SplitSpec())
+ranking = rank_features(X, y)
+print([(rf.ft_id, rf.pearson_r.hex()) for rf in ranking])
+table = FeatureTable(ids=ids, X=X, y=y.astype(np.int64))
+print(model_to_json(train_on_batches(splits, table, [rf.ft_id for rf in ranking])))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs 2 CPUs for OpenBLAS to run a second thread")
+def test_ranking_and_fit_are_the_same_bits_on_1_and_2_blas_threads():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # incremental evaluation and scatter, on a synthetic corpus
 
@@ -613,16 +691,20 @@ def test_scaled_prefix_is_a_fresh_scaling_bit_for_bit(request, order, pipeline):
         ks.reverse()
     elif order == "shuffled":
         random.Random(0).shuffle(ks)
-    prefixes = experiments._BatchPrefixes(splits, table)
+    # every feature, in an order other than the table's
+    selected = list(range(1, N_FEATURES + 1))
+    random.Random(1).shuffle(selected)
+    prefixes = experiments._BatchPrefixes(splits, *prefix_rows(splits, table, len(ks)), selected)
     for k in ks:
-        S, y, scaling = prefixes.scaled(k)
+        design, y, scaling = prefixes.scaled(k)
         X, expected_y = prefix_rows(splits, table, k)
         fresh = fit_scaling(X)
         assert np.array_equal(bits(scaling.mins), bits(fresh.mins))
         assert np.array_equal(bits(scaling.maxs), bits(fresh.maxs))
-        assert np.array_equal(bits(S), bits(apply_scaling(X, fresh))), k
+        expected = design_matrix(apply_scaling(X, fresh), selected)
+        assert np.array_equal(bits(design.A), bits(expected)), k
         assert np.array_equal(y, expected_y)
-        assert S.strides[0] == S.itemsize  # column-major
+        assert design.A.strides[0] == design.A.itemsize  # column-major
 
 
 @pytest.mark.parametrize("pipeline", ["signal", "late"])
@@ -674,6 +756,26 @@ def test_nonfinite_value_in_batch_3_fails_the_curve_at_k_3(monkeypatch, ft, valu
     with pytest.raises(LearnerError) as direct:
         train(apply_scaling(X3, fit_scaling(X3)), y3, (1, 2, 3, 5, 6))
     assert str(direct.value) == message
+
+
+@pytest.mark.parametrize("selected,message", [
+    ((13, 13), "feature FT13 is selected twice"),
+    ((2, 0), "selected feature FT0 outside vector width 50"),
+    ((51,), "selected feature FT51 outside vector width 50"),
+])
+def test_bad_selection_fails_every_fit_path_as_train_does(selected, message):
+    """The curve and train_on_batches gather the selected columns
+    themselves; they reject a bad selection with `train`'s own text."""
+    splits, table = nearly_separable_curve(batches=4)
+    ranking = [experiments.RankedFeature(ft, 0.0, rank)
+               for rank, ft in enumerate(selected, start=1)]
+    calls = [lambda: train(table.X, table.y, selected),
+             lambda: train_on_batches(splits, table, selected),
+             lambda: incremental_eval(splits, table, top_m=len(selected), ranking=ranking)]
+    for call in calls:
+        with pytest.raises(LearnerError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_curve_with_empty_first_batch_has_degenerate_labels(signal_pipeline):

@@ -301,6 +301,27 @@ def test_repeated_selected_feature_rejected():
         train(np.eye(4, 3), np.array([0, 1, 0, 1]), selected=(2, 1, 2))
 
 
+def test_design_fits_and_scores_as_the_rows_it_holds():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 5))
+    y = (X[:, 3] + rng.normal(size=60) > 0).astype(float)
+    selected = (4, 2)
+    # a view of a taller buffer, as the learning curve passes it
+    A = learner.design_matrix(np.vstack([X, X]), selected)[:60]
+    model = train(learner.Design(A, 5), y, selected)
+    direct = train(X, y, selected)
+    assert np.array_equal(model.weights, direct.weights)
+    assert model.intercept == direct.intercept and model.n_iter == direct.n_iter
+    assert np.allclose(decision_values(model, learner.Design(A, 5)),
+                       decision_values(model, X), rtol=0, atol=1e-12)
+    with pytest.raises(LearnerError, match="FT6 outside vector width 5"):
+        train(learner.Design(A, 5), y, (4, 6))
+    with pytest.raises(LearnerError, match="needs 2 columns, got 3"):
+        train(learner.Design(A, 5), y, (4,))
+    with pytest.raises(LearnerError, match="cannot score a model of 1 features"):
+        decision_values(train(X, y, (4,)), learner.Design(A, 5))
+
+
 def test_model_with_repeated_selected_feature_rejected():
     record = _model_record()
     record["selected_features"] = [6, 6]
