@@ -137,9 +137,13 @@ def _split_table(
         if corpus is None:
             corpus = corpus_io.load_corpus_dir(args.corpus)
             hist = history.UserHistoryIndex(corpus)
+        try:
+            instances = [corpus.instance_by_id[iid] for iid in members]
+        except KeyError as exc:
+            raise ValueError(f"split references unknown instance_id {exc.args[0]}") from None
         idf = _idf_table(args.idf_source, corpus)
         ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
-        table = experiments.featurize_splits(ctx, ids.resolve(corpus))
+        table = experiments.featurize(ctx, instances)
         try:
             experiments.write_table(path, table, key)
         except OSError:
@@ -183,9 +187,38 @@ def _id_rows(path: Path, columns: int) -> list[tuple[int, list[int]]]:
     return rows
 
 
+def _read_split_spec(path: Path) -> SplitSpec:
+    """The valid split spec of a manifest; ValueError names the file and
+    the field."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or "spec" not in manifest:
+        raise ValueError(f"{path}: lacks the field 'spec'")
+    values = manifest["spec"]
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: field 'spec' must be an object, got {values!r}")
+    names = [f.name for f in fields(SplitSpec)]
+    unknown = ", ".join(f"'spec.{name}'" for name in sorted(set(values) - set(names)))
+    if unknown:
+        raise ValueError(f"{path}: unknown field(s) {unknown}")
+    for name in names:
+        if name not in values:
+            raise ValueError(f"{path}: lacks the field 'spec.{name}'")
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: field 'spec.{name}' must be an integer, got {value!r}")
+    spec = SplitSpec(**values)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: field 'spec': {exc}") from None
+    return spec
+
+
 def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
-    manifest = json.loads((split_dir / SPLIT_MANIFEST).read_text(encoding="utf-8"))
-    spec = SplitSpec(**manifest["spec"])
+    spec = _read_split_spec(split_dir / SPLIT_MANIFEST)
     batches: list[list[int]] = [[] for _ in range(spec.train_batches)]
     train_path = split_dir / SPLIT_FILES["train"]
     for lineno, (b, iid) in _id_rows(train_path, 2):

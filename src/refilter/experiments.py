@@ -169,24 +169,6 @@ class SplitIds:
             raise ValueError(f"unknown eval set {name!r}; one of {sorted(EVAL_SETS)}")
         return self.eval_sets[name]
 
-    def resolve(self, corpus: Corpus) -> DatasetSplits:
-        """The splits with each id replaced by the corpus instance."""
-
-        def instances(ids: list[int]) -> list[Instance]:
-            out = []
-            for iid in ids:
-                inst = corpus.instance_by_id.get(iid)
-                if inst is None:
-                    raise ValueError(f"split references unknown instance_id {iid}")
-                out.append(inst)
-            return out
-
-        return DatasetSplits(
-            train_batches=[instances(batch) for batch in self.train_batches],
-            **{name: instances(self.eval_set(name)) for name in EVAL_SETS},
-            spec=self.spec,
-        )
-
 
 def _split_ids(splits: DatasetSplits | SplitIds) -> SplitIds:
     return splits.ids() if isinstance(splits, DatasetSplits) else splits

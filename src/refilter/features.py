@@ -11,8 +11,11 @@ within one second from a memo cleared whenever the timestamp advances.
 Its column pass fills the other 44 features one column at a time. Those
 44 columns equal `assemble` bitwise; the six similarity features agree
 with it to within a few units of 1e-16. Each row depends only on the
-instance and the context: featurizing any subset of instances gives
-bitwise the same rows as featurizing them all.
+instance and the context when every record of a tweet id carries the same
+tokens: then featurizing any subset of instances gives bitwise the same
+rows as featurizing them all. `FeatureContext.vector_for` vectorizes a
+tweet id once, from the first tokens it is given, so where one id has
+different tokens a row can depend on the other instances in the call.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, Instance, UserProfile
-from .history import DEFAULT_CAP, WEEK_SECONDS, HistoryDoc, UserHistoryIndex, recent
+from .corpus_io import Corpus, HistoryEvent, Instance, UserProfile
+from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, recent
 from .vectorspace import (
     FixedVector,
     IdfTable,
@@ -153,17 +156,17 @@ def extract_group1(instance: Instance) -> list[float]:
 
 def _history_similarities(
     instance: Instance,
-    streams: Iterable[Sequence[HistoryDoc]],
+    streams: Iterable[Sequence[HistoryEvent]],
     window: int | None,
     idf: IdfTable,
     cap: int,
 ) -> list[float]:
-    """Mean similarity of the tweet to the `recent` docs of each stream,
+    """Mean similarity of the tweet to the `recent` events of each stream,
     leaving out copies of the tweet itself."""
     t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
     return [
-        avg_similarity(t, [d.tokens for d in recent(docs, ts, window, cap, tid)], idf)
-        for docs in streams
+        avg_similarity(t, [e.tokens for e in recent(events, ts, window, cap, tid)], idf)
+        for events in streams
     ]
 
 
@@ -378,15 +381,15 @@ class _Cursor:
     centroid and, given a window, into a windowed centroid too.
 
     `means` answers every query at one timestamp from a memo keyed by the
-    tweet id. That is exact: the held docs change only when the timestamp
+    tweet id. That is exact: the held events change only when the timestamp
     grows, and a query vector is a function of its tweet id.
     """
 
-    __slots__ = ("docs", "next", "capped", "windowed", "ts", "memo", "vector_for")
+    __slots__ = ("events", "next", "capped", "windowed", "ts", "memo", "vector_for")
 
-    def __init__(self, docs: Sequence, cap: int, window: int | None, vector_for) -> None:
-        self.docs = docs
-        self.next = 0  # the first doc not yet pushed
+    def __init__(self, events: Sequence, cap: int, window: int | None, vector_for) -> None:
+        self.events = events
+        self.next = 0  # the first event not yet pushed
         self.capped = RollingCentroid(cap)
         self.windowed = None if window is None else RollingCentroid(cap, window)
         self.ts = None
@@ -394,19 +397,19 @@ class _Cursor:
         self.vector_for = vector_for
 
     def means(self, ts: int, tweet_id: int, vec: FixedVector) -> tuple:
-        """(capped, windowed or None) mean similarity of `vec` to the docs
+        """(capped, windowed or None) mean similarity of `vec` to the events
         strictly before `ts`, leaving out copies of `tweet_id`."""
         if ts != self.ts:
             self.ts = ts
             self.memo.clear()
-            docs, i, end = self.docs, self.next, len(self.docs)
+            events, i, end = self.events, self.next, len(self.events)
             capped, windowed = self.capped, self.windowed
-            while i < end and docs[i].timestamp < ts:
-                d = docs[i]
-                dvec = self.vector_for(d.tweet_id, d.tokens)
-                capped.push(d.timestamp, d.tweet_id, dvec)
+            while i < end and events[i].timestamp < ts:
+                e = events[i]
+                evec = self.vector_for(e.tweet_id, e.tokens)
+                capped.push(e.timestamp, e.tweet_id, evec)
                 if windowed is not None:
-                    windowed.push(d.timestamp, d.tweet_id, dvec)
+                    windowed.push(e.timestamp, e.tweet_id, evec)
                 i += 1
             self.next = i
         got = self.memo.get(tweet_id)
@@ -424,7 +427,7 @@ class _Cursors(dict):
 
     def __init__(self, ctx: FeatureContext, stream, window: int | None) -> None:
         super().__init__()
-        self.stream = stream  # user -> that user's time-sorted docs
+        self.stream = stream  # user -> that user's time-sorted events
         self.cap = ctx.cap
         self.window = window
         self.vector_for = ctx.vector_for

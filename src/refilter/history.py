@@ -1,57 +1,46 @@
 """Time-aware per-user views over history events.
 
-`recent` is the one slice of a doc stream, and every query returns only
-events strictly earlier than its `before` timestamp; that strictness is
-the leak-prevention guarantee the feature extractors rely on. The index
-is built once from a corpus and is immutable afterwards, so concurrent
-readers are safe.
+`recent` is the one slice of an event stream, and every query returns
+only events strictly earlier than its `before` timestamp; that strictness
+is the leak-prevention guarantee the feature extractors rely on. The
+index is built once from a corpus and holds the corpus's own events; it
+is immutable afterwards, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, HistoryEvent
 
 WEEK_SECONDS = 7 * 86400
 DEFAULT_CAP = 1000
-
-
-@dataclass(frozen=True, slots=True)
-class HistoryDoc:
-    """One tweet occurrence in a user stream."""
-
-    timestamp: int
-    tweet_id: int
-    tokens: tuple[int, ...]
-
 
 _timestamp = attrgetter("timestamp")
 
 
 def recent(
-    docs: Sequence[HistoryDoc],
+    events: Sequence[HistoryEvent],
     before: int,
     window: int | None = None,
     cap: int = DEFAULT_CAP,
     exclude_tweet_id: int | None = None,
-) -> Sequence[HistoryDoc]:
-    """The docs of a time-sorted stream in [before-window, before), or all
-    strictly before `before` if no window: the most recent `cap` of them,
-    then without copies of `exclude_tweet_id`."""
-    hi = bisect_left(docs, before, key=_timestamp)
-    lo = 0 if window is None else bisect_left(docs, before - window, 0, hi, key=_timestamp)
-    kept = docs[max(lo, hi - cap):hi]
+) -> Sequence[HistoryEvent]:
+    """The events of a time-sorted stream in [before-window, before), or
+    all strictly before `before` if no window: the most recent `cap` of
+    them, then without copies of `exclude_tweet_id`."""
+    hi = bisect_left(events, before, key=_timestamp)
+    lo = 0 if window is None else bisect_left(events, before - window, 0, hi, key=_timestamp)
+    kept = events[max(lo, hi - cap):hi]
     if exclude_tweet_id is not None:
-        kept = [d for d in kept if d.tweet_id != exclude_tweet_id]
+        kept = [e for e in kept if e.tweet_id != exclude_tweet_id]
     return kept
 
 
 class UserHistoryIndex:
-    """Per-user time-sorted doc streams and interaction counters.
+    """Per-user time-sorted event streams and interaction counters.
 
     A user's posts are the tweets they authored or retweeted; the retweet
     and seen streams hold one action each. Retweets are attributed to the
@@ -60,12 +49,12 @@ class UserHistoryIndex:
     """
 
     def __init__(self, corpus: Corpus) -> None:
-        self._posts: dict[int, list[HistoryDoc]] = {}
-        self._retweets: dict[int, list[HistoryDoc]] = {}
-        self._seen: dict[int, list[HistoryDoc]] = {}
+        self._posts: dict[int, list[HistoryEvent]] = {}
+        self._retweets: dict[int, list[HistoryEvent]] = {}
+        self._seen: dict[int, list[HistoryEvent]] = {}
         self._mention_times: dict[tuple[int, int], list[int]] = {}
         self._retweet_times: dict[tuple[int, int], list[int]] = {}
-        self._tweet_retweeters: dict[int, list[tuple[int, int]]] = {}
+        self._tweet_retweeters: dict[int, list[HistoryEvent]] = {}
         author_of: dict[int, int] = {}
         self._neighbours = {uid: p.neighbours for uid, p in corpus.profiles.items()}
 
@@ -76,22 +65,19 @@ class UserHistoryIndex:
             author_of.setdefault(inst.tweet_id, inst.author_id)
 
         for e in corpus.events:  # corpus events are already time-sorted
-            doc = HistoryDoc(e.timestamp, e.tweet_id, e.tokens)
             if e.action == "authored":
-                self._posts.setdefault(e.user_id, []).append(doc)
+                self._posts.setdefault(e.user_id, []).append(e)
             elif e.action == "retweeted":
-                self._posts.setdefault(e.user_id, []).append(doc)
-                self._retweets.setdefault(e.user_id, []).append(doc)
-                self._tweet_retweeters.setdefault(e.tweet_id, []).append(
-                    (e.timestamp, e.user_id)
-                )
+                self._posts.setdefault(e.user_id, []).append(e)
+                self._retweets.setdefault(e.user_id, []).append(e)
+                self._tweet_retweeters.setdefault(e.tweet_id, []).append(e)
                 author = author_of.get(e.tweet_id)
                 if author is not None:
                     self._retweet_times.setdefault((e.user_id, author), []).append(
                         e.timestamp
                     )
             else:
-                self._seen.setdefault(e.user_id, []).append(doc)
+                self._seen.setdefault(e.user_id, []).append(e)
             if e.mentions_user is not None:
                 self._mention_times.setdefault((e.user_id, e.mentions_user), []).append(
                     e.timestamp
@@ -99,13 +85,13 @@ class UserHistoryIndex:
 
     # -- time-sorted streams, sliced with `recent` ----------------------------
 
-    def posts_stream(self, user: int) -> list[HistoryDoc]:
+    def posts_stream(self, user: int) -> list[HistoryEvent]:
         return self._posts.get(user, [])
 
-    def retweets_stream(self, user: int) -> list[HistoryDoc]:
+    def retweets_stream(self, user: int) -> list[HistoryEvent]:
         return self._retweets.get(user, [])
 
-    def seen_stream(self, user: int) -> list[HistoryDoc]:
+    def seen_stream(self, user: int) -> list[HistoryEvent]:
         return self._seen.get(user, [])
 
     def has_posts_in(self, user: int, before: int, window: int) -> bool:
@@ -129,7 +115,7 @@ class UserHistoryIndex:
         if not neighbours:
             return 0
         seen_users: set[int] = set()
-        for ts, user in self._tweet_retweeters.get(tweet_id, ()):
-            if ts < before and user in neighbours:
-                seen_users.add(user)
+        for e in self._tweet_retweeters.get(tweet_id, ()):
+            if e.timestamp < before and e.user_id in neighbours:
+                seen_users.add(e.user_id)
         return len(seen_users)

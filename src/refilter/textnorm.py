@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 URL_TOKEN = "_url_"
@@ -53,16 +52,6 @@ class NormalizedTweet:
     smiley_counts: Mapping[str, int] = field(
         default_factory=lambda: {c: 0 for c in SMILEY_CLASSES}
     )
-
-
-def load_lexicon(path: str | Path) -> frozenset[str]:
-    """Read a lexicon file: one entry per line, UTF-8, blanks ignored."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            entries.append(line)
-    return frozenset(entries)
 
 
 def normalize(

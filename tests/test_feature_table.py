@@ -289,6 +289,64 @@ def test_malformed_split_file_fails_with_a_saved_table(inputs, tmp_path, capsys,
     assert capsys.readouterr().err.endswith("train_ids.csv:4: batch 99 outside 0..7\n")
 
 
+# name: (an edit of the parsed manifest, or None to cut its JSON short;
+# the start of the error after the file name)
+BAD_MANIFESTS = {
+    "not_json": (None, "not valid JSON: "),
+    "no_spec": (lambda m: m.pop("spec"), "lacks the field 'spec'\n"),
+    "missing_key": (lambda m: m["spec"].pop("seed"), "lacks the field 'spec.seed'\n"),
+    "extra_key": (lambda m: m["spec"].update(extra=1), "unknown field(s) 'spec.extra'\n"),
+    "string_count": (lambda m: m["spec"].update(train_batches="4"),
+                     "field 'spec.train_batches' must be an integer, got '4'\n"),
+    "bool_count": (lambda m: m["spec"].update(dev_batches=True),
+                   "field 'spec.dev_batches' must be an integer, got True\n"),
+    "zero_batches": (lambda m: m["spec"].update(train_batches=0),
+                     "field 'spec': train_batches must be positive\n"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MANIFESTS))
+def test_bad_manifest_names_the_file_and_field(inputs, tmp_path, capsys, loads, bad):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    loads.forbid()
+    edit, message = BAD_MANIFESTS[bad]
+    path = root / "splits" / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    if edit is None:
+        text = text[:-3]
+    else:
+        manifest = json.loads(text)
+        edit(manifest)
+        text = json.dumps(manifest)
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert _run(root, "rank", "--out", "r.csv") == 1
+    err = capsys.readouterr().err
+    named = os.path.join("splits", "manifest.json")
+    assert err.startswith(f"refilter: error: {named}: {message}")
+    assert err.count("\n") == 1
+
+
+def test_split_naming_an_unknown_instance_fails_on_recompute(inputs, tmp_path, capsys, loads):
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    table = (root / "splits" / TABLE_FILE).read_bytes()
+    known = [json.loads(line)["instance_id"]
+             for line in (root / "corpus" / "instances.jsonl").read_text().splitlines()]
+    unknown = max(known) + 1
+    path = root / "splits" / "train_ids.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = f"{lines[5].split(',')[0]},{unknown}"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run(root, "rank", "--out", "r.csv") == 1
+    assert loads.count == 2  # the edit changed the table key: recomputed
+    err = capsys.readouterr().err
+    assert err == f"refilter: error: split references unknown instance_id {unknown}\n"
+    assert (root / "splits" / TABLE_FILE).read_bytes() == table
+
+
 def test_bad_idf_source_in_config_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):
     root = _copy(inputs, tmp_path / "w")
     _walk(root)

@@ -123,6 +123,18 @@ def test_has_posts_in_window():
     assert not idx.has_posts_in(1, before=10 * DAY, window=DAY)  # strict
 
 
+def test_streams_hold_the_corpus_events_themselves(small_signal_corpus):
+    _, corpus = small_signal_corpus
+    idx = UserHistoryIndex(corpus)
+    held = {id(e) for e in corpus.events}
+    for stream, actions in ((idx.posts_stream, ("authored", "retweeted")),
+                            (idx.retweets_stream, ("retweeted",)),
+                            (idx.seen_stream, ("seen",))):
+        got = [e for user in corpus.profiles for e in stream(user)]
+        assert all(id(e) in held for e in got)  # each `is` a corpus event, no copy
+        assert len(got) == sum(e.action in actions for e in corpus.events)
+
+
 # ---------------------------------------------------------------------------
 # randomized comparison against a brute-force scan of the raw event list
 
