@@ -33,7 +33,6 @@ SPLIT_MANIFEST = "manifest.json"
 # the raw features of every split instance, saved by `build` and by any
 # later command whose inputs changed the table key (docs/FORMATS.md)
 TABLE_FILE = "feature_table.npz"
-IDF_SOURCES = ("history", "instances")
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -69,16 +68,10 @@ def _parse_feature_list(text: str) -> tuple[int, ...]:
 # shared pipeline plumbing
 
 
-def _idf_table(idf_source: str, corpus: corpus_io.Corpus) -> vectorspace.IdfTable:
-    if idf_source == "history":
-        return vectorspace.build_idf(e.tokens for e in corpus.events)
-    return vectorspace.build_idf(i.tweet.tokens for i in corpus.instances)
-
-
 def _table_key(args, split_dir: Path) -> str:
     """sha256 over every input the feature table depends on: the corpus
-    files, the split files, the IDF source and history cap, this package's
-    sources, and the Python and numpy versions."""
+    files, the split files, the history cap, this package's sources, and
+    the Python and numpy versions."""
     import hashlib  # deferred: only the table lookup hashes
 
     def file_digest(path: Path) -> str:
@@ -91,7 +84,6 @@ def _table_key(args, split_dir: Path) -> str:
     parts = [
         f"python {sys.version}",
         f"numpy {np.__version__}",
-        f"idf_source {args.idf_source}",
         f"cap {args.cap}",
     ]
     parts += [f"corpus/{p.name} {file_digest(p)}" for p in corpus_io.corpus_paths(args.corpus)]
@@ -100,13 +92,6 @@ def _table_key(args, split_dir: Path) -> str:
     for source in sorted(Path(__file__).parent.glob("*.py")):
         parts.append(f"refilter/{source.name} {file_digest(source)}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
-def _check_pipeline_flags(args) -> None:
-    """Check `--cap` and `--idf-source`."""
-    features.check_cap(args.cap)
-    if args.idf_source not in IDF_SOURCES:
-        raise ValueError(f"unknown idf source {args.idf_source!r}")
 
 
 def _split_table(
@@ -126,7 +111,7 @@ def _split_table(
     checked before the lookup, so a bad input fails the same way whether
     or not the table is saved.
     """
-    _check_pipeline_flags(args)
+    features.check_cap(args.cap)
     split_dir = Path(args.splits) if split_dir is None else split_dir
     ids = _read_split_ids(split_dir)
     key = _table_key(args, split_dir)
@@ -141,7 +126,7 @@ def _split_table(
             instances = [corpus.instance_by_id[iid] for iid in members]
         except KeyError as exc:
             raise ValueError(f"split references unknown instance_id {exc.args[0]}") from None
-        idf = _idf_table(args.idf_source, corpus)
+        idf = vectorspace.build_idf(e.tokens for e in corpus.events)
         ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
         table = experiments.featurize(ctx, instances)
         try:
@@ -153,7 +138,6 @@ def _split_table(
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus directory")
-    parser.add_argument("--idf-source", choices=IDF_SOURCES, default="history")
     parser.add_argument("--cap", type=int, default=history.DEFAULT_CAP,
                         help="history collection size cap")
 
@@ -209,12 +193,10 @@ def _read_split_spec(path: Path) -> SplitSpec:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{path}: field 'spec.{name}' must be an integer, got {value!r}")
-    spec = SplitSpec(**values)
     try:
-        spec.validate()
+        return SplitSpec(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: field 'spec': {exc}") from None
-    return spec
 
 
 def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
@@ -227,11 +209,14 @@ def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
                 f"{train_path}:{lineno}: batch {b} outside 0..{spec.train_batches - 1}"
             )
         batches[b].append(iid)
+    for b, batch in enumerate(batches):
+        if not batch:
+            raise ValueError(f"{train_path}: train batch {b} has no rows")
     eval_sets = {
         name: [iid for _, (iid,) in _id_rows(split_dir / SPLIT_FILES[name], 1)]
         for name in EVAL_SETS
     }
-    return experiments.SplitIds(train_batches=batches, eval_sets=eval_sets, spec=spec)
+    return experiments.SplitIds(train_batches=batches, eval_sets=eval_sets)
 
 
 def _hyper_from_args(args) -> learner.Hyper:
@@ -273,10 +258,9 @@ def cmd_synth(args) -> int:
 def cmd_build(args) -> int:
     seed = _resolve_seed(args.seed)
     spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
-    spec = SplitSpec(seed=seed, **spec_kwargs)
     # bad split sizes and pipeline flags fail before the corpus parse
-    spec.validate()
-    _check_pipeline_flags(args)
+    spec = SplitSpec(seed=seed, **spec_kwargs)
+    features.check_cap(args.cap)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     hist = history.UserHistoryIndex(corpus)
     splits = experiments.build_dataset(corpus, spec, hist)

@@ -562,9 +562,22 @@ def write_corpus_dir(corpus: Corpus, directory: str | Path) -> None:
 # synthetic corpora
 
 
+# generator settings that are not experiment knobs: one value each
+VOCAB_SIZE = 480
+TOPICS = 6
+TOPIC_CONCENTRATION = 0.02  # Dirichlet alpha of each topic's word distribution
+USER_TOPICS = 3  # each user posts a flat mixture over this many topics
+LIKED_TOPICS = 2  # each recipient's seeded taste spans this many topics
+SEED_TWEETS_PER_TOPIC = 2  # burn-in posts per (user, topic) that seed tastes
+TWEET_LENGTH_MEAN = 16.0
+MENTION_RATE = 0.1
+START_TIMESTAMP = 1_400_000_000
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs of the synthetic corpus generator.
+    """Knobs of the synthetic corpus generator, checked on construction.
+    Errors name the manifest field and the `synth` flag.
 
     Labels are sampled from a logistic model over four planted quantities
     (sender-history similarity, recipient-retweet-history similarity,
@@ -575,35 +588,31 @@ class SyntheticConfig:
 
     num_recipients: int = 30
     neighbours_per_user: int = 12
-    vocab_size: int = 480
-    topics: int = 6
     days: int = 30
     retweet_rate: float = 0.3
     signal_strength: float = 0.0
     posts_per_day: float = 2.5
     recipient_posts_per_day: float = 1.0
     publisher_pool: int = 0  # 0 means 2 * neighbours_per_user
-    tweet_length_mean: float = 16.0
     forward_rate: float = 0.1  # share of publisher posts that pass on an older tweet
-    mention_rate: float = 0.1
-    topic_concentration: float = 0.02  # Dirichlet alpha of each topic's word distribution
-    user_topics: int = 3  # each user posts a flat mixture over this many topics
-    liked_topics: int = 2  # each recipient's seeded taste spans this many topics
-    seed_tweets_per_topic: int = 2  # burn-in posts per (user, topic) that seed tastes
-    start_timestamp: int = 1_400_000_000
 
-    def validate(self) -> None:
-        for name in ("num_recipients", "neighbours_per_user", "vocab_size", "topics", "days"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.retweet_rate < 1.0:
-            raise ValueError("retweet_rate must lie in (0, 1)")
-        if self.signal_strength < 0:
-            raise ValueError("signal_strength must be non-negative")
-        if not 0 < self.user_topics <= self.topics:
-            raise ValueError("user_topics must be in 1..topics")
-        if not 0 < self.liked_topics <= self.topics:
-            raise ValueError("liked_topics must be in 1..topics")
+    def __post_init__(self) -> None:
+        def check(name: str, kind: type | tuple, ok, bound: str) -> None:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"field 'config.{name}' ({flag}) must be {bound}, got {value!r}")
+
+        for name in ("num_recipients", "neighbours_per_user", "days"):
+            check(name, int, lambda v: v >= 1, "an integer >= 1")
+        check("publisher_pool", int, lambda v: v >= 0, "an integer >= 0")
+        number = (int, float)
+        # comparisons are False for NaN, so NaN fails every bound; the float
+        # range bound also stops an int the generator cannot use as a float
+        check("retweet_rate", number, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+        check("forward_rate", number, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+        for name in ("signal_strength", "posts_per_day", "recipient_posts_per_day"):
+            check(name, number, lambda v: 0.0 <= v <= sys.float_info.max, "a finite number >= 0")
 
 
 def config_to_dict(config: SyntheticConfig) -> dict:
@@ -729,7 +738,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     the same seed share their timeline and differ only in labels and the
     retweet events those labels induce.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     n_rec = config.num_recipients
     pool = config.publisher_pool or 2 * config.neighbours_per_user
@@ -739,28 +747,22 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 
     # topics own disjoint vocabulary blocks, so cross-topic text similarity
     # is exactly zero and the planted signal separates cleanly
-    block = config.vocab_size // config.topics
-    topic_word = np.zeros((config.topics, config.vocab_size))
-    for k in range(config.topics):
+    block = VOCAB_SIZE // TOPICS
+    topic_word = np.zeros((TOPICS, VOCAB_SIZE))
+    for k in range(TOPICS):
         lo = k * block
-        hi = (k + 1) * block if k < config.topics - 1 else config.vocab_size
-        topic_word[k, lo:hi] = rng.dirichlet(
-            np.full(hi - lo, config.topic_concentration)
-        )
+        hi = (k + 1) * block if k < TOPICS - 1 else VOCAB_SIZE
+        topic_word[k, lo:hi] = rng.dirichlet(np.full(hi - lo, TOPIC_CONCENTRATION))
     # each user posts a flat mixture over a small topic subset, so tweets
     # of a user are always well inside their own history (their novelty
     # quantity saturates) while still varying in topic
     user_topic_sets = {
-        u: tuple(
-            sorted(int(k) for k in rng.choice(config.topics, size=min(config.user_topics, config.topics), replace=False))
-        )
+        u: tuple(sorted(int(k) for k in rng.choice(TOPICS, size=USER_TOPICS, replace=False)))
         for u in all_users
     }
     # a recipient's taste: the topics its seeded retweet history starts on
     liked_topic_sets = {
-        r: frozenset(
-            int(k) for k in rng.choice(config.topics, size=min(config.liked_topics, config.topics), replace=False)
-        )
+        r: frozenset(int(k) for k in rng.choice(TOPICS, size=LIKED_TOPICS, replace=False))
         for r in recipients
     }
 
@@ -784,7 +786,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         rate = config.recipient_posts_per_day if u <= n_rec else config.posts_per_day
         count = int(rng.poisson(rate * config.days))
         times = sorted(int(t) for t in rng.integers(0, horizon, size=count))
-        moments.extend((config.start_timestamp + t, u) for t in times)
+        moments.extend((START_TIMESTAMP + t, u) for t in times)
     moments.sort()
 
     plant = planted_model(config)
@@ -834,10 +836,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     word_base = FIRST_WORD_ID
 
     def mint_tweet(u: int, topic: int, ts: int) -> _Tweet:
-        length = 3 + int(rng.poisson(max(config.tweet_length_mean - 3.0, 0.0)))
+        length = 3 + int(rng.poisson(TWEET_LENGTH_MEAN - 3.0))
         tokens = [
             word_base + int(t)
-            for t in rng.choice(config.vocab_size, size=length, p=topic_word[topic])
+            for t in rng.choice(VOCAB_SIZE, size=length, p=topic_word[topic])
         ]
         draws = rng.random(5)
         has_url = bool(draws[0] < 0.25)
@@ -845,7 +847,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             tokens.append(PSEUDO_TOKEN_IDS[NUM_TOKEN])
         mentioned: tuple[int, ...] = ()
         mention_target: int | None = None
-        if followers[u] and rng.random() < config.mention_rate:
+        if followers[u] and rng.random() < MENTION_RATE:
             mention_target = followers[u][int(rng.integers(0, len(followers[u])))]
             mentioned = (mention_target,)
         tweet_id = len(tweets) + 1
@@ -884,8 +886,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     seed_window = 3 * 86400
     for u in all_users:
         for topic in user_topic_sets[u]:
-            for _ in range(config.seed_tweets_per_topic):
-                ts = config.start_timestamp - seed_window + int(
+            for _ in range(SEED_TWEETS_PER_TOPIC):
+                ts = START_TIMESTAMP - seed_window + int(
                     rng.integers(0, seed_window - 2 * _RETWEET_DELAY)
                 )
                 tweet = mint_tweet(u, topic, ts)

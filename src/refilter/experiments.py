@@ -52,7 +52,7 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Batch sizes and counts of the splits.
+    """Batch sizes and counts of the splits, checked on construction.
 
     An unbalanced dev/test batch keeps `unbalanced_neg_per_batch`
     negatives (default: `batch_neg`) and `unbalanced_pos_per_batch`
@@ -75,8 +75,6 @@ class SplitSpec:
         if self.unbalanced_pos_per_batch is None:
             pos = max(1, min(self.batch_pos, round(self.unbalanced_neg_per_batch / 19)))
             object.__setattr__(self, "unbalanced_pos_per_batch", pos)
-
-    def validate(self) -> None:
         for name in ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -129,7 +127,6 @@ class DatasetSplits:
     dev_unbalanced: list[Instance]
     test_balanced: list[Instance]
     test_unbalanced: list[Instance]
-    spec: SplitSpec
 
     @property
     def train_instances(self) -> list[Instance]:
@@ -146,7 +143,6 @@ class DatasetSplits:
             eval_sets={
                 name: [inst.instance_id for inst in self.eval_set(name)] for name in EVAL_SETS
             },
-            spec=self.spec,
         )
 
 
@@ -158,7 +154,6 @@ class SplitIds:
 
     train_batches: list[list[int]]
     eval_sets: dict[str, list[int]]
-    spec: SplitSpec
 
     @property
     def train(self) -> list[int]:
@@ -184,7 +179,6 @@ def build_dataset(
     hist: UserHistoryIndex | None = None,
 ) -> DatasetSplits:
     """Construct the batched train/dev/test splits from a labeled corpus."""
-    spec.validate()
     if hist is None:
         hist = UserHistoryIndex(corpus)
 
@@ -269,7 +263,6 @@ def build_dataset(
         dev_unbalanced=downsample(dev, "dev"),
         test_balanced=[i for b in test for i in b],
         test_unbalanced=downsample(test, "test"),
-        spec=spec,
     )
 
 

@@ -10,12 +10,11 @@ stream, feeding exact `RollingCentroid`s, and answers a query repeated
 within one second from a memo cleared whenever the timestamp advances.
 Its column pass fills the other 44 features one column at a time. Those
 44 columns equal `assemble` bitwise; the six similarity features agree
-with it to within a few units of 1e-16. Each row depends only on the
-instance and the context when every record of a tweet id carries the same
-tokens: then featurizing any subset of instances gives bitwise the same
-rows as featurizing them all. `FeatureContext.vector_for` vectorizes a
-tweet id once, from the first tokens it is given, so where one id has
-different tokens a row can depend on the other instances in the call.
+with it to within a few units of 1e-16 when every record of a tweet id
+carries the same tokens, since a `RollingCentroid` leaves out the tweet's
+own copies by subtracting `dup·|vec|²` of the query vector. Each row
+depends only on the instance and the context: featurizing any subset of
+instances gives bitwise the same rows as featurizing them all.
 """
 
 from __future__ import annotations
@@ -124,14 +123,15 @@ class FeatureContext:
         self.keywords = keywords or KeywordConfig()
         self.vocab = vocab
         self.cap = cap
-        self._vec_cache: dict[int, FixedVector] = {}
+        self._vec_cache: dict[tuple, FixedVector] = {}
         self._warned_fallback = False
 
-    def vector_for(self, tweet_id: int, tokens: Sequence) -> FixedVector:
-        """The tweet's TF-IDF vector in fixed point, computed once per id."""
-        vec = self._vec_cache.get(tweet_id)
+    def vector_for(self, tokens: tuple) -> FixedVector:
+        """The TF-IDF vector of a token tuple in fixed point, computed once
+        per distinct tuple: equal tokens share one vector object."""
+        vec = self._vec_cache.get(tokens)
         if vec is None:
-            vec = self._vec_cache[tweet_id] = to_fixed(vectorize(tokens, self.idf))
+            vec = self._vec_cache[tokens] = to_fixed(vectorize(tokens, self.idf))
         return vec
 
 
@@ -381,8 +381,9 @@ class _Cursor:
     centroid and, given a window, into a windowed centroid too.
 
     `means` answers every query at one timestamp from a memo keyed by the
-    tweet id. That is exact: the held events change only when the timestamp
-    grows, and a query vector is a function of its tweet id.
+    tweet id, and reuses an entry only for the very vector object it was
+    computed from. That is exact: the held events change only when the
+    timestamp grows, and equal tokens share one vector object.
     """
 
     __slots__ = ("events", "next", "capped", "windowed", "ts", "memo", "vector_for")
@@ -393,7 +394,7 @@ class _Cursor:
         self.capped = RollingCentroid(cap)
         self.windowed = None if window is None else RollingCentroid(cap, window)
         self.ts = None
-        self.memo: dict[int, tuple] = {}
+        self.memo: dict[int, tuple] = {}  # tweet id -> (query vector, means)
         self.vector_for = vector_for
 
     def means(self, ts: int, tweet_id: int, vec: FixedVector) -> tuple:
@@ -406,20 +407,22 @@ class _Cursor:
             capped, windowed = self.capped, self.windowed
             while i < end and events[i].timestamp < ts:
                 e = events[i]
-                evec = self.vector_for(e.tweet_id, e.tokens)
+                evec = self.vector_for(e.tokens)
                 capped.push(e.timestamp, e.tweet_id, evec)
                 if windowed is not None:
                     windowed.push(e.timestamp, e.tweet_id, evec)
                 i += 1
             self.next = i
         got = self.memo.get(tweet_id)
-        if got is None:
-            windowed = self.windowed
-            got = self.memo[tweet_id] = (
-                self.capped.mean_similarity(vec, tweet_id, ts),
-                None if windowed is None else windowed.mean_similarity(vec, tweet_id, ts),
-            )
-        return got
+        if got is not None and got[0] is vec:
+            return got[1]
+        windowed = self.windowed
+        means = (
+            self.capped.mean_similarity(vec, tweet_id, ts),
+            None if windowed is None else windowed.mean_similarity(vec, tweet_id, ts),
+        )
+        self.memo[tweet_id] = (vec, means)
+        return means
 
 
 class _Cursors(dict):
@@ -454,7 +457,7 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     for row in order:
         inst = instances[row]
         ts, tid, recipient = inst.timestamp, inst.tweet_id, inst.recipient_id
-        vec = vector_for(tid, inst.tweet.tokens)
+        vec = vector_for(inst.tweet.tokens)
         sender_posts[row] = posts[inst.sender_id].means(ts, tid, vec)[0]
         recipient_posts[row] = posts[recipient].means(ts, tid, vec)[0]
         recipient_seen[row], seen_week[row] = seen[recipient].means(ts, tid, vec)

@@ -369,3 +369,22 @@ def test_config_values_parse_as_their_flags(tmp_path):
     assert manifest["config"]["signal_strength"] == 2.0
     assert isinstance(manifest["config"]["signal_strength"], float)
     assert manifest["config"]["num_recipients"] == 4
+
+
+@pytest.mark.parametrize("flag,value,bound,shown", [
+    ("--signal-strength", "nan", "a finite number >= 0", "nan"),
+    ("--posts-per-day", "-1", "a finite number >= 0", "-1.0"),
+    ("--publisher-pool", "-3", "an integer >= 0", "-3"),
+    ("--forward-rate", "1.5", "a number in [0, 1]", "1.5"),
+    ("--forward-rate", "-1", "a number in [0, 1]", "-1.0"),
+])
+def test_bad_generator_setting_names_the_field_and_flag(tmp_path, capsys, flag, value, bound,
+                                                        shown):
+    out = tmp_path / "c"
+    rc = main(["synth", "--out", str(out), "--num-recipients", "4",
+               "--neighbours-per-user", "3", "--days", "3", flag, value])
+    assert rc == 1
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"refilter: error: field 'config.{field}' ({flag}) must be {bound}, got {shown}\n")
+    assert not out.exists()

@@ -291,12 +291,13 @@ def test_config_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SyntheticConfig(retweet_rate=0.0).validate()
-    with pytest.raises(ValueError):
-        SyntheticConfig(num_recipients=0).validate()
-    with pytest.raises(ValueError):
-        SyntheticConfig(signal_strength=-1.0).validate()
+    with pytest.raises(ValueError, match=r"'config.retweet_rate' \(--retweet-rate\)"):
+        SyntheticConfig(retweet_rate=0.0)
+    with pytest.raises(ValueError, match=r"'config.num_recipients' \(--num-recipients\)"):
+        SyntheticConfig(num_recipients=0)
+    for strength in (-1.0, 10**400):  # an int beyond the float range, too
+        with pytest.raises(ValueError, match=r"'config.signal_strength' \(--signal-strength\)"):
+            SyntheticConfig(signal_strength=strength)
 
 
 def test_planted_pos_counts_deterministic(small_signal_corpus):

@@ -295,18 +295,17 @@ def test_build_dataset_deterministic():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        small_spec(batch_pos=0).validate()
-    with pytest.raises(ValueError):
-        small_spec(unbalanced_pos_per_batch=5).validate()  # exceeds batch_pos
-    with pytest.raises(ValueError):
-        SplitSpec(unbalanced_neg_per_batch=500).validate()
+    with pytest.raises(ValueError, match="batch_pos must be positive"):
+        small_spec(batch_pos=0)
+    with pytest.raises(ValueError, match="unbalanced_pos_per_batch"):
+        small_spec(unbalanced_pos_per_batch=5)  # exceeds batch_pos
+    with pytest.raises(ValueError, match="unbalanced_neg_per_batch"):
+        SplitSpec(unbalanced_neg_per_batch=500)
 
 
 def test_spec_defaults_to_five_percent_unbalanced_positives():
     spec = SplitSpec(batch_pos=50, batch_neg=50)
     assert (spec.unbalanced_pos_per_batch, spec.unbalanced_neg_per_batch) == (3, 50)
-    spec.validate()
     default = SplitSpec()
     assert (default.unbalanced_pos_per_batch, default.unbalanced_neg_per_batch) == (25, 475)
     assert SplitSpec(batch_pos=1, batch_neg=100).unbalanced_pos_per_batch == 1
@@ -400,8 +399,8 @@ def test_ranking_matches_per_column_pearson():
 # train_on_batches; prints the ranking and the model record.
 _THREAD_PROBE = """
 import numpy as np
-from refilter.experiments import (EVAL_SETS, FeatureTable, SplitIds, SplitSpec,
-                                  rank_features, train_on_batches)
+from refilter.experiments import (EVAL_SETS, FeatureTable, SplitIds, rank_features,
+                                  train_on_batches)
 from refilter.learner import model_to_json
 
 rng = np.random.default_rng(3)
@@ -412,7 +411,7 @@ X[:, :20] = np.exp(X[:, :20])
 ids = np.arange(1, n + 1, dtype=np.int64)
 per = n // batches
 splits = SplitIds([ids[i * per:(i + 1) * per].tolist() for i in range(batches)],
-                  {name: ids[:10].tolist() for name in EVAL_SETS}, SplitSpec())
+                  {name: ids[:10].tolist() for name in EVAL_SETS})
 ranking = rank_features(X, y)
 print([(rf.ft_id, rf.pearson_r.hex()) for rf in ranking])
 table = FeatureTable(ids=ids, X=X, y=y.astype(np.int64))
@@ -573,7 +572,6 @@ def nearly_separable_curve(batches=40, per_batch=10, eval_rows=200, seed=0):
     splits = SplitIds(
         train_batches=[ids[i * per_batch:(i + 1) * per_batch].tolist() for i in range(batches)],
         eval_sets={name: ids[batches * per_batch:].tolist() for name in EVAL_SETS},
-        spec=SplitSpec(),
     )
     return splits, FeatureTable(ids=ids, X=X, y=y.astype(np.int64))
 

@@ -212,7 +212,6 @@ CHANGES = {
     "label": (_flip_first_train_label, ()),
     "split_id": (_swap_one_split_id, ()),
     "cap": (None, ("--cap", "5")),
-    "idf_source": (None, ("--idf-source", "instances")),
 }
 
 
@@ -289,6 +288,22 @@ def test_malformed_split_file_fails_with_a_saved_table(inputs, tmp_path, capsys,
     assert capsys.readouterr().err.endswith("train_ids.csv:4: batch 99 outside 0..7\n")
 
 
+def test_train_batch_without_rows_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):
+    # a manifest that promises more train batches than train_ids.csv holds
+    # would give curve points over empty batches, each repeating the last k
+    root = _copy(inputs, tmp_path / "w")
+    _walk(root)
+    path = root / "splits" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["spec"]["train_batches"] = 12
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(root, "curve", "--top-m", "5", "--out", "c.csv") == 1
+    named = os.path.join("splits", "train_ids.csv")
+    assert capsys.readouterr().err == f"refilter: error: {named}: train batch 8 has no rows\n"
+    assert loads.count == 1 and not (root / "c.csv").exists()
+
+
 # name: (an edit of the parsed manifest, or None to cut its JSON short;
 # the start of the error after the file name)
 BAD_MANIFESTS = {
@@ -351,9 +366,12 @@ def test_bad_idf_source_in_config_fails_with_a_saved_table(inputs, tmp_path, cap
     root = _copy(inputs, tmp_path / "w")
     _walk(root)
     loads.forbid()
-    (root / "run.json").write_text(json.dumps({"idf_source": "tweets"}), encoding="utf-8")
+    # the IDF is always built from the history events: no option names it
+    (root / "run.json").write_text(json.dumps({"idf_source": "history"}), encoding="utf-8")
+    capsys.readouterr()
     assert _run(root, "rank", "--out", "r.csv", "--config", "run.json") == 1
-    assert capsys.readouterr().err == "refilter: error: unknown idf source 'tweets'\n"
+    assert capsys.readouterr().err == (
+        "refilter: error: config run.json has keys that are not options of rank: 'idf_source'\n")
 
 
 def test_table_file_round_trip(tmp_path):

@@ -419,6 +419,40 @@ def test_repeated_queries_within_one_second_match_rows_alone():
     assert X[4, SIMILARITY_COLUMNS[0]] != X[5, SIMILARITY_COLUMNS[0]]
 
 
+def test_row_does_not_depend_on_other_instances_with_other_tokens():
+    # tweet 50 carries other tokens in its instance than in its history
+    # events. Featurized beside instance 1, instance 2 must still see user
+    # 1's retweet of tweet 50 with the event's own tokens. Instances 3 and
+    # 4 share a tweet id and a second but not their tokens, so the sender's
+    # posts cursor must not answer instance 4 from instance 3's memo entry.
+    profiles = [make_profile(u) for u in (1, 2, 3)]
+    events = [
+        HistoryEvent(2, 50, "authored", DAY, (20, 21, 22)),
+        HistoryEvent(2, 60, "authored", DAY + 5, (10, 11, 30)),
+        HistoryEvent(1, 50, "retweeted", 2 * DAY, (20, 21, 22)),
+        HistoryEvent(1, 60, "retweeted", 2 * DAY + 5, (10, 11, 30)),
+    ]
+    instances = [
+        make_instance(1, 50, sender=2, recipient=3, timestamp=3 * DAY, tokens=(10, 11, 12)),
+        make_instance(2, 70, sender=2, recipient=1, timestamp=4 * DAY, tokens=(10, 11, 12)),
+        make_instance(3, 80, sender=2, recipient=1, timestamp=5 * DAY, tokens=(10, 11, 30)),
+        make_instance(4, 80, sender=2, recipient=3, timestamp=5 * DAY, tokens=(10, 11, 12)),
+    ]
+    idf_docs = [e.tokens for e in events]
+    ctx = context_for(profiles, events, instances, idf_docs=idf_docs)
+    _, X, _ = extract_matrix(ctx, instances)
+    for row, inst in enumerate(instances):
+        _, alone, _ = extract_matrix(
+            context_for(profiles, events, instances, idf_docs=idf_docs), [inst])
+        assert np.array_equal(X[row], alone[0]), inst.instance_id
+    # every record of tweet 70 carries the same tokens: the sweep agrees
+    # with assemble, and the retweets of tweets 50 and 60 both count
+    direct = assemble(instances[1], ctx).values
+    assert np.allclose(X[1], direct, rtol=0.0, atol=1e-12)
+    assert 0.0 < X[1, 10] < 0.5 and X[1, 10] == X[1, 12] == X[1, 42]
+    assert X[2, 9] != X[3, 9]
+
+
 @pytest.mark.parametrize("cap", [1000, 5, 1])
 def test_subset_rows_match_full_sweep_bitwise(small_signal_corpus, cap):
     # a row is a pure function of the instance and the context: which other
