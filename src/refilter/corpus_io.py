@@ -17,6 +17,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -367,6 +368,21 @@ def _read_records(path: Path, table: Sequence[tuple],
             yield lineno, values
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic collector for a call that builds records which all
+    live as long as its result: the collector would only rescan them, in
+    full collections. A paused caller stays paused."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def load_corpus(
     profiles_path: str | Path,
     history_path: str | Path,
@@ -382,17 +398,7 @@ def load_corpus(
     actions and equal pos_counts dicts are each one shared object, as in a
     generated corpus; no value is shared with another load.
     """
-    # every record built here lives as long as the corpus: the cyclic
-    # collector would only rescan them, in full collections
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_corpus(
-            Path(profiles_path), Path(history_path), Path(instances_path), _Memo()
-        )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path), _Memo())
 
 
 def _check_reference(problem: tuple[str, str] | None, path: Path, lineno: int) -> None:
@@ -572,6 +578,12 @@ SEED_TWEETS_PER_TOPIC = 2  # burn-in posts per (user, topic) that seed tastes
 TWEET_LENGTH_MEAN = 16.0
 MENTION_RATE = 0.1
 START_TIMESTAMP = 1_400_000_000
+_RETWEET_DELAY = 60  # seconds between receiving a tweet and retweeting it
+# the most days whose last retweet still has a 64-bit timestamp, which the
+# loader requires
+_MAX_DAYS = (2**63 - START_TIMESTAMP - _RETWEET_DELAY) // 86400
+# numpy's Poisson sampler refuses a larger mean
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -603,8 +615,10 @@ class SyntheticConfig:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"field 'config.{name}' ({flag}) must be {bound}, got {value!r}")
 
-        for name in ("num_recipients", "neighbours_per_user", "days"):
+        for name in ("num_recipients", "neighbours_per_user"):
             check(name, int, lambda v: v >= 1, "an integer >= 1")
+        check("days", int, lambda v: 1 <= v <= _MAX_DAYS,
+              f"an integer in 1..{_MAX_DAYS}, so that every timestamp fits in 64 bits")
         check("publisher_pool", int, lambda v: v >= 0, "an integer >= 0")
         number = (int, float)
         # comparisons are False for NaN, so NaN fails every bound; the float
@@ -613,6 +627,10 @@ class SyntheticConfig:
         check("forward_rate", number, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
         for name in ("signal_strength", "posts_per_day", "recipient_posts_per_day"):
             check(name, number, lambda v: 0.0 <= v <= sys.float_info.max, "a finite number >= 0")
+        for name in ("posts_per_day", "recipient_posts_per_day"):
+            check(name, number, lambda v: v * self.days <= _POISSON_MEAN_MAX,
+                  f"at most {_POISSON_MEAN_MAX:.6g} / config.days ({self.days}), numpy's "
+                  "Poisson limit on a user's expected post count")
 
 
 def config_to_dict(config: SyntheticConfig) -> dict:
@@ -659,7 +677,6 @@ PLANT_CENTERS = {
     "retweet_count": 0.80,
     "author_neighbour": 0.80,
 }
-_RETWEET_DELAY = 60  # seconds between receiving a tweet and retweeting it
 
 
 def _sigmoid(z: float) -> float:
@@ -730,6 +747,7 @@ def _planted_pos_counts(tokens: Sequence[int]) -> dict:
     return {"nouns_verbs": nv, "definite_articles": det, "indefinite_articles": indet}
 
 
+@_cyclic_gc_paused()
 def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     """Sample a corpus whose labels follow the planted logistic model.
 
@@ -753,6 +771,13 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         lo = k * block
         hi = (k + 1) * block if k < TOPICS - 1 else VOCAB_SIZE
         topic_word[k, lo:hi] = rng.dirichlet(np.full(hi - lo, TOPIC_CONCENTRATION))
+    # each topic's word CDF, built once as `Generator.choice(p=...)` builds
+    # it on every call, so `searchsorted` on `rng.random` draws the same words
+    topic_cdfs = []
+    for k in range(TOPICS):
+        cdf = topic_word[k].cumsum()
+        cdf /= cdf[-1]
+        topic_cdfs.append(cdf)
     # each user posts a flat mixture over a small topic subset, so tweets
     # of a user are always well inside their own history (their novelty
     # quantity saturates) while still varying in topic
@@ -796,8 +821,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 
     # plant state, visible strictly before the current timestamp
     posts_streams: dict[int, vectorspace.RollingCentroid] = {}
-    retweet_streams: dict[int, vectorspace.RollingCentroid] = {}
-    retweet_week_streams: dict[int, vectorspace.RollingCentroid] = {}
+    retweet_streams: dict[int, vectorspace.RollingCentroid] = {}  # with the week
     retweet_counts: dict[tuple[int, int], int] = {}
     pending: list[tuple[int, int, str, tuple]] = []  # (ts, seq, kind, payload)
     pending_seq = 0
@@ -817,8 +841,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             else:  # retweet by `user` of a tweet authored by `author`
                 user, author, tweet_id, vec = payload
                 stream(posts_streams, user).push(ev_ts, tweet_id, vec)
-                stream(retweet_streams, user).push(ev_ts, tweet_id, vec)
-                stream(retweet_week_streams, user, PLANT_WEEK).push(ev_ts, tweet_id, vec)
+                stream(retweet_streams, user, PLANT_WEEK).push(ev_ts, tweet_id, vec)
                 key = (user, author)
                 retweet_counts[key] = retweet_counts.get(key, 0) + 1
 
@@ -837,10 +860,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 
     def mint_tweet(u: int, topic: int, ts: int) -> _Tweet:
         length = 3 + int(rng.poisson(TWEET_LENGTH_MEAN - 3.0))
-        tokens = [
-            word_base + int(t)
-            for t in rng.choice(VOCAB_SIZE, size=length, p=topic_word[topic])
-        ]
+        words = topic_cdfs[topic].searchsorted(rng.random(length), side="right")
+        tokens = [word_base + int(t) for t in words]
         draws = rng.random(5)
         has_url = bool(draws[0] < 0.25)
         if draws[1] < 0.15:
@@ -922,35 +943,31 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             tweet = forward
             events.append(HistoryEvent(u, tweet.tweet_id, "retweeted", ts, tweet.tokens, None))
             status_counts[u] += 1
-            if signal > 0:
-                vec = tweet_vecs[tweet.tweet_id]
-                push_pending(ts, "retweet", (u, tweet.author_id, tweet.tweet_id, vec))
 
         author = tweet.author_id
+        if signal > 0:
+            vec = tweet_vecs[tweet.tweet_id]
+            if forward is not None:
+                push_pending(ts, "retweet", (u, author, tweet.tweet_id, vec))
+            # no stream changes before the next moment's flush, so the
+            # sender's posts give one mean for all its followers
+            sender_sim = min(
+                stream(posts_streams, u).mean_similarity(vec, tweet.tweet_id, ts)
+                / PLANT_SIM_SCALE,
+                1.0,
+            )
         for r in followers[u]:
             if r == author:
                 continue
             label_draw = float(rng.random())
             if signal > 0:
-                vec = tweet_vecs[tweet.tweet_id]
+                retweet_sim, week_sim = stream(retweet_streams, r, PLANT_WEEK).means(
+                    vec, tweet.tweet_id, ts
+                )
                 planted = {
-                    "sender_sim": min(
-                        stream(posts_streams, u).mean_similarity(vec, tweet.tweet_id, ts)
-                        / PLANT_SIM_SCALE,
-                        1.0,
-                    ),
-                    "retweet_sim": min(
-                        stream(retweet_streams, r).mean_similarity(vec, tweet.tweet_id, ts)
-                        / PLANT_SIM_SCALE,
-                        1.0,
-                    ),
-                    "retweet_week_sim": min(
-                        stream(retweet_week_streams, r, PLANT_WEEK).mean_similarity(
-                            vec, tweet.tweet_id, ts
-                        )
-                        / PLANT_SIM_SCALE,
-                        1.0,
-                    ),
+                    "sender_sim": sender_sim,
+                    "retweet_sim": min(retweet_sim / PLANT_SIM_SCALE, 1.0),
+                    "retweet_week_sim": min(week_sim / PLANT_SIM_SCALE, 1.0),
                     "retweet_count": min(retweet_counts.get((r, author), 0), PLANT_RETWEET_COUNT_CAP)
                     / PLANT_RETWEET_COUNT_CAP,
                     "author_neighbour": 1.0 if author in follow_sets[r] else 0.0,
@@ -983,7 +1000,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 events.append(HistoryEvent(r, tweet.tweet_id, "retweeted", rt_ts, tweet.tokens, None))
                 status_counts[r] += 1
                 if signal > 0:
-                    vec = tweet_vecs[tweet.tweet_id]
                     push_pending(rt_ts, "retweet", (r, author, tweet.tweet_id, vec))
 
     profiles: dict[int, UserProfile] = {}

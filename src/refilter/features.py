@@ -6,8 +6,10 @@ extraction paths exist: `assemble` computes one instance directly from
 history queries, and `extract_matrix` featurizes many instances in two
 passes, orders of magnitude faster on large corpora. Its similarity pass
 sweeps the instances in timestamp order with one cursor per history
-stream, feeding exact `RollingCentroid`s, and answers a query repeated
-within one second from a memo cleared whenever the timestamp advances.
+stream, each feeding one exact `RollingCentroid` that gives both the
+capped and, for the recipient's seen and retweet streams, the weekly
+mean, and answers a query repeated within one second from a memo cleared
+whenever the timestamp advances.
 Its column pass fills the other 44 features one column at a time. Those
 44 columns equal `assemble` bitwise; the six similarity features agree
 with it to within a few units of 1e-16 when every record of a tweet id
@@ -360,12 +362,13 @@ def extract_matrix(
     Rows are returned in the order of `instances`. Two passes write
     straight into X. The similarity pass (FT10-13, FT42-43) runs in
     timestamp order with one cursor per history stream, which feeds the
-    stream's capped `RollingCentroid` and, for the recipient's seen and
-    retweet streams, its weekly one; a query repeated within one second
-    (same stream, same tweet) is answered from a memo cleared whenever
-    the timestamp advances. The column pass fills the other 44 columns one
-    column at a time, with each user's profile values and each token
-    tuple's wording counts computed once.
+    stream's one `RollingCentroid`: it holds the capped events and, for the
+    recipient's seen and retweet streams, sums apart those older than a
+    week, so the capped and weekly means come from one set of sums. A
+    query repeated within one second (same stream, same tweet) is answered
+    from a memo cleared whenever the timestamp advances. The column pass
+    fills the other 44 columns one column at a time, with each user's
+    profile values and each token tuple's wording counts computed once.
     """
     n = len(instances)
     ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
@@ -377,8 +380,8 @@ def extract_matrix(
 
 
 class _Cursor:
-    """One user's stream of one kind, pushed in time order into a capped
-    centroid and, given a window, into a windowed centroid too.
+    """One user's stream of one kind, pushed in time order into one
+    `RollingCentroid`, windowed for the recipient's seen and retweet streams.
 
     `means` answers every query at one timestamp from a memo keyed by the
     tweet id, and reuses an entry only for the very vector object it was
@@ -386,41 +389,33 @@ class _Cursor:
     timestamp grows, and equal tokens share one vector object.
     """
 
-    __slots__ = ("events", "next", "capped", "windowed", "ts", "memo", "vector_for")
+    __slots__ = ("events", "next", "centroid", "ts", "memo", "vector_for")
 
     def __init__(self, events: Sequence, cap: int, window: int | None, vector_for) -> None:
         self.events = events
         self.next = 0  # the first event not yet pushed
-        self.capped = RollingCentroid(cap)
-        self.windowed = None if window is None else RollingCentroid(cap, window)
+        self.centroid = RollingCentroid(cap, window)
         self.ts = None
         self.memo: dict[int, tuple] = {}  # tweet id -> (query vector, means)
         self.vector_for = vector_for
 
     def means(self, ts: int, tweet_id: int, vec: FixedVector) -> tuple:
-        """(capped, windowed or None) mean similarity of `vec` to the events
+        """(capped, window or None) mean similarity of `vec` to the events
         strictly before `ts`, leaving out copies of `tweet_id`."""
         if ts != self.ts:
             self.ts = ts
             self.memo.clear()
             events, i, end = self.events, self.next, len(self.events)
-            capped, windowed = self.capped, self.windowed
+            push = self.centroid.push
             while i < end and events[i].timestamp < ts:
                 e = events[i]
-                evec = self.vector_for(e.tokens)
-                capped.push(e.timestamp, e.tweet_id, evec)
-                if windowed is not None:
-                    windowed.push(e.timestamp, e.tweet_id, evec)
+                push(e.timestamp, e.tweet_id, self.vector_for(e.tokens))
                 i += 1
             self.next = i
         got = self.memo.get(tweet_id)
         if got is not None and got[0] is vec:
             return got[1]
-        windowed = self.windowed
-        means = (
-            self.capped.mean_similarity(vec, tweet_id, ts),
-            None if windowed is None else windowed.mean_similarity(vec, tweet_id, ts),
-        )
+        means = self.centroid.means(vec, tweet_id, ts)
         self.memo[tweet_id] = (vec, means)
         return means
 

@@ -94,17 +94,55 @@ def to_fixed(vec: SparseVector) -> FixedVector:
     return {t: round(w * _FIXED_SCALE) for t, w in vec.items()}
 
 
-class RollingCentroid:
-    """The most recent `cap` docs of one time-ordered stream, optionally
-    only those in the trailing `window` seconds, kept as exact integer
-    sums of their fixed-point vectors.
+def _subtract(sums: dict, vec: FixedVector) -> None:
+    """Take `vec` out of exact integer sums; a key that reaches 0 goes."""
+    for t, w in vec.items():
+        left = sums[t] - w
+        if left:
+            sums[t] = left
+        else:
+            del sums[t]
 
-    Integer sums depend only on which docs are held, never on the order in
-    which docs were pushed or dropped, so `mean_similarity` is a pure
-    function of the docs held and the query.
+
+def _uncount(counts: dict, tweet_id: int) -> None:
+    left = counts[tweet_id] - 1
+    if left:
+        counts[tweet_id] = left
+    else:
+        del counts[tweet_id]
+
+
+def _mean(dot: int, n: int, dup: int, square: int) -> float:
+    """Mean cosine of a query over `n` docs whose vectors sum to a dot of
+    `dot` with it, leaving out `dup` copies of the query (each `square`)."""
+    if dup:
+        dot -= dup * square
+        n -= dup
+    if n <= 0:
+        return 0.0
+    # clamped like avg_similarity: rounding the weights to fixed point
+    # can lift the mean over identical docs just past 1
+    mean = dot / (n << 2 * FIXED_BITS)
+    return 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+
+
+class RollingCentroid:
+    """The most recent `cap` docs of one time-ordered stream, kept as exact
+    integer sums of their fixed-point vectors. Given a `window`, the held
+    docs older than the window are also summed apart, so one structure
+    answers both the capped mean and the mean over the held docs of the
+    trailing `window` seconds.
+
+    The held docs of the window are the newest `cap` docs of the window,
+    since the docs arrive in time order. Integer sums depend only on which
+    docs are held, never on the order in which docs were pushed or
+    dropped, so each mean is a pure function of the docs held and the query.
     """
 
-    __slots__ = ("cap", "window", "times", "ids", "vecs", "sums", "counts")
+    __slots__ = (
+        "cap", "window", "times", "ids", "vecs", "sums", "counts",
+        "n_old", "old_sums", "old_counts",
+    )
 
     def __init__(self, cap: int, window: int | None = None) -> None:
         self.cap = cap
@@ -116,22 +154,21 @@ class RollingCentroid:
         self.vecs: deque = deque()
         self.sums: dict = {}  # token -> exact int sum; a key at 0 is deleted
         self.counts: dict = {}  # tweet_id -> copies held
+        # the oldest `n_old` held docs lie outside the window
+        self.n_old = 0
+        self.old_sums: dict = {}
+        self.old_counts: dict = {}
 
     def _drop_oldest(self) -> None:
         self.times.popleft()
         old_id = self.ids.popleft()
-        sums = self.sums
-        for t, w in self.vecs.popleft().items():
-            left = sums[t] - w
-            if left:
-                sums[t] = left
-            else:
-                del sums[t]
-        left = self.counts[old_id] - 1
-        if left:
-            self.counts[old_id] = left
-        else:
-            del self.counts[old_id]
+        vec = self.vecs.popleft()
+        _subtract(self.sums, vec)
+        _uncount(self.counts, old_id)
+        if self.n_old:
+            self.n_old -= 1
+            _subtract(self.old_sums, vec)
+            _uncount(self.old_counts, old_id)
 
     def push(self, ts: int, tweet_id: int, vec: FixedVector) -> None:
         """Add the newest doc as a `to_fixed` vector; docs arrive in
@@ -146,31 +183,56 @@ class RollingCentroid:
         if len(self.ids) > self.cap:
             self._drop_oldest()
 
-    def mean_similarity(self, vec: FixedVector, exclude_tweet_id: int, now: int) -> float:
-        """Mean cosine between `vec` and the docs held at `now`, leaving out
-        copies of `exclude_tweet_id` (the tweet of `vec`).
+    def _age(self, now: int) -> None:
+        """Sum apart the held docs older than `now - window`; a doc exactly
+        `window` seconds old stays in the window."""
+        horizon = now - self.window
+        times, i, end = self.times, self.n_old, len(self.times)
+        if i == end or times[i] >= horizon:
+            return
+        ids, vecs = self.ids, self.vecs
+        old_sums, old_counts = self.old_sums, self.old_counts
+        while i < end and times[i] < horizon:
+            for t, w in vecs[i].items():
+                old_sums[t] = old_sums.get(t, 0) + w
+            tweet_id = ids[i]
+            old_counts[tweet_id] = old_counts.get(tweet_id, 0) + 1
+            i += 1
+        self.n_old = i
 
-        Docs older than `now - window` are dropped first; a doc exactly
-        `window` seconds old stays. An empty collection gives 0. The dot
-        products are exact integers, so the one rounding is the division.
+    def means(
+        self, vec: FixedVector, exclude_tweet_id: int, now: int
+    ) -> tuple[float, float | None]:
+        """(capped, window) mean cosine between `vec` and the docs held at
+        `now`, leaving out copies of `exclude_tweet_id` (the tweet of
+        `vec`); the window mean is None without a window.
+
+        An empty collection gives 0. The dot products are exact integers,
+        so the one rounding of each mean is its division. The window's dot
+        is the held dot minus the dot with the docs older than the window,
+        and there is no second dot while no held doc is that old.
         """
-        if self.window is not None:
-            horizon = now - self.window
-            times = self.times
-            while times and times[0] < horizon:
-                self._drop_oldest()
+        window = self.window
         n = len(self.ids)
         if n == 0:
-            return 0.0
+            return 0.0, None if window is None else 0.0
         sums = self.sums
         dot = sum(w * sums.get(t, 0) for t, w in vec.items())
         dup = self.counts.get(exclude_tweet_id, 0)
-        if dup:
-            dot -= dup * sum(w * w for w in vec.values())
-            n -= dup
-        if n <= 0:
-            return 0.0
-        # clamped like avg_similarity: rounding the weights to fixed point
-        # can lift the mean over identical docs just past 1
-        mean = dot / (n << 2 * FIXED_BITS)
-        return 0.0 if mean < 0.0 else 1.0 if mean > 1.0 else mean
+        square = sum(w * w for w in vec.values()) if dup else 0
+        capped = _mean(dot, n, dup, square)
+        if window is None:
+            return capped, None
+        self._age(now)
+        n_old = self.n_old
+        if not n_old:
+            return capped, capped
+        old_sums = self.old_sums
+        old_dot = sum(w * old_sums.get(t, 0) for t, w in vec.items())
+        return capped, _mean(
+            dot - old_dot, n - n_old, dup - self.old_counts.get(exclude_tweet_id, 0), square
+        )
+
+    def mean_similarity(self, vec: FixedVector, exclude_tweet_id: int, now: int) -> float:
+        """The capped mean of `means`."""
+        return self.means(vec, exclude_tweet_id, now)[0]

@@ -388,3 +388,23 @@ def test_bad_generator_setting_names_the_field_and_flag(tmp_path, capsys, flag, 
     assert capsys.readouterr().err == (
         f"refilter: error: field 'config.{field}' ({flag}) must be {bound}, got {shown}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,field,bound,shown", [
+    (["--recipient-posts-per-day", "1e19"], "recipient_posts_per_day",
+     "at most 9.22337e+18 / config.days (3), numpy's Poisson limit on a user's "
+     "expected post count", "1e+19"),
+    (["--days", "200000000000000", "--posts-per-day", "1e-12"], "days",
+     "an integer in 1..106751991151096, so that every timestamp fits in 64 bits",
+     "200000000000000"),
+], ids=["poisson-mean", "timeline"])
+def test_generator_setting_numpy_cannot_take_names_the_field_and_flag(
+        tmp_path, capsys, flags, field, bound, shown):
+    out = tmp_path / "c"
+    rc = main(["synth", "--out", str(out), "--num-recipients", "4",
+               "--neighbours-per-user", "3", "--days", "3", *flags])
+    assert rc == 1
+    flag = "--" + field.replace("_", "-")
+    assert capsys.readouterr().err == (
+        f"refilter: error: field 'config.{field}' ({flag}) must be {bound}, got {shown}\n")
+    assert not out.exists()

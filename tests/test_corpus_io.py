@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 
@@ -26,7 +27,7 @@ from refilter.corpus_io import (
 from refilter.experiments import metrics_from_predictions
 from refilter.features import FeatureContext, extract_matrix
 from refilter.history import UserHistoryIndex
-from refilter.vectorspace import build_idf
+from refilter.vectorspace import RollingCentroid, build_idf
 
 from conftest import make_corpus, make_instance, make_profile
 
@@ -219,6 +220,44 @@ def test_same_seed_identical_corpora_and_bytes(tmp_path, small_signal_corpus):
     write_corpus_dir(second, tmp_path / "b")
     for name in ("profiles.jsonl", "history.jsonl", "instances.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# a low retweet rate over 24 days: the recipients' retweets often reach
+# back more than a week within the history cap, so the week means differ
+PINNED_CONFIG = SyntheticConfig(
+    num_recipients=6, neighbours_per_user=4, days=24,
+    retweet_rate=0.08, signal_strength=8.0, posts_per_day=2.0,
+)
+PINNED_SHA256 = {
+    "profiles.jsonl": "7a21a02d5e41e60aa37005b9afbaf19e457fe6dc5d6e340fd19f5259eb09765e",
+    "history.jsonl": "695810df369227356bf1227cc67c79a7979321b8b0831b1e5e6f99814c04009d",
+    "instances.jsonl": "16a37e0c9f54fe200e132addca29cdec460486955f43d3e17974e95d83fc1dba",
+}
+
+
+def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch):
+    """Every random draw and every exact similarity sum of the generator:
+    a planted mean one ulp off can flip a label, which `planted_features`,
+    recomputing with float cosines, would not see."""
+    week_queries = {"all held in the week": 0, "some held older": 0}
+    means = RollingCentroid.means
+
+    def counted(self, vec, tweet_id, now):
+        got = means(self, vec, tweet_id, now)
+        if self.window is not None and self.ids:
+            week_queries["some held older" if self.n_old else "all held in the week"] += 1
+        return got
+
+    monkeypatch.setattr(RollingCentroid, "means", counted)
+    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
+    assert all(week_queries.values()), week_queries
+    forwards = [e for e in corpus.events
+                if e.action == "retweeted" and e.user_id > PINNED_CONFIG.num_recipients]
+    assert forwards  # publishers pass on older tweets
+    write_corpus_dir(corpus, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 def test_different_seed_differs(small_signal_corpus):

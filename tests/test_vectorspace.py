@@ -198,12 +198,14 @@ def test_rolling_centroid_evicts_beyond_cap():
 
 
 def test_rolling_centroid_window_horizon_is_strict():
-    # a doc exactly `window` seconds old is still in the window
+    # a doc exactly `window` seconds old is still in the window; one second
+    # older, it leaves the window but stays among the capped docs
     c = RollingCentroid(cap=10, window=10)
     _push(c, 0, 1, ["a"])
-    assert c.mean_similarity(_vec(["a"]), 99, now=10) == 1.0
-    assert c.mean_similarity(_vec(["a"]), 99, now=11) == 0.0
-    assert not c.ids and not c.sums
+    assert c.means(_vec(["a"]), 99, now=10) == (1.0, 1.0)
+    assert c.n_old == 0 and not c.old_sums
+    assert c.means(_vec(["a"]), 99, now=11) == (1.0, 0.0)
+    assert list(c.ids) == [1] and c.n_old == 1 and c.old_sums == c.sums
 
 
 def test_rolling_centroid_excludes_the_tweet_itself():
@@ -228,24 +230,73 @@ def test_rolling_centroid_sums_independent_of_interleaving():
     query = to_fixed(vectorize(["w1", "w2", "w2", "w3"], table))
 
     eager = RollingCentroid(cap=40, window=300)
-    for ts, tid, vec in docs:  # expire after every push
+    for ts, tid, vec in docs:  # age after every push
         eager.push(ts, tid, vec)
-        eager.mean_similarity(query, -1, now=ts)
+        eager.means(query, -1, now=ts)
     lazy = RollingCentroid(cap=40, window=300)
-    for ts, tid, vec in docs:  # expire once at the end
+    for ts, tid, vec in docs:  # age once at the end
         lazy.push(ts, tid, vec)
     now = docs[-1][0] + 1
-    lazy.mean_similarity(query, -1, now=now)
+    lazy.means(query, -1, now=now)
     fresh = RollingCentroid(cap=40, window=300)
     for doc in zip(eager.times, eager.ids, eager.vecs):  # only the docs still held
         fresh.push(*doc)
+    fresh.means(query, -1, now=now)
 
     assert list(eager.ids) == list(lazy.ids) == list(fresh.ids)
     assert eager.sums == lazy.sums == fresh.sums
-    assert (eager.mean_similarity(query, -1, now)
-            == lazy.mean_similarity(query, -1, now)
-            == fresh.mean_similarity(query, -1, now)
-            > 0.0)
+    assert eager.n_old == lazy.n_old == fresh.n_old > 0
+    assert eager.old_sums == lazy.old_sums == fresh.old_sums
+    assert eager.old_counts == lazy.old_counts == fresh.old_counts
+    capped, week = lazy.means(query, -1, now)
+    assert eager.means(query, -1, now) == fresh.means(query, -1, now) == (capped, week)
+    assert capped > 0.0 and week > 0.0 and capped != week
 
-    assert lazy.mean_similarity(query, -1, now=now + 1000) == 0.0
-    assert not lazy.ids and lazy.sums == {} and lazy.counts == {}
+    assert lazy.means(query, -1, now=now + 1000) == (capped, 0.0)
+    assert lazy.n_old == len(lazy.ids) and lazy.old_sums == lazy.sums
+    assert lazy.old_counts == lazy.counts
+
+
+def test_rolling_centroid_means_equal_fresh_centroids_of_the_held_and_window_docs():
+    """Bitwise, after any pushes and queries: the capped mean is that of a
+    fresh centroid fed exactly the held docs, the window mean that of one
+    fed exactly the held docs of the window. Tweet ids repeat, timestamps
+    tie, and the cap binds both inside and outside the window."""
+    rng = random.Random(15)
+    vocabulary = [f"w{i}" for i in range(12)]
+    table = build_idf([rng.sample(vocabulary, 4) for _ in range(20)])
+    seen = set()
+    for _ in range(60):
+        cap, window = rng.choice([2, 5, 12]), rng.choice([0, 7, 40])
+        # a tweet id always carries the same tokens, as in a corpus
+        vec_of = {
+            tid: to_fixed(vectorize(rng.choices(vocabulary, k=rng.randint(1, 6)), table))
+            for tid in range(8)
+        }
+        centroid = RollingCentroid(cap, window)
+        held = []
+        ts = 0
+        for _ in range(rng.randint(1, 40)):
+            ts += rng.choice([0, 0, 1, 3, 10])
+            tid = rng.randrange(8)
+            centroid.push(ts, tid, vec_of[tid])
+            held = (held + [(ts, tid, vec_of[tid])])[-cap:]
+            if rng.random() < 0.5:
+                continue
+            now = ts + rng.choice([0, 1, 5, 20])
+            in_window = [doc for doc in held if doc[0] >= now - window]
+            seen.add((len(held) == cap, len(in_window) < len(held)))
+            for query in [rng.randrange(8), held[-1][1], -1]:
+                vec = vec_of.get(query, vec_of[0])
+                fresh_held, fresh_window = RollingCentroid(cap), RollingCentroid(cap)
+                for doc in held:
+                    fresh_held.push(*doc)
+                for doc in in_window:
+                    fresh_window.push(*doc)
+                expect = (
+                    fresh_held.means(vec, query, now)[0],
+                    fresh_window.means(vec, query, now)[0],
+                )
+                assert centroid.means(vec, query, now) == expect
+            ts = now  # later docs are not older than a query already made
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
