@@ -2,9 +2,9 @@
 scatter.
 
 Every subcommand reads/writes plain data files, takes all configuration
-via flags, honours a --config JSON file (explicit flags win), and falls
-back to the REFILTER_SEED environment variable when no seed is given.
-Exit status is nonzero exactly on error.
+via flags, and honours `--config FILE` or `--config=FILE` (JSON flag
+defaults; explicit flags win). Only `synth` and `build` take --seed, else
+the REFILTER_SEED environment variable. Exit status is nonzero exactly on error.
 """
 
 from __future__ import annotations
@@ -36,10 +36,14 @@ TABLE_FILE = "feature_table.npz"
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("REFILTER_SEED")
-    return int(env) if env else 0
+    """--seed, else REFILTER_SEED, else 0; ValueError names the channel of
+    a seed that is not an integer >= 0 in decimal digits."""
+    channel, text = "--seed", value
+    if value is None:
+        channel, text = "REFILTER_SEED", os.environ.get("REFILTER_SEED") or "0"
+    if not str(text).isdecimal():
+        raise ValueError(f"{channel} must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_dataclass_flags(parser: argparse.ArgumentParser, cls, skip=()) -> None:
@@ -54,13 +58,21 @@ def _config_from_args(args, cls):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
+def _check_within_features(flag: str, value: int) -> None:
+    """A feature id, or a count of features, is in 1..N_FEATURES."""
+    if not 1 <= value <= features.N_FEATURES:
+        raise ValueError(f"{flag} must be in 1..{features.N_FEATURES}, got {value}")
+
+
 def _parse_feature_list(text: str) -> tuple[int, ...]:
     try:
         ids = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ValueError(f"invalid feature list {text!r}") from exc
+    except ValueError:
+        ids = ()
     if not ids:
-        raise ValueError("empty feature list")
+        raise ValueError(f"--features takes comma-separated feature ids, got {text!r}")
+    for ft in ids:
+        _check_within_features("--features", ft)
     return ids
 
 
@@ -239,8 +251,7 @@ def cmd_synth(args) -> int:
     config = _config_from_args(args, SyntheticConfig)
     corpus = corpus_io.generate_synthetic(config, seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_io.write_corpus(corpus, *corpus_io.corpus_paths(out))
+    corpus_io.write_corpus_dir(corpus, out)
     manifest = {
         "seed": seed,
         "config": corpus_io.config_to_dict(config),
@@ -256,10 +267,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
-    seed = _resolve_seed(args.seed)
-    spec_kwargs = {f.name: getattr(args, f.name) for f in fields(SplitSpec) if f.name != "seed"}
-    # bad split sizes and pipeline flags fail before the corpus parse
-    spec = SplitSpec(seed=seed, **spec_kwargs)
+    args.seed = _resolve_seed(args.seed)
+    # a bad seed, split sizes and pipeline flags fail before the corpus parse
+    spec = _config_from_args(args, SplitSpec)
     features.check_cap(args.cap)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     hist = history.UserHistoryIndex(corpus)
@@ -296,22 +306,17 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _check_top_m(args) -> None:
-    if not 1 <= args.top_m <= features.N_FEATURES:
-        raise ValueError(f"--top-m must be in 1..{features.N_FEATURES}, got {args.top_m}")
-
-
 def _selected_features(args) -> tuple[int, ...]:
     if args.features:
         return _parse_feature_list(args.features)
     if args.ranking:
+        _check_within_features("--top-m", args.top_m)
         return tuple(experiments.top_features(experiments.read_ranking(args.ranking), args.top_m))
     raise ValueError("need either --features or --ranking with --top-m")
 
 
 def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
-    _check_top_m(args)
     selected = _selected_features(args)
     ids, table = _split_table(args)
     model = experiments.train_on_batches(ids, table, selected, hyper, k=args.k)
@@ -338,7 +343,7 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     hyper = _hyper_from_args(args)
-    _check_top_m(args)
+    _check_within_features("--top-m", args.top_m)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
     ids, table = _split_table(args)
     points = experiments.incremental_eval(
@@ -368,6 +373,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    _check_within_features("--ft-a", args.ft_a)
+    _check_within_features("--ft-b", args.ft_b)
     model = _load_model(args.model)
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.eval_set(args.eval_set))
@@ -389,21 +396,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, seeded: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON file with flag defaults (explicit flags win)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="randomness seed (default: REFILTER_SEED or 0)")
+        if seeded:  # only these draw random numbers
+            p.add_argument("--seed", type=int, default=None,
+                           help="randomness seed, an integer >= 0 (default: REFILTER_SEED or 0)")
         p.set_defaults(func=func)
         subparsers[name] = p
         return p
 
-    p = add("synth", cmd_synth, "generate a synthetic corpus")
+    p = add("synth", cmd_synth, "generate a synthetic corpus", seeded=True)
     p.add_argument("--out", required=True, help="output corpus directory")
     _add_dataclass_flags(p, SyntheticConfig)
 
-    p = add("build", cmd_build, "construct batched train/dev/test splits and their feature table")
+    p = add("build", cmd_build, "construct batched train/dev/test splits and their feature table",
+            seeded=True)
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="output split directory")
     _add_dataclass_flags(
@@ -476,56 +485,48 @@ def _config_default(action: argparse.Action, value):
         return None
     kind = action.type or str
     flag = max(action.option_strings, key=len)
+    takes = f"one of {', '.join(action.choices)}" if action.choices else f"{kind.__name__} values"
     # the command line hands the type a string: a JSON string as it is, any
     # other value as its JSON text; a flag without a type takes strings only
     try:
         if action.type is None and not isinstance(value, str):
             raise ValueError
-        return kind(value if isinstance(value, str) else json.dumps(value))
+        parsed = kind(value if isinstance(value, str) else json.dumps(value))
+        if action.choices and parsed not in action.choices:
+            raise ValueError
+        return parsed
     except ValueError:
-        raise ValueError(
-            f"key {action.dest!r} ({flag}) takes {kind.__name__} values, got {value!r}"
-        ) from None
+        raise ValueError(f"key {action.dest!r} ({flag}) takes {takes}, got {value!r}") from None
+
+
+def _config_defaults(path: str, name: str, command: argparse.ArgumentParser) -> dict:
+    """The flag defaults a --config file sets for subcommand `name`;
+    ValueError names the file, and the key of a bad entry."""
+    try:
+        defaults = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    actions = {action.dest: action for action in command._actions}
+    unknown = ", ".join(map(repr, sorted(set(defaults) - set(actions))))
+    if unknown:
+        raise ValueError(f"config {path} has keys that are not options of {name}: {unknown}")
+    try:
+        return {key: _config_default(actions[key], value) for key, value in defaults.items()}
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        if at == len(argv):
-            print("refilter: error: --config needs a file path", file=sys.stderr)
-            return 1
-        config_path = argv[at]
-        try:
-            defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"refilter: error: cannot read config {config_path}: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(defaults, dict):
-            print("refilter: error: config file must hold a JSON object", file=sys.stderr)
-            return 1
-        # the subcommand is the first argument; anything else fails to parse below
-        command = subparsers.get(argv[0])
-        if command is not None:
-            actions = {action.dest: action for action in command._actions}
-            unknown = sorted(set(defaults) - set(actions))
-            if unknown:
-                keys = ", ".join(map(repr, unknown))
-                print(f"refilter: error: config {config_path} has keys that are not options "
-                      f"of {argv[0]}: {keys}", file=sys.stderr)
-                return 1
-            try:
-                command.set_defaults(
-                    **{key: _config_default(actions[key], value) for key, value in defaults.items()}
-                )
-            except ValueError as exc:
-                print(f"refilter: error: config {config_path}: {exc}", file=sys.stderr)
-                return 1
-
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # parse again over the file's defaults, so explicit flags win
+            command = subparsers[args.command]
+            command.set_defaults(**_config_defaults(args.config, args.command, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # all operational failures map to exit 1
         print(f"refilter: error: {exc}", file=sys.stderr)

@@ -620,6 +620,13 @@ class SyntheticConfig:
         check("days", int, lambda v: 1 <= v <= _MAX_DAYS,
               f"an integer in 1..{_MAX_DAYS}, so that every timestamp fits in 64 bits")
         check("publisher_pool", int, lambda v: v >= 0, "an integer >= 0")
+        # user ids run to num_recipients + the publisher pool, and the loader
+        # requires 64-bit ids; the larger term is named
+        pool = self.publisher_pool or 2 * self.neighbours_per_user
+        users = self.num_recipients + pool
+        pool_field = "publisher_pool" if self.publisher_pool else "neighbours_per_user"
+        check("num_recipients" if self.num_recipients >= pool else pool_field, int,
+              lambda v: users < 2**63, f"small enough that the {users} user ids fit in 64 bits")
         number = (int, float)
         # comparisons are False for NaN, so NaN fails every bound; the float
         # range bound also stops an int the generator cannot use as a float
@@ -729,6 +736,7 @@ class _Tweet:
     global_retweet_count: int
     global_favourite_count: int
     pos_counts: dict
+    vec: dict | None  # the fixed-point vector, None without a planted signal
 
 
 def _planted_pos_counts(tokens: Sequence[int]) -> dict:
@@ -850,8 +858,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         heapq.heappush(pending, (ts, pending_seq, kind, payload))
         pending_seq += 1
 
-    tweets: dict[int, _Tweet] = {}
-    tweet_vecs: dict[int, dict] = {}  # fixed-point vectors
+    tweet_ids = itertools.count(1)
     buffer: deque[_Tweet] = deque(maxlen=500)
     events: list[HistoryEvent] = []
     instances: list[Instance] = []
@@ -871,8 +878,12 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         if followers[u] and rng.random() < MENTION_RATE:
             mention_target = followers[u][int(rng.integers(0, len(followers[u])))]
             mentioned = (mention_target,)
-        tweet_id = len(tweets) + 1
+        tweet_id = next(tweet_ids)
         token_tuple = tuple(tokens)
+        vec = None
+        if signal > 0:
+            vec = vectorspace.to_fixed(vectorspace.vectorize(token_tuple, uniform_idf))
+            push_pending(ts, "post", (u, tweet_id, vec))
         tweet = _Tweet(
             tweet_id=tweet_id,
             author_id=u,
@@ -889,15 +900,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             global_retweet_count=int(rng.poisson(1 + 0.5 * len(followers[u]))),
             global_favourite_count=int(rng.poisson(1 + len(followers[u]))),
             pos_counts=_planted_pos_counts(token_tuple),
+            vec=vec,
         )
-        tweets[tweet_id] = tweet
         events.append(HistoryEvent(u, tweet_id, "authored", ts, token_tuple, mention_target))
         status_counts[u] += 1
-        if signal > 0:
-            vec = tweet_vecs[tweet_id] = vectorspace.to_fixed(
-                vectorspace.vectorize(token_tuple, uniform_idf)
-            )
-            push_pending(ts, "post", (u, tweet_id, vec))
         return tweet
 
     # burn-in: every user posts a few tweets per topic shortly before the
@@ -920,9 +926,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                         )
                         status_counts[r] += 1
                         if signal > 0:
-                            push_pending(
-                                rt_ts, "retweet", (r, u, tweet.tweet_id, tweet_vecs[tweet.tweet_id])
-                            )
+                            push_pending(rt_ts, "retweet", (r, u, tweet.tweet_id, tweet.vec))
 
     for ts, u in moments:
         if signal > 0:
@@ -946,15 +950,13 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 
         author = tweet.author_id
         if signal > 0:
-            vec = tweet_vecs[tweet.tweet_id]
+            vec = tweet.vec
             if forward is not None:
                 push_pending(ts, "retweet", (u, author, tweet.tweet_id, vec))
             # no stream changes before the next moment's flush, so the
             # sender's posts give one mean for all its followers
             sender_sim = min(
-                stream(posts_streams, u).mean_similarity(vec, tweet.tweet_id, ts)
-                / PLANT_SIM_SCALE,
-                1.0,
+                stream(posts_streams, u).means(vec, tweet.tweet_id, ts)[0] / PLANT_SIM_SCALE, 1.0
             )
         for r in followers[u]:
             if r == author:

@@ -232,7 +232,3 @@ class RollingCentroid:
         return capped, _mean(
             dot - old_dot, n - n_old, dup - self.old_counts.get(exclude_tweet_id, 0), square
         )
-
-    def mean_similarity(self, vec: FixedVector, exclude_tweet_id: int, now: int) -> float:
-        """The capped mean of `means`."""
-        return self.means(vec, exclude_tweet_id, now)[0]

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import shutil
 
 import pytest
 
 from refilter import corpus_io, experiments
-from refilter.cli import main
+from refilter.cli import build_parser, main
 from refilter.corpus_io import SyntheticConfig, config_from_dict, load_corpus_dir
 from refilter.experiments import read_curve, read_ranking
 
@@ -183,9 +184,11 @@ def test_config_file_defaults_and_flag_override(tmp_path):
 
 
 def test_trailing_config_flag_is_error(tmp_path, capsys):
-    rc = main(["synth", "--out", str(tmp_path / "c"), "--config"])
-    assert rc == 1
-    assert capsys.readouterr().err == "refilter: error: --config needs a file path\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "c"), "--config"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "refilter synth: error: argument --config: expected one argument\n")
 
 
 @pytest.mark.parametrize("threshold", ["2", "nan", "0"])
@@ -408,3 +411,173 @@ def test_generator_setting_numpy_cannot_take_names_the_field_and_flag(
     assert capsys.readouterr().err == (
         f"refilter: error: field 'config.{field}' ({flag}) must be {bound}, got {shown}\n")
     assert not out.exists()
+
+
+def test_config_equals_form_reads_the_file(tmp_path):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"num_recipients": 4, "neighbours_per_user": 3,
+                                       "days": 3}), encoding="utf-8")
+    outs = []
+    for form in (["--config", str(config_file)], [f"--config={config_file}"]):
+        out = tmp_path / str(len(outs))
+        assert main(["synth", "--out", str(out), "--seed", "2", *form]) == 0
+        outs.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1]["manifest.json"])["config"]["num_recipients"] == 4
+
+
+def test_missing_config_file_is_error_in_either_form(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    for form in (["--config", str(absent)], [f"--config={absent}"]):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), *form]) == 1
+        assert capsys.readouterr().err.startswith(f"refilter: error: cannot read config {absent}: ")
+        assert not out.exists()
+
+
+def test_only_synth_and_build_take_a_seed(workspace, tmp_path, capsys):
+    root, corpus, splits, *_ = workspace
+    _, subparsers = build_parser()
+    seeded = {name for name, p in subparsers.items()
+              if any("--seed" in action.option_strings for action in p._actions)}
+    assert seeded == {"synth", "build"}
+    assert sum(len(_options(p)) for p in subparsers.values()) == 80
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--corpus", str(corpus), "--splits", str(splits), "--seed", "1",
+              "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+    assert main(["rank", "--corpus", str(corpus), "--splits", str(splits),
+                 "--config", str(config_file), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"refilter: error: config {config_file} has keys that are not options of rank: 'seed'\n")
+
+
+def test_top_m_is_checked_only_when_the_ranking_is_read(workspace, tmp_path):
+    root, corpus, splits, *_ = workspace
+    out = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(corpus), "--splits", str(splits),
+                 "--features", "10,43", "--top-m", "99", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["selected_features"] == [10, 43]
+
+
+@pytest.mark.parametrize("command,flags,env,message", [
+    ("synth", ["--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+    ("build", ["--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+    ("synth", [], "-5", "REFILTER_SEED must be an integer >= 0, got '-5'"),
+    ("synth", [], "abc", "REFILTER_SEED must be an integer >= 0, got 'abc'"),
+    ("build", [], "abc", "REFILTER_SEED must be an integer >= 0, got 'abc'"),
+], ids=["synth-flag", "build-flag", "synth-env-negative", "synth-env-text", "build-env-text"])
+def test_bad_seed_names_its_channel(workspace, tmp_path, capsys, monkeypatch, command, flags,
+                                    env, message):
+    root, corpus, *_ = workspace
+    if env is not None:
+        monkeypatch.setenv("REFILTER_SEED", env)
+    out = tmp_path / "out"
+    inputs = ["--num-recipients", "4"] if command == "synth" else ["--corpus", str(corpus)]
+    assert main([command, *inputs, "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"refilter: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,field,users", [
+    (["--num-recipients", "9" * 23], "num_recipients", 10**23 + 5),
+    (["--neighbours-per-user", "9" * 23], "neighbours_per_user", 2 * (10**23 - 1) + 4),
+    (["--publisher-pool", "9" * 23], "publisher_pool", 10**23 + 3),
+], ids=["recipients", "neighbours", "publishers"])
+def test_user_ids_beyond_64_bits_name_the_field_and_flag(tmp_path, capsys, flags, field, users):
+    out = tmp_path / "c"
+    rc = main(["synth", "--out", str(out), "--num-recipients", "4",
+               "--neighbours-per-user", "3", *flags])
+    assert rc == 1
+    flag = "--" + field.replace("_", "-")
+    assert capsys.readouterr().err == (
+        f"refilter: error: field 'config.{field}' ({flag}) must be small enough that the "
+        f"{users} user ids fit in 64 bits, got {'9' * 23}\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# every option of every subcommand, fed values it must refuse
+
+HOSTILE = ("nan", "inf", "-1", "0", "1e400", "9" * 23)
+# options that name a file or directory, where any string is a name
+PATH_OPTIONS = {"config", "out", "corpus", "splits", "model", "ranking"}
+# the hostile values an option accepts; it must refuse the others. A huge
+# split size passes its own check, and only the corpus can refuse it.
+ACCEPTED = {
+    "seed": {"0", "9" * 23},
+    "signal_strength": {"0", "9" * 23},
+    **dict.fromkeys(["posts_per_day", "recipient_posts_per_day", "publisher_pool",
+                     "forward_rate"], {"0"}),
+    **dict.fromkeys(["cap", "batch_pos", "batch_neg", "train_batches", "dev_batches",
+                     "test_batches", "reg_lambda", "tol", "max_iter"], {"9" * 23}),
+}
+
+
+def _options(parser):
+    return [action for action in parser._actions if action.option_strings and action.dest != "help"]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_every_option_refuses_hostile_values_by_name(workspace, tmp_path, capsys, monkeypatch):
+    root, corpus, splits, ranking, model = workspace
+    out = tmp_path / "out"
+    tables = ["--corpus", str(corpus), "--splits", str(splits), "--out", str(out)]
+    # valid inputs without the fed option; train reads the ranking, so --top-m
+    # counts, and curve ranks the train rows itself, so --folds counts
+    bases = {
+        "synth": ["--out", str(out)],
+        "build": ["--corpus", str(corpus), "--out", str(out)],
+        "rank": tables,
+        "train": [*tables, "--ranking", str(ranking)],
+        "eval": [*tables, "--model", str(model)],
+        "curve": tables,
+        "score": [*tables, "--model", str(model)],
+        "scatter": [*tables, "--model", str(model), "--ft-a", "10", "--ft-b", "43"],
+    }
+    _, subparsers = build_parser()
+    assert set(bases) == set(subparsers)
+    config_file = tmp_path / "run.json"
+    fed = 0
+    for command, parser in subparsers.items():
+        for action in _options(parser):
+            if action.dest in PATH_OPTIONS:
+                continue
+            flag = max(action.option_strings, key=len)
+            names = [flag, "REFILTER_SEED" if action.dest == "seed" else action.dest]
+            for value in set(HOSTILE) - ACCEPTED.get(action.dest, set()):
+                # a config holds a number as a JSON number, and anything else
+                # as a JSON string; a required option always comes from its flag
+                literal = {"nan": "NaN", "inf": "Infinity"}.get(value, value)
+                config_file.write_text(
+                    f'{{"{action.dest}": {literal if action.type else json.dumps(value)}}}',
+                    encoding="utf-8")
+                channels = [([flag, value], None), ([f"{flag}={value}"], None)]
+                if not action.required:
+                    channels += [(["--config", str(config_file)], None),
+                                 ([f"--config={config_file}"], None)]
+                if action.dest == "seed":
+                    channels.append(([], value))
+                for args, env in channels:
+                    if env is None:
+                        monkeypatch.delenv("REFILTER_SEED", raising=False)
+                    else:
+                        monkeypatch.setenv("REFILTER_SEED", env)
+                    case = f"{command} {args} REFILTER_SEED={env}"
+                    assert _exit_code([command, *bases[command], *args]) in (1, 2), case
+                    err = capsys.readouterr().err
+                    assert "Traceback" not in err, case
+                    assert any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err)
+                               for name in names), (case, err)
+                    assert not out.exists(), case
+                    fed += 1
+    assert fed > 600

@@ -193,8 +193,8 @@ def test_rolling_centroid_evicts_beyond_cap():
         _push(c, ts, tid, [tok])
     assert list(c.ids) == [2, 3]
     assert set(c.sums) == {"b", "c"}
-    assert c.mean_similarity(_vec(["a"]), 99, now=10) == 0.0
-    assert c.mean_similarity(_vec(["b"]), 99, now=10) == 0.5
+    assert c.means(_vec(["a"]), 99, now=10)[0] == 0.0
+    assert c.means(_vec(["b"]), 99, now=10)[0] == 0.5
 
 
 def test_rolling_centroid_window_horizon_is_strict():
@@ -211,12 +211,12 @@ def test_rolling_centroid_window_horizon_is_strict():
 def test_rolling_centroid_excludes_the_tweet_itself():
     c = RollingCentroid(cap=10)
     _push(c, 0, 1, ["a"])
-    assert c.mean_similarity(_vec(["a"]), 1, now=5) == 0.0
+    assert c.means(_vec(["a"]), 1, now=5)[0] == 0.0
     _push(c, 1, 2, ["a", "b"])
     _push(c, 2, 1, ["a"])  # a retweet of the same tweet: both copies are left out
     half = cosine(vectorize(["a"], UNIFORM), vectorize(["a", "b"], UNIFORM))
-    assert c.mean_similarity(_vec(["a"]), 1, now=5) == pytest.approx(half, abs=1e-15)
-    assert c.mean_similarity(_vec(["a"]), 3, now=5) == pytest.approx((2 + half) / 3, abs=1e-15)
+    assert c.means(_vec(["a"]), 1, now=5)[0] == pytest.approx(half, abs=1e-15)
+    assert c.means(_vec(["a"]), 3, now=5)[0] == pytest.approx((2 + half) / 3, abs=1e-15)
 
 
 def test_rolling_centroid_sums_independent_of_interleaving():
