@@ -273,7 +273,14 @@ def cmd_build(args) -> int:
     features.check_cap(args.cap)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     hist = history.UserHistoryIndex(corpus)
-    splits = experiments.build_dataset(corpus, spec, hist)
+    try:
+        splits = experiments.build_dataset(corpus, spec, hist)
+    except experiments.DatasetError as exc:
+        sizes = " ".join(
+            f"--{name.replace('_', '-')} {getattr(spec, name)}"
+            for name in ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches")
+        )
+        raise experiments.DatasetError(f"{exc}; the split flags ask for {sizes}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_split_ids(splits, out)

@@ -368,24 +368,45 @@ def evaluate(
 # featurization plumbing shared by the harness and the CLI
 
 
+def _int64_id(value) -> int:
+    """An id as an int; KeyError names a value that is no 64-bit integer."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and -(2**63) <= value < 2**63:
+        return int(value)
+    raise KeyError(value)
+
+
 @dataclass(frozen=True)
 class FeatureTable:
-    """Raw feature rows for a set of instances, addressable by id."""
+    """Raw feature rows for a set of instances, addressable by id through
+    the ids in sorted order; an id held twice addresses its last row."""
 
     ids: np.ndarray
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_row_of", {int(i): r for r, i in enumerate(self.ids)}
-        )
+        order = np.argsort(self.ids, kind="stable")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_sorted_ids", self.ids[order])
 
     def rows(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
         return self.rows_by_id([inst.instance_id for inst in instances])
 
     def rows_by_id(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        idx = [self._row_of[iid] for iid in ids]
+        """The rows of `ids`, in that order; KeyError names an unknown id."""
+        wanted = np.asarray(ids)
+        if wanted.dtype != np.int64:
+            wanted = np.array([_int64_id(i) for i in ids], dtype=np.int64)
+        held = self._sorted_ids
+        at = np.searchsorted(held, wanted, side="right") - 1
+        if len(held):
+            found = held[np.maximum(at, 0)] == wanted
+        else:
+            found = np.zeros(len(wanted), dtype=bool)
+        if not found.all():
+            raise KeyError(int(wanted[found.argmin()]))
+        idx = self._order[at]
         return self.X[idx], self.y[idx]
 
 

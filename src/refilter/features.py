@@ -5,18 +5,17 @@ training data only and applied (with clamping) everywhere else. Two
 extraction paths exist: `assemble` computes one instance directly from
 history queries, and `extract_matrix` featurizes many instances in two
 passes, orders of magnitude faster on large corpora. Its similarity pass
-sweeps the instances in timestamp order with one cursor per history
-stream, each feeding one exact `RollingCentroid` that gives both the
-capped and, for the recipient's seen and retweet streams, the weekly
-mean, and answers a query repeated within one second from a memo cleared
-whenever the timestamp advances.
-Its column pass fills the other 44 features one column at a time. Those
-44 columns equal `assemble` bitwise; the six similarity features agree
-with it to within a few units of 1e-16 when every record of a tweet id
-carries the same tokens, since a `RollingCentroid` leaves out the tweet's
-own copies by subtracting `dup·|vec|²` of the query vector. Each row
-depends only on the instance and the context: featurizing any subset of
-instances gives bitwise the same rows as featurizing them all.
+hands each history stream, with every instance that queries it, to one
+`vectorspace.stream_means` call, which sums the fixed-point vectors of the
+held docs exactly in int64 limbs and gives both the capped and, for the
+recipient's seen and retweet streams, the weekly mean. Its column pass
+fills the other 44 features one column at a time. Those 44 columns equal
+`assemble` bitwise; the six similarity features agree with it to within a
+few units of 1e-16 when every record of a tweet id carries the same
+tokens, since the sweep leaves out the tweet's own copies by subtracting
+`dup·|vec|²` of the query vector. Each row depends only on the instance
+and the context: featurizing any subset of instances gives bitwise the
+same rows as featurizing them all.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import numpy as np
 from .corpus_io import Corpus, HistoryEvent, Instance, UserProfile
 from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, recent
 from .vectorspace import (
-    FixedVector,
     IdfTable,
-    RollingCentroid,
+    PackedVectors,
     avg_similarity,
+    stream_means,
     to_fixed,
     vectorize,
 )
@@ -125,16 +124,7 @@ class FeatureContext:
         self.keywords = keywords or KeywordConfig()
         self.vocab = vocab
         self.cap = cap
-        self._vec_cache: dict[tuple, FixedVector] = {}
         self._warned_fallback = False
-
-    def vector_for(self, tokens: tuple) -> FixedVector:
-        """The TF-IDF vector of a token tuple in fixed point, computed once
-        per distinct tuple: equal tokens share one vector object."""
-        vec = self._vec_cache.get(tokens)
-        if vec is None:
-            vec = self._vec_cache[tokens] = to_fixed(vectorize(tokens, self.idf))
-        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +350,13 @@ def extract_matrix(
     """Feature matrix for many instances: (ids, X of shape (n, 50), labels).
 
     Rows are returned in the order of `instances`. Two passes write
-    straight into X. The similarity pass (FT10-13, FT42-43) runs in
-    timestamp order with one cursor per history stream, which feeds the
-    stream's one `RollingCentroid`: it holds the capped events and, for the
-    recipient's seen and retweet streams, sums apart those older than a
-    week, so the capped and weekly means come from one set of sums. A
-    query repeated within one second (same stream, same tweet) is answered
-    from a memo cleared whenever the timestamp advances. The column pass
-    fills the other 44 columns one column at a time, with each user's
-    profile values and each token tuple's wording counts computed once.
+    straight into X. The similarity pass (FT10-13, FT42-43) answers all
+    queries of one history stream with one `stream_means` call, whose
+    exact integer sums give the capped and, for the recipient's seen and
+    retweet streams, the weekly mean; each distinct token tuple is
+    vectorized once per call. The column pass fills the other 44 columns
+    one column at a time, with each user's profile values and each token
+    tuple's wording counts computed once.
     """
     n = len(instances)
     ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
@@ -379,84 +367,64 @@ def extract_matrix(
     return ids, X, labels
 
 
-class _Cursor:
-    """One user's stream of one kind, pushed in time order into one
-    `RollingCentroid`, windowed for the recipient's seen and retweet streams.
-
-    `means` answers every query at one timestamp from a memo keyed by the
-    tweet id, and reuses an entry only for the very vector object it was
-    computed from. That is exact: the held events change only when the
-    timestamp grows, and equal tokens share one vector object.
-    """
-
-    __slots__ = ("events", "next", "centroid", "ts", "memo", "vector_for")
-
-    def __init__(self, events: Sequence, cap: int, window: int | None, vector_for) -> None:
-        self.events = events
-        self.next = 0  # the first event not yet pushed
-        self.centroid = RollingCentroid(cap, window)
-        self.ts = None
-        self.memo: dict[int, tuple] = {}  # tweet id -> (query vector, means)
-        self.vector_for = vector_for
-
-    def means(self, ts: int, tweet_id: int, vec: FixedVector) -> tuple:
-        """(capped, window or None) mean similarity of `vec` to the events
-        strictly before `ts`, leaving out copies of `tweet_id`."""
-        if ts != self.ts:
-            self.ts = ts
-            self.memo.clear()
-            events, i, end = self.events, self.next, len(self.events)
-            push = self.centroid.push
-            while i < end and events[i].timestamp < ts:
-                e = events[i]
-                push(e.timestamp, e.tweet_id, self.vector_for(e.tokens))
-                i += 1
-            self.next = i
-        got = self.memo.get(tweet_id)
-        if got is not None and got[0] is vec:
-            return got[1]
-        means = self.centroid.means(vec, tweet_id, ts)
-        self.memo[tweet_id] = (vec, means)
-        return means
-
-
-class _Cursors(dict):
-    """user -> `_Cursor` over one kind of stream, made on first use."""
-
-    def __init__(self, ctx: FeatureContext, stream, window: int | None) -> None:
-        super().__init__()
-        self.stream = stream  # user -> that user's time-sorted events
-        self.cap = ctx.cap
-        self.window = window
-        self.vector_for = ctx.vector_for
-
-    def __missing__(self, user: int) -> _Cursor:
-        cursor = self[user] = _Cursor(self.stream(user), self.cap, self.window, self.vector_for)
-        return cursor
+_TOKENS = attrgetter("tokens")
+_TIMESTAMP = attrgetter("timestamp")
+_TWEET_ID = attrgetter("tweet_id")
 
 
 def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+    """FT10-13 and FT42-43, one `stream_means` call per history stream: a
+    user's posts answer the instances they send (FT10) and receive (FT11),
+    and a recipient's seen and retweet streams give FT12 with FT42 and FT13
+    with FT43. Each stream's queries run in (timestamp, instance id) order.
+    Timestamps and tweet ids are 64-bit integers, as the loader checks."""
     hist = ctx.hist
-    posts = _Cursors(ctx, hist.posts_stream, None)
-    seen = _Cursors(ctx, hist.seen_stream, WEEK_SECONDS)
-    retweets = _Cursors(ctx, hist.retweets_stream, WEEK_SECONDS)
-    sender_posts, recipient_posts, recipient_seen, recipient_retweets = (
-        X[:, col] for col in range(9, 13)
-    )
-    seen_week, retweets_week = X[:, 41], X[:, 42]
-    vector_for = ctx.vector_for
-
     keys = [(inst.timestamp, inst.instance_id) for inst in instances]
     order = sorted(range(len(instances)), key=keys.__getitem__)
     del keys  # n tuples, not to be held through the sweep
+    by_sender: dict[int, list[int]] = {}
+    by_recipient: dict[int, list[int]] = {}
     for row in order:
         inst = instances[row]
-        ts, tid, recipient = inst.timestamp, inst.tweet_id, inst.recipient_id
-        vec = vector_for(inst.tweet.tokens)
-        sender_posts[row] = posts[inst.sender_id].means(ts, tid, vec)[0]
-        recipient_posts[row] = posts[recipient].means(ts, tid, vec)[0]
-        recipient_seen[row], seen_week[row] = seen[recipient].means(ts, tid, vec)
-        recipient_retweets[row], retweets_week[row] = retweets[recipient].means(ts, tid, vec)
+        by_sender.setdefault(inst.sender_id, []).append(row)
+        by_recipient.setdefault(inst.recipient_id, []).append(row)
+
+    # (history events, query rows, capped column, week column or None)
+    streams = []
+    for user in sorted(by_sender.keys() | by_recipient.keys()):
+        sent, received = by_sender.get(user, []), by_recipient.get(user, [])
+        columns = np.repeat(np.array([9, 10]), [len(sent), len(received)])
+        streams.append((hist.posts_stream(user), sent + received, columns, None))
+    for user, received in by_recipient.items():
+        streams.append((hist.seen_stream(user), received, 11, 41))
+        streams.append((hist.retweets_stream(user), received, 12, 42))
+
+    # each distinct token tuple vectorized once, at its index in the pack
+    tweet_tokens = list(map(attrgetter("tweet.tokens"), instances))
+    distinct = dict.fromkeys(itertools.chain(
+        tweet_tokens, *(map(_TOKENS, events) for events, *_ in streams)))
+    pack = PackedVectors(to_fixed(vectorize(tokens, ctx.idf)) for tokens in distinct)
+    slot = {tokens: i for i, tokens in enumerate(distinct)}
+    del distinct
+
+    def arrays(records: Sequence, tokens: Iterable[tuple]) -> tuple:
+        n = len(records)
+        return (np.fromiter(map(slot.__getitem__, tokens), np.int64, n),
+                np.fromiter(map(_TIMESTAMP, records), np.int64, n),
+                np.fromiter(map(_TWEET_ID, records), np.int64, n))
+
+    query_vec, query_time, query_id = arrays(instances, tweet_tokens)
+    del tweet_tokens
+    for events, rows, column, week_column in streams:
+        rows = np.array(rows, dtype=np.intp)
+        capped, week = stream_means(
+            pack, arrays(events, map(_TOKENS, events)),
+            (query_vec[rows], query_time[rows], query_id[rows]),
+            ctx.cap, None if week_column is None else WEEK_SECONDS,
+        )
+        X[rows, column] = capped
+        if week is not None:
+            X[rows, week_column] = week
 
 
 def _column(values: Iterable, n: int, dtype=np.float64) -> np.ndarray:

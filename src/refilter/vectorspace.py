@@ -3,6 +3,14 @@
 Tokens may be strings (raw pipeline) or integer ids (encoded corpora);
 anything hashable works. Document frequency is smoothed so unseen tokens
 get a finite weight: idf = ln((N+1)/(df+1)) + 1.
+
+The history similarities are means over exact integer sums of fixed-point
+vectors, in two forms that give the same floats bit for bit.
+`stream_means` answers every query of one stream at once in numpy, with
+each weight split into int64 limbs; the feature sweep uses it.
+`RollingCentroid` is pushed one doc at a time and answers each query as it
+comes; the synthetic generator needs that, since its queries depend on
+labels it has just drawn, and the tests use it as the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 Token = Hashable
 SparseVector = dict  # token -> weight, L2-normalized unless empty
@@ -232,3 +242,180 @@ class RollingCentroid:
         return capped, _mean(
             dot - old_dot, n - n_old, dup - self.old_counts.get(exclude_tweet_id, 0), square
         )
+
+
+# ---------------------------------------------------------------------------
+# every query of one stream at once, in exact int64 limbs
+
+# the widest limb: three 21-bit limbs hold any int64 weight
+_LIMB_BITS = 21
+# queries answered per block, which bounds the per-entry temporaries
+_QUERY_BLOCK = 4096
+
+
+def limb_bits(held: int, width: int) -> int:
+    """The widest limb, at most `_LIMB_BITS` bits, at which `stream_means`
+    sums exactly in int64 over `held` docs and queries of up to `width`
+    tokens. Each of the ceil(63/bits) limbs of a weight is at most
+    2**bits in magnitude, so a token's limb summed over the held docs,
+    less up to `held` copies of the query's own limb, is at most
+    2·held·2**bits, and a query's product sum at one power of 2**bits
+    has at most width·ceil(63/bits) terms of that times 2**bits. The sum
+    stays below 2**62, which leaves room for the carries of `_divide`: at
+    21 bits, while held·width < 2**19/3."""
+    for bits in range(_LIMB_BITS, 0, -1):
+        if -(-63 // bits) * width * 2 * held << 2 * bits < 1 << 62:
+            return bits
+    raise OverflowError(f"no int64 limbs hold sums over {held} docs of {width}-token queries")
+
+
+def _limbs(weights: np.ndarray, bits: int) -> np.ndarray:
+    """int64 weights as rows of ceil(63/bits) limbs, lowest first, whose
+    sum of limb·2**(k·bits) is the weight: every limb but the top one in
+    [0, 2**bits), the top one signed."""
+    limbs = weights[:, None] >> np.arange(0, 63, bits, dtype=np.int64)
+    limbs[:, :-1] &= (1 << bits) - 1
+    return limbs
+
+
+def _divide(sums: np.ndarray, bits: int, counts: np.ndarray) -> np.ndarray:
+    """Each row's exact dot product, the sum of sums[:, s]·2**(s·bits),
+    divided as `_mean` divides it over `counts` docs: no doc gives 0, and
+    the mean is clamped to [0, 1]. The carries are settled in int64
+    (every column is below 2**62) and the settled digits packed 63 // bits
+    to a word, so Python joins a few words per row."""
+    top = sums.shape[1] - 1
+    carry = np.zeros(len(sums), dtype=np.int64)
+    digits = []
+    for s in range(top):
+        settled = sums[:, s] + carry
+        digits.append(settled & ((1 << bits) - 1))
+        carry = settled >> bits
+    per = 63 // bits
+    words = [sum(d << i * bits for i, d in enumerate(digits[j:j + per]))
+             for j in range(0, top, per)]
+    dots = (sums[:, top] + carry).tolist()
+    shift = (top - (len(words) - 1) * per) * bits
+    for word in reversed(words[1:]):
+        dots = [(dot << shift) + w for dot, w in zip(dots, word.tolist())]
+        shift = per * bits
+    scale = 2 * FIXED_BITS
+    return np.clip([((dot << shift) + w) / (n << scale) if n > 0 else 0.0
+                    for dot, w, n in zip(dots, words[0].tolist(), counts.tolist())], 0.0, 1.0)
+
+
+class PackedVectors:
+    """Fixed-point vectors laid end to end for `stream_means`: vector i
+    holds the token codes `codes[starts[i]:starts[i + 1]]`, one code per
+    distinct token of the pack, and the int64 weights at the same places."""
+
+    def __init__(self, vectors: Iterable[FixedVector]) -> None:
+        code_of: dict = {}
+        codes: list[int] = []
+        weights: list[int] = []
+        starts = [0]
+        for vec in vectors:
+            codes += [code_of.setdefault(t, len(code_of)) for t in vec]
+            weights += vec.values()
+            starts.append(len(codes))
+        self.codes = np.array(codes, dtype=np.int64)
+        self.weights = np.array(weights, dtype=np.int64)
+        self.starts = np.array(starts, dtype=np.int64)
+
+    def entries(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the vectors `which`: the place of each of their entries in
+        the flat arrays, the index into `which` that owns it, and the
+        bounds of each vector's run of entries."""
+        first = self.starts[which]
+        sizes = self.starts[which + 1] - first
+        bounds = np.zeros(len(which) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        owner = np.repeat(np.arange(len(which)), sizes)
+        return np.arange(bounds[-1]) + (first - bounds[:-1])[owner], owner, bounds
+
+
+def stream_means(
+    pack: PackedVectors,
+    docs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    queries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cap: int,
+    window: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(capped, window) mean cosines of many queries against one stream,
+    each bitwise the pair `RollingCentroid(cap, window).means` gives once
+    the stream's docs before the query are pushed; no window gives None.
+
+    `docs` and `queries` are (vector index into `pack`, int64 timestamp,
+    tweet id) arrays, the docs in time order. A query sees the newest
+    `cap` docs strictly before its timestamp, without copies of its own
+    tweet id, and its window mean those of them no more than `window`
+    seconds older than the query.
+
+    Each weight is split into int64 limbs (`limb_bits`). The docs' limbs
+    are summed in prefix order over their (token, position) entries, so
+    the held sum of a query's token is a difference of two prefix sums
+    found with `searchsorted`. A prefix sum may wrap in int64, but a
+    difference within one token's run is at most held·2**bits, so it is
+    exact. Each copy of the query's own tweet among the held docs takes
+    the query's own limbs off these sums, as `_mean` takes `dup·|vec|²`
+    off the dot product. A query's limb products are summed at each power
+    of 2**bits and joined into one exact dot product, which is divided as
+    `_mean` divides it.
+    """
+    doc_vecs, doc_times, doc_ids = docs
+    query_vecs, query_times, query_ids = queries
+    m = len(doc_times)
+    if m == 0 or len(query_times) == 0:
+        empty = np.zeros(len(query_times))
+        return empty, None if window is None else empty.copy()
+    held = min(cap, m)
+    ends = np.searchsorted(doc_times, query_times)
+    starts = [np.maximum(ends - held, 0)]
+    if window is not None:
+        # the horizon ts - window, floored where it would wrap below int64
+        floor = int(np.iinfo(np.int64).min) + window
+        horizon = np.maximum(query_times, floor) - window
+        starts.append(np.maximum(starts[0], np.searchsorted(doc_times, horizon)))
+    # a tweet id's docs and a token's entries, each keyed by the id's rank
+    # or the token's code times m+1, plus the position: ranks and codes are
+    # fewer than the entries held, so keys fit int64 for any stream in memory
+    ids, id_rank = np.unique(doc_ids, return_inverse=True)
+    id_keys = np.sort(id_rank.reshape(-1) * (m + 1) + np.arange(m))
+    places, owner, _ = pack.entries(doc_vecs)
+    keys = pack.codes[places] * (m + 1) + owner
+    order = np.argsort(keys)
+    keys = keys[order]
+    widths = pack.starts[query_vecs + 1] - pack.starts[query_vecs]
+    bits = limb_bits(held, int(widths.max(initial=0)))
+    limbs = _limbs(pack.weights[places[order]], bits)
+    sums = np.zeros((len(keys) + 1, limbs.shape[1]), dtype=np.int64)
+    np.cumsum(limbs, axis=0, out=sums[1:])
+    del places, owner, order, limbs
+
+    means: list[list[np.ndarray]] = [[] for _ in starts]
+    for block in range(0, len(query_times), _QUERY_BLOCK):
+        rows = slice(block, block + _QUERY_BLOCK)
+        vecs, hi = query_vecs[rows], ends[rows]
+        # the rank of the query's own tweet among the doc ids, if it is one
+        rank = np.minimum(np.searchsorted(ids, query_ids[rows]), len(ids) - 1)
+        own = ids[rank] == query_ids[rows]
+        id_base = rank * (m + 1)
+        places, owner, bounds = pack.entries(vecs)
+        base = pack.codes[places] * (m + 1)
+        query_limbs = _limbs(pack.weights[places], bits)
+        count = query_limbs.shape[1]
+        upper = sums[np.searchsorted(keys, base + hi[owner])]
+        for lo, out in zip((s[rows] for s in starts), means):
+            dups = np.where(own, np.searchsorted(id_keys, id_base + hi)
+                            - np.searchsorted(id_keys, id_base + lo), 0)
+            held_sums = upper - sums[np.searchsorted(keys, base + lo[owner])]
+            held_sums -= dups[owner, None] * query_limbs
+            products = np.zeros((len(places) + 1, 2 * count - 1), dtype=np.int64)
+            for k in range(count):
+                for j in range(count):
+                    products[1:, k + j] += held_sums[:, k] * query_limbs[:, j]
+            np.cumsum(products, axis=0, out=products)
+            out.append(_divide(products[bounds[1:]] - products[bounds[:-1]], bits,
+                               hi - lo - dups))
+    capped, *week = (np.concatenate(out) for out in means)
+    return capped, week[0] if week else None

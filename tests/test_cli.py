@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from refilter import corpus_io, experiments
@@ -156,6 +157,33 @@ def test_insufficient_corpus_reports_achievable(tmp_path, capsys):
                "--batch-pos", "400", "--batch-neg", "400"])
     assert rc == 1
     assert "supports only" in capsys.readouterr().err
+
+
+def test_split_sizes_the_corpus_cannot_fill_are_named_by_flag(workspace, tmp_path, capsys):
+    root, corpus, *_ = workspace
+    rc = main(["build", "--corpus", str(corpus), "--out", str(tmp_path / "s"),
+               *BUILD_FLAGS, "--batch-pos", "9" * 23])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refilter: error: corpus supports only 0 batches")
+    assert err.endswith(f"; the split flags ask for --batch-pos {'9' * 23} --batch-neg 25 "
+                        "--train-batches 8 --dev-batches 2 --test-batches 2\n")
+    assert not (tmp_path / "s").exists()
+
+
+def test_a_cap_beyond_every_stream_gives_the_table_of_a_large_cap(workspace, tmp_path):
+    # a cap no int64 holds reaches the sweep, which clamps it to each stream
+    root, corpus, *_ = workspace
+    tables = []
+    for cap in ("9" * 23, "1000000"):
+        out = tmp_path / cap
+        assert main(["build", "--corpus", str(corpus), "--out", str(out), "--seed", "3",
+                     *BUILD_FLAGS, "--cap", cap]) == 0
+        with np.load(out / "feature_table.npz") as data:
+            tables.append({name: data[name] for name in ("ids", "X", "y")})
+    for name in ("ids", "X", "y"):
+        assert np.array_equal(tables[0][name], tables[1][name]), name
+    assert np.count_nonzero(tables[0]["X"][:, 9]) > len(tables[0]["X"]) // 2
 
 
 def test_scatter_on_wrong_model_fails(workspace, tmp_path, capsys):
@@ -506,14 +534,13 @@ HOSTILE = ("nan", "inf", "-1", "0", "1e400", "9" * 23)
 # options that name a file or directory, where any string is a name
 PATH_OPTIONS = {"config", "out", "corpus", "splits", "model", "ranking"}
 # the hostile values an option accepts; it must refuse the others. A huge
-# split size passes its own check, and only the corpus can refuse it.
+# split size passes its own check, and the corpus refuses it by its flag.
 ACCEPTED = {
     "seed": {"0", "9" * 23},
     "signal_strength": {"0", "9" * 23},
     **dict.fromkeys(["posts_per_day", "recipient_posts_per_day", "publisher_pool",
                      "forward_rate"], {"0"}),
-    **dict.fromkeys(["cap", "batch_pos", "batch_neg", "train_batches", "dev_batches",
-                     "test_batches", "reg_lambda", "tol", "max_iter"], {"9" * 23}),
+    **dict.fromkeys(["cap", "reg_lambda", "tol", "max_iter"], {"9" * 23}),
 }
 
 

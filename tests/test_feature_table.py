@@ -430,3 +430,22 @@ def test_corrupted_table_file_reads_as_a_miss(tmp_path):
         back = read_table(path, "k" * 64, ids.tolist())
         if back is not None:
             assert np.array_equal(back.X, table.X) and np.array_equal(back.y, table.y)
+
+
+def test_rows_by_id_finds_rows_in_the_order_asked_and_names_an_unknown_id():
+    ids = np.array([7, 3, 11, 3], dtype=np.int64)
+    X = np.arange(4 * 50, dtype=np.float64).reshape(4, 50)
+    table = FeatureTable(ids=ids, X=X, y=np.array([1, 0, 1, 0]))
+    got_X, got_y = table.rows_by_id([11, 7, 11])
+    assert np.array_equal(got_X, X[[2, 0, 2]]) and got_y.tolist() == [1, 1, 1]
+    # an id held twice addresses its last row
+    assert np.array_equal(table.rows_by_id(np.array([3]))[0], X[[3]])
+    assert table.rows_by_id([])[0].shape == (0, 50)
+    for unknown in (2, 5, 12, 2**63, -(2**63) - 1, 1.5, True):
+        with pytest.raises(KeyError) as caught:
+            table.rows_by_id([3, unknown, 11])
+        assert caught.value.args == (unknown,)
+    empty = FeatureTable(ids=np.zeros(0, dtype=np.int64), X=np.zeros((0, 50)),
+                         y=np.zeros(0, dtype=np.int64))
+    with pytest.raises(KeyError, match="^7$"):
+        empty.rows_by_id([7])

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from refilter import features
-from refilter.corpus_io import HistoryEvent
+from refilter.corpus_io import HistoryEvent, generate_synthetic
 from refilter.features import (
     KeywordConfig,
     FeatureContext,
@@ -28,6 +29,7 @@ from refilter.history import UserHistoryIndex
 from refilter.vectorspace import avg_similarity, build_idf
 
 from conftest import make_corpus, make_instance, make_profile
+from test_corpus_io import PINNED_CONFIG
 
 DAY = 86400
 
@@ -468,6 +470,28 @@ def test_subset_rows_match_full_sweep_bitwise(small_signal_corpus, cap):
         _, X_sub, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), subset)
         rows = [row_of[inst.instance_id] for inst in subset]
         assert np.array_equal(X_sub, X_full[rows])
+
+
+# sha256 of the sweep's X over the pinned generator corpus (seed 15), with
+# its instances in corpus order, per history cap
+SWEEP_SHA256 = {
+    1000: "d4f4b1037a707c179614433823a5ffb88e926f4b9028718158eba75c11d1db18",
+    5: "e1919c90933701b88800f9f1edd080a09d3dcac51ea8e7efd305537f814be73e",
+    1: "3b0bdcba8dd6b90798b0bb3006152760d9bab6403736d688d5e04078bca15841",
+}
+
+
+def test_sweep_bytes_are_pinned():
+    """Every bit of the sweep, the six similarity columns included: one ulp
+    moved in any row, at a cap that binds or one that does not, shows here."""
+    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
+    hist = UserHistoryIndex(corpus)
+    idf = build_idf(e.tokens for e in corpus.events)
+    digests = {}
+    for cap in SWEEP_SHA256:
+        _, X, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), corpus.instances)
+        digests[cap] = hashlib.sha256(X.tobytes()).hexdigest()
+    assert digests == SWEEP_SHA256
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.0, True, "5"])

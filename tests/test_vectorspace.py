@@ -1,14 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from refilter import vectorspace
 from refilter.vectorspace import (
     IdfTable,
+    PackedVectors,
     RollingCentroid,
     avg_similarity,
     build_idf,
     cosine,
+    limb_bits,
+    stream_means,
     to_fixed,
     vectorize,
 )
@@ -300,3 +305,140 @@ def test_rolling_centroid_means_equal_fresh_centroids_of_the_held_and_window_doc
                 assert centroid.means(vec, query, now) == expect
             ts = now  # later docs are not older than a query already made
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- stream_means ----------------------------------------------------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _centroid_means(docs, queries, cap, window):
+    """The oracle: one RollingCentroid, pushed the docs strictly before
+    each query in turn; the queries come in time order."""
+    centroid = RollingCentroid(cap, window)
+    pushed, out = 0, []
+    for ts, tweet_id, vec in queries:
+        while pushed < len(docs) and docs[pushed][0] < ts:
+            centroid.push(*docs[pushed])
+            pushed += 1
+        out.append(centroid.means(vec, tweet_id, ts))
+    return out
+
+
+def _kernel_means(docs, queries, cap, window):
+    pack = PackedVectors([vec for _, _, vec in docs + queries])
+
+    def arrays(items, first):
+        return (np.arange(first, first + len(items), dtype=np.int64),
+                np.array([ts for ts, _, _ in items], dtype=np.int64),
+                np.array([tweet_id for _, tweet_id, _ in items], dtype=np.int64))
+
+    return stream_means(pack, arrays(docs, 0), arrays(queries, len(docs)), cap, window)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_kernel_is_the_centroid(docs, queries, cap, window):
+    capped, week = _kernel_means(docs, queries, cap, window)
+    expect = _centroid_means(docs, queries, cap, window)
+    assert _bits(capped) == _bits([c for c, _ in expect])
+    if window is None:
+        assert week is None
+    else:
+        assert _bits(week) == _bits([w for _, w in expect])
+    return expect
+
+
+# w0 and w1 appear in more documents than the table counts: their idf, and
+# so their weights, are negative
+NEGATIVE_IDF = IdfTable(doc_count=3, doc_frequency={"w0": 40, "w1": 25, "w2": 1})
+TWEET_IDS = [0, 1, 2, 3, -5, INT64_MIN, INT64_MAX]
+
+
+@pytest.mark.parametrize("widest", [21, 4])
+def test_stream_means_equal_the_rolling_centroid_bitwise(monkeypatch, widest):
+    """Query by query on seeded random streams: caps that bind, that do
+    not and that no int64 holds; docs exactly `window` seconds old; tied
+    timestamps at both ends of int64, where ts - window wraps; copies of
+    the query's own tweet held and dropped by the cap; empty vectors and
+    negative weights. At widest=4 every weight takes 16 limbs, so the
+    carries between limbs are exercised."""
+    monkeypatch.setattr(vectorspace, "_LIMB_BITS", widest)
+    rng = random.Random(18 + widest)
+    vocabulary = [f"w{i}" for i in range(10)]
+    seen = set()
+    for _ in range(150):
+        cap = rng.choice([1, 5, 1000, 10**23])
+        window = rng.choice([None, 0, 7, 40])
+        # near the int64 maximum, later docs tie at it
+        start = rng.choice([0, INT64_MIN, INT64_MAX - 10 * (window or 1), -30])
+        vec_of = {tid: to_fixed(vectorize(rng.choices(vocabulary, k=rng.randint(0, 6)),
+                                          NEGATIVE_IDF)) for tid in TWEET_IDS}
+        docs, ts = [], start
+        for _ in range(rng.randint(0, 30)):
+            ts = min(ts + rng.choice([0, 0, 1, 3, window or 2]), INT64_MAX)
+            tid = rng.choice(TWEET_IDS)
+            # a copy of a tweet mostly carries its tokens, but not always
+            vec = vec_of[tid] if rng.random() < 0.8 else vec_of[rng.choice(TWEET_IDS)]
+            docs.append((ts, tid, vec))
+        times = [start] + [d[0] for d in docs]
+        queries = []
+        for _ in range(rng.randint(1, 12)):
+            q = rng.choice(times) + rng.choice([0, 1, window or 0, (window or 0) + 1])
+            tid = rng.choice(TWEET_IDS)
+            queries.append((min(q, INT64_MAX), tid, vec_of[tid]))
+        queries.sort(key=lambda query: query[0])
+        _assert_kernel_is_the_centroid(docs, queries, cap, window)
+
+        for q, tid, _ in queries:
+            before = [d for d in docs if d[0] < q]
+            held = before[max(0, len(before) - cap):]
+            if any(d[1] == tid for d in held):
+                seen.add("own copy held")
+            if any(d[1] == tid for d in before[:len(before) - len(held)]):
+                seen.add("own copy dropped by the cap")
+            if window is not None and held:
+                if any(q - d[0] == window for d in held):
+                    seen.add("a doc exactly window seconds old")
+                if any(q - d[0] > window for d in held):
+                    seen.add("held docs older than the window")
+                if q - window < INT64_MIN:
+                    seen.add("horizon below int64")
+            if not held:
+                seen.add("nothing held")
+            if q == INT64_MAX and held:
+                seen.add("timestamp at the int64 maximum")
+    assert seen == {
+        "own copy held", "own copy dropped by the cap", "a doc exactly window seconds old",
+        "held docs older than the window", "horizon below int64", "nothing held",
+        "timestamp at the int64 maximum",
+    }
+    assert min(min(vec.values(), default=0) for vec in vec_of.values()) < 0
+
+
+def test_stream_means_narrow_their_limbs_where_the_sums_need_it():
+    """1000 held docs and 200-token queries pass the 21-bit bound, so the
+    kernel sums in 20-bit limbs, and stays the centroid's equal."""
+    rng = random.Random(7)
+    vocabulary = [f"w{i}" for i in range(400)]
+    table = build_idf([rng.sample(vocabulary, 50) for _ in range(30)])
+    docs = [(i // 3, i % 17, to_fixed(vectorize(rng.sample(vocabulary, 200), table)))
+            for i in range(1200)]
+    queries = [(ts, tid, to_fixed(vectorize(rng.sample(vocabulary, 200), table)))
+               for ts, tid in [(100, 3), (400, 5), (401, 40), (500, 2)]]
+    queries[2] = (401, 40, docs[-2][2])
+    assert limb_bits(1000, 200) == 20
+    expect = _assert_kernel_is_the_centroid(docs, queries, 1000, 200)
+    assert all(0.0 < c for c, _ in expect) and expect[2][0] != expect[2][1]
+
+
+def test_limb_bits_keep_every_sum_below_the_carry_room():
+    assert limb_bits(0, 0) == limb_bits(1000, 33) == 21
+    # at 21 bits: 3 limb pairs · width · 2·held · 2**42 < 2**62
+    assert limb_bits(174_762, 1) == 21 and limb_bits(174_763, 1) == 20
+    for held, width in [(1, 1), (10**6, 40), (10**12, 1000), (2**40, 2**10)]:
+        bits = limb_bits(held, width)
+        assert -(-63 // bits) * width * 2 * held << 2 * bits < 2**62
+        assert bits == 21 or -(-63 // (bits + 1)) * width * 2 * held << 2 * (bits + 1) >= 2**62
