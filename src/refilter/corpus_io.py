@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import vectorspace
+from . import history, vectorspace
 from .textnorm import NUM_TOKEN, SMILEY_TOKENS, URL_TOKEN
 
 # reserved token ids for the normalization pseudo-tokens
@@ -652,12 +651,11 @@ def config_from_dict(data: Mapping) -> SyntheticConfig:
 # Planted-model shape: decision value of instance i (in creation order)
 #   z_i = logit(retweet_rate) + drift_i + signal * sum_f w_f * (x_f - c_f)
 # where each planted quantity x_f is a saturating [0, 1] normalization of
-# one feature (similarities divided by PLANT_SIM_SCALE and capped, the
-# recipient-to-author retweet count divided by its cap, the neighbour
-# flag as is) and every coefficient has magnitude `signal`. The planted
-# set covers the sender-history and recipient-retweet-history
-# similarities, the week-windowed retweet similarity, the
-# recipient-to-author retweet count, and the author-is-neighbour flag.
+# one feature (`_planted_quantities`) and every coefficient has magnitude
+# `signal`. The planted set covers the sender-history and
+# recipient-retweet-history similarities, the week-windowed retweet
+# similarity, the recipient-to-author retweet count, and the
+# author-is-neighbour flag.
 # The drift term is a slow, clamped stochastic-approximation correction,
 # drift_{i+1} = drift_i - eta * (label_i - retweet_rate), which keeps the
 # realized positive rate near the target despite the self-reinforcing
@@ -669,7 +667,6 @@ PLANT_RETWEET_COUNT_CAP = 2.0
 PLANT_SIM_SCALE = 0.15
 PLANT_ADAPT_RATE = 0.08
 PLANT_DRIFT_LIMIT = 2.0
-PLANT_WEEK = 7 * 86400
 PLANT_WEIGHTS = {
     "sender_sim": -1.0,
     "retweet_sim": 1.0,
@@ -686,6 +683,21 @@ PLANT_CENTERS = {
 }
 
 
+def _planted_quantities(sender_sim: float, retweet_sim: float, week_sim: float,
+                        retweet_count: int, author_neighbour: bool) -> dict[str, float]:
+    """The five planted quantities from their raw values: each similarity
+    divided by PLANT_SIM_SCALE and capped at 1, the recipient-to-author
+    retweet count capped at PLANT_RETWEET_COUNT_CAP and divided by it, and
+    the author-is-neighbour flag as 1.0 or 0.0."""
+    return {
+        "sender_sim": min(sender_sim / PLANT_SIM_SCALE, 1.0),
+        "retweet_sim": min(retweet_sim / PLANT_SIM_SCALE, 1.0),
+        "retweet_week_sim": min(week_sim / PLANT_SIM_SCALE, 1.0),
+        "retweet_count": min(retweet_count, PLANT_RETWEET_COUNT_CAP) / PLANT_RETWEET_COUNT_CAP,
+        "author_neighbour": 1.0 if author_neighbour else 0.0,
+    }
+
+
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -695,18 +707,19 @@ def _sigmoid(z: float) -> float:
 
 @dataclass(frozen=True)
 class PlantedModel:
-    """The label model a synthetic corpus was sampled from."""
+    """The label model a synthetic corpus was sampled from: the config's
+    signal strength and logit intercept over PLANT_WEIGHTS and
+    PLANT_CENTERS, with the drift rule that keeps the positive rate near
+    the target."""
 
     signal_strength: float
     intercept: float
     target_rate: float
-    weights: Mapping[str, float]
-    centers: Mapping[str, float]
 
     def decision_value(self, planted: Mapping[str, float], drift: float = 0.0) -> float:
         z = self.intercept + drift
-        for name, w in self.weights.items():
-            z += self.signal_strength * w * (planted[name] - self.centers[name])
+        for name, w in PLANT_WEIGHTS.items():
+            z += self.signal_strength * w * (planted[name] - PLANT_CENTERS[name])
         return z
 
     def probability(self, planted: Mapping[str, float], drift: float = 0.0) -> float:
@@ -722,8 +735,6 @@ def planted_model(config: SyntheticConfig) -> PlantedModel:
         signal_strength=config.signal_strength,
         intercept=math.log(config.retweet_rate / (1.0 - config.retweet_rate)),
         target_rate=config.retweet_rate,
-        weights=dict(PLANT_WEIGHTS),
-        centers=dict(PLANT_CENTERS),
     )
 
 
@@ -849,7 +860,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             else:  # retweet by `user` of a tweet authored by `author`
                 user, author, tweet_id, vec = payload
                 stream(posts_streams, user).push(ev_ts, tweet_id, vec)
-                stream(retweet_streams, user, PLANT_WEEK).push(ev_ts, tweet_id, vec)
+                stream(retweet_streams, user, history.WEEK_SECONDS).push(ev_ts, tweet_id, vec)
                 key = (user, author)
                 retweet_counts[key] = retweet_counts.get(key, 0) + 1
 
@@ -955,25 +966,18 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 push_pending(ts, "retweet", (u, author, tweet.tweet_id, vec))
             # no stream changes before the next moment's flush, so the
             # sender's posts give one mean for all its followers
-            sender_sim = min(
-                stream(posts_streams, u).means(vec, tweet.tweet_id, ts)[0] / PLANT_SIM_SCALE, 1.0
-            )
+            sender_sim = stream(posts_streams, u).means(vec, tweet.tweet_id, ts)[0]
         for r in followers[u]:
             if r == author:
                 continue
             label_draw = float(rng.random())
             if signal > 0:
-                retweet_sim, week_sim = stream(retweet_streams, r, PLANT_WEEK).means(
+                retweet_sim, week_sim = stream(retweet_streams, r, history.WEEK_SECONDS).means(
                     vec, tweet.tweet_id, ts
                 )
-                planted = {
-                    "sender_sim": sender_sim,
-                    "retweet_sim": min(retweet_sim / PLANT_SIM_SCALE, 1.0),
-                    "retweet_week_sim": min(week_sim / PLANT_SIM_SCALE, 1.0),
-                    "retweet_count": min(retweet_counts.get((r, author), 0), PLANT_RETWEET_COUNT_CAP)
-                    / PLANT_RETWEET_COUNT_CAP,
-                    "author_neighbour": 1.0 if author in follow_sets[r] else 0.0,
-                }
+                planted = _planted_quantities(sender_sim, retweet_sim, week_sim,
+                                              retweet_counts.get((r, author), 0),
+                                              author in follow_sets[r])
                 p = plant.probability(planted, drift)
             else:
                 p = config.retweet_rate
@@ -1041,82 +1045,45 @@ def planted_features(
     corpus: Corpus,
     instances: Sequence[Instance] | None = None,
 ) -> list[dict[str, float]]:
-    """Recompute the planted quantities for instances of a synthetic corpus.
+    """Recompute the planted quantities for instances of a synthetic corpus
+    (all of them by default) from its written events.
 
-    Independent of the generator's incremental bookkeeping: scans the
-    written events directly, so it can serve as an oracle against them.
+    An oracle for the generator's labels: it reads the history through
+    `UserHistoryIndex`, not through the generator's online bookkeeping,
+    and sums float cosines of each distinct token tuple's vector, not the
+    generator's fixed-point sums. A retweet is counted for the author of
+    the retweeted tweet, as the generator counts it.
     """
     if instances is None:
         instances = corpus.instances
-
-    posts: dict[int, list[tuple[int, int]]] = {}  # user -> [(ts, tweet_id)]
-    retweets: dict[int, list[tuple[int, int]]] = {}
-    author_of: dict[int, int] = {}
-    for e in corpus.events:
-        if e.action == "authored":
-            author_of.setdefault(e.tweet_id, e.user_id)
-    for inst in corpus.instances:
-        author_of.setdefault(inst.tweet_id, inst.author_id)
-    pair_retweet_times: dict[tuple[int, int], list[int]] = {}
-    for e in corpus.events:
-        if e.action == "authored":
-            posts.setdefault(e.user_id, []).append((e.timestamp, e.tweet_id))
-        elif e.action == "retweeted":
-            posts.setdefault(e.user_id, []).append((e.timestamp, e.tweet_id))
-            retweets.setdefault(e.user_id, []).append((e.timestamp, e.tweet_id))
-            author = author_of.get(e.tweet_id)
-            if author is not None:
-                pair_retweet_times.setdefault((e.user_id, author), []).append(e.timestamp)
-
-    tokens_of: dict[int, tuple[int, ...]] = {}
-    for e in corpus.events:
-        tokens_of.setdefault(e.tweet_id, e.tokens)
-    for inst in corpus.instances:
-        tokens_of.setdefault(inst.tweet_id, inst.tweet.tokens)
-
+    hist = history.UserHistoryIndex(corpus)
     uniform = vectorspace.IdfTable.uniform()
-    vec_cache: dict[int, dict] = {}
+    vec_cache: dict[tuple[int, ...], dict] = {}
 
-    def vec_for(tweet_id: int) -> dict:
-        v = vec_cache.get(tweet_id)
+    def vec_for(tokens: tuple[int, ...]) -> dict:
+        v = vec_cache.get(tokens)
         if v is None:
-            v = vec_cache[tweet_id] = vectorspace.vectorize(tokens_of[tweet_id], uniform)
+            v = vec_cache[tokens] = vectorspace.vectorize(tokens, uniform)
         return v
 
-    def recent(stream: list[tuple[int, int]], before: int, window: int | None = None) -> list[int]:
-        hi = bisect_left(stream, before, key=lambda d: d[0])
-        lo = 0
-        if window is not None:
-            lo = bisect_left(stream, before - window, 0, hi, key=lambda d: d[0])
-        return [tid for _, tid in stream[max(lo, hi - PLANT_HISTORY_CAP):hi]]
-
-    def mean_sim(tweet_id: int, members: list[int]) -> float:
-        kept = [m for m in members if m != tweet_id]
+    def mean_sim(inst: Instance, stream: Sequence[HistoryEvent], window: int | None = None) -> float:
+        kept = history.recent(stream, inst.timestamp, window, PLANT_HISTORY_CAP, inst.tweet_id)
         if not kept:
             return 0.0
-        v = vec_for(tweet_id)
-        total = sum(vectorspace.cosine(v, vec_for(m)) for m in kept)
+        v = vec_for(inst.tweet.tokens)
+        total = sum(vectorspace.cosine(v, vec_for(e.tokens)) for e in kept)
         return min(max(total / len(kept), 0.0), 1.0)
 
     out = []
     for inst in instances:
-        times = pair_retweet_times.get((inst.recipient_id, inst.sender_id), ())
-        count = bisect_left(times, inst.timestamp)
-        r_retweets = retweets.get(inst.recipient_id, [])
-        sender_sim = mean_sim(
-            inst.tweet_id, recent(posts.get(inst.sender_id, []), inst.timestamp)
-        )
-        retweet_sim = mean_sim(inst.tweet_id, recent(r_retweets, inst.timestamp))
-        week_sim = mean_sim(inst.tweet_id, recent(r_retweets, inst.timestamp, PLANT_WEEK))
-        out.append({
-            "sender_sim": min(sender_sim / PLANT_SIM_SCALE, 1.0),
-            "retweet_sim": min(retweet_sim / PLANT_SIM_SCALE, 1.0),
-            "retweet_week_sim": min(week_sim / PLANT_SIM_SCALE, 1.0),
-            "retweet_count": min(count, PLANT_RETWEET_COUNT_CAP) / PLANT_RETWEET_COUNT_CAP,
-            "author_neighbour": 1.0
-            if inst.author_id in corpus.profiles[inst.recipient_id].neighbours
-            else 0.0,
-        })
+        retweets = hist.retweets_stream(inst.recipient_id)
+        out.append(_planted_quantities(
+            mean_sim(inst, hist.posts_stream(inst.sender_id)),
+            mean_sim(inst, retweets),
+            mean_sim(inst, retweets, history.WEEK_SECONDS),
+            hist.retweet_count(inst.recipient_id, inst.author_id, inst.timestamp),
+            inst.author_id in corpus.profiles[inst.recipient_id].neighbours,
+        ))
     return out
 
 
@@ -1125,20 +1092,22 @@ def planted_decision_values(
     config: SyntheticConfig,
     instances: Sequence[Instance] | None = None,
 ) -> np.ndarray:
-    """Decision values of the generator's own label model (its Bayes rule
-    classifies positive exactly when the value is >= 0).
+    """Decision values of the generator's own label model for `instances`
+    (all of them by default); its Bayes rule classifies positive exactly
+    when the value is >= 0.
 
-    The intercept drift is replayed from the stored labels over all
-    instances in creation order, so the values match the probabilities the
-    labels were actually sampled from.
+    The planted quantities are computed for the asked instances only. The
+    intercept drift is replayed from the stored labels over all instances
+    in creation order, so the values match the probabilities the labels
+    were actually sampled from.
     """
     model = planted_model(config)
-    feats = planted_features(corpus)
+    wanted = corpus.instances if instances is None else instances
     drift = 0.0
-    z_by_id: dict[int, float] = {}
-    for inst, f in zip(corpus.instances, feats):
-        z_by_id[inst.instance_id] = model.decision_value(f, drift)
+    drift_by_id: dict[int, float] = {}
+    for inst in corpus.instances:
+        drift_by_id[inst.instance_id] = drift
         if model.signal_strength > 0:
             drift = model.next_drift(drift, inst.label)
-    wanted = corpus.instances if instances is None else instances
-    return np.array([z_by_id[inst.instance_id] for inst in wanted])
+    return np.array([model.decision_value(f, drift_by_id[inst.instance_id])
+                     for inst, f in zip(wanted, planted_features(corpus, wanted))])

@@ -744,15 +744,25 @@ def write_ranking(path: str | Path, ranking: Sequence[RankedFeature]) -> None:
 
 
 def read_ranking(path: str | Path) -> list[RankedFeature]:
+    """The rows of a ranking file; each names one feature id in
+    1..N_FEATURES, once. A bad row is named by file and line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     out = []
+    line_of: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             ft_id, score, rank = line.split(",")
-            out.append(RankedFeature(int(ft_id), float(score), int(rank)))
+            row = RankedFeature(int(ft_id), float(score), int(rank))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected ft_id,mean_abs_pearson,rank, "
                              f"got {line!r}") from None
+        if not 1 <= row.ft_id <= N_FEATURES:
+            raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is outside 1..{N_FEATURES}")
+        if row.ft_id in line_of:
+            raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is listed twice, "
+                             f"first on line {line_of[row.ft_id]}")
+        line_of[row.ft_id] = lineno
+        out.append(row)
     return out
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .corpus_io import Corpus, HistoryEvent
+if TYPE_CHECKING:
+    from .corpus_io import Corpus, HistoryEvent
 
 WEEK_SECONDS = 7 * 86400
 DEFAULT_CAP = 1000

@@ -322,19 +322,26 @@ def test_top_m_outside_the_features_fails_before_the_table(workspace, tmp_path, 
 
 @pytest.mark.parametrize("command,ranked,flags,named", [
     ("train", None, ["--features", "13,13"], "feature FT13 is selected twice"),
-    ("train", (13, 13), ["--top-m", "2"], "feature FT13 is selected twice"),
-    ("curve", (13, 13), ["--top-m", "2"], "feature FT13 is selected twice"),
+    ("train", (13, 13), ["--top-m", "2"], "ranking.csv:3: ft_id 13 is listed twice, first on line 2"),
+    ("curve", (13, 13), ["--top-m", "2"], "ranking.csv:3: ft_id 13 is listed twice, first on line 2"),
     ("train", (13,), ["--top-m", "10"], "top_m=10 exceeds the 1 features the ranking lists"),
     ("curve", (13,), ["--top-m", "10"], "top_m=10 exceeds the 1 features the ranking lists"),
+    ("train", (99, 13), ["--top-m", "2"], "ranking.csv:2: ft_id 99 is outside 1..50"),
+    ("curve", (13, 99), ["--top-m", "2"], "ranking.csv:3: ft_id 99 is outside 1..50"),
+    ("train", (13, 0), ["--top-m", "1"], "ranking.csv:3: ft_id 0 is outside 1..50"),
+    ("curve", (10, 13, 10), ["--top-m", "2"],
+     "ranking.csv:4: ft_id 10 is listed twice, first on line 2"),
 ])
-def test_repeated_or_missing_feature_selection_is_error(workspace, tmp_path, capsys, command,
-                                                        ranked, flags, named):
+def test_repeated_or_missing_feature_selection_is_error(workspace, tmp_path, capsys, monkeypatch,
+                                                        command, ranked, flags, named):
+    """A ranking file's ids are checked as it is read, past the first
+    `--top-m` too; the file is named as given, here relative."""
     root, corpus, splits, *_ = workspace
     if ranked is not None:  # the feature ids of a ranking file, in rank order
-        ranking = tmp_path / "ranking.csv"
-        ranking.write_text("ft_id,mean_abs_pearson,rank\n" + "".join(
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ranking.csv").write_text("ft_id,mean_abs_pearson,rank\n" + "".join(
             f"{ft},0.5,{r}\n" for r, ft in enumerate(ranked, start=1)), encoding="utf-8")
-        flags = ["--ranking", str(ranking), *flags]
+        flags = ["--ranking", "ranking.csv", *flags]
     out = tmp_path / "out"
     rc = main([command, "--corpus", str(corpus), "--splits", str(splits), *flags,
                "--out", str(out)])

@@ -21,6 +21,7 @@ from refilter.corpus_io import (
     load_corpus,
     load_corpus_dir,
     planted_decision_values,
+    planted_features,
     write_corpus,
     write_corpus_dir,
 )
@@ -258,6 +259,36 @@ def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+def test_planted_features_agree_with_the_generator(monkeypatch):
+    """The oracle, reading the written events through the history index,
+    gives the quantities each label was drawn from: similarities within
+    1e-9 of the generator's fixed-point sums, the retweet count and the
+    neighbour flag exactly. Forwarded deliveries, whose sender is not the
+    tweet's author, count the recipient's retweets of the author."""
+    drawn = []
+    probability = corpus_io.PlantedModel.probability
+    monkeypatch.setattr(corpus_io.PlantedModel, "probability",
+                        lambda self, planted, drift=0.0:
+                        drawn.append(planted) or probability(self, planted, drift))
+    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
+    assert len(drawn) == len(corpus.instances)
+    assert any(i.sender_id != i.author_id for i in corpus.instances)
+    for inst, want, got in zip(corpus.instances, drawn, planted_features(corpus)):
+        assert want.keys() == got.keys()
+        for name in ("sender_sim", "retweet_sim", "retweet_week_sim"):
+            assert abs(got[name] - want[name]) <= 1e-9, (inst.instance_id, name)
+        assert (got["retweet_count"], got["author_neighbour"]) == (
+            want["retweet_count"], want["author_neighbour"]), inst.instance_id
+
+
+def test_planted_decision_values_of_a_subset_are_the_full_values(small_signal_corpus):
+    config, corpus = small_signal_corpus
+    full = planted_decision_values(corpus, config)
+    picked = [4, 0, len(corpus.instances) - 1, 17, 4]
+    z = planted_decision_values(corpus, config, [corpus.instances[i] for i in picked])
+    assert np.array_equal(z.view(np.int64), full[picked].view(np.int64))
 
 
 def test_different_seed_differs(small_signal_corpus):
