@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from collections import deque
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -590,6 +590,9 @@ class SyntheticConfig:
     """Knobs of the synthetic corpus generator, checked on construction.
     Errors name the manifest field and the `synth` flag.
 
+    Users 1..num_recipients are the recipients; the next
+    2 * neighbours_per_user ids are publishers, who never receive.
+
     Labels are sampled from a logistic model over four planted quantities
     (sender-history similarity, recipient-retweet-history similarity,
     capped recipient-to-author retweet count, author-is-neighbour flag);
@@ -604,7 +607,6 @@ class SyntheticConfig:
     signal_strength: float = 0.0
     posts_per_day: float = 2.5
     recipient_posts_per_day: float = 1.0
-    publisher_pool: int = 0  # 0 means 2 * neighbours_per_user
     forward_rate: float = 0.1  # share of publisher posts that pass on an older tweet
 
     def __post_init__(self) -> None:
@@ -618,14 +620,13 @@ class SyntheticConfig:
             check(name, int, lambda v: v >= 1, "an integer >= 1")
         check("days", int, lambda v: 1 <= v <= _MAX_DAYS,
               f"an integer in 1..{_MAX_DAYS}, so that every timestamp fits in 64 bits")
-        check("publisher_pool", int, lambda v: v >= 0, "an integer >= 0")
-        # user ids run to num_recipients + the publisher pool, and the loader
+        # user ids run to num_recipients + the publishers, and the loader
         # requires 64-bit ids; the larger term is named
-        pool = self.publisher_pool or 2 * self.neighbours_per_user
-        users = self.num_recipients + pool
-        pool_field = "publisher_pool" if self.publisher_pool else "neighbours_per_user"
-        check("num_recipients" if self.num_recipients >= pool else pool_field, int,
-              lambda v: users < 2**63, f"small enough that the {users} user ids fit in 64 bits")
+        publishers = 2 * self.neighbours_per_user
+        users = self.num_recipients + publishers
+        check("num_recipients" if self.num_recipients >= publishers else "neighbours_per_user",
+              int, lambda v: users < 2**63,
+              f"small enough that the {users} user ids fit in 64 bits")
         number = (int, float)
         # comparisons are False for NaN, so NaN fails every bound; the float
         # range bound also stops an int the generator cannot use as a float
@@ -777,9 +778,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     """
     rng = np.random.default_rng(seed)
     n_rec = config.num_recipients
-    pool = config.publisher_pool or 2 * config.neighbours_per_user
     recipients = list(range(1, n_rec + 1))
-    publishers = list(range(n_rec + 1, n_rec + pool + 1))
+    publishers = list(range(n_rec + 1, n_rec + 2 * config.neighbours_per_user + 1))
     all_users = recipients + publishers
 
     # topics own disjoint vocabulary blocks, so cross-topic text similarity
@@ -810,19 +810,18 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         for r in recipients
     }
 
-    follows: dict[int, tuple[int, ...]] = {}
+    follows: dict[int, frozenset[int]] = {}
     for r in recipients:
         candidates = np.array([u for u in all_users if u != r])
         k = min(config.neighbours_per_user, len(candidates))
         picked = rng.choice(candidates, size=k, replace=False)
-        follows[r] = tuple(sorted(int(x) for x in picked))
+        follows[r] = frozenset(int(x) for x in picked)
     followers: dict[int, list[int]] = {u: [] for u in all_users}
     for r in recipients:
         for u in follows[r]:
             followers[u].append(r)
     for u in all_users:
         followers[u].sort()
-    follow_sets = {r: set(ns) for r, ns in follows.items()}
 
     horizon = config.days * 86400
     moments: list[tuple[int, int]] = []
@@ -839,28 +838,24 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     uniform_idf = vectorspace.IdfTable.uniform()
 
     # plant state, visible strictly before the current timestamp
-    posts_streams: dict[int, vectorspace.RollingCentroid] = {}
-    retweet_streams: dict[int, vectorspace.RollingCentroid] = {}  # with the week
+    posts_streams: defaultdict[int, vectorspace.RollingCentroid] = defaultdict(
+        lambda: vectorspace.RollingCentroid(PLANT_HISTORY_CAP))
+    retweet_streams: defaultdict[int, vectorspace.RollingCentroid] = defaultdict(
+        lambda: vectorspace.RollingCentroid(PLANT_HISTORY_CAP, history.WEEK_SECONDS))
     retweet_counts: dict[tuple[int, int], int] = {}
     pending: list[tuple[int, int, str, tuple]] = []  # (ts, seq, kind, payload)
     pending_seq = 0
-
-    def stream(table: dict, user: int, window: int | None = None) -> vectorspace.RollingCentroid:
-        s = table.get(user)
-        if s is None:
-            s = table[user] = vectorspace.RollingCentroid(PLANT_HISTORY_CAP, window)
-        return s
 
     def flush_before(ts: int) -> None:
         while pending and pending[0][0] < ts:
             ev_ts, _, kind, payload = heapq.heappop(pending)
             if kind == "post":
                 user, tweet_id, vec = payload
-                stream(posts_streams, user).push(ev_ts, tweet_id, vec)
+                posts_streams[user].push(ev_ts, tweet_id, vec)
             else:  # retweet by `user` of a tweet authored by `author`
                 user, author, tweet_id, vec = payload
-                stream(posts_streams, user).push(ev_ts, tweet_id, vec)
-                stream(retweet_streams, user, history.WEEK_SECONDS).push(ev_ts, tweet_id, vec)
+                posts_streams[user].push(ev_ts, tweet_id, vec)
+                retweet_streams[user].push(ev_ts, tweet_id, vec)
                 key = (user, author)
                 retweet_counts[key] = retweet_counts.get(key, 0) + 1
 
@@ -873,7 +868,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     buffer: deque[_Tweet] = deque(maxlen=500)
     events: list[HistoryEvent] = []
     instances: list[Instance] = []
-    status_counts = {u: 0 for u in all_users}
     word_base = FIRST_WORD_ID
 
     def mint_tweet(u: int, topic: int, ts: int) -> _Tweet:
@@ -914,7 +908,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             vec=vec,
         )
         events.append(HistoryEvent(u, tweet_id, "authored", ts, token_tuple, mention_target))
-        status_counts[u] += 1
         return tweet
 
     # burn-in: every user posts a few tweets per topic shortly before the
@@ -935,7 +928,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                         events.append(
                             HistoryEvent(r, tweet.tweet_id, "retweeted", rt_ts, tweet.tokens, None)
                         )
-                        status_counts[r] += 1
                         if signal > 0:
                             push_pending(rt_ts, "retweet", (r, u, tweet.tweet_id, tweet.vec))
 
@@ -957,7 +949,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         else:
             tweet = forward
             events.append(HistoryEvent(u, tweet.tweet_id, "retweeted", ts, tweet.tokens, None))
-            status_counts[u] += 1
 
         author = tweet.author_id
         if signal > 0:
@@ -966,18 +957,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 push_pending(ts, "retweet", (u, author, tweet.tweet_id, vec))
             # no stream changes before the next moment's flush, so the
             # sender's posts give one mean for all its followers
-            sender_sim = stream(posts_streams, u).means(vec, tweet.tweet_id, ts)[0]
+            sender_sim = posts_streams[u].means(vec, tweet.tweet_id, ts)[0]
         for r in followers[u]:
             if r == author:
                 continue
             label_draw = float(rng.random())
             if signal > 0:
-                retweet_sim, week_sim = stream(retweet_streams, r, history.WEEK_SECONDS).means(
-                    vec, tweet.tweet_id, ts
-                )
+                retweet_sim, week_sim = retweet_streams[r].means(vec, tweet.tweet_id, ts)
                 planted = _planted_quantities(sender_sim, retweet_sim, week_sim,
                                               retweet_counts.get((r, author), 0),
-                                              author in follow_sets[r])
+                                              author in follows[r])
                 p = plant.probability(planted, drift)
             else:
                 p = config.retweet_rate
@@ -1004,15 +993,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             if label:
                 rt_ts = ts + _RETWEET_DELAY
                 events.append(HistoryEvent(r, tweet.tweet_id, "retweeted", rt_ts, tweet.tokens, None))
-                status_counts[r] += 1
                 if signal > 0:
                     push_pending(rt_ts, "retweet", (r, author, tweet.tweet_id, vec))
 
+    # a user's statuses are its posts and retweets
+    statuses_of = Counter(e.user_id for e in events if e.action != "seen")
     profiles: dict[int, UserProfile] = {}
     for u in all_users:
         followers_n = len(followers[u]) * 40 + int(rng.poisson(30))
         following_n = len(follows.get(u, ())) + int(rng.poisson(40))
-        statuses = status_counts[u]
+        statuses = statuses_of[u]
         listed = int(rng.poisson(1 + followers_n / 100))
         verified = bool(rng.random() < 0.12)
         age = int(rng.integers(120, 3200))
@@ -1033,7 +1023,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             klout_delta_1d=round(float(deltas[0]), 4),
             klout_delta_7d=round(float(deltas[1]), 4),
             klout_delta_30d=round(float(deltas[2]), 4),
-            neighbours=frozenset(follows.get(u, ())),
+            neighbours=follows.get(u, frozenset()),
         )
 
     corpus = Corpus(profiles=profiles, events=events, instances=instances)

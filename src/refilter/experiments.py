@@ -17,7 +17,7 @@ import random
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .learner import (
 
 
 EVAL_SETS = ("dev_balanced", "dev_unbalanced", "test_balanced", "test_unbalanced")
+SPLIT_SIZES = ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches")
 
 
 class DatasetError(ValueError):
@@ -52,7 +53,10 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Batch sizes and counts of the splits, checked on construction.
+    """Batch sizes and counts of the splits, checked on construction: the
+    SPLIT_SIZES are integers >= 1, `seed` an integer >= 0, and each
+    unbalanced count an integer in 1..its batch size. Errors name the
+    manifest field and the `build` flag.
 
     An unbalanced dev/test batch keeps `unbalanced_neg_per_batch`
     negatives (default: `batch_neg`) and `unbalanced_pos_per_batch`
@@ -70,18 +74,25 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        def check(name: str, ok, bound: str) -> None:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or not ok(value):
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"field 'spec.{name}' ({flag}) must be {bound}, got {value!r}")
+
+        for name in SPLIT_SIZES:
+            check(name, lambda v: v >= 1, "an integer >= 1")
+        check("seed", lambda v: v >= 0, "an integer >= 0")
+        # the defaults derive from the sizes just checked
         if self.unbalanced_neg_per_batch is None:
             object.__setattr__(self, "unbalanced_neg_per_batch", self.batch_neg)
+        check("unbalanced_neg_per_batch", lambda v: 1 <= v <= self.batch_neg,
+              f"an integer in 1..spec.batch_neg ({self.batch_neg})")
         if self.unbalanced_pos_per_batch is None:
             pos = max(1, min(self.batch_pos, round(self.unbalanced_neg_per_batch / 19)))
             object.__setattr__(self, "unbalanced_pos_per_batch", pos)
-        for name in ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.unbalanced_pos_per_batch <= self.batch_pos:
-            raise ValueError("unbalanced_pos_per_batch must be in 1..batch_pos")
-        if not 0 < self.unbalanced_neg_per_batch <= self.batch_neg:
-            raise ValueError("unbalanced_neg_per_batch must be in 1..batch_neg")
+        check("unbalanced_pos_per_batch", lambda v: 1 <= v <= self.batch_pos,
+              f"an integer in 1..spec.batch_pos ({self.batch_pos})")
 
     @property
     def total_batches(self) -> int:
@@ -247,8 +258,9 @@ def build_dataset(
     def downsample(batch_list: list[list[Instance]], split: str) -> list[Instance]:
         out: list[Instance] = []
         for idx, batch in enumerate(batch_list):
-            pos = sorted((i for i in batch if i.label), key=_time_key)
-            neg = sorted((i for i in batch if not i.label), key=_time_key)
+            # a batch is in _time_key order, and so is each class of it
+            pos = [i for i in batch if i.label]
+            neg = [i for i in batch if not i.label]
             brng = random.Random(f"{spec.seed}:unbalanced:{split}:{idx}")
             if len(pos) > spec.unbalanced_pos_per_batch:
                 pos = brng.sample(pos, spec.unbalanced_pos_per_batch)
@@ -718,13 +730,21 @@ def write_curve(path: str | Path, points: Sequence[CurvePoint]) -> None:
             fh.write(f"{p.k},{_fmt(p.train_f1)},{_fmt(p.eval_f1)}\n")
 
 
-def read_curve(path: str | Path) -> list[CurvePoint]:
+def csv_rows(path: str | Path, expected: str, kinds: tuple) -> Iterator[tuple[int, list]]:
+    """(line number, fields converted by `kinds`) of each row of a CSV file
+    below its header; a row that does not convert is named by file and line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    out = []
-    for line in lines[1:]:
-        k, train_f1, eval_f1 = line.split(",")
-        out.append(CurvePoint(int(k), float(train_f1), float(eval_f1)))
-    return out
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [kind(field) for kind, field in zip(kinds, line.split(","), strict=True)]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected {expected}, got {line!r}") from None
+        yield lineno, row
+
+
+def read_curve(path: str | Path) -> list[CurvePoint]:
+    header = "k,train_f1,eval_f1"
+    return [CurvePoint(*row) for _, row in csv_rows(path, header, (int, float, float))]
 
 
 def write_metrics(path: str | Path, metrics: Metrics) -> None:
@@ -745,22 +765,19 @@ def write_ranking(path: str | Path, ranking: Sequence[RankedFeature]) -> None:
 
 def read_ranking(path: str | Path) -> list[RankedFeature]:
     """The rows of a ranking file; each names one feature id in
-    1..N_FEATURES, once. A bad row is named by file and line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    1..N_FEATURES, once, and row i (from 1) has rank i. A bad row is named
+    by file and line."""
     out = []
     line_of: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            ft_id, score, rank = line.split(",")
-            row = RankedFeature(int(ft_id), float(score), int(rank))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected ft_id,mean_abs_pearson,rank, "
-                             f"got {line!r}") from None
+    for lineno, fields in csv_rows(path, "ft_id,mean_abs_pearson,rank", (int, float, int)):
+        row = RankedFeature(*fields)
         if not 1 <= row.ft_id <= N_FEATURES:
             raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is outside 1..{N_FEATURES}")
         if row.ft_id in line_of:
             raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is listed twice, "
                              f"first on line {line_of[row.ft_id]}")
+        if row.rank != len(out) + 1:
+            raise ValueError(f"{path}:{lineno}: rank {row.rank}, expected {len(out) + 1}")
         line_of[row.ft_id] = lineno
         out.append(row)
     return out

@@ -134,7 +134,7 @@ def test_criterion_3_pearson_oracle():
 def test_criterion_4_split_arithmetic():
     start = time.perf_counter()
     config = SyntheticConfig(
-        num_recipients=40, neighbours_per_user=20, publisher_pool=40, days=95,
+        num_recipients=40, neighbours_per_user=20, days=95,
         retweet_rate=0.5, signal_strength=0.0, posts_per_day=3.0,
         recipient_posts_per_day=1.5,
     )

@@ -350,6 +350,23 @@ def test_repeated_or_missing_feature_selection_is_error(workspace, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "curve"])
+def test_ranking_rows_out_of_rank_order_are_error(workspace, tmp_path, capsys, monkeypatch,
+                                                  command):
+    """Row order is rank order: a file whose `rank` column says otherwise
+    is refused by file and line, not read by row order."""
+    root, corpus, splits, *_ = workspace
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ranking.csv").write_text("ft_id,mean_abs_pearson,rank\n13,0.2,7\n10,0.9,7\n",
+                                          encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, "--corpus", str(corpus), "--splits", str(splits),
+               "--ranking", "ranking.csv", "--top-m", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "refilter: error: ranking.csv:2: rank 7, expected 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("train", "--lambda", "nan"), ("train", "--lambda", "1e400"), ("train", "--lambda", "-1"),
     ("train", "--lambda", "0"), ("curve", "--lambda", "0"),
@@ -412,7 +429,6 @@ def test_config_values_parse_as_their_flags(tmp_path):
 @pytest.mark.parametrize("flag,value,bound,shown", [
     ("--signal-strength", "nan", "a finite number >= 0", "nan"),
     ("--posts-per-day", "-1", "a finite number >= 0", "-1.0"),
-    ("--publisher-pool", "-3", "an integer >= 0", "-3"),
     ("--forward-rate", "1.5", "a number in [0, 1]", "1.5"),
     ("--forward-rate", "-1", "a number in [0, 1]", "-1.0"),
 ])
@@ -476,7 +492,7 @@ def test_only_synth_and_build_take_a_seed(workspace, tmp_path, capsys):
     seeded = {name for name, p in subparsers.items()
               if any("--seed" in action.option_strings for action in p._actions)}
     assert seeded == {"synth", "build"}
-    assert sum(len(_options(p)) for p in subparsers.values()) == 80
+    assert sum(len(_options(p)) for p in subparsers.values()) == 79
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--corpus", str(corpus), "--splits", str(splits), "--seed", "1",
               "--out", str(tmp_path / "r.csv")])
@@ -520,8 +536,7 @@ def test_bad_seed_names_its_channel(workspace, tmp_path, capsys, monkeypatch, co
 @pytest.mark.parametrize("flags,field,users", [
     (["--num-recipients", "9" * 23], "num_recipients", 10**23 + 5),
     (["--neighbours-per-user", "9" * 23], "neighbours_per_user", 2 * (10**23 - 1) + 4),
-    (["--publisher-pool", "9" * 23], "publisher_pool", 10**23 + 3),
-], ids=["recipients", "neighbours", "publishers"])
+], ids=["recipients", "neighbours"])
 def test_user_ids_beyond_64_bits_name_the_field_and_flag(tmp_path, capsys, flags, field, users):
     out = tmp_path / "c"
     rc = main(["synth", "--out", str(out), "--num-recipients", "4",
@@ -545,8 +560,7 @@ PATH_OPTIONS = {"config", "out", "corpus", "splits", "model", "ranking"}
 ACCEPTED = {
     "seed": {"0", "9" * 23},
     "signal_strength": {"0", "9" * 23},
-    **dict.fromkeys(["posts_per_day", "recipient_posts_per_day", "publisher_pool",
-                     "forward_rate"], {"0"}),
+    **dict.fromkeys(["posts_per_day", "recipient_posts_per_day", "forward_rate"], {"0"}),
     **dict.fromkeys(["cap", "reg_lambda", "tol", "max_iter"], {"9" * 23}),
 }
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -259,6 +260,21 @@ def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+def test_generated_profiles_agree_with_the_events_and_instances():
+    """Each fact the generator stores twice agrees with itself: a profile's
+    statuses are the user's posts and retweets, a recipient's neighbours
+    hold every sender it receives from, and the users are the recipients
+    and twice `neighbours_per_user` publishers."""
+    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
+    statuses = Counter(e.user_id for e in corpus.events if e.action in ("authored", "retweeted"))
+    assert {u: p.statuses for u, p in corpus.profiles.items()} == {
+        u: statuses[u] for u in corpus.profiles}
+    assert all(inst.sender_id in corpus.profiles[inst.recipient_id].neighbours
+               for inst in corpus.instances)
+    assert sorted(corpus.profiles) == list(
+        range(1, PINNED_CONFIG.num_recipients + 2 * PINNED_CONFIG.neighbours_per_user + 1))
 
 
 def test_planted_features_agree_with_the_generator(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -12,8 +13,8 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from refilter import experiments
-from refilter.corpus_io import HistoryEvent
+from refilter import cli, experiments
+from refilter.corpus_io import HistoryEvent, generate_synthetic
 from refilter.experiments import (
     EVAL_SETS,
     CurvePoint,
@@ -59,6 +60,7 @@ from refilter.learner import (
 from refilter.vectorspace import build_idf
 
 from conftest import make_corpus, make_instance, make_profile
+from test_corpus_io import PINNED_CONFIG
 from test_learner import meets_stopping_rule
 
 DAY = 86400
@@ -295,12 +297,37 @@ def test_build_dataset_deterministic():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="batch_pos must be positive"):
+    with pytest.raises(ValueError, match=re.escape(
+            "field 'spec.batch_pos' (--batch-pos) must be an integer >= 1, got 0")):
         small_spec(batch_pos=0)
-    with pytest.raises(ValueError, match="unbalanced_pos_per_batch"):
-        small_spec(unbalanced_pos_per_batch=5)  # exceeds batch_pos
-    with pytest.raises(ValueError, match="unbalanced_neg_per_batch"):
+    with pytest.raises(ValueError, match=re.escape(  # exceeds batch_pos
+            "field 'spec.unbalanced_pos_per_batch' (--unbalanced-pos-per-batch) must be an "
+            "integer in 1..spec.batch_pos (2), got 5")):
+        small_spec(unbalanced_pos_per_batch=5)
+    with pytest.raises(ValueError, match=re.escape(
+            "field 'spec.unbalanced_neg_per_batch' (--unbalanced-neg-per-batch) must be an "
+            "integer in 1..spec.batch_neg (475), got 500")):
         SplitSpec(unbalanced_neg_per_batch=500)
+
+
+@pytest.mark.parametrize("field,value,bound", [
+    ("batch_pos", 1.5, "an integer >= 1"),
+    ("batch_pos", True, "an integer >= 1"),
+    ("batch_pos", float("nan"), "an integer >= 1"),
+    ("test_batches", "4", "an integer >= 1"),
+    ("seed", -1, "an integer >= 0"),
+    ("seed", "x", "an integer >= 0"),
+    ("unbalanced_neg_per_batch", 0, "an integer in 1..spec.batch_neg (475)"),
+    ("unbalanced_pos_per_batch", 2.0, "an integer in 1..spec.batch_pos (475)"),
+], ids=["fraction", "bool", "nan", "string", "negative-seed", "string-seed",
+        "zero-unbalanced-neg", "float-unbalanced-pos"])
+def test_spec_refuses_a_bad_field_by_its_name_and_flag(field, value, bound):
+    """Each field is checked for its type and range before any default is
+    derived from it, and the error names that field, not another."""
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(ValueError, match=re.escape(
+            f"field 'spec.{field}' ({flag}) must be {bound}, got {value!r}")):
+        SplitSpec(**{field: value})
 
 
 def test_spec_defaults_to_five_percent_unbalanced_positives():
@@ -310,6 +337,28 @@ def test_spec_defaults_to_five_percent_unbalanced_positives():
     assert (default.unbalanced_pos_per_batch, default.unbalanced_neg_per_batch) == (25, 475)
     assert SplitSpec(batch_pos=1, batch_neg=100).unbalanced_pos_per_batch == 1
     assert SplitSpec(unbalanced_neg_per_batch=38).unbalanced_pos_per_batch == 2
+
+
+# five split files from tier-1's pinned generator corpus; unbalanced batches
+# sample both classes, recorded before the downsampling stopped re-sorting
+PINNED_SPLIT_SHA256 = {
+    "train_ids.csv": "7e0cf3d3a1fc43278a840fc60a507b40c7c606e2e903f2e0bcdc5762620b9b1b",
+    "dev_balanced_ids.csv": "312c137ebb1d05fadee773df28b368a76f98f067fcc9663acb994bdf99d1ea17",
+    "dev_unbalanced_ids.csv": "fcf4467397f9ab9c319a7ce7ae8b9ea0413e366bbca0acfaf13ffdbb6a9789fa",
+    "test_balanced_ids.csv": "2cba4d13459c085ff367342bb45e3d8005c6ec50a52822c4babf4a8545c80ed8",
+    "test_unbalanced_ids.csv": "f693c785478c289cf97bd71f812997e22e3c339fccda257b7dcd83364149c79f",
+}
+
+
+def test_split_file_bytes_are_pinned(tmp_path):
+    spec = SplitSpec(batch_pos=10, batch_neg=10, train_batches=6, dev_batches=2,
+                     test_batches=2, unbalanced_pos_per_batch=2, unbalanced_neg_per_batch=7,
+                     seed=3)
+    splits = build_dataset(generate_synthetic(PINNED_CONFIG, seed=15), spec)
+    cli._write_split_ids(splits, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SPLIT_SHA256}
+    assert digests == PINNED_SPLIT_SHA256
 
 
 def test_eval_set_name_validation():
@@ -887,6 +936,30 @@ def test_ranking_file_round_trip(tmp_path):
     write_ranking(path, ranking)
     assert read_ranking(path) == ranking
     assert path.read_text(encoding="utf-8").splitlines()[0] == "ft_id,mean_abs_pearson,rank"
+
+
+@pytest.mark.parametrize("row", ["2", "2,0.6", "2,0.6,0.5,1", "2,x,0.5", "two,0.6,0.5", ""])
+def test_malformed_curve_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"k,train_f1,eval_f1\n1,0.5,0.4\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"curve.csv:3: expected k,train_f1,eval_f1, got {row!r}")):
+        read_curve(path)
+
+
+@pytest.mark.parametrize("rows,named", [
+    (["13,0.2,7", "10,0.9,7"], "ranking.csv:2: rank 7, expected 1"),
+    (["10,0.9,1", "13,0.2,3"], "ranking.csv:3: rank 3, expected 2"),
+    (["10,0.9,2", "13,0.2,1"], "ranking.csv:2: rank 2, expected 1"),
+], ids=["tied", "gap", "swapped"])
+def test_ranking_rank_must_be_the_row_position(tmp_path, rows, named):
+    """A ranking file lists its features in rank order, so the first
+    `top_m` rows are the top `top_m` features."""
+    path = tmp_path / "ranking.csv"
+    path.write_text("ft_id,mean_abs_pearson,rank\n" + "".join(f"{r}\n" for r in rows),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        read_ranking(path)
 
 
 @pytest.mark.parametrize("row", ["13", "13,0.5", "13,0.5,1,4", "FT13,0.5,1", ""])

@@ -310,13 +310,18 @@ BAD_MANIFESTS = {
     "not_json": (None, "not valid JSON: "),
     "no_spec": (lambda m: m.pop("spec"), "lacks the field 'spec'\n"),
     "missing_key": (lambda m: m["spec"].pop("seed"), "lacks the field 'spec.seed'\n"),
+    "null_count": (lambda m: m["spec"].update(unbalanced_pos_per_batch=None),
+                   "lacks the field 'spec.unbalanced_pos_per_batch'\n"),
     "extra_key": (lambda m: m["spec"].update(extra=1), "unknown field(s) 'spec.extra'\n"),
     "string_count": (lambda m: m["spec"].update(train_batches="4"),
-                     "field 'spec.train_batches' must be an integer, got '4'\n"),
+                     "field 'spec.train_batches' (--train-batches) must be an integer >= 1, "
+                     "got '4'\n"),
     "bool_count": (lambda m: m["spec"].update(dev_batches=True),
-                   "field 'spec.dev_batches' must be an integer, got True\n"),
+                   "field 'spec.dev_batches' (--dev-batches) must be an integer >= 1, "
+                   "got True\n"),
     "zero_batches": (lambda m: m["spec"].update(train_batches=0),
-                     "field 'spec': train_batches must be positive\n"),
+                     "field 'spec.train_batches' (--train-batches) must be an integer >= 1, "
+                     "got 0\n"),
 }
 
 
