@@ -593,11 +593,12 @@ class SyntheticConfig:
     Users 1..num_recipients are the recipients; the next
     2 * neighbours_per_user ids are publishers, who never receive.
 
-    Labels are sampled from a logistic model over four planted quantities
-    (sender-history similarity, recipient-retweet-history similarity,
-    capped recipient-to-author retweet count, author-is-neighbour flag);
-    `signal_strength` is the shared coefficient magnitude, so 0 yields
-    labels independent of all features with positive rate `retweet_rate`.
+    Labels are sampled from a logistic model over the planted quantities
+    (sender-history similarity, recipient-retweet-history similarity and
+    its week-windowed variant, capped recipient-to-author retweet count,
+    author-is-neighbour flag); `signal_strength` is the shared coefficient
+    magnitude, so 0 yields labels independent of all features with
+    positive rate `retweet_rate`.
     """
 
     num_recipients: int = 30
@@ -711,7 +712,11 @@ class PlantedModel:
     """The label model a synthetic corpus was sampled from: the config's
     signal strength and logit intercept over PLANT_WEIGHTS and
     PLANT_CENTERS, with the drift rule that keeps the positive rate near
-    the target."""
+    the target.
+
+    At signal strength 0 it is the null model: the label probability is
+    `target_rate` exactly, whatever the planted quantities, and the drift
+    stays 0."""
 
     signal_strength: float
     intercept: float
@@ -724,9 +729,13 @@ class PlantedModel:
         return z
 
     def probability(self, planted: Mapping[str, float], drift: float = 0.0) -> float:
+        if self.signal_strength == 0:
+            return self.target_rate
         return _sigmoid(self.decision_value(planted, drift))
 
     def next_drift(self, drift: float, label: bool) -> float:
+        if self.signal_strength == 0:
+            return 0.0
         drift -= PLANT_ADAPT_RATE * ((1.0 if label else 0.0) - self.target_rate)
         return max(-PLANT_DRIFT_LIMIT, min(PLANT_DRIFT_LIMIT, drift))
 
@@ -743,12 +752,11 @@ def planted_model(config: SyntheticConfig) -> PlantedModel:
 class _Tweet:
     tweet_id: int
     author_id: int
-    tokens: tuple[int, ...]
     tweet: EncodedTweet
     global_retweet_count: int
     global_favourite_count: int
     pos_counts: dict
-    vec: dict | None  # the fixed-point vector, None without a planted signal
+    vec: dict  # the fixed-point vector the plant's streams hold
 
 
 def _planted_pos_counts(tokens: Sequence[int]) -> dict:
@@ -774,7 +782,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     Fully reproducible from `seed`. The random draws do not depend on
     `signal_strength`, so corpora generated at different strengths from
     the same seed share their timeline and differ only in labels and the
-    retweet events those labels induce.
+    retweet events those labels induce. The plant's streams run at every
+    strength; at 0 the model ignores them and each label is positive with
+    probability `retweet_rate`.
     """
     rng = np.random.default_rng(seed)
     n_rec = config.num_recipients
@@ -784,17 +794,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
 
     # topics own disjoint vocabulary blocks, so cross-topic text similarity
     # is exactly zero and the planted signal separates cleanly
+    # each topic's word CDF, built once as `Generator.choice(p=...)` builds
+    # it on every call, so `searchsorted` on `rng.random` draws the same words
     block = VOCAB_SIZE // TOPICS
-    topic_word = np.zeros((TOPICS, VOCAB_SIZE))
+    topic_cdfs = []
     for k in range(TOPICS):
         lo = k * block
         hi = (k + 1) * block if k < TOPICS - 1 else VOCAB_SIZE
-        topic_word[k, lo:hi] = rng.dirichlet(np.full(hi - lo, TOPIC_CONCENTRATION))
-    # each topic's word CDF, built once as `Generator.choice(p=...)` builds
-    # it on every call, so `searchsorted` on `rng.random` draws the same words
-    topic_cdfs = []
-    for k in range(TOPICS):
-        cdf = topic_word[k].cumsum()
+        cdf = np.zeros(VOCAB_SIZE)
+        cdf[lo:hi] = rng.dirichlet(np.full(hi - lo, TOPIC_CONCENTRATION))
+        cdf = cdf.cumsum()
         cdf /= cdf[-1]
         topic_cdfs.append(cdf)
     # each user posts a flat mixture over a small topic subset, so tweets
@@ -813,15 +822,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     follows: dict[int, frozenset[int]] = {}
     for r in recipients:
         candidates = np.array([u for u in all_users if u != r])
-        k = min(config.neighbours_per_user, len(candidates))
-        picked = rng.choice(candidates, size=k, replace=False)
+        picked = rng.choice(candidates, size=config.neighbours_per_user, replace=False)
         follows[r] = frozenset(int(x) for x in picked)
-    followers: dict[int, list[int]] = {u: [] for u in all_users}
-    for r in recipients:
-        for u in follows[r]:
-            followers[u].append(r)
-    for u in all_users:
-        followers[u].sort()
+    # each user's followers in ascending order
+    followers = {u: [r for r in recipients if u in follows[r]] for u in all_users}
 
     horizon = config.days * 86400
     moments: list[tuple[int, int]] = []
@@ -833,7 +837,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     moments.sort()
 
     plant = planted_model(config)
-    signal = config.signal_strength
     drift = 0.0
     uniform_idf = vectorspace.IdfTable.uniform()
 
@@ -842,33 +845,29 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         lambda: vectorspace.RollingCentroid(PLANT_HISTORY_CAP))
     retweet_streams: defaultdict[int, vectorspace.RollingCentroid] = defaultdict(
         lambda: vectorspace.RollingCentroid(PLANT_HISTORY_CAP, history.WEEK_SECONDS))
-    retweet_counts: dict[tuple[int, int], int] = {}
-    pending: list[tuple[int, int, str, tuple]] = []  # (ts, seq, kind, payload)
-    pending_seq = 0
+    retweet_counts: Counter[tuple[int, int]] = Counter()  # (user, author): retweets
+    # (ts, seq, user, author of a retweeted tweet or None for a post, tweet)
+    pending: list[tuple[int, int, int, int | None, _Tweet]] = []
+    pending_seq = itertools.count()
 
     def flush_before(ts: int) -> None:
         while pending and pending[0][0] < ts:
-            ev_ts, _, kind, payload = heapq.heappop(pending)
-            if kind == "post":
-                user, tweet_id, vec = payload
-                posts_streams[user].push(ev_ts, tweet_id, vec)
-            else:  # retweet by `user` of a tweet authored by `author`
-                user, author, tweet_id, vec = payload
-                posts_streams[user].push(ev_ts, tweet_id, vec)
-                retweet_streams[user].push(ev_ts, tweet_id, vec)
-                key = (user, author)
-                retweet_counts[key] = retweet_counts.get(key, 0) + 1
-
-    def push_pending(ts: int, kind: str, payload: tuple) -> None:
-        nonlocal pending_seq
-        heapq.heappush(pending, (ts, pending_seq, kind, payload))
-        pending_seq += 1
+            ev_ts, _, user, author, tweet = heapq.heappop(pending)
+            posts_streams[user].push(ev_ts, tweet.tweet_id, tweet.vec)
+            if author is not None:
+                retweet_streams[user].push(ev_ts, tweet.tweet_id, tweet.vec)
+                retweet_counts[user, author] += 1
 
     tweet_ids = itertools.count(1)
     buffer: deque[_Tweet] = deque(maxlen=500)
     events: list[HistoryEvent] = []
     instances: list[Instance] = []
     word_base = FIRST_WORD_ID
+
+    def retweet(user: int, tweet: _Tweet, ts: int) -> None:
+        """Record `user`'s retweet and queue it for the plant's streams."""
+        events.append(HistoryEvent(user, tweet.tweet_id, "retweeted", ts, tweet.tweet.tokens, None))
+        heapq.heappush(pending, (ts, next(pending_seq), user, tweet.author_id, tweet))
 
     def mint_tweet(u: int, topic: int, ts: int) -> _Tweet:
         length = 3 + int(rng.poisson(TWEET_LENGTH_MEAN - 3.0))
@@ -885,14 +884,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             mentioned = (mention_target,)
         tweet_id = next(tweet_ids)
         token_tuple = tuple(tokens)
-        vec = None
-        if signal > 0:
-            vec = vectorspace.to_fixed(vectorspace.vectorize(token_tuple, uniform_idf))
-            push_pending(ts, "post", (u, tweet_id, vec))
         tweet = _Tweet(
             tweet_id=tweet_id,
             author_id=u,
-            tokens=token_tuple,
             tweet=EncodedTweet(
                 tokens=token_tuple,
                 char_length=int(6 * len(token_tuple)),
@@ -905,9 +899,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             global_retweet_count=int(rng.poisson(1 + 0.5 * len(followers[u]))),
             global_favourite_count=int(rng.poisson(1 + len(followers[u]))),
             pos_counts=_planted_pos_counts(token_tuple),
-            vec=vec,
+            vec=vectorspace.to_fixed(vectorspace.vectorize(token_tuple, uniform_idf)),
         )
         events.append(HistoryEvent(u, tweet_id, "authored", ts, token_tuple, mention_target))
+        heapq.heappush(pending, (ts, next(pending_seq), u, None, tweet))
         return tweet
 
     # burn-in: every user posts a few tweets per topic shortly before the
@@ -924,16 +919,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 tweet = mint_tweet(u, topic, ts)
                 for r in followers[u]:
                     if topic in liked_topic_sets[r]:
-                        rt_ts = ts + _RETWEET_DELAY
-                        events.append(
-                            HistoryEvent(r, tweet.tweet_id, "retweeted", rt_ts, tweet.tokens, None)
-                        )
-                        if signal > 0:
-                            push_pending(rt_ts, "retweet", (r, u, tweet.tweet_id, tweet.vec))
+                        retweet(r, tweet, ts + _RETWEET_DELAY)
 
     for ts, u in moments:
-        if signal > 0:
-            flush_before(ts)
+        flush_before(ts)
 
         forward = None
         if u > n_rec and buffer and rng.random() < config.forward_rate:
@@ -948,31 +937,21 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             buffer.append(tweet)
         else:
             tweet = forward
-            events.append(HistoryEvent(u, tweet.tweet_id, "retweeted", ts, tweet.tokens, None))
+            retweet(u, tweet, ts)
 
         author = tweet.author_id
-        if signal > 0:
-            vec = tweet.vec
-            if forward is not None:
-                push_pending(ts, "retweet", (u, author, tweet.tweet_id, vec))
-            # no stream changes before the next moment's flush, so the
-            # sender's posts give one mean for all its followers
-            sender_sim = posts_streams[u].means(vec, tweet.tweet_id, ts)[0]
+        # no stream changes before the next moment's flush, so the sender's
+        # posts give one mean for all its followers
+        sender_sim = posts_streams[u].means(tweet.vec, tweet.tweet_id, ts)[0]
         for r in followers[u]:
             if r == author:
                 continue
             label_draw = float(rng.random())
-            if signal > 0:
-                retweet_sim, week_sim = retweet_streams[r].means(vec, tweet.tweet_id, ts)
-                planted = _planted_quantities(sender_sim, retweet_sim, week_sim,
-                                              retweet_counts.get((r, author), 0),
-                                              author in follows[r])
-                p = plant.probability(planted, drift)
-            else:
-                p = config.retweet_rate
-            label = label_draw < p
-            if signal > 0:
-                drift = plant.next_drift(drift, label)
+            retweet_sim, week_sim = retweet_streams[r].means(tweet.vec, tweet.tweet_id, ts)
+            planted = _planted_quantities(sender_sim, retweet_sim, week_sim,
+                                          retweet_counts[r, author], author in follows[r])
+            label = label_draw < plant.probability(planted, drift)
+            drift = plant.next_drift(drift, label)
             instance_id = len(instances) + 1
             instances.append(
                 Instance(
@@ -989,12 +968,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                     pos_counts=tweet.pos_counts,
                 )
             )
-            events.append(HistoryEvent(r, tweet.tweet_id, "seen", ts, tweet.tokens, None))
+            events.append(HistoryEvent(r, tweet.tweet_id, "seen", ts, tweet.tweet.tokens, None))
             if label:
-                rt_ts = ts + _RETWEET_DELAY
-                events.append(HistoryEvent(r, tweet.tweet_id, "retweeted", rt_ts, tweet.tokens, None))
-                if signal > 0:
-                    push_pending(rt_ts, "retweet", (r, author, tweet.tweet_id, vec))
+                retweet(r, tweet, ts + _RETWEET_DELAY)
 
     # a user's statuses are its posts and retweets
     statuses_of = Counter(e.user_id for e in events if e.action != "seen")
@@ -1097,7 +1073,6 @@ def planted_decision_values(
     drift_by_id: dict[int, float] = {}
     for inst in corpus.instances:
         drift_by_id[inst.instance_id] = drift
-        if model.signal_strength > 0:
-            drift = model.next_drift(drift, inst.label)
+        drift = model.next_drift(drift, inst.label)
     return np.array([model.decision_value(f, drift_by_id[inst.instance_id])
                      for inst, f in zip(wanted, planted_features(corpus, wanted))])

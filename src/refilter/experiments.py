@@ -12,6 +12,7 @@ and cut into fixed-size batches that feed train/dev/test splits.
 from __future__ import annotations
 
 import io
+import math
 import os
 import random
 import zipfile
@@ -743,8 +744,19 @@ def csv_rows(path: str | Path, expected: str, kinds: tuple) -> Iterator[tuple[in
 
 
 def read_curve(path: str | Path) -> list[CurvePoint]:
-    header = "k,train_f1,eval_f1"
-    return [CurvePoint(*row) for _, row in csv_rows(path, header, (int, float, float))]
+    """The points of a curve file; row i (from 1) has k = i, and each F1
+    is a finite number in [0, 1]. A bad row is named by file and line."""
+    points: list[CurvePoint] = []
+    for lineno, row in csv_rows(path, "k,train_f1,eval_f1", (int, float, float)):
+        point = CurvePoint(*row)
+        if point.k != len(points) + 1:
+            raise ValueError(f"{path}:{lineno}: k {point.k}, expected {len(points) + 1}")
+        for name in ("train_f1", "eval_f1"):
+            f1 = getattr(point, name)
+            if not 0.0 <= f1 <= 1.0:  # False for nan
+                raise ValueError(f"{path}:{lineno}: {name} {f1!r} is not a number in [0, 1]")
+        points.append(point)
+    return points
 
 
 def write_metrics(path: str | Path, metrics: Metrics) -> None:
@@ -765,8 +777,9 @@ def write_ranking(path: str | Path, ranking: Sequence[RankedFeature]) -> None:
 
 def read_ranking(path: str | Path) -> list[RankedFeature]:
     """The rows of a ranking file; each names one feature id in
-    1..N_FEATURES, once, and row i (from 1) has rank i. A bad row is named
-    by file and line."""
+    1..N_FEATURES, once, row i (from 1) has rank i, and the scores are
+    finite, >= 0 and never rise down the file. A bad row is named by file
+    and line."""
     out = []
     line_of: dict[int, int] = {}
     for lineno, fields in csv_rows(path, "ft_id,mean_abs_pearson,rank", (int, float, int)):
@@ -778,6 +791,13 @@ def read_ranking(path: str | Path) -> list[RankedFeature]:
                              f"first on line {line_of[row.ft_id]}")
         if row.rank != len(out) + 1:
             raise ValueError(f"{path}:{lineno}: rank {row.rank}, expected {len(out) + 1}")
+        # a mean |r| may round to just above 1, so there is no upper bound
+        if not 0.0 <= row.pearson_r < math.inf:  # False for nan
+            raise ValueError(f"{path}:{lineno}: mean_abs_pearson {row.pearson_r!r} "
+                             "is not a finite number >= 0")
+        if out and row.pearson_r > out[-1].pearson_r:
+            raise ValueError(f"{path}:{lineno}: mean_abs_pearson {row.pearson_r!r} rises above "
+                             f"{out[-1].pearson_r!r} on line {lineno - 1}")
         line_of[row.ft_id] = lineno
         out.append(row)
     return out

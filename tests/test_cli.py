@@ -367,6 +367,26 @@ def test_ranking_rows_out_of_rank_order_are_error(workspace, tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows,named", [
+    ("10,0.2,1\n13,0.9,2\n", "ranking.csv:3: mean_abs_pearson 0.9 rises above 0.2 on line 2"),
+    ("10,nan,1\n", "ranking.csv:2: mean_abs_pearson nan is not a finite number >= 0"),
+    ("10,-1,1\n", "ranking.csv:2: mean_abs_pearson -1.0 is not a finite number >= 0"),
+], ids=["rising", "nan", "negative"])
+def test_ranking_scores_are_checked_by_train(workspace, tmp_path, capsys, monkeypatch,
+                                             rows, named):
+    """`train --top-m 1` would otherwise take FT10 as the top feature."""
+    root, corpus, splits, *_ = workspace
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ranking.csv").write_text("ft_id,mean_abs_pearson,rank\n" + rows,
+                                          encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["train", "--corpus", str(corpus), "--splits", str(splits),
+               "--ranking", "ranking.csv", "--top-m", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"refilter: error: {named}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("train", "--lambda", "nan"), ("train", "--lambda", "1e400"), ("train", "--lambda", "-1"),
     ("train", "--lambda", "0"), ("curve", "--lambda", "0"),

@@ -235,12 +235,23 @@ PINNED_SHA256 = {
     "history.jsonl": "695810df369227356bf1227cc67c79a7979321b8b0831b1e5e6f99814c04009d",
     "instances.jsonl": "16a37e0c9f54fe200e132addca29cdec460486955f43d3e17974e95d83fc1dba",
 }
+# the same timeline under the null model: 872 instances, 83 positives
+PINNED_NULL_CONFIG = dataclasses.replace(PINNED_CONFIG, signal_strength=0.0)
+PINNED_NULL_SHA256 = {
+    "profiles.jsonl": "f322eaaf861fb5125f95147deaf4711b9d42cb422d756c41380c2ee49132ad11",
+    "history.jsonl": "5cf1ed2e29d0857ee8e5df010b25b4c84d8a4987dffe73f59a82469eb4e6439c",
+    "instances.jsonl": "e31a564f66f737e6ed802e28e51a1374cb02f15996f0b4f6a6f0ddf3a721150e",
+}
 
 
-def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch):
+@pytest.mark.parametrize("config,pinned", [
+    (PINNED_CONFIG, PINNED_SHA256), (PINNED_NULL_CONFIG, PINNED_NULL_SHA256),
+], ids=["signal8", "signal0"])
+def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch, config, pinned):
     """Every random draw and every exact similarity sum of the generator:
     a planted mean one ulp off can flip a label, which `planted_features`,
-    recomputing with float cosines, would not see."""
+    recomputing with float cosines, would not see. At signal 0 the labels
+    read no mean, so only the planted corpus must reach both week cases."""
     week_queries = {"all held in the week": 0, "some held older": 0}
     means = RollingCentroid.means
 
@@ -251,15 +262,15 @@ def test_generated_corpus_bytes_are_pinned(tmp_path, monkeypatch):
         return got
 
     monkeypatch.setattr(RollingCentroid, "means", counted)
-    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
-    assert all(week_queries.values()), week_queries
+    corpus = generate_synthetic(config, seed=15)
+    assert config.signal_strength == 0 or all(week_queries.values()), week_queries
     forwards = [e for e in corpus.events
-                if e.action == "retweeted" and e.user_id > PINNED_CONFIG.num_recipients]
+                if e.action == "retweeted" and e.user_id > config.num_recipients]
     assert forwards  # publishers pass on older tweets
     write_corpus_dir(corpus, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in PINNED_SHA256}
-    assert digests == PINNED_SHA256
+               for name in pinned}
+    assert digests == pinned
 
 
 def test_generated_profiles_agree_with_the_events_and_instances():
@@ -277,18 +288,21 @@ def test_generated_profiles_agree_with_the_events_and_instances():
         range(1, PINNED_CONFIG.num_recipients + 2 * PINNED_CONFIG.neighbours_per_user + 1))
 
 
-def test_planted_features_agree_with_the_generator(monkeypatch):
+@pytest.mark.parametrize("config", [PINNED_CONFIG, PINNED_NULL_CONFIG],
+                         ids=["signal8", "signal0"])
+def test_planted_features_agree_with_the_generator(monkeypatch, config):
     """The oracle, reading the written events through the history index,
     gives the quantities each label was drawn from: similarities within
     1e-9 of the generator's fixed-point sums, the retweet count and the
     neighbour flag exactly. Forwarded deliveries, whose sender is not the
-    tweet's author, count the recipient's retweets of the author."""
+    tweet's author, count the recipient's retweets of the author. The
+    generator runs the plant at every strength, the null model's too."""
     drawn = []
     probability = corpus_io.PlantedModel.probability
     monkeypatch.setattr(corpus_io.PlantedModel, "probability",
                         lambda self, planted, drift=0.0:
                         drawn.append(planted) or probability(self, planted, drift))
-    corpus = generate_synthetic(PINNED_CONFIG, seed=15)
+    corpus = generate_synthetic(config, seed=15)
     assert len(drawn) == len(corpus.instances)
     assert any(i.sender_id != i.author_id for i in corpus.instances)
     for inst, want, got in zip(corpus.instances, drawn, planted_features(corpus)):
@@ -297,6 +311,19 @@ def test_planted_features_agree_with_the_generator(monkeypatch):
             assert abs(got[name] - want[name]) <= 1e-9, (inst.instance_id, name)
         assert (got["retweet_count"], got["author_neighbour"]) == (
             want["retweet_count"], want["author_neighbour"]), inst.instance_id
+
+
+@pytest.mark.parametrize("rate", [0.08, 0.3, 0.7])
+def test_null_model_draws_at_the_rate_and_keeps_no_drift(rate):
+    """At signal 0 the label probability is the rate itself, not the
+    sigmoid of its logit, and the drift stays 0 after either label."""
+    model = corpus_io.planted_model(SyntheticConfig(retweet_rate=rate, signal_strength=0.0))
+    for value in (0.0, 1.0):
+        planted = dict.fromkeys(corpus_io.PLANT_WEIGHTS, value)
+        for drift in (0.0, 1.5):
+            assert model.probability(planted, drift) == rate
+    assert model.next_drift(0.0, True) == 0.0
+    assert model.next_drift(0.0, False) == 0.0
 
 
 def test_planted_decision_values_of_a_subset_are_the_full_values(small_signal_corpus):

@@ -910,12 +910,12 @@ def test_scatter_feature_mismatch(signal_pipeline):
 
 
 def test_curve_file_round_trip(tmp_path):
-    points = [CurvePoint(1, 0.5, 0.4), CurvePoint(2, 0.75, 2 / 3)]
+    points = [CurvePoint(1, 0.5, 0.4), CurvePoint(2, 0.75, 2 / 3), CurvePoint(3, 1.0, 0.0)]
     path = tmp_path / "curve.csv"
     write_curve(path, points)
     text = path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "k,train_f1,eval_f1"
-    assert len(text) == 3
+    assert len(text) == 4
     assert read_curve(path) == points
 
 
@@ -945,6 +945,48 @@ def test_malformed_curve_row_names_file_and_line(tmp_path, row):
     with pytest.raises(ValueError, match=re.escape(
             f"curve.csv:3: expected k,train_f1,eval_f1, got {row!r}")):
         read_curve(path)
+
+
+@pytest.mark.parametrize("rows,named", [
+    (["1,nan,7.5", "1,-1,inf"], "curve.csv:2: train_f1 nan is not a number in [0, 1]"),
+    (["1,0.5,inf"], "curve.csv:2: eval_f1 inf is not a number in [0, 1]"),
+    (["1,-0.25,0.5"], "curve.csv:2: train_f1 -0.25 is not a number in [0, 1]"),
+    (["1,0.5,1.5"], "curve.csv:2: eval_f1 1.5 is not a number in [0, 1]"),
+    (["1,0.5,0.4", "1,0.6,0.5"], "curve.csv:3: k 1, expected 2"),
+    (["2,0.5,0.4"], "curve.csv:2: k 2, expected 1"),
+    (["1,0.5,0.4", "3,0.6,0.5"], "curve.csv:3: k 3, expected 2"),
+], ids=["nan", "inf", "negative", "above_one", "repeated_k", "first_k", "gap"])
+def test_curve_rows_are_checked(tmp_path, rows, named):
+    """Row i of a curve file is the point at k = i, and each F1 is a
+    finite number in [0, 1]."""
+    path = tmp_path / "curve.csv"
+    path.write_text("k,train_f1,eval_f1\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        read_curve(path)
+
+
+@pytest.mark.parametrize("rows,named", [
+    (["10,0.2,1", "13,0.9,2"], "ranking.csv:3: mean_abs_pearson 0.9 rises above 0.2 on line 2"),
+    (["10,nan,1"], "ranking.csv:2: mean_abs_pearson nan is not a finite number >= 0"),
+    (["10,0.2,1", "13,-1.0,2"], "ranking.csv:3: mean_abs_pearson -1.0 is not a finite number >= 0"),
+    (["10,inf,1"], "ranking.csv:2: mean_abs_pearson inf is not a finite number >= 0"),
+], ids=["rising", "nan", "negative", "inf"])
+def test_ranking_scores_are_finite_and_never_rise(tmp_path, rows, named):
+    """A ranking file's scores fall or tie down its rows, so the first
+    `top_m` rows hold the highest scores."""
+    path = tmp_path / "ranking.csv"
+    path.write_text("ft_id,mean_abs_pearson,rank\n" + "".join(f"{r}\n" for r in rows),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        read_ranking(path)
+
+
+def test_ranking_scores_may_tie_and_exceed_one(tmp_path):
+    """A mean |r| can round to just above 1, so no upper bound is set."""
+    path = tmp_path / "ranking.csv"
+    path.write_text("ft_id,mean_abs_pearson,rank\n10,1.0000000000000002,1\n13,0.5,2\n"
+                    "11,0.5,3\n12,0.0,4\n", encoding="utf-8")
+    assert [rf.ft_id for rf in read_ranking(path)] == [10, 13, 11, 12]
 
 
 @pytest.mark.parametrize("rows,named", [
