@@ -137,7 +137,12 @@ def _split_table(
         try:
             instances = [corpus.instance_by_id[iid] for iid in members]
         except KeyError as exc:
-            raise ValueError(f"split references unknown instance_id {exc.args[0]}") from None
+            # the first file to list it: an unbalanced id is in its balanced set
+            name = next(name for name in ("train", *EVAL_SETS)
+                        if exc.args[0] in (ids.train if name == "train" else ids.eval_set(name)))
+            raise ValueError(
+                f"{split_dir / SPLIT_FILES[name]}: instance_id {exc.args[0]} is not in the corpus"
+            ) from None
         idf = vectorspace.build_idf(e.tokens for e in corpus.events)
         ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
         table = experiments.featurize(ctx, instances)
@@ -200,11 +205,35 @@ def _read_split_spec(path: Path) -> SplitSpec:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _first_lines(path: Path, rows: list, others: dict[Path, dict[int, int]]) -> dict[int, int]:
+    """The first line of each id in the `_id_rows` of one split file, whose
+    id is each row's last field. An id listed twice, or already listed by
+    one of `others` (file: its `_first_lines`), is refused by file and line."""
+    first: dict[int, int] = {}
+    for lineno, row in rows:
+        iid = row[-1]
+        if iid in first:
+            raise ValueError(f"{path}:{lineno}: instance_id {iid} is listed twice, "
+                             f"first on line {first[iid]}")
+        for other, lines in others.items():
+            if iid in lines:
+                raise ValueError(f"{path}:{lineno}: instance_id {iid} is listed twice, "
+                                 f"first on {other}:{lines[iid]}")
+        first[iid] = lineno
+    return first
+
+
 def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
+    """The ids of a split directory. What `build` never writes is refused
+    by file and line: a batch outside the manifest's count, a train batch
+    without rows, an id listed twice in one file or in two of train,
+    dev_balanced and test_balanced, and an unbalanced id that its balanced
+    set lacks."""
     spec = _read_split_spec(split_dir / SPLIT_MANIFEST)
     batches: list[list[int]] = [[] for _ in range(spec.train_batches)]
     train_path = split_dir / SPLIT_FILES["train"]
-    for lineno, (b, iid) in _id_rows(train_path, 2):
+    train_rows = _id_rows(train_path, 2)
+    for lineno, (b, iid) in train_rows:
         if not 0 <= b < spec.train_batches:
             raise ValueError(
                 f"{train_path}:{lineno}: batch {b} outside 0..{spec.train_batches - 1}"
@@ -213,10 +242,21 @@ def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
     for b, batch in enumerate(batches):
         if not batch:
             raise ValueError(f"{train_path}: train batch {b} has no rows")
-    eval_sets = {
-        name: [iid for _, (iid,) in _id_rows(split_dir / SPLIT_FILES[name], 1)]
-        for name in EVAL_SETS
-    }
+    # EVAL_SETS names each balanced set before its unbalanced subset
+    disjoint = {train_path: _first_lines(train_path, train_rows, {})}
+    eval_sets = {}
+    for name in EVAL_SETS:
+        path = split_dir / SPLIT_FILES[name]
+        rows = _id_rows(path, 1)
+        if name.endswith("_unbalanced"):
+            _first_lines(path, rows, {})
+            balanced = split_dir / SPLIT_FILES[name.replace("_unbalanced", "_balanced")]
+            for lineno, (iid,) in rows:
+                if iid not in disjoint[balanced]:
+                    raise ValueError(f"{path}:{lineno}: instance_id {iid} is not in {balanced}")
+        else:
+            disjoint[path] = _first_lines(path, rows, disjoint)
+        eval_sets[name] = [iid for _, (iid,) in rows]
     return experiments.SplitIds(train_batches=batches, eval_sets=eval_sets)
 
 
@@ -321,7 +361,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str) -> learner.Model:
-    return learner.model_from_json(Path(path).read_text(encoding="utf-8"))
+    """The model a file holds; a ValueError is prefixed with the path."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return learner.model_from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:

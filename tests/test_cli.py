@@ -194,6 +194,41 @@ def test_scatter_on_wrong_model_fails(workspace, tmp_path, capsys):
     assert rc == 1
 
 
+# name: (an edit of the model record, or None to cut its JSON short; the
+# error after the file name)
+BAD_MODELS = {
+    "not_json": (None, "invalid model record: "),
+    "no_weights": (lambda m: m.pop("weights"), "model record lacks field 'weights'"),
+    "bad_lambda": (lambda m: m["hyper"].update(lam=-1),
+                   "field 'hyper.lam' (--lambda) must be a finite number > 0, got -1"),
+    "bad_format": (lambda m: m.update(format="v0"), "unrecognized model format: "),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "score", "scatter"])
+@pytest.mark.parametrize("bad", sorted(BAD_MODELS))
+def test_bad_model_file_is_named(workspace, tmp_path, capsys, bad, command):
+    root, corpus, splits, ranking, model = workspace
+    edit, message = BAD_MODELS[bad]
+    text = model.read_text(encoding="utf-8")
+    if edit is None:
+        text = text[:-3]
+    else:
+        record = json.loads(text)
+        edit(record)
+        text = json.dumps(record)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    extra = ["--ft-a", "10", "--ft-b", "43"] if command == "scatter" else []
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--splits", str(splits),
+                 "--model", str(path), *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"refilter: error: {path}: {message}")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"num_recipients": 6, "days": 5,

@@ -288,6 +288,84 @@ def test_malformed_split_file_fails_with_a_saved_table(inputs, tmp_path, capsys,
     assert capsys.readouterr().err.endswith("train_ids.csv:4: batch 99 outside 0..7\n")
 
 
+def _split_lines(root, name):
+    return (root / "splits" / f"{name}_ids.csv").read_text().splitlines()
+
+
+def _write_split_lines(root, name, lines):
+    (root / "splits" / f"{name}_ids.csv").write_text("\n".join(lines) + "\n")
+
+
+def _append_row(root, name, row):
+    """Append `row` to a split file; returns its line number."""
+    lines = _split_lines(root, name)
+    _write_split_lines(root, name, [*lines, row])
+    return len(lines) + 1
+
+
+def _train_id_twice(root):
+    row = _split_lines(root, "train")[1]
+    line = _append_row(root, "train", row)
+    iid = row.split(",")[1]
+    return f"train_ids.csv:{line}: instance_id {iid} is listed twice, first on line 2"
+
+
+def _dev_balanced_id_in_train(root):
+    iid = _split_lines(root, "dev_balanced")[1]
+    line = _append_row(root, "train", f"0,{iid}")
+    return (f"dev_balanced_ids.csv:2: instance_id {iid} is listed twice, "
+            f"first on {os.path.join('splits', 'train_ids.csv')}:{line}")
+
+
+def _test_balanced_id_in_dev_balanced(root):
+    iid = _split_lines(root, "test_balanced")[1]
+    line = _append_row(root, "dev_balanced", iid)
+    return (f"test_balanced_ids.csv:2: instance_id {iid} is listed twice, "
+            f"first on {os.path.join('splits', 'dev_balanced_ids.csv')}:{line}")
+
+
+def _dev_unbalanced_id_twice(root):
+    iid = _split_lines(root, "dev_unbalanced")[1]
+    line = _append_row(root, "dev_unbalanced", iid)
+    return f"dev_unbalanced_ids.csv:{line}: instance_id {iid} is listed twice, first on line 2"
+
+
+def _unbalanced_id_not_in_its_balanced_set(root):
+    # a test_balanced id in place of the first dev_unbalanced id
+    iid = _split_lines(root, "test_balanced")[1]
+    lines = _split_lines(root, "dev_unbalanced")
+    lines[1] = iid
+    _write_split_lines(root, "dev_unbalanced", lines)
+    return (f"dev_unbalanced_ids.csv:2: instance_id {iid} is not in "
+            f"{os.path.join('splits', 'dev_balanced_ids.csv')}")
+
+
+# what `build` never writes: an edit of the split files, returning the end
+# of the error after the splits directory
+UNWRITTEN_SPLITS = {
+    "train_id_twice": _train_id_twice,
+    "dev_balanced_id_in_train": _dev_balanced_id_in_train,
+    "test_balanced_id_in_dev_balanced": _test_balanced_id_in_dev_balanced,
+    "dev_unbalanced_id_twice": _dev_unbalanced_id_twice,
+    "unbalanced_id_not_in_its_balanced_set": _unbalanced_id_not_in_its_balanced_set,
+}
+
+
+@pytest.mark.parametrize("saved", [True, False], ids=["saved_table", "no_table"])
+@pytest.mark.parametrize("case", sorted(UNWRITTEN_SPLITS))
+def test_split_ids_build_never_writes_are_refused(inputs, tmp_path, capsys, loads, case,
+                                                  saved):
+    root = _copy(inputs, tmp_path / "w")
+    if saved:
+        _walk(root)
+    loads.forbid()
+    message = UNWRITTEN_SPLITS[case](root)
+    capsys.readouterr()
+    assert _run(root, "rank", "--out", "r.csv") == 1
+    assert capsys.readouterr().err == f"refilter: error: {os.path.join('splits', message)}\n"
+    assert not (root / "r.csv").exists()
+
+
 def test_train_batch_without_rows_fails_with_a_saved_table(inputs, tmp_path, capsys, loads):
     # a manifest that promises more train batches than train_ids.csv holds
     # would give curve points over empty batches, each repeating the last k
@@ -363,7 +441,8 @@ def test_split_naming_an_unknown_instance_fails_on_recompute(inputs, tmp_path, c
     assert _run(root, "rank", "--out", "r.csv") == 1
     assert loads.count == 2  # the edit changed the table key: recomputed
     err = capsys.readouterr().err
-    assert err == f"refilter: error: split references unknown instance_id {unknown}\n"
+    named = os.path.join("splits", "train_ids.csv")
+    assert err == f"refilter: error: {named}: instance_id {unknown} is not in the corpus\n"
     assert (root / "splits" / TABLE_FILE).read_bytes() == table
 
 
