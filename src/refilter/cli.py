@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +307,12 @@ def cmd_build(args) -> int:
     except experiments.DatasetError as exc:
         sizes = " ".join(f"--{name.replace('_', '-')} {getattr(spec, name)}"
                          for name in experiments.SPLIT_SIZES)
-        raise experiments.DatasetError(f"{exc}; the split flags ask for {sizes}") from None
+        error = experiments.DatasetError(f"{exc}; the split flags ask for {sizes}", exc.funnel)
+        if args.report is not None:
+            _write_build_report(args.report, exc.funnel, str(error))
+        raise error from None
+    if args.report is not None:
+        _write_build_report(args.report, splits.funnel, None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_split_ids(splits, out)
@@ -329,6 +334,13 @@ def cmd_build(args) -> int:
     _split_table(args, split_dir=out, corpus=corpus, hist=hist)
     print(f"wrote {spec.total_batches} batches to {out}")
     return 0
+
+
+def _write_build_report(path: str, funnel: experiments.DatasetFunnel, error: str | None) -> None:
+    """`build --report`: the dataset funnel, and the error when the corpus
+    gives too few batches, as JSON (docs/FORMATS.md)."""
+    report = {"command": "build", "error": error, "funnel": asdict(funnel)}
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_rank(args) -> int:
@@ -461,6 +473,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    type=int, default=None, help="default: 5%% positives for the batch size")
     p.add_argument("--unbalanced-neg-per-batch", dest="unbalanced_neg_per_batch",
                    type=int, default=None, help="default: batch-neg")
+    p.add_argument("--report", default=None,
+                   help="write how many instances each dataset rule dropped, as JSON")
 
     p = add("rank", cmd_rank, "rank features by mean |pearson| to the label")
     _add_pipeline_flags(p)

@@ -12,6 +12,7 @@ and cut into fixed-size batches that feed train/dev/test splits.
 from __future__ import annotations
 
 import io
+import logging
 import math
 import os
 import random
@@ -44,12 +45,39 @@ from .learner import (
 )
 
 
+logger = logging.getLogger(__name__)
+
 EVAL_SETS = ("dev_balanced", "dev_unbalanced", "test_balanced", "test_unbalanced")
 SPLIT_SIZES = ("batch_pos", "batch_neg", "train_batches", "dev_batches", "test_batches")
 
 
+@dataclass(frozen=True)
+class DatasetFunnel:
+    """How many instances `build_dataset` took in and how many each of its
+    rules took out, in the order the rules apply. The negatives kept are
+    the negatives less the three negative rules' drops, and dedup takes
+    `duplicates` out of the positives and those negatives together."""
+
+    instances: int
+    positives: int
+    negatives: int
+    negatives_never_retweeted: int  # the recipient had never retweeted the sender
+    negatives_sender_inactive: int  # the sender posted nothing in the prior week
+    negatives_downsampled: int  # beyond the recipient's count of positives
+    duplicates: int  # later arrivals of a tweet at the same recipient
+    positives_kept: int
+    negatives_kept: int
+    batches_achievable: int
+    batches_requested: int
+
+
 class DatasetError(ValueError):
-    pass
+    """The corpus cannot give the batches asked for; `funnel` says where
+    its instances went, when the funnel was run."""
+
+    def __init__(self, message: str, funnel: DatasetFunnel | None = None) -> None:
+        super().__init__(message)
+        self.funnel = funnel
 
 
 @dataclass(frozen=True)
@@ -139,6 +167,7 @@ class DatasetSplits:
     dev_unbalanced: list[Instance]
     test_balanced: list[Instance]
     test_unbalanced: list[Instance]
+    funnel: DatasetFunnel | None = None
 
     @property
     def train_instances(self) -> list[Instance]:
@@ -190,13 +219,16 @@ def build_dataset(
     spec: SplitSpec,
     hist: UserHistoryIndex | None = None,
 ) -> DatasetSplits:
-    """Construct the batched train/dev/test splits from a labeled corpus."""
+    """Construct the batched train/dev/test splits from a labeled corpus.
+    The result's `funnel`, or a `DatasetError`'s, counts what each rule
+    dropped."""
     if hist is None:
         hist = UserHistoryIndex(corpus)
 
     positives: list[Instance] = []
     negatives_by_recipient: dict[int, list[Instance]] = {}
     pos_count_by_recipient: dict[int, int] = {}
+    never_retweeted = inactive = 0
     for inst in corpus.instances:
         if inst.label:
             positives.append(inst)
@@ -208,17 +240,21 @@ def build_dataset(
             # before this arrival) and negatives from senders with no
             # posts in the prior week are excluded
             if hist.retweet_count(inst.recipient_id, inst.sender_id, inst.timestamp) == 0:
+                never_retweeted += 1
                 continue
             if not hist.has_posts_in(inst.sender_id, inst.timestamp, WEEK_SECONDS):
+                inactive += 1
                 continue
             negatives_by_recipient.setdefault(inst.recipient_id, []).append(inst)
 
     rng = random.Random(f"{spec.seed}:downsample")
     negatives: list[Instance] = []
+    downsampled = 0
     for recipient in sorted(negatives_by_recipient):
         negs = sorted(negatives_by_recipient[recipient], key=_time_key)
         quota = pos_count_by_recipient.get(recipient, 0)
         if len(negs) > quota:
+            downsampled += len(negs) - quota
             negs = rng.sample(negs, quota)
         negatives.extend(negs)
 
@@ -239,11 +275,26 @@ def build_dataset(
 
     wanted = spec.total_batches
     achievable = min(len(pos_stream) // spec.batch_pos, len(neg_stream) // spec.batch_neg)
+    funnel = DatasetFunnel(
+        instances=len(corpus.instances),
+        positives=len(positives),
+        negatives=len(corpus.instances) - len(positives),
+        negatives_never_retweeted=never_retweeted,
+        negatives_sender_inactive=inactive,
+        negatives_downsampled=downsampled,
+        duplicates=len(positives) + len(negatives) - len(merged),
+        positives_kept=len(pos_stream),
+        negatives_kept=len(neg_stream),
+        batches_achievable=achievable,
+        batches_requested=wanted,
+    )
+    logger.info("dataset funnel: %s", funnel)
     if achievable < wanted:
         raise DatasetError(
             f"corpus supports only {achievable} batches "
             f"({len(pos_stream)} positives / {len(neg_stream)} negatives after "
-            f"filtering), {wanted} requested"
+            f"filtering), {wanted} requested",
+            funnel,
         )
 
     batches: list[list[Instance]] = []
@@ -276,6 +327,7 @@ def build_dataset(
         dev_unbalanced=downsample(dev, "dev"),
         test_balanced=[i for b in test for i in b],
         test_unbalanced=downsample(test, "test"),
+        funnel=funnel,
     )
 
 

@@ -5,10 +5,13 @@ training data only and applied (with clamping) everywhere else. Two
 extraction paths exist: `assemble` computes one instance directly from
 history queries, and `extract_matrix` featurizes many instances in two
 passes, orders of magnitude faster on large corpora. Its similarity pass
-hands each history stream, with every instance that queries it, to one
-`vectorspace.stream_means` call, which sums the fixed-point vectors of the
-held docs exactly in int64 limbs and gives both the capped and, for the
-recipient's seen and retweet streams, the weekly mean. Its column pass
+reads each event's token slot, timestamp and tweet id into arrays once,
+gathers each history stream's arrays by the index's int64 places of its
+events, and hands the stream, with every instance that queries it, to one
+`vectorspace.stream_means` call. That call sums the fixed-point vectors
+of the held docs exactly in int64 limbs, divides each mean in int64, and
+gives both the capped and, for the recipient's seen and retweet streams,
+the weekly mean. Its column pass
 fills the other 44 features one column at a time. Those 44 columns equal
 `assemble` bitwise; the six similarity features agree with it to within a
 few units of 1e-16 when every record of a tweet id carries the same
@@ -29,14 +32,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Corpus, HistoryEvent, Instance, UserProfile
-from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, recent
+from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, group_places, recent
 from .vectorspace import (
     IdfTable,
     PackedVectors,
     avg_similarity,
+    fixed_vectors,
     stream_means,
-    to_fixed,
-    vectorize,
 )
 
 logger = logging.getLogger(__name__)
@@ -354,9 +356,10 @@ def extract_matrix(
     queries of one history stream with one `stream_means` call, whose
     exact integer sums give the capped and, for the recipient's seen and
     retweet streams, the weekly mean; each distinct token tuple is
-    vectorized once per call. The column pass fills the other 44 columns
-    one column at a time, with each user's profile values and each token
-    tuple's wording counts computed once.
+    vectorized once per call, with each distinct token's idf read once.
+    The column pass fills the other 44 columns one column at a time, with
+    each user's profile values and each token tuple's wording counts
+    computed once.
     """
     n = len(instances)
     ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
@@ -368,63 +371,57 @@ def extract_matrix(
 
 
 _TOKENS = attrgetter("tokens")
+_TWEET_TOKENS = attrgetter("tweet.tokens")
 _TIMESTAMP = attrgetter("timestamp")
 _TWEET_ID = attrgetter("tweet_id")
+_SENDER = attrgetter("sender_id")
+_RECIPIENT = attrgetter("recipient_id")
+_INSTANCE_ID = attrgetter("instance_id")
 
 
 def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
     """FT10-13 and FT42-43, one `stream_means` call per history stream: a
     user's posts answer the instances they send (FT10) and receive (FT11),
     and a recipient's seen and retweet streams give FT12 with FT42 and FT13
-    with FT43. Each stream's queries run in (timestamp, instance id) order.
-    Timestamps and tweet ids are 64-bit integers, as the loader checks."""
-    hist = ctx.hist
-    keys = [(inst.timestamp, inst.instance_id) for inst in instances]
-    order = sorted(range(len(instances)), key=keys.__getitem__)
-    del keys  # n tuples, not to be held through the sweep
-    by_sender: dict[int, list[int]] = {}
-    by_recipient: dict[int, list[int]] = {}
-    for row in order:
-        inst = instances[row]
-        by_sender.setdefault(inst.sender_id, []).append(row)
-        by_recipient.setdefault(inst.recipient_id, []).append(row)
+    with FT43. The token slot, timestamp and tweet id of every event are
+    read into arrays once, and each stream's arrays are gathered from them
+    by the stream's places in the index. User ids, timestamps and tweet
+    ids are 64-bit integers, as the loader checks."""
+    hist, events = ctx.hist, ctx.corpus.events
+    n, m = len(instances), len(events)
+    # each distinct token tuple of the instances and events has one slot,
+    # its vector's index in the pack
+    slot: dict = {}
 
-    # (history events, query rows, capped column, week column or None)
-    streams = []
-    for user in sorted(by_sender.keys() | by_recipient.keys()):
-        sent, received = by_sender.get(user, []), by_recipient.get(user, [])
-        columns = np.repeat(np.array([9, 10]), [len(sent), len(received)])
-        streams.append((hist.posts_stream(user), sent + received, columns, None))
-    for user, received in by_recipient.items():
-        streams.append((hist.seen_stream(user), received, 11, 41))
-        streams.append((hist.retweets_stream(user), received, 12, 42))
+    def slots(tuples: Iterable[tuple], count: int) -> np.ndarray:
+        return np.fromiter((slot.setdefault(t, len(slot)) for t in tuples), np.int64, count)
 
-    # each distinct token tuple vectorized once, at its index in the pack
-    tweet_tokens = list(map(attrgetter("tweet.tokens"), instances))
-    distinct = dict.fromkeys(itertools.chain(
-        tweet_tokens, *(map(_TOKENS, events) for events, *_ in streams)))
-    pack = PackedVectors(to_fixed(vectorize(tokens, ctx.idf)) for tokens in distinct)
-    slot = {tokens: i for i, tokens in enumerate(distinct)}
-    del distinct
+    def ints(records: Sequence, field: attrgetter) -> np.ndarray:
+        return _column(map(field, records), len(records), np.int64)
 
-    def arrays(records: Sequence, tokens: Iterable[tuple]) -> tuple:
-        n = len(records)
-        return (np.fromiter(map(slot.__getitem__, tokens), np.int64, n),
-                np.fromiter(map(_TIMESTAMP, records), np.int64, n),
-                np.fromiter(map(_TWEET_ID, records), np.int64, n))
+    query = (slots(map(_TWEET_TOKENS, instances), n),
+             ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
+    event = (slots(map(_TOKENS, events), m), ints(events, _TIMESTAMP), ints(events, _TWEET_ID))
+    pack = PackedVectors(fixed_vectors(slot, ctx.idf))
+    del slot
 
-    query_vec, query_time, query_id = arrays(instances, tweet_tokens)
-    del tweet_tokens
-    for events, rows, column, week_column in streams:
-        rows = np.array(rows, dtype=np.intp)
-        capped, week = stream_means(
-            pack, arrays(events, map(_TOKENS, events)),
-            (query_vec[rows], query_time[rows], query_id[rows]),
-            ctx.cap, None if week_column is None else WEEK_SECONDS,
-        )
-        X[rows, column] = capped
-        if week is not None:
-            X[rows, week_column] = week
+    def means(places: np.ndarray, rows: np.ndarray, window: int | None) -> tuple:
+        return stream_means(pack, tuple(a[places] for a in event),
+                            tuple(a[rows] for a in query), ctx.cap, window)
+
+    # each stream's queries run in (timestamp, instance id) order, which
+    # keeps its searches local; the posts of a user answer first the rows
+    # they send (FT10), then the rows they receive (FT11)
+    by_time = np.lexsort((ints(instances, _INSTANCE_ID), query[1]))
+    senders, recipients = (ints(instances, field)[by_time] for field in (_SENDER, _RECIPIENT))
+    for user, at in group_places(np.concatenate([senders, recipients])):
+        rows = by_time[at % n]
+        X[rows, np.where(at < n, 9, 10)] = means(hist.posts_places(user), rows, None)[0]
+    for user, at in group_places(recipients):
+        rows = by_time[at]
+        for places, capped_column, week_column in ((hist.seen_places(user), 11, 41),
+                                                   (hist.retweets_places(user), 12, 42)):
+            X[rows, capped_column], X[rows, week_column] = means(places, rows, WEEK_SECONDS)
 
 
 def _column(values: Iterable, n: int, dtype=np.float64) -> np.ndarray:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .corpus_io import Corpus, HistoryEvent
@@ -20,6 +22,32 @@ WEEK_SECONDS = 7 * 86400
 DEFAULT_CAP = 1000
 
 _timestamp = attrgetter("timestamp")
+_user_id = attrgetter("user_id")
+_action = attrgetter("action")
+
+
+def group_places(keys: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(key, the int64 places where it occurs in `keys`, in order) for
+    each distinct key, in key order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return zip(ordered[np.r_[0, cuts][:len(ordered)]].tolist(), np.split(order, cuts))
+
+
+def _read_only(places: np.ndarray) -> np.ndarray:
+    places.flags.writeable = False
+    return places
+
+
+def _places_by_user(users: np.ndarray, chosen: np.ndarray) -> dict[int, np.ndarray]:
+    """user -> the places of the chosen events that are the user's, in
+    order, as a read-only int64 array."""
+    places = np.flatnonzero(chosen).astype(np.int64, copy=False)
+    return {user: _read_only(places[at]) for user, at in group_places(users[places])}
+
+
+_NO_PLACES = _read_only(np.zeros(0, dtype=np.int64))
 
 
 def recent(
@@ -47,6 +75,10 @@ class UserHistoryIndex:
     and seen streams hold one action each. Retweets are attributed to the
     author of the retweeted tweet; the author of a tweet id is resolved
     from authored events (first one wins) and instance metadata.
+
+    Each stream is also held as the int64 array of its events' places in
+    `corpus.events`, in the same order (`posts_places` and the like), so
+    a reader of many streams can gather per-event arrays in numpy.
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -83,6 +115,16 @@ class UserHistoryIndex:
                 self._mention_times.setdefault((e.user_id, e.mentions_user), []).append(
                     e.timestamp
                 )
+        # each stream's places in corpus.events, which the feature sweep
+        # gathers its per-event arrays by
+        events, n = corpus.events, len(corpus.events)
+        users = np.fromiter(map(_user_id, events), np.int64, n)
+        authored, retweeted = (np.fromiter(map(action.__eq__, map(_action, events)), bool, n)
+                               for action in ("authored", "retweeted"))
+        posts = authored | retweeted
+        self._at_posts = _places_by_user(users, posts)
+        self._at_retweets = _places_by_user(users, retweeted)
+        self._at_seen = _places_by_user(users, ~posts)
 
     # -- time-sorted streams, sliced with `recent` ----------------------------
 
@@ -94,6 +136,17 @@ class UserHistoryIndex:
 
     def seen_stream(self, user: int) -> list[HistoryEvent]:
         return self._seen.get(user, [])
+
+    # -- the same streams as int64 places in corpus.events ----------------------
+
+    def posts_places(self, user: int) -> np.ndarray:
+        return self._at_posts.get(user, _NO_PLACES)
+
+    def retweets_places(self, user: int) -> np.ndarray:
+        return self._at_retweets.get(user, _NO_PLACES)
+
+    def seen_places(self, user: int) -> np.ndarray:
+        return self._at_seen.get(user, _NO_PLACES)
 
     def has_posts_in(self, user: int, before: int, window: int) -> bool:
         """Did the user author or retweet anything in [before-window, before)?"""

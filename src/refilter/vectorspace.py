@@ -7,7 +7,9 @@ get a finite weight: idf = ln((N+1)/(df+1)) + 1.
 The history similarities are means over exact integer sums of fixed-point
 vectors, in two forms that give the same floats bit for bit.
 `stream_means` answers every query of one stream at once in numpy, with
-each weight split into int64 limbs; the feature sweep uses it.
+each weight split into int64 limbs and each mean divided out by an int64
+long division (`_divide`); the feature sweep uses it. `_mean`, the
+Python-int division, serves `RollingCentroid`.
 `RollingCentroid` is pushed one doc at a time and answers each query as it
 comes; the synthetic generator needs that, since its queries depend on
 labels it has just drawn, and the tests use it as the kernel's oracle.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,12 +62,35 @@ def build_idf(corpus: Iterable[Sequence[Token]]) -> IdfTable:
 
 def vectorize(tokens: Sequence[Token], idf: IdfTable) -> SparseVector:
     """Raw term count times idf, L2-normalized. Empty input: zero vector."""
+    return _normalized(tokens, idf.idf)
+
+
+class _IdfOf(dict):
+    """token -> idf of one table, each read from the table on first use."""
+
+    def __init__(self, table: IdfTable) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, token: Token) -> float:
+        weight = self[token] = self.table.idf(token)
+        return weight
+
+
+def fixed_vectors(token_tuples: Iterable[Sequence[Token]], idf: IdfTable) -> Iterator[FixedVector]:
+    """`to_fixed(vectorize(tokens, idf))` of each tuple, with each distinct
+    token's idf read from the table once."""
+    weight = _IdfOf(idf).__getitem__
+    return (to_fixed(_normalized(tokens, weight)) for tokens in token_tuples)
+
+
+def _normalized(tokens: Sequence[Token], idf: Callable[[Token], float]) -> SparseVector:
     if not tokens:
         return {}
     counts: dict[Token, int] = {}
     for token in tokens:
         counts[token] = counts.get(token, 0) + 1
-    weights = {t: c * idf.idf(t) for t, c in counts.items()}
+    weights = {t: c * idf(t) for t, c in counts.items()}
     norm = math.sqrt(sum(w * w for w in weights.values()))
     if norm == 0.0:
         return {}
@@ -251,6 +276,13 @@ class RollingCentroid:
 _LIMB_BITS = 21
 # queries answered per block, which bounds the per-entry temporaries
 _QUERY_BLOCK = 4096
+# `_divide` takes this many quotient bits per step until the quotient
+# holds _QUOTIENT_BITS: two more than a float64 keeps, for a round bit and
+# a sticky bit below it. A quotient below 2**55 shifted by 8 bits stays
+# below 2**63, and so does a remainder below the count shifted by 8 while
+# the count is below 2**(63 - 8).
+_PIECE_BITS = 8
+_QUOTIENT_BITS = 55
 
 
 def limb_bits(held: int, width: int) -> int:
@@ -261,8 +293,11 @@ def limb_bits(held: int, width: int) -> int:
     less up to `held` copies of the query's own limb, is at most
     2·held·2**bits, and a query's product sum at one power of 2**bits
     has at most width·ceil(63/bits) terms of that times 2**bits. The sum
-    stays below 2**62, which leaves room for the carries of `_divide`: at
-    21 bits, while held·width < 2**19/3."""
+    stays below 2**62, which leaves room for the carries that `_divide`
+    settles: at 21 bits, while held·width < 2**19/3. `_divide` also needs
+    a doc count below 2**(63 - _PIECE_BITS), which `held` bounds."""
+    if held >= 1 << 63 - _PIECE_BITS:
+        raise OverflowError(f"no int64 long division divides by {held} docs")
     for bits in range(_LIMB_BITS, 0, -1):
         if -(-63 // bits) * width * 2 * held << 2 * bits < 1 << 62:
             return bits
@@ -280,28 +315,69 @@ def _limbs(weights: np.ndarray, bits: int) -> np.ndarray:
 
 def _divide(sums: np.ndarray, bits: int, counts: np.ndarray) -> np.ndarray:
     """Each row's exact dot product, the sum of sums[:, s]·2**(s·bits),
-    divided as `_mean` divides it over `counts` docs: no doc gives 0, and
-    the mean is clamped to [0, 1]. The carries are settled in int64
-    (every column is below 2**62) and the settled digits packed 63 // bits
-    to a word, so Python joins a few words per row."""
-    top = sums.shape[1] - 1
-    carry = np.zeros(len(sums), dtype=np.int64)
+    divided as `_mean` divides it over `counts` docs, in int64 alone: a
+    dot at or below 0, or no doc, gives 0, and the mean is clamped to
+    [0, 1]. Every column is below 2**62 and every count below
+    2**(63 - _PIECE_BITS) (`limb_bits`).
+
+    The carries are settled into a signed head and `bits`-wide digits
+    below it. The head, then `_PIECE_BITS`-wide pieces of the digits, then
+    zero pieces, are long-divided by the count, top first, until the
+    quotient holds at least _QUOTIENT_BITS bits. A sticky bit, set when the
+    remainder or any bit not yet divided is nonzero, is ORed into the
+    quotient's lowest bit, so converting it to float64 (round half to even)
+    rounds as the exact quotient rounds; `np.ldexp` then scales it exactly."""
+    rows, top = sums.shape
+    top -= 1
+    carry = np.zeros(rows, dtype=np.int64)
     digits = []
     for s in range(top):
         settled = sums[:, s] + carry
         digits.append(settled & ((1 << bits) - 1))
         carry = settled >> bits
-    per = 63 // bits
-    words = [sum(d << i * bits for i, d in enumerate(digits[j:j + per]))
-             for j in range(0, top, per)]
-    dots = (sums[:, top] + carry).tolist()
-    shift = (top - (len(words) - 1) * per) * bits
-    for word in reversed(words[1:]):
-        dots = [(dot << shift) + w for dot, w in zip(dots, word.tolist())]
-        shift = per * bits
-    scale = 2 * FIXED_BITS
-    return np.clip([((dot << shift) + w) / (n << scale) if n > 0 else 0.0
-                    for dot, w, n in zip(dots, words[0].tolist(), counts.tolist())], 0.0, 1.0)
+    head = sums[:, top] + carry  # the dot is head·2**low plus the digits
+    low = top * bits
+
+    def set_below(at: int) -> np.ndarray:
+        """Whether any bit of the digits below bit `at` is set."""
+        whole, part = divmod(max(at, 0), bits)
+        out = np.zeros(rows, dtype=bool)
+        for digit in digits[:whole]:
+            out |= digit != 0
+        if part:
+            out |= (digits[whole] & ((1 << part) - 1)) != 0
+        return out
+
+    def piece(at: int) -> np.ndarray | int:
+        """Bits [at, at + _PIECE_BITS) of the digits, bits below 0 being 0."""
+        if at + _PIECE_BITS <= 0:
+            return 0
+        out = 0
+        for k in range(max(at, 0) // bits, (at + _PIECE_BITS - 1) // bits + 1):
+            shift = k * bits - at
+            out = out + (digits[k] << shift if shift >= 0 else digits[k] >> -shift)
+        return out & ((1 << _PIECE_BITS) - 1)
+
+    ok = (counts > 0) & ((head > 0) | ((head == 0) & set_below(low)))
+    n = np.where(ok, counts, 1)
+    quotient, rest = np.divmod(np.where(ok, head, 0), n)
+    exp = np.full(rows, low, dtype=np.int64)  # the quotient's unit is 2**exp
+    sticky = np.zeros(rows, dtype=bool)
+    going = ok & (quotient < 1 << _QUOTIENT_BITS)
+    at = low
+    while going.any():
+        at -= _PIECE_BITS
+        bits_in = piece(at)
+        sticky |= ~going & (bits_in != 0)  # below where those rows stopped
+        q, r = np.divmod((rest << _PIECE_BITS) + bits_in, n)
+        quotient = np.where(going, (quotient << _PIECE_BITS) + q, quotient)
+        rest = np.where(going, r, rest)
+        exp[going] = at
+        going &= quotient < 1 << _QUOTIENT_BITS
+    sticky |= (rest != 0) | set_below(at)
+    means = np.ldexp((quotient | sticky).astype(np.float64), exp - 2 * FIXED_BITS)
+    means[~ok] = 0.0
+    return np.minimum(means, 1.0)
 
 
 class PackedVectors:
@@ -359,7 +435,7 @@ def stream_means(
     exact. Each copy of the query's own tweet among the held docs takes
     the query's own limbs off these sums, as `_mean` takes `dup·|vec|²`
     off the dot product. A query's limb products are summed at each power
-    of 2**bits and joined into one exact dot product, which is divided as
+    of 2**bits, and `_divide` divides each query's exact dot product as
     `_mean` divides it.
     """
     doc_vecs, doc_times, doc_ids = docs

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from refilter import corpus_io, experiments
+from refilter import corpus_io, experiments, history
 from refilter.cli import build_parser, main
 from refilter.corpus_io import SyntheticConfig, config_from_dict, load_corpus_dir
 from refilter.experiments import read_curve, read_ranking
@@ -62,6 +62,52 @@ def test_build_writes_id_lists(workspace):
     assert len(train_lines) - 1 == manifest["counts"]["train"] == 8 * 50
     dev_lines = (splits / "dev_unbalanced_ids.csv").read_text(encoding="utf-8").splitlines()
     assert len(dev_lines) - 1 == manifest["counts"]["dev_unbalanced"] == 2 * 27
+
+
+def funnel_adds_up(funnel: dict) -> None:
+    """Each instance is a positive or a negative; each negative is dropped
+    by one rule or kept; dedup takes `duplicates` from what is kept."""
+    assert funnel["instances"] == funnel["positives"] + funnel["negatives"]
+    kept = funnel["negatives"] - funnel["negatives_never_retweeted"] \
+        - funnel["negatives_sender_inactive"] - funnel["negatives_downsampled"]
+    assert kept >= 0 and funnel["duplicates"] >= 0
+    assert funnel["positives"] + kept - funnel["duplicates"] \
+        == funnel["positives_kept"] + funnel["negatives_kept"]
+
+
+def test_build_report_of_a_corpus_with_too_few_batches(workspace, tmp_path, capsys):
+    """A build that fails for too few batches still writes its report,
+    whose counts add up and match a recount from the corpus; stdout and
+    stderr are those of the same build without --report."""
+    _, corpus, *_ = workspace
+    argv = ["build", "--corpus", str(corpus), "--out", str(tmp_path / "splits"),
+            *BUILD_FLAGS, "--train-batches", "500"]
+    assert main(argv) == 1
+    plain = capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main([*argv, "--report", str(report)]) == 1
+    assert capsys.readouterr() == plain
+    assert "corpus supports only" in plain.err and plain.out == ""
+    got = json.loads(report.read_text(encoding="utf-8"))
+    assert sorted(got) == ["command", "error", "funnel"] and got["command"] == "build"
+    assert plain.err == f"refilter: error: {got['error']}\n"
+    funnel = got["funnel"]
+    funnel_adds_up(funnel)
+    assert funnel["batches_requested"] == 504 > funnel["batches_achievable"] > 0
+    assert funnel["batches_achievable"] == min(funnel["positives_kept"] // 25,
+                                               funnel["negatives_kept"] // 25)
+    loaded = load_corpus_dir(corpus)
+    hist = history.UserHistoryIndex(loaded)
+    negatives = [i for i in loaded.instances if not i.label]
+    never = [i for i in negatives if hist.retweet_count(i.recipient_id, i.sender_id, i.timestamp) == 0]
+    assert (funnel["instances"], funnel["negatives"], funnel["negatives_never_retweeted"]) \
+        == (len(loaded.instances), len(negatives), len(never))
+    assert funnel["negatives_sender_inactive"] == sum(
+        not hist.has_posts_in(i.sender_id, i.timestamp, history.WEEK_SECONDS)
+        for i in negatives if i not in never)
+    # each rule but the inactive-sender one drops some here
+    assert min(funnel["negatives_never_retweeted"], funnel["negatives_downsampled"],
+               funnel["duplicates"]) > 0
 
 
 def test_rank_output_parses(workspace):
@@ -547,7 +593,7 @@ def test_only_synth_and_build_take_a_seed(workspace, tmp_path, capsys):
     seeded = {name for name, p in subparsers.items()
               if any("--seed" in action.option_strings for action in p._actions)}
     assert seeded == {"synth", "build"}
-    assert sum(len(_options(p)) for p in subparsers.values()) == 79
+    assert sum(len(_options(p)) for p in subparsers.values()) == 80
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--corpus", str(corpus), "--splits", str(splits), "--seed", "1",
               "--out", str(tmp_path / "r.csv")])
@@ -609,7 +655,7 @@ def test_user_ids_beyond_64_bits_name_the_field_and_flag(tmp_path, capsys, flags
 
 HOSTILE = ("nan", "inf", "-1", "0", "1e400", "9" * 23)
 # options that name a file or directory, where any string is a name
-PATH_OPTIONS = {"config", "out", "corpus", "splits", "model", "ranking"}
+PATH_OPTIONS = {"config", "out", "corpus", "splits", "model", "ranking", "report"}
 # the hostile values an option accepts; it must refuse the others. A huge
 # split size passes its own check, and the corpus refuses it by its flag.
 ACCEPTED = {

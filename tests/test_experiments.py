@@ -273,6 +273,35 @@ def test_insufficient_batches_reports_achievable():
         build_dataset(corpus, small_spec(train_batches=10))
 
 
+def test_funnel_counts_what_each_rule_drops():
+    """Hand-counted: of 26 instances, 3 negatives come from a sender the
+    recipient never retweeted, 2 from a sender silent in the prior week,
+    3 of the 12 others exceed the recipient's 9 positives, and 1 positive
+    is a later arrival of a tweet. The error of a build that asks for too
+    many batches carries the same funnel."""
+    corpus, iid = _flowing_corpus(n_pos=8, n_neg=12)
+    profiles = [make_profile(1, neighbours=[2, 3, 4]), make_profile(2), make_profile(3),
+                make_profile(4)]
+    # recipient 1 retweeted sender 4 once, and 4 posts nothing after day 0
+    events = corpus.events + [HistoryEvent(4, 900, "authored", 0, (6,)),
+                              HistoryEvent(1, 900, "retweeted", 10, (6,))]
+    extra = [make_instance(iid + i, 5000 + i, sender=3, recipient=1,
+                           timestamp=(i + 7) * DAY + 600, label=False) for i in range(3)]
+    extra += [make_instance(iid + 3 + i, 6000 + i, sender=4, recipient=1,
+                            timestamp=(i + 20) * DAY, label=False) for i in range(2)]
+    extra.append(make_instance(iid + 5, 1001, sender=2, recipient=1,
+                               timestamp=40 * DAY, label=True))
+    corpus = make_corpus(profiles, events, corpus.instances + extra)
+    expect = experiments.DatasetFunnel(
+        instances=26, positives=9, negatives=17, negatives_never_retweeted=3,
+        negatives_sender_inactive=2, negatives_downsampled=3, duplicates=1,
+        positives_kept=8, negatives_kept=9, batches_achievable=4, batches_requested=4)
+    assert build_dataset(corpus, small_spec()).funnel == expect
+    with pytest.raises(DatasetError) as failed:
+        build_dataset(corpus, small_spec(train_batches=10))
+    assert failed.value.funnel == dataclasses.replace(expect, batches_requested=12)
+
+
 def test_positives_preserved_and_unbalanced_subsets():
     corpus, _ = _flowing_corpus()
     spec = small_spec()

@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from refilter.corpus_io import HistoryEvent
 from refilter.history import WEEK_SECONDS, UserHistoryIndex, recent
 
@@ -133,6 +135,25 @@ def test_streams_hold_the_corpus_events_themselves(small_signal_corpus):
         got = [e for user in corpus.profiles for e in stream(user)]
         assert all(id(e) in held for e in got)  # each `is` a corpus event, no copy
         assert len(got) == sum(e.action in actions for e in corpus.events)
+
+
+def test_places_select_each_stream_in_order(small_signal_corpus):
+    """Each stream's int64 places in corpus.events pick out exactly that
+    stream's events, in its order; a user without events has none."""
+    _, corpus = small_signal_corpus
+    idx = UserHistoryIndex(corpus)
+    seen = 0
+    for places, stream in ((idx.posts_places, idx.posts_stream),
+                           (idx.retweets_places, idx.retweets_stream),
+                           (idx.seen_places, idx.seen_stream)):
+        for user in list(corpus.profiles) + [max(corpus.profiles) + 1]:
+            at = places(user)
+            assert at.dtype == np.int64 and not at.flags.writeable
+            assert [corpus.events[i] for i in at.tolist()] == stream(user)
+            assert all(corpus.events[i] is e for i, e in zip(at.tolist(), stream(user)))
+            seen += len(at)
+    posts = sum(e.action in ("authored", "retweeted") for e in corpus.events)
+    assert seen == posts + sum(e.action != "authored" for e in corpus.events) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -442,3 +442,118 @@ def test_limb_bits_keep_every_sum_below_the_carry_room():
         bits = limb_bits(held, width)
         assert -(-63 // bits) * width * 2 * held << 2 * bits < 2**62
         assert bits == 21 or -(-63 // (bits + 1)) * width * 2 * held << 2 * (bits + 1) >= 2**62
+
+
+# -- _divide: the int64 long division against _mean's Python division --------
+
+SCALE = 2 * vectorspace.FIXED_BITS
+COUNT_BOUND = 1 << 63 - vectorspace._PIECE_BITS
+
+
+def _columns(dot, bits, rng):
+    """`dot` as the 2·ceil(63/bits) - 1 product sums of `stream_means` at
+    `bits`: its radix-2**bits digits, the top one signed, with random
+    carries moved between neighbours so the sums are not settled."""
+    count = 2 * -(-63 // bits) - 1
+    columns = []
+    for _ in range(count - 1):
+        columns.append(dot & ((1 << bits) - 1))
+        dot >>= bits
+    columns.append(dot)
+    room = (1 << 60) >> bits
+    for s in range(count - 1):
+        carry = rng.randint(-room, room)
+        columns[s] += carry << bits
+        columns[s + 1] -= carry
+    assert all(abs(c) < 2**62 for c in columns)
+    return columns
+
+
+def _joined(columns, bits):
+    return sum(c << s * bits for s, c in enumerate(columns))
+
+
+def _assert_divide_is_mean(rows, bits):
+    """`_divide` of (columns, count) rows, bitwise `_mean` of the dot that
+    the test joins from the columns in Python."""
+    sums = np.array([columns for columns, _ in rows], dtype=np.int64)
+    counts = np.array([n for _, n in rows], dtype=np.int64)
+    got = vectorspace._divide(sums, bits, counts)
+    expect = [vectorspace._mean(_joined(columns, bits), n, 0, 0) for columns, n in rows]
+    assert _bits(got) == _bits(expect)
+    return expect
+
+
+@pytest.mark.parametrize("bits", range(1, 22))
+def test_divide_equals_the_python_mean_bitwise_at_every_limb_width(bits):
+    """Random dots on both sides of 0 and past a mean of 1, with counts
+    from 1 to the bound, as random and as carry-shuffled sums; dots of 0
+    and -1; and the dots the largest sums give."""
+    rng = random.Random(2300 + bits)
+    count = 2 * -(-63 // bits) - 1
+    top_room = (1 << 61) << (count - 1) * bits  # the largest dot the sums can hold
+    rows = []
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, rng.randint(1, 1000), rng.randint(1, 2**40), COUNT_BOUND - 1])
+        scale = n << SCALE
+        dot = rng.choice([
+            rng.randint(-scale // 10, scale + scale // 10),  # a mean near [0, 1]
+            rng.randint(1, 1 << rng.randint(1, 130)),  # small means, many quotient steps
+            rng.randint(-top_room, top_room),  # mostly clamped to 0 or 1
+            0, -1, 1, scale, scale + 1, scale - 1,
+        ])
+        dot = max(-top_room, min(top_room, dot))
+        rows.append((_columns(dot, bits, rng), n))
+    # unsettled sums drawn at random, each column below 2**61
+    for _ in range(100):
+        rows.append(([rng.randint(-2**61, 2**61) for _ in range(count)],
+                     rng.choice([1, 7, rng.randint(1, 2**30)])))
+    expect = _assert_divide_is_mean(rows, bits)
+    assert {0.0, 1.0} <= set(expect) and any(0.0 < e < 1.0 for e in expect)
+
+
+def test_divide_rounds_exact_ties_to_even():
+    """Quotients exactly halfway between two floats, which a sticky bit
+    lost or made up would round the wrong way, and their neighbours: at
+    counts 1 and 3, and at each limb width that splits the dot differently."""
+    rng = random.Random(23)
+    for bits in (21, 20, 8, 7, 1):
+        rows = []
+        for _ in range(60):
+            n = rng.choice([1, 3, 12345, 1 << 20])
+            # a 54-bit odd mantissa is halfway between two 53-bit ones
+            half = (rng.randrange(1 << 52, 1 << 53) << 1) | 1
+            shift = rng.randint(SCALE - 60, SCALE - 54)  # a mean in [2**-7, 1)
+            for delta in (0, 1, -1):
+                rows.append((_columns(n * (half << shift) + delta, bits, rng), n))
+        _assert_divide_is_mean(rows, bits)
+
+
+def test_divide_gives_zero_for_no_doc_or_no_positive_dot():
+    """A count of 0 or below, as copies of the query's own tweet leave it,
+    gives 0 whatever the dot; so does a dot at or below 0."""
+    rng = random.Random(5)
+    rows = [(_columns(dot, 21, rng), n)
+            for dot, n in [(1 << SCALE, 0), (5, -1), (1 << SCALE, -3), (0, 4), (-1, 1),
+                           (-(1 << SCALE), 2), (1, 1)]]
+    assert _assert_divide_is_mean(rows, 21) == [0.0] * 6 + [2.0**-SCALE]
+
+
+def test_divide_means_leave_held_copies_out_as_mean_does():
+    """A count reduced by copies of the query, and the dot less each
+    copy's square: the division's answer is `_mean`'s with the copies."""
+    rng = random.Random(8)
+    for _ in range(200):
+        square = rng.randint(0, 1 << SCALE)
+        n = rng.randint(1, 50)
+        dup = rng.randint(0, n + 1)
+        dot = rng.randint(0, n << SCALE)
+        got = vectorspace._divide(np.array([_columns(dot - dup * square, 21, rng)]), 21,
+                                  np.array([n - dup]))
+        assert _bits(got) == _bits([vectorspace._mean(dot, n, dup, square)])
+
+
+def test_limb_bits_refuse_counts_the_division_cannot_hold():
+    assert limb_bits(COUNT_BOUND - 1, 0) == 21
+    with pytest.raises(OverflowError, match="long division"):
+        limb_bits(COUNT_BOUND, 0)

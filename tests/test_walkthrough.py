@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from refilter import cli, corpus_io, experiments, history, vectorspace
+from test_cli import funnel_adds_up
 from test_readme import _block
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -123,16 +124,22 @@ def test_loaded_corpus_writes_back_its_own_bytes(walkthrough, corpus, tmp_path):
 
 
 def test_config_file_form_repeats_the_curve(walkthrough, tmp_path, monkeypatch):
-    """The walkthrough's curve again, with its --top-m and --eval-set from
-    a `--config=FILE`; a missing file in that form is refused."""
+    """The walkthrough's curve with a --top-m and --eval-set other than the
+    defaults, from a `--config=FILE`, writes the bytes the same values
+    give as flags, and not the default curve's; a missing file in that
+    form is refused."""
     root, _ = walkthrough
     monkeypatch.chdir(root)
     config = tmp_path / "curve.json"
-    config.write_text('{"top_m": 10, "eval_set": "dev_unbalanced"}\n', encoding="utf-8")
+    config.write_text('{"top_m": 7, "eval_set": "dev_balanced"}\n', encoding="utf-8")
+    curve = ["curve", "--corpus", "corpus", "--splits", "splits"]
     out = tmp_path / "curve-config.csv"
-    assert cli.main(["curve", "--corpus", "corpus", "--splits", "splits",
-                     f"--config={config}", "--out", str(out)]) == 0
-    assert out.read_bytes() == (root / "curve.csv").read_bytes()
+    assert cli.main([*curve, f"--config={config}", "--out", str(out)]) == 0
+    flags = tmp_path / "curve-flags.csv"
+    assert cli.main([*curve, "--top-m", "7", "--eval-set", "dev_balanced",
+                     "--out", str(flags)]) == 0
+    assert out.read_bytes() == flags.read_bytes()
+    assert out.read_bytes() != (root / "curve.csv").read_bytes()
     absent = tmp_path / "absent.csv"
     assert cli.main(["curve", "--corpus", "corpus", "--splits", "splits",
                      f"--config={tmp_path / 'absent.json'}", "--out", str(absent)]) == 1
@@ -165,3 +172,28 @@ def test_walkthrough_bytes_do_not_depend_on_the_blas_thread_count(walkthrough, t
     got = _files(work)
     assert sorted(got) == sorted(expected)
     assert [name for name in expected if got[name] != expected[name]] == []
+
+
+def test_build_report_counts_the_funnel_and_changes_no_output(walkthrough, tmp_path,
+                                                             monkeypatch, capsys):
+    """The README's build again with --report: its stdout names only the
+    new directory, the split directory's bytes are the walkthrough's, and
+    the report's funnel adds up to the counts the README corpus is known
+    by (30,768 instances; 11,710 positives and 11,379 negatives kept)."""
+    root, _ = walkthrough
+    monkeypatch.chdir(root)
+    build = next(argv[1:] for argv in _commands() if argv[1] == "build")
+    out = tmp_path / "splits"
+    build[build.index("--out") + 1] = str(out)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main([*build, "--report", str(report)]) == 0
+    assert capsys.readouterr() == (f"wrote 140 batches to {out}\n", "")
+    assert _files(out) == _files(root / "splits")
+    got = json.loads(report.read_text(encoding="utf-8"))
+    assert got["command"] == "build" and got["error"] is None
+    funnel = got["funnel"]
+    funnel_adds_up(funnel)
+    assert (funnel["instances"], funnel["positives_kept"], funnel["negatives_kept"]) \
+        == (30768, 11710, 11379)
+    assert (funnel["batches_achievable"], funnel["batches_requested"]) == (227, 140)
