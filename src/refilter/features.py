@@ -5,26 +5,30 @@ training data only and applied (with clamping) everywhere else. Two
 extraction paths exist: `assemble` computes one instance directly from
 history queries, and `extract_matrix` featurizes many instances in two
 passes, orders of magnitude faster on large corpora. Its similarity pass
-reads each event's token slot, timestamp and tweet id into arrays once,
-gathers each history stream's arrays by the index's int64 places of its
-events, and hands the stream, with every instance that queries it, to one
-`vectorspace.stream_means` call. That call sums the fixed-point vectors
-of the held docs exactly in int64 limbs, divides each mean in int64, and
-gives both the capped and, for the recipient's seen and retweet streams,
-the weekly mean. Its column pass
-fills the other 44 features one column at a time. Those 44 columns equal
-`assemble` bitwise; the six similarity features agree with it to within a
-few units of 1e-16 when every record of a tweet id carries the same
-tokens, since the sweep leaves out the tweet's own copies by subtracting
-`dup·|vec|²` of the query vector. Each row depends only on the instance
-and the context: featurizing any subset of instances gives bitwise the
-same rows as featurizing them all.
+gives each distinct token tuple of the events and instances one slot,
+builds the fixed-point vectors of all slots at once in numpy
+(`vectorspace.PackedVectors`), gathers each history stream's slots,
+timestamps and tweet ids by the index's int64 places of its events, and
+hands the stream, with every instance that queries it, to one
+`vectorspace.stream_means` call. That call answers each distinct query
+once (a tweet delivered to many recipients at one instant asks its
+sender's posts one question), sums the held docs' vectors exactly in
+int64 limbs, divides each mean in int64, and gives both the capped and,
+for the recipient's seen and retweet streams, the weekly mean. Its
+column pass fills the other 44 features one column at a time. Those 44
+columns equal `assemble` bitwise; the six similarity features agree with
+it to within a few units of 1e-16 when every record of a tweet id carries
+the same tokens, since the sweep leaves out the tweet's own copies by
+subtracting `dup·|vec|²` of the query vector. Each row depends only on
+the instance and the context: featurizing any subset of instances gives
+bitwise the same rows as featurizing them all.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter, contains, itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +41,6 @@ from .vectorspace import (
     IdfTable,
     PackedVectors,
     avg_similarity,
-    fixed_vectors,
     stream_means,
 )
 
@@ -355,8 +358,10 @@ def extract_matrix(
     straight into X. The similarity pass (FT10-13, FT42-43) answers all
     queries of one history stream with one `stream_means` call, whose
     exact integer sums give the capped and, for the recipient's seen and
-    retweet streams, the weekly mean; each distinct token tuple is
-    vectorized once per call, with each distinct token's idf read once.
+    retweet streams, the weekly mean. Each distinct token tuple has one
+    vector per call, all of them built together in numpy with each
+    distinct token's idf read once, and each distinct query of a stream
+    is answered once.
     The column pass fills the other 44 columns one column at a time, with
     each user's profile values and each token tuple's wording counts
     computed once.
@@ -390,11 +395,11 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     hist, events = ctx.hist, ctx.corpus.events
     n, m = len(instances), len(events)
     # each distinct token tuple of the instances and events has one slot,
-    # its vector's index in the pack
-    slot: dict = {}
+    # its vector's index in the pack, numbered as first met
+    slot: defaultdict = defaultdict(itertools.count().__next__)
 
     def slots(tuples: Iterable[tuple], count: int) -> np.ndarray:
-        return np.fromiter((slot.setdefault(t, len(slot)) for t in tuples), np.int64, count)
+        return np.fromiter(map(slot.__getitem__, tuples), np.int64, count)
 
     def ints(records: Sequence, field: attrgetter) -> np.ndarray:
         return _column(map(field, records), len(records), np.int64)
@@ -402,16 +407,17 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     query = (slots(map(_TWEET_TOKENS, instances), n),
              ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
     event = (slots(map(_TOKENS, events), m), ints(events, _TIMESTAMP), ints(events, _TWEET_ID))
-    pack = PackedVectors(fixed_vectors(slot, ctx.idf))
+    pack = PackedVectors(slot, ctx.idf)
     del slot
 
     def means(places: np.ndarray, rows: np.ndarray, window: int | None) -> tuple:
         return stream_means(pack, tuple(a[places] for a in event),
                             tuple(a[rows] for a in query), ctx.cap, window)
 
-    # each stream's queries run in (timestamp, instance id) order, which
-    # keeps its searches local; the posts of a user answer first the rows
-    # they send (FT10), then the rows they receive (FT11)
+    # each stream's queries come in (timestamp, instance id) order, which
+    # `stream_means` sorts by time at little cost; the posts of a user
+    # answer first the rows they send (FT10), then the rows they receive
+    # (FT11)
     by_time = np.lexsort((ints(instances, _INSTANCE_ID), query[1]))
     senders, recipients = (ints(instances, field)[by_time] for field in (_SENDER, _RECIPIENT))
     for user, at in group_places(np.concatenate([senders, recipients])):

@@ -6,9 +6,11 @@ get a finite weight: idf = ln((N+1)/(df+1)) + 1.
 
 The history similarities are means over exact integer sums of fixed-point
 vectors, in two forms that give the same floats bit for bit.
-`stream_means` answers every query of one stream at once in numpy, with
-each weight split into int64 limbs and each mean divided out by an int64
-long division (`_divide`); the feature sweep uses it. `_mean`, the
+`stream_means` answers every distinct query of one stream once, all at
+once in numpy, with each weight split into int64 limbs and each mean
+divided out by an int64 long division (`_divide`); the feature sweep uses
+it, with every vector of a sweep built at once in numpy by
+`PackedVectors`, bitwise `to_fixed(vectorize(tokens, idf))`. `_mean`, the
 Python-int division, serves `RollingCentroid`.
 `RollingCentroid` is pushed one doc at a time and answers each query as it
 comes; the synthetic generator needs that, since its queries depend on
@@ -18,9 +20,10 @@ labels it has just drawn, and the tests use it as the kernel's oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,25 +68,6 @@ def vectorize(tokens: Sequence[Token], idf: IdfTable) -> SparseVector:
     return _normalized(tokens, idf.idf)
 
 
-class _IdfOf(dict):
-    """token -> idf of one table, each read from the table on first use."""
-
-    def __init__(self, table: IdfTable) -> None:
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, token: Token) -> float:
-        weight = self[token] = self.table.idf(token)
-        return weight
-
-
-def fixed_vectors(token_tuples: Iterable[Sequence[Token]], idf: IdfTable) -> Iterator[FixedVector]:
-    """`to_fixed(vectorize(tokens, idf))` of each tuple, with each distinct
-    token's idf read from the table once."""
-    weight = _IdfOf(idf).__getitem__
-    return (to_fixed(_normalized(tokens, weight)) for tokens in token_tuples)
-
-
 def _normalized(tokens: Sequence[Token], idf: Callable[[Token], float]) -> SparseVector:
     if not tokens:
         return {}
@@ -91,7 +75,12 @@ def _normalized(tokens: Sequence[Token], idf: Callable[[Token], float]) -> Spars
     for token in tokens:
         counts[token] = counts.get(token, 0) + 1
     weights = {t: c * idf(t) for t, c in counts.items()}
-    norm = math.sqrt(sum(w * w for w in weights.values()))
+    # summed left to right, the order `PackedVectors` sums in: `sum`
+    # compensates float sums from Python 3.12 on
+    squares = 0.0
+    for w in weights.values():
+        squares += w * w
+    norm = math.sqrt(squares)
     if norm == 0.0:
         return {}
     return {t: w / norm for t, w in weights.items()}
@@ -307,8 +296,9 @@ def limb_bits(held: int, width: int) -> int:
 def _limbs(weights: np.ndarray, bits: int) -> np.ndarray:
     """int64 weights as rows of ceil(63/bits) limbs, lowest first, whose
     sum of limb·2**(k·bits) is the weight: every limb but the top one in
-    [0, 2**bits), the top one signed."""
-    limbs = weights[:, None] >> np.arange(0, 63, bits, dtype=np.int64)
+    [0, 2**bits), the top one signed: the transpose of one array row per
+    limb, each shifted out of all the weights at once."""
+    limbs = (weights >> np.arange(0, 63, bits, dtype=np.int64)[:, None]).T
     limbs[:, :-1] &= (1 << bits) - 1
     return limbs
 
@@ -381,22 +371,48 @@ def _divide(sums: np.ndarray, bits: int, counts: np.ndarray) -> np.ndarray:
 
 
 class PackedVectors:
-    """Fixed-point vectors laid end to end for `stream_means`: vector i
-    holds the token codes `codes[starts[i]:starts[i + 1]]`, one code per
-    distinct token of the pack, and the int64 weights at the same places."""
+    """`to_fixed(vectorize(tokens, idf))` of each token tuple, bit for bit,
+    laid end to end for `stream_means`: vector i holds the token codes
+    `codes[starts[i]:starts[i + 1]]`, one code per distinct token of the
+    pack, and the int64 weights at the same places.
 
-    def __init__(self, vectors: Iterable[FixedVector]) -> None:
-        code_of: dict = {}
-        codes: list[int] = []
-        weights: list[int] = []
-        starts = [0]
-        for vec in vectors:
-            codes += [code_of.setdefault(t, len(code_of)) for t in vec]
-            weights += vec.values()
-            starts.append(len(codes))
-        self.codes = np.array(codes, dtype=np.int64)
-        self.weights = np.array(weights, dtype=np.int64)
-        self.starts = np.array(starts, dtype=np.int64)
+    Each tuple's distinct tokens are counted in order of first occurrence,
+    and each distinct token's idf is read from the table once. The squared
+    weights of a vector are summed left to right, one numpy step per
+    position, as `vectorize` sums them (not by numpy's pairwise sum); the
+    norm, the division and the rounding are then each one IEEE operation,
+    as in `vectorize` and `to_fixed`."""
+
+    def __init__(self, token_tuples: Iterable[Sequence[Token]], idf: IdfTable) -> None:
+        # each tuple's distinct tokens, in order of first occurrence, counted
+        counted = [Counter(tokens) for tokens in token_tuples]
+        n = len(counted)
+        sizes = np.fromiter(map(len, counted), np.int64, n)
+        size = int(sizes.sum())
+        code_of: defaultdict = defaultdict(count().__next__)
+        codes = np.fromiter(map(code_of.__getitem__, chain.from_iterable(counted)), np.int64, size)
+        counts = np.fromiter(chain.from_iterable(c.values() for c in counted), np.int64, size)
+        del counted
+        idf_of = np.array([idf.idf(t) for t in code_of], dtype=np.float64)
+        weights = counts * idf_of[codes]
+        squares = weights * weights
+        # the vectors longest first, so the ones with a term at position p
+        # are a prefix; each step adds one term to each of them
+        longest = np.argsort(-sizes, kind="stable")
+        firsts = (np.cumsum(sizes) - sizes)[longest]
+        live = np.bincount(sizes, minlength=1)[::-1].cumsum()[::-1]  # live[p]: sizes >= p
+        total = np.zeros(n)
+        for p in range(1, len(live)):
+            total[:live[p]] += squares[firsts[:live[p]] + (p - 1)]
+        norms = np.empty(n)
+        norms[longest] = np.sqrt(total)
+        owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        norm = norms[owner]
+        kept = norm != 0.0  # a zero vector has no entries
+        self.codes = codes[kept]
+        self.weights = np.rint(weights[kept] / norm[kept] * _FIXED_SCALE).astype(np.int64)
+        self.starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[kept], minlength=n), out=self.starts[1:])
 
     def entries(self, which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For the vectors `which`: the place of each of their entries in
@@ -437,13 +453,41 @@ def stream_means(
     off the dot product. A query's limb products are summed at each power
     of 2**bits, and `_divide` divides each query's exact dot product as
     `_mean` divides it.
+
+    Queries that repeat another's vector, timestamp and tweet id (one
+    tweet delivered to many recipients at once asks its sender's posts
+    one question) are answered once, and the distinct ones in time order.
+    A query's newest held doc and the oldest of its capped and window
+    docs then all rise with it, so one sort of a block's token entries
+    orders the needles of every `searchsorted` into the prefix sums,
+    which numpy finds faster in order.
     """
     doc_vecs, doc_times, doc_ids = docs
     query_vecs, query_times, query_ids = queries
-    m = len(doc_times)
-    if m == 0 or len(query_times) == 0:
-        empty = np.zeros(len(query_times))
+    m, n = len(doc_times), len(query_times)
+    if m == 0 or n == 0:
+        empty = np.zeros(n)
         return empty, None if window is None else empty.copy()
+    # each distinct (vector, timestamp, tweet id) is answered once, in time
+    # order, and its answer copied to every query that repeats it; only
+    # queries that share a timestamp can repeat one, so only they are
+    # ordered by vector and tweet id too
+    order = np.argsort(query_times, kind="stable")
+    same = query_times[order[1:]] == query_times[order[:-1]]
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = order[tied]
+    order[tied] = at[np.lexsort((query_ids[at], query_vecs[at], query_times[at]))]
+    query_vecs, query_times, query_ids = query_vecs[order], query_times[order], query_ids[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ((query_vecs[1:] != query_vecs[:-1]) | (query_times[1:] != query_times[:-1])
+                 | (query_ids[1:] != query_ids[:-1]))
+    answer_of = np.empty(n, dtype=np.intp)
+    answer_of[order] = np.cumsum(first) - 1
+    query_vecs, query_times, query_ids = query_vecs[first], query_times[first], query_ids[first]
+    del order, same, tied, at, first
+
     held = min(cap, m)
     ends = np.searchsorted(doc_times, query_times)
     starts = [np.maximum(ends - held, 0)]
@@ -474,17 +518,30 @@ def stream_means(
         vecs, hi = query_vecs[rows], ends[rows]
         # the rank of the query's own tweet among the doc ids, if it is one
         rank = np.minimum(np.searchsorted(ids, query_ids[rows]), len(ids) - 1)
-        own = ids[rank] == query_ids[rows]
-        id_base = rank * (m + 1)
+        own = np.flatnonzero(ids[rank] == query_ids[rows])
+        id_base = rank[own] * (m + 1)
         places, owner, bounds = pack.entries(vecs)
         base = pack.codes[places] * (m + 1)
         query_limbs = _limbs(pack.weights[places], bits)
         count = query_limbs.shape[1]
-        upper = sums[np.searchsorted(keys, base + hi[owner])]
+        # the queries run in time order, so every bound rises with the
+        # owner: one sort of the entries by key orders the needles of all
+        # three bounds, which `searchsorted` finds faster in order
+        by_key = np.argsort(base + hi[owner])
+        sorted_base, sorted_owner = base[by_key], owner[by_key]
+        found = np.empty(len(places), dtype=np.intp)
+
+        def prefix(bound: np.ndarray) -> np.ndarray:
+            """Each entry's prefix-sum row at its token's position `bound`."""
+            found[by_key] = np.searchsorted(keys, sorted_base + bound[sorted_owner])
+            return sums.take(found, axis=0)
+
+        upper = prefix(hi)
         for lo, out in zip((s[rows] for s in starts), means):
-            dups = np.where(own, np.searchsorted(id_keys, id_base + hi)
-                            - np.searchsorted(id_keys, id_base + lo), 0)
-            held_sums = upper - sums[np.searchsorted(keys, base + lo[owner])]
+            dups = np.zeros(len(vecs), dtype=np.int64)
+            dups[own] = (np.searchsorted(id_keys, id_base + hi[own])
+                         - np.searchsorted(id_keys, id_base + lo[own]))
+            held_sums = upper - prefix(lo)
             held_sums -= dups[owner, None] * query_limbs
             products = np.zeros((len(places) + 1, 2 * count - 1), dtype=np.int64)
             for k in range(count):
@@ -493,5 +550,5 @@ def stream_means(
             np.cumsum(products, axis=0, out=products)
             out.append(_divide(products[bounds[1:]] - products[bounds[:-1]], bits,
                                hi - lo - dups))
-    capped, *week = (np.concatenate(out) for out in means)
+    capped, *week = (np.concatenate(out)[answer_of] for out in means)
     return capped, week[0] if week else None

@@ -1,10 +1,16 @@
 import hashlib
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from refilter import features
+from refilter.experiments import featurize
 from refilter.corpus_io import HistoryEvent, generate_synthetic
 from refilter.features import (
     KeywordConfig,
@@ -455,6 +461,65 @@ def test_row_does_not_depend_on_other_instances_with_other_tokens():
     assert X[2, 9] != X[3, 9]
 
 
+def test_one_tweet_to_many_recipients_at_once_matches_every_subset_alone():
+    # sender 2 delivers tweet 40 to recipients 1, 3, 4 and 5 at one second,
+    # so its posts answer the same query for three of them; instance 4
+    # carries tweet 40 with other tokens, and instance 5 tweet 41 with the
+    # tokens of tweet 40, and neither may take the others' answer; a second
+    # later, instance 6 sees tweet 40 among the sender's posts
+    now = 10 * DAY
+    profiles = [make_profile(u, neighbours=[2]) for u in (1, 2, 3, 4, 5)]
+    events = [
+        HistoryEvent(2, 30, "authored", now - 900, (6, 7, 9)),
+        HistoryEvent(2, 31, "authored", now - 600, (7, 8)),
+        HistoryEvent(2, 32, "authored", now - 300, (6, 6, 10)),
+        HistoryEvent(1, 30, "seen", now - 800, (6, 7, 9)),
+        HistoryEvent(1, 30, "retweeted", now - 700, (6, 7, 9)),
+        HistoryEvent(3, 31, "seen", now - 500, (7, 8)),
+        HistoryEvent(4, 33, "authored", now - 400, (8, 9, 10)),
+        HistoryEvent(5, 32, "retweeted", now - 200, (6, 6, 10)),
+        HistoryEvent(2, 40, "authored", now, (6, 7, 8)),
+    ]
+    a, b = (6, 7, 8), (8, 9, 10, 10)
+    instances = [
+        make_instance(1, 40, sender=2, recipient=1, timestamp=now, tokens=a),
+        make_instance(2, 40, sender=2, recipient=3, timestamp=now, tokens=a),
+        make_instance(3, 40, sender=2, recipient=4, timestamp=now, tokens=a),
+        make_instance(4, 40, sender=2, recipient=5, timestamp=now, tokens=b),
+        make_instance(5, 41, sender=2, recipient=5, timestamp=now, tokens=a),
+        make_instance(6, 42, sender=2, recipient=1, timestamp=now + 1, tokens=a),
+    ]
+    idf_docs = [e.tokens for e in events]
+    ctx = context_for(profiles, events, instances, idf_docs=idf_docs)
+    _, X, _ = extract_matrix(ctx, instances)
+    for size in range(1, len(instances)):
+        for rows in itertools.combinations(range(len(instances)), size):
+            _, alone, _ = extract_matrix(ctx, [instances[r] for r in rows])
+            assert np.array_equal(alone, X[list(rows)]), rows
+    direct = np.array([assemble(inst, ctx).values for inst in instances])
+    assert np.allclose(X, direct, rtol=0.0, atol=1e-12)
+    sender_posts = X[:, SIMILARITY_COLUMNS[0]]
+    assert sender_posts[0] == sender_posts[1] == sender_posts[2] == sender_posts[4] > 0.0
+    assert sender_posts[3] not in (0.0, sender_posts[0])
+    assert sender_posts[5] != sender_posts[0]
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_empty_and_one_instance_sweeps_are_assemble(small_signal_corpus, count):
+    _, corpus = small_signal_corpus
+    ctx = FeatureContext(corpus, UserHistoryIndex(corpus), build_idf(e.tokens for e in corpus.events))
+    instances = corpus.instances[len(corpus.instances) // 2:][:count]
+    direct = np.array([assemble(inst, ctx).values for inst in instances]).reshape(count, N_FEATURES)
+    ids, X, labels = extract_matrix(ctx, instances)
+    table = featurize(ctx, instances)
+    for got_ids, got_X, got_labels in ((ids, X, labels), (table.ids, table.X, table.y)):
+        assert got_X.shape == (count, N_FEATURES) and got_X.dtype == np.float64
+        assert np.allclose(got_X, direct, rtol=0.0, atol=1e-12)
+        assert got_ids.tolist() == [inst.instance_id for inst in instances]
+        assert got_labels.tolist() == [int(inst.label) for inst in instances]
+    assert count == 0 or np.any(X[0, SIMILARITY_COLUMNS] > 0.0)
+
+
 @pytest.mark.parametrize("cap", [1000, 5, 1])
 def test_subset_rows_match_full_sweep_bitwise(small_signal_corpus, cap):
     # a row is a pure function of the instance and the context: which other
@@ -492,6 +557,50 @@ def test_sweep_bytes_are_pinned():
         _, X, _ = extract_matrix(FeatureContext(corpus, hist, idf, cap=cap), corpus.instances)
         digests[cap] = hashlib.sha256(X.tobytes()).hexdigest()
     assert digests == SWEEP_SHA256
+
+
+# Sweeps a 10-day corpus shaped like the README's and prints the sha256
+# of X, instances in corpus order.
+_SWEEP_PROBE = """
+import hashlib
+from refilter.corpus_io import SyntheticConfig, generate_synthetic
+from refilter.features import FeatureContext, extract_matrix
+from refilter.history import UserHistoryIndex
+from refilter.vectorspace import build_idf
+
+config = SyntheticConfig(num_recipients=25, neighbours_per_user=12, days=10,
+                         retweet_rate=0.3, signal_strength=8.0)
+corpus = generate_synthetic(config, 3)
+ctx = FeatureContext(corpus, UserHistoryIndex(corpus), build_idf(e.tokens for e in corpus.events))
+print(hashlib.sha256(extract_matrix(ctx, corpus.instances)[1].tobytes()).hexdigest())
+"""
+# numpy's dispatch levels whose float64 kernels might move the sweep's
+# float steps (the pack's norms and roundings, the division's conversion)
+_AVX512_LEVELS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not all(_cpu_features().get(f) for f in _AVX512_LEVELS),
+                    reason="numpy reports no AVX-512 dispatch level to turn off")
+def test_sweep_is_the_same_bits_without_numpy_avx512_kernels():
+    src = str(Path(features.__file__).resolve().parents[1])
+    digests = []
+    for disabled in (None, " ".join(_AVX512_LEVELS)):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run([sys.executable, "-c", _SWEEP_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.0, True, "5"])

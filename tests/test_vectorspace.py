@@ -307,42 +307,103 @@ def test_rolling_centroid_means_equal_fresh_centroids_of_the_held_and_window_doc
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+# -- PackedVectors -------------------------------------------------------------
+
+# idf weights from a table written by hand: negative, zero df, large df
+HAND_IDF = IdfTable(doc_count=50, doc_frequency={"a": 1, "b": 49, "c": 200, 3: 7, 4: 0, "d": 2})
+
+
+def test_pack_is_the_fixed_vector_of_each_tuple_bitwise():
+    """On seeded random tuples of string and int tokens, empty ones, ones
+    with repeated tokens and ones with many distinct tokens: each vector
+    of the pack holds `to_fixed(vectorize(tokens, idf))`, its tokens in the
+    dict's order, and one code stands for one token across the pack."""
+    rng = random.Random(24)
+    vocabulary = ["a", "b", "c", "d", 3, 4, 5] + [f"s{i}" for i in range(30)] + list(range(6, 40))
+    tuples = [(), ("a", "a"), (3, "a", 3, 3)]
+    for _ in range(400):
+        distinct = rng.sample(vocabulary, rng.randint(1, 24))
+        tuples.append(tuple(rng.choices(distinct, k=rng.randint(0, 40))))
+    for idf in (HAND_IDF, build_idf(tuples[::3]), IdfTable.uniform()):
+        pack = PackedVectors(tuples, idf)
+        assert pack.starts[0] == 0 and pack.starts[-1] == len(pack.codes) == len(pack.weights)
+        token_of: dict = {}
+        for i, tokens in enumerate(tuples):
+            expect = _fixed(tokens, idf)
+            run = slice(pack.starts[i], pack.starts[i + 1])
+            assert pack.weights[run].tolist() == list(expect.values())
+            for code, token in zip(pack.codes[run].tolist(), expect):
+                assert token_of.setdefault(code, token) == token
+        assert len(set(token_of.values())) == len(token_of)
+
+    # numpy's pairwise sum of the squared weights would round some of
+    # these norms otherwise: the pack must sum them as `vectorize` does
+    def squares(tokens):
+        counts = {t: tokens.count(t) for t in dict.fromkeys(tokens)}
+        return [(c * HAND_IDF.idf(t)) ** 2 for t, c in counts.items()]
+
+    def left_to_right(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    long = [tokens for tokens in tuples if len(set(tokens)) >= 8]
+    assert any(np.sum(squares(t)) != left_to_right(squares(t)) for t in long)
+
+
+def test_empty_pack():
+    pack = PackedVectors([], HAND_IDF)
+    assert pack.codes.tolist() == pack.weights.tolist() == [] and pack.starts.tolist() == [0]
+
+
 # -- stream_means ----------------------------------------------------------------
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _centroid_means(docs, queries, cap, window):
+def _fixed(tokens, idf):
+    return to_fixed(vectorize(tokens, idf))
+
+
+def _centroid_means(docs, queries, cap, window, idf):
     """The oracle: one RollingCentroid, pushed the docs strictly before
-    each query in turn; the queries come in time order."""
+    each query in turn, the queries taken in time order. Docs and queries
+    are (timestamp, tweet id, tokens)."""
     centroid = RollingCentroid(cap, window)
-    pushed, out = 0, []
-    for ts, tweet_id, vec in queries:
+    pushed, out = 0, [None] * len(queries)
+    for at in sorted(range(len(queries)), key=lambda i: queries[i][0]):
+        ts, tweet_id, tokens = queries[at]
         while pushed < len(docs) and docs[pushed][0] < ts:
-            centroid.push(*docs[pushed])
+            doc_ts, doc_id, doc_tokens = docs[pushed]
+            centroid.push(doc_ts, doc_id, _fixed(doc_tokens, idf))
             pushed += 1
-        out.append(centroid.means(vec, tweet_id, ts))
+        out[at] = centroid.means(_fixed(tokens, idf), tweet_id, ts)
     return out
 
 
-def _kernel_means(docs, queries, cap, window):
-    pack = PackedVectors([vec for _, _, vec in docs + queries])
+def _kernel_means(docs, queries, cap, window, idf):
+    """`stream_means` as the sweep calls it: equal token tuples share one
+    vector of the pack."""
+    slot: dict = {}
 
-    def arrays(items, first):
-        return (np.arange(first, first + len(items), dtype=np.int64),
+    def arrays(items):
+        return (np.array([slot.setdefault(tuple(tokens), len(slot)) for _, _, tokens in items],
+                         dtype=np.int64),
                 np.array([ts for ts, _, _ in items], dtype=np.int64),
                 np.array([tweet_id for _, tweet_id, _ in items], dtype=np.int64))
 
-    return stream_means(pack, arrays(docs, 0), arrays(queries, len(docs)), cap, window)
+    doc_arrays, query_arrays = arrays(docs), arrays(queries)
+    return stream_means(PackedVectors(slot, idf), doc_arrays, query_arrays, cap, window)
 
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def _assert_kernel_is_the_centroid(docs, queries, cap, window):
-    capped, week = _kernel_means(docs, queries, cap, window)
-    expect = _centroid_means(docs, queries, cap, window)
+def _assert_kernel_is_the_centroid(docs, queries, cap, window, idf):
+    capped, week = _kernel_means(docs, queries, cap, window, idf)
+    expect = _centroid_means(docs, queries, cap, window, idf)
     assert _bits(capped) == _bits([c for c, _ in expect])
     if window is None:
         assert week is None
@@ -364,7 +425,9 @@ def test_stream_means_equal_the_rolling_centroid_bitwise(monkeypatch, widest):
     timestamps at both ends of int64, where ts - window wraps; copies of
     the query's own tweet held and dropped by the cap; empty vectors and
     negative weights. At widest=4 every weight takes 16 limbs, so the
-    carries between limbs are exercised."""
+    carries between limbs are exercised. Queries repeat, exactly or with
+    only their tokens or tweet id changed, and come in time order, in two
+    time-ordered runs, as the sweep's posts queries do, or shuffled."""
     monkeypatch.setattr(vectorspace, "_LIMB_BITS", widest)
     rng = random.Random(18 + widest)
     vocabulary = [f"w{i}" for i in range(10)]
@@ -374,25 +437,38 @@ def test_stream_means_equal_the_rolling_centroid_bitwise(monkeypatch, widest):
         window = rng.choice([None, 0, 7, 40])
         # near the int64 maximum, later docs tie at it
         start = rng.choice([0, INT64_MIN, INT64_MAX - 10 * (window or 1), -30])
-        vec_of = {tid: to_fixed(vectorize(rng.choices(vocabulary, k=rng.randint(0, 6)),
-                                          NEGATIVE_IDF)) for tid in TWEET_IDS}
+        tokens_of = {tid: tuple(rng.choices(vocabulary, k=rng.randint(0, 6)))
+                     for tid in TWEET_IDS}
         docs, ts = [], start
         for _ in range(rng.randint(0, 30)):
             ts = min(ts + rng.choice([0, 0, 1, 3, window or 2]), INT64_MAX)
             tid = rng.choice(TWEET_IDS)
             # a copy of a tweet mostly carries its tokens, but not always
-            vec = vec_of[tid] if rng.random() < 0.8 else vec_of[rng.choice(TWEET_IDS)]
-            docs.append((ts, tid, vec))
+            tokens = tokens_of[tid] if rng.random() < 0.8 else tokens_of[rng.choice(TWEET_IDS)]
+            docs.append((ts, tid, tokens))
         times = [start] + [d[0] for d in docs]
         queries = []
         for _ in range(rng.randint(1, 12)):
             q = rng.choice(times) + rng.choice([0, 1, window or 0, (window or 0) + 1])
             tid = rng.choice(TWEET_IDS)
-            queries.append((min(q, INT64_MAX), tid, vec_of[tid]))
-        queries.sort(key=lambda query: query[0])
-        _assert_kernel_is_the_centroid(docs, queries, cap, window)
+            queries.append((min(q, INT64_MAX), tid, tokens_of[tid]))
+        for _ in range(rng.randint(0, 4)):
+            q, tid, tokens = rng.choice(queries)
+            queries.append(rng.choice([
+                (q, tid, tokens),  # the same query again
+                (q, tid, tokens_of[rng.choice(TWEET_IDS)]),  # its tweet with other tokens
+                (q, rng.choice(TWEET_IDS), tokens),  # its tokens under another tweet
+            ]))
+        order = rng.choice(["time", "two runs", "shuffled"])
+        if order == "shuffled":
+            rng.shuffle(queries)
+        else:
+            cut = rng.randint(0, len(queries)) if order == "two runs" else 0
+            queries = (sorted(queries[:cut], key=lambda query: query[0])
+                       + sorted(queries[cut:], key=lambda query: query[0]))
+        _assert_kernel_is_the_centroid(docs, queries, cap, window, NEGATIVE_IDF)
 
-        for q, tid, _ in queries:
+        for i, (q, tid, tokens) in enumerate(queries):
             before = [d for d in docs if d[0] < q]
             held = before[max(0, len(before) - cap):]
             if any(d[1] == tid for d in held):
@@ -410,12 +486,23 @@ def test_stream_means_equal_the_rolling_centroid_bitwise(monkeypatch, widest):
                 seen.add("nothing held")
             if q == INT64_MAX and held:
                 seen.add("timestamp at the int64 maximum")
+            for other in queries[i + 1:]:
+                if other == (q, tid, tokens):
+                    seen.add("a query repeated" + (" apart" if held and other is not queries[i + 1]
+                                                   else ""))
+                elif other[:2] == (q, tid) and held:
+                    seen.add("a tweet's query repeated with other tokens")
+                elif other[::2] == (q, tokens) and held:
+                    seen.add("a query's tokens repeated under another tweet")
     assert seen == {
         "own copy held", "own copy dropped by the cap", "a doc exactly window seconds old",
         "held docs older than the window", "horizon below int64", "nothing held",
-        "timestamp at the int64 maximum",
+        "timestamp at the int64 maximum", "a query repeated", "a query repeated apart",
+        "a tweet's query repeated with other tokens",
+        "a query's tokens repeated under another tweet",
     }
-    assert min(min(vec.values(), default=0) for vec in vec_of.values()) < 0
+    assert min(min(_fixed(tokens, NEGATIVE_IDF).values(), default=0)
+               for tokens in tokens_of.values()) < 0
 
 
 def test_stream_means_narrow_their_limbs_where_the_sums_need_it():
@@ -424,13 +511,12 @@ def test_stream_means_narrow_their_limbs_where_the_sums_need_it():
     rng = random.Random(7)
     vocabulary = [f"w{i}" for i in range(400)]
     table = build_idf([rng.sample(vocabulary, 50) for _ in range(30)])
-    docs = [(i // 3, i % 17, to_fixed(vectorize(rng.sample(vocabulary, 200), table)))
-            for i in range(1200)]
-    queries = [(ts, tid, to_fixed(vectorize(rng.sample(vocabulary, 200), table)))
+    docs = [(i // 3, i % 17, rng.sample(vocabulary, 200)) for i in range(1200)]
+    queries = [(ts, tid, rng.sample(vocabulary, 200))
                for ts, tid in [(100, 3), (400, 5), (401, 40), (500, 2)]]
     queries[2] = (401, 40, docs[-2][2])
     assert limb_bits(1000, 200) == 20
-    expect = _assert_kernel_is_the_centroid(docs, queries, 1000, 200)
+    expect = _assert_kernel_is_the_centroid(docs, queries, 1000, 200, table)
     assert all(0.0 < c for c, _ in expect) and expect[2][0] != expect[2][1]
 
 
