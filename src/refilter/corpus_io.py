@@ -1032,8 +1032,8 @@ def planted_features(
             v = vec_cache[tokens] = vectorspace.vectorize(tokens, uniform)
         return v
 
-    def mean_sim(inst: Instance, stream: Sequence[HistoryEvent], window: int | None = None) -> float:
-        kept = history.recent(stream, inst.timestamp, window, PLANT_HISTORY_CAP, inst.tweet_id)
+    def mean_sim(inst: Instance, places: np.ndarray, window: int | None = None) -> float:
+        kept = hist.recent(places, inst.timestamp, window, PLANT_HISTORY_CAP, inst.tweet_id)
         if not kept:
             return 0.0
         v = vec_for(inst.tweet.tokens)
@@ -1042,9 +1042,9 @@ def planted_features(
 
     out = []
     for inst in instances:
-        retweets = hist.retweets_stream(inst.recipient_id)
+        retweets = hist.retweets_places(inst.recipient_id)
         out.append(_planted_quantities(
-            mean_sim(inst, hist.posts_stream(inst.sender_id)),
+            mean_sim(inst, hist.posts_places(inst.sender_id)),
             mean_sim(inst, retweets),
             mean_sim(inst, retweets, history.WEEK_SECONDS),
             hist.retweet_count(inst.recipient_id, inst.author_id, inst.timestamp),

@@ -8,7 +8,8 @@ passes, orders of magnitude faster on large corpora. Its similarity pass
 gives each distinct token tuple of the events and instances one slot,
 builds the fixed-point vectors of all slots at once in numpy
 (`vectorspace.PackedVectors`), gathers each history stream's slots,
-timestamps and tweet ids by the index's int64 places of its events, and
+timestamps and tweet ids by the index's int64 places of its events (the
+index holds the events' timestamps and tweet ids once per corpus), and
 hands the stream, with every instance that queries it, to one
 `vectorspace.stream_means` call. That call answers each distinct query
 once (a tweet delivered to many recipients at one instant asks its
@@ -35,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, HistoryEvent, Instance, UserProfile
-from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, group_places, recent
+from .corpus_io import Corpus, Instance, UserProfile
+from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, group_places
 from .vectorspace import (
     IdfTable,
     PackedVectors,
@@ -153,7 +154,8 @@ def extract_group1(instance: Instance) -> list[float]:
 
 def _history_similarities(
     instance: Instance,
-    streams: Iterable[Sequence[HistoryEvent]],
+    hist: UserHistoryIndex,
+    streams: Iterable[np.ndarray],
     window: int | None,
     idf: IdfTable,
     cap: int,
@@ -162,8 +164,8 @@ def _history_similarities(
     leaving out copies of the tweet itself."""
     t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
     return [
-        avg_similarity(t, [e.tokens for e in recent(events, ts, window, cap, tid)], idf)
-        for events in streams
+        avg_similarity(t, [e.tokens for e in hist.recent(places, ts, window, cap, tid)], idf)
+        for places in streams
     ]
 
 
@@ -175,12 +177,12 @@ def extract_group2(
 ) -> list[float]:
     r = instance.recipient_id
     streams = (
-        hist.posts_stream(instance.sender_id),
-        hist.posts_stream(r),
-        hist.seen_stream(r),
-        hist.retweets_stream(r),
+        hist.posts_places(instance.sender_id),
+        hist.posts_places(r),
+        hist.seen_places(r),
+        hist.retweets_places(r),
     )
-    return _history_similarities(instance, streams, None, idf, cap)
+    return _history_similarities(instance, hist, streams, None, idf, cap)
 
 
 def _profile_values(p: UserProfile) -> list[float]:
@@ -224,8 +226,8 @@ def extract_group5(
     cap: int = DEFAULT_CAP,
 ) -> list[float]:
     r = instance.recipient_id
-    streams = (hist.seen_stream(r), hist.retweets_stream(r))
-    return _history_similarities(instance, streams, WEEK_SECONDS, idf, cap)
+    streams = (hist.seen_places(r), hist.retweets_places(r))
+    return _history_similarities(instance, hist, streams, WEEK_SECONDS, idf, cap)
 
 
 def extract_group6(
@@ -388,10 +390,11 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     """FT10-13 and FT42-43, one `stream_means` call per history stream: a
     user's posts answer the instances they send (FT10) and receive (FT11),
     and a recipient's seen and retweet streams give FT12 with FT42 and FT13
-    with FT43. The token slot, timestamp and tweet id of every event are
-    read into arrays once, and each stream's arrays are gathered from them
-    by the stream's places in the index. User ids, timestamps and tweet
-    ids are 64-bit integers, as the loader checks."""
+    with FT43. Every event's token slot is read into an array once per
+    call, its timestamp and tweet id are the index's `times` and
+    `tweet_ids`, and each stream's arrays are gathered by the stream's
+    places in the index. User ids, timestamps and tweet ids are 64-bit
+    integers, as the loader checks."""
     hist, events = ctx.hist, ctx.corpus.events
     n, m = len(instances), len(events)
     # each distinct token tuple of the instances and events has one slot,
@@ -406,7 +409,7 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
 
     query = (slots(map(_TWEET_TOKENS, instances), n),
              ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
-    event = (slots(map(_TOKENS, events), m), ints(events, _TIMESTAMP), ints(events, _TWEET_ID))
+    event = (slots(map(_TOKENS, events), m), hist.times, hist.tweet_ids)
     pack = PackedVectors(slot, ctx.idf)
     del slot
 

@@ -1,17 +1,18 @@
 """Time-aware per-user views over history events.
 
-`recent` is the one slice of an event stream, and every query returns
-only events strictly earlier than its `before` timestamp; that strictness
-is the leak-prevention guarantee the feature extractors rely on. The
-index is built once from a corpus and holds the corpus's own events; it
-is immutable afterwards, so concurrent readers are safe.
+`UserHistoryIndex.recent` is the one slice of an event stream, and every
+query returns only events strictly earlier than its `before` timestamp;
+that strictness is the leak-prevention guarantee the feature extractors
+rely on. The index is built once from a corpus and holds each stream as
+the int64 places of its events in `corpus.events`; it is immutable
+afterwards, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -22,6 +23,7 @@ WEEK_SECONDS = 7 * 86400
 DEFAULT_CAP = 1000
 
 _timestamp = attrgetter("timestamp")
+_tweet_id = attrgetter("tweet_id")
 _user_id = attrgetter("user_id")
 _action = attrgetter("action")
 
@@ -50,24 +52,6 @@ def _places_by_user(users: np.ndarray, chosen: np.ndarray) -> dict[int, np.ndarr
 _NO_PLACES = _read_only(np.zeros(0, dtype=np.int64))
 
 
-def recent(
-    events: Sequence[HistoryEvent],
-    before: int,
-    window: int | None = None,
-    cap: int = DEFAULT_CAP,
-    exclude_tweet_id: int | None = None,
-) -> Sequence[HistoryEvent]:
-    """The events of a time-sorted stream in [before-window, before), or
-    all strictly before `before` if no window: the most recent `cap` of
-    them, then without copies of `exclude_tweet_id`."""
-    hi = bisect_left(events, before, key=_timestamp)
-    lo = 0 if window is None else bisect_left(events, before - window, 0, hi, key=_timestamp)
-    kept = events[max(lo, hi - cap):hi]
-    if exclude_tweet_id is not None:
-        kept = [e for e in kept if e.tweet_id != exclude_tweet_id]
-    return kept
-
-
 class UserHistoryIndex:
     """Per-user time-sorted event streams and interaction counters.
 
@@ -76,15 +60,15 @@ class UserHistoryIndex:
     author of the retweeted tweet; the author of a tweet id is resolved
     from authored events (first one wins) and instance metadata.
 
-    Each stream is also held as the int64 array of its events' places in
-    `corpus.events`, in the same order (`posts_places` and the like), so
-    a reader of many streams can gather per-event arrays in numpy.
+    Each stream is the read-only int64 array of its events' places in
+    `corpus.events`, in time order (`posts_places` and the like). The
+    events' `times` and `tweet_ids` are held once as read-only int64
+    columns, which `recent` bisects and a reader of many streams gathers
+    by the places in numpy.
     """
 
     def __init__(self, corpus: Corpus) -> None:
-        self._posts: dict[int, list[HistoryEvent]] = {}
-        self._retweets: dict[int, list[HistoryEvent]] = {}
-        self._seen: dict[int, list[HistoryEvent]] = {}
+        self._events = corpus.events
         self._mention_times: dict[tuple[int, int], list[int]] = {}
         self._retweet_times: dict[tuple[int, int], list[int]] = {}
         self._tweet_retweeters: dict[int, list[HistoryEvent]] = {}
@@ -98,59 +82,62 @@ class UserHistoryIndex:
             author_of.setdefault(inst.tweet_id, inst.author_id)
 
         for e in corpus.events:  # corpus events are already time-sorted
-            if e.action == "authored":
-                self._posts.setdefault(e.user_id, []).append(e)
-            elif e.action == "retweeted":
-                self._posts.setdefault(e.user_id, []).append(e)
-                self._retweets.setdefault(e.user_id, []).append(e)
+            if e.action == "retweeted":
                 self._tweet_retweeters.setdefault(e.tweet_id, []).append(e)
                 author = author_of.get(e.tweet_id)
                 if author is not None:
                     self._retweet_times.setdefault((e.user_id, author), []).append(
                         e.timestamp
                     )
-            else:
-                self._seen.setdefault(e.user_id, []).append(e)
             if e.mentions_user is not None:
                 self._mention_times.setdefault((e.user_id, e.mentions_user), []).append(
                     e.timestamp
                 )
-        # each stream's places in corpus.events, which the feature sweep
-        # gathers its per-event arrays by
         events, n = corpus.events, len(corpus.events)
-        users = np.fromiter(map(_user_id, events), np.int64, n)
+        self.times, self.tweet_ids, users = (
+            _read_only(np.fromiter(map(field, events), np.int64, n))
+            for field in (_timestamp, _tweet_id, _user_id))
         authored, retweeted = (np.fromiter(map(action.__eq__, map(_action, events)), bool, n)
                                for action in ("authored", "retweeted"))
         posts = authored | retweeted
-        self._at_posts = _places_by_user(users, posts)
-        self._at_retweets = _places_by_user(users, retweeted)
-        self._at_seen = _places_by_user(users, ~posts)
+        self._posts = _places_by_user(users, posts)
+        self._retweets = _places_by_user(users, retweeted)
+        self._seen = _places_by_user(users, ~posts)
 
-    # -- time-sorted streams, sliced with `recent` ----------------------------
-
-    def posts_stream(self, user: int) -> list[HistoryEvent]:
-        return self._posts.get(user, [])
-
-    def retweets_stream(self, user: int) -> list[HistoryEvent]:
-        return self._retweets.get(user, [])
-
-    def seen_stream(self, user: int) -> list[HistoryEvent]:
-        return self._seen.get(user, [])
-
-    # -- the same streams as int64 places in corpus.events ----------------------
+    # -- time-sorted streams as places in corpus.events, sliced with `recent` --
 
     def posts_places(self, user: int) -> np.ndarray:
-        return self._at_posts.get(user, _NO_PLACES)
+        return self._posts.get(user, _NO_PLACES)
 
     def retweets_places(self, user: int) -> np.ndarray:
-        return self._at_retweets.get(user, _NO_PLACES)
+        return self._retweets.get(user, _NO_PLACES)
 
     def seen_places(self, user: int) -> np.ndarray:
-        return self._at_seen.get(user, _NO_PLACES)
+        return self._seen.get(user, _NO_PLACES)
+
+    def recent(
+        self,
+        places: np.ndarray,
+        before: int,
+        window: int | None = None,
+        cap: int = DEFAULT_CAP,
+        exclude_tweet_id: int | None = None,
+    ) -> list[HistoryEvent]:
+        """The events of a stream's places in [before-window, before), or
+        all strictly before `before` if no window: the most recent `cap` of
+        them, then without copies of `exclude_tweet_id`. Each is the
+        corpus's own event, not a copy."""
+        time = self.times.item
+        hi = bisect_left(places, before, key=time)
+        lo = 0 if window is None else bisect_left(places, before - window, 0, hi, key=time)
+        kept = [self._events[i] for i in places[max(lo, hi - cap):hi].tolist()]
+        if exclude_tweet_id is not None:
+            kept = [e for e in kept if e.tweet_id != exclude_tweet_id]
+        return kept
 
     def has_posts_in(self, user: int, before: int, window: int) -> bool:
         """Did the user author or retweet anything in [before-window, before)?"""
-        return bool(recent(self.posts_stream(user), before, window, cap=1))
+        return bool(self.recent(self.posts_places(user), before, window, cap=1))
 
     # -- counters ------------------------------------------------------------
 

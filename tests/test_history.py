@@ -3,7 +3,7 @@ import random
 import numpy as np
 
 from refilter.corpus_io import HistoryEvent
-from refilter.history import WEEK_SECONDS, UserHistoryIndex, recent
+from refilter.history import WEEK_SECONDS, UserHistoryIndex
 
 from conftest import make_corpus, make_profile
 
@@ -23,15 +23,15 @@ def tokens(docs):
 
 def test_unknown_user_gives_empty():
     idx = build_index([])
-    assert recent(idx.posts_stream(42), before=10**9) == []
-    assert recent(idx.retweets_stream(42), before=10**9) == []
-    assert recent(idx.seen_stream(42), before=10**9) == []
+    assert idx.recent(idx.posts_places(42), before=10**9) == []
+    assert idx.recent(idx.retweets_places(42), before=10**9) == []
+    assert idx.recent(idx.seen_places(42), before=10**9) == []
 
 
 def test_query_at_event_time_excludes_it():
     idx = build_index([HistoryEvent(1, 7, "authored", 5000, (1, 2))])
-    assert tokens(recent(idx.posts_stream(1), before=5000)) == []
-    assert tokens(recent(idx.posts_stream(1), before=5001)) == [(1, 2)]
+    assert tokens(idx.recent(idx.posts_places(1), before=5000)) == []
+    assert tokens(idx.recent(idx.posts_places(1), before=5001)) == [(1, 2)]
 
 
 def test_posts_merge_authored_and_retweeted():
@@ -40,13 +40,13 @@ def test_posts_merge_authored_and_retweeted():
         HistoryEvent(1, 8, "retweeted", 200, (2,)),
         HistoryEvent(1, 9, "seen", 300, (3,)),
     ])
-    assert tokens(recent(idx.posts_stream(1), before=1000)) == [(1,), (2,)]
+    assert tokens(idx.recent(idx.posts_places(1), before=1000)) == [(1,), (2,)]
 
 
 def test_cap_keeps_most_recent():
     events = [HistoryEvent(1, i, "authored", 100 * i, (i,)) for i in range(1, 6)]
     idx = build_index(events)
-    assert tokens(recent(idx.posts_stream(1), before=10**6, cap=3)) == [(3,), (4,), (5,)]
+    assert tokens(idx.recent(idx.posts_places(1), before=10**6, cap=3)) == [(3,), (4,), (5,)]
 
 
 def test_window_boundaries():
@@ -55,11 +55,11 @@ def test_window_boundaries():
         HistoryEvent(1, 1, "retweeted", now - 8 * DAY, (8,)),
         HistoryEvent(1, 2, "retweeted", now - 1 * DAY, (1,)),
     ])
-    assert tokens(recent(idx.retweets_stream(1), before=now, window=WEEK_SECONDS)) == [(1,)]
-    assert tokens(recent(idx.retweets_stream(1), before=now)) == [(8,), (1,)]
+    assert tokens(idx.recent(idx.retweets_places(1), before=now, window=WEEK_SECONDS)) == [(1,)]
+    assert tokens(idx.recent(idx.retweets_places(1), before=now)) == [(8,), (1,)]
     # a retweet exactly a week old falls inside the closed left edge
     idx2 = build_index([HistoryEvent(1, 3, "retweeted", now - WEEK_SECONDS, (7,))])
-    assert tokens(recent(idx2.retweets_stream(1), before=now, window=WEEK_SECONDS)) == [(7,)]
+    assert tokens(idx2.recent(idx2.retweets_places(1), before=now, window=WEEK_SECONDS)) == [(7,)]
 
 
 def test_exclude_tweet_id():
@@ -67,9 +67,9 @@ def test_exclude_tweet_id():
         HistoryEvent(1, 7, "authored", 100, (1,)),
         HistoryEvent(1, 8, "authored", 200, (2,)),
     ])
-    assert tokens(recent(idx.posts_stream(1), before=300, exclude_tweet_id=7)) == [(2,)]
+    assert tokens(idx.recent(idx.posts_places(1), before=300, exclude_tweet_id=7)) == [(2,)]
     # the cap applies before the exclusion
-    assert tokens(recent(idx.posts_stream(1), before=300, cap=1, exclude_tweet_id=8)) == []
+    assert tokens(idx.recent(idx.posts_places(1), before=300, cap=1, exclude_tweet_id=8)) == []
 
 
 def test_interaction_zero_for_unknown_pair():
@@ -126,34 +126,47 @@ def test_has_posts_in_window():
 
 
 def test_streams_hold_the_corpus_events_themselves(small_signal_corpus):
+    """`recent` over a stream's places returns the corpus's own events, not
+    copies, and the stream sizes add up to each action's event count."""
     _, corpus = small_signal_corpus
+    events = corpus.events
     idx = UserHistoryIndex(corpus)
-    held = {id(e) for e in corpus.events}
-    for stream, actions in ((idx.posts_stream, ("authored", "retweeted")),
-                            (idx.retweets_stream, ("retweeted",)),
-                            (idx.seen_stream, ("seen",))):
-        got = [e for user in corpus.profiles for e in stream(user)]
-        assert all(id(e) in held for e in got)  # each `is` a corpus event, no copy
-        assert len(got) == sum(e.action in actions for e in corpus.events)
+    for places, actions in ((idx.posts_places, ("authored", "retweeted")),
+                            (idx.retweets_places, ("retweeted",)),
+                            (idx.seen_places, ("seen",))):
+        held = 0
+        for user in corpus.profiles:
+            at = places(user)
+            got = idx.recent(at, before=events[-1].timestamp + 1, cap=len(at))
+            assert len(got) == len(at)
+            assert all(e is events[i] for e, i in zip(got, at.tolist()))
+            held += len(at)
+        assert held == sum(e.action in actions for e in events) > 0
 
 
 def test_places_select_each_stream_in_order(small_signal_corpus):
-    """Each stream's int64 places in corpus.events pick out exactly that
-    stream's events, in its order; a user without events has none."""
+    """Each stream is a read-only int64 array of places in corpus.events
+    that picks out exactly that stream's events, in time order, and a user
+    without events has none; `times` and `tweet_ids` are read-only columns
+    of the events."""
     _, corpus = small_signal_corpus
+    events = corpus.events
     idx = UserHistoryIndex(corpus)
-    seen = 0
-    for places, stream in ((idx.posts_places, idx.posts_stream),
-                           (idx.retweets_places, idx.retweets_stream),
-                           (idx.seen_places, idx.seen_stream)):
+    for column, field in ((idx.times, "timestamp"), (idx.tweet_ids, "tweet_id")):
+        assert column.dtype == np.int64 and not column.flags.writeable
+        assert column.tolist() == [getattr(e, field) for e in events]
+    for places, actions in ((idx.posts_places, ("authored", "retweeted")),
+                            (idx.retweets_places, ("retweeted",)),
+                            (idx.seen_places, ("seen",))):
+        expected = {}
+        for i, e in enumerate(events):
+            if e.action in actions:
+                expected.setdefault(e.user_id, []).append(i)
         for user in list(corpus.profiles) + [max(corpus.profiles) + 1]:
             at = places(user)
             assert at.dtype == np.int64 and not at.flags.writeable
-            assert [corpus.events[i] for i in at.tolist()] == stream(user)
-            assert all(corpus.events[i] is e for i, e in zip(at.tolist(), stream(user)))
-            seen += len(at)
-    posts = sum(e.action in ("authored", "retweeted") for e in corpus.events)
-    assert seen == posts + sum(e.action != "authored" for e in corpus.events) > 0
+            assert at.tolist() == expected.get(user, [])
+            assert (np.diff(idx.times[at]) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +205,21 @@ def naive_neighbour_retweets(events, tweet_id, neighbours, before):
     })
 
 
-def random_events(rng, users, n):
+def naive_has_posts_in(events, user, before, window):
+    return any(
+        e.user_id == user and e.action in ("authored", "retweeted")
+        and before - window <= e.timestamp < before
+        for e in events
+    )
+
+
+def random_events(rng, users, n, span):
     events = []
     for _ in range(n):
         user = rng.choice(users)
         action = rng.choice(["authored", "retweeted", "seen"])
         tweet = rng.randint(1, 40)
-        ts = rng.randint(0, 30 * DAY)
+        ts = rng.randint(0, span)
         mention = rng.choice([None] + users) if action == "authored" else None
         if mention == user:
             mention = None
@@ -207,10 +228,17 @@ def random_events(rng, users, n):
 
 
 def test_queries_match_brute_force_scan():
+    """Every query against a scan of the raw events. A quarter of the
+    corpora draw their timestamps from ten seconds, so many events share
+    a query's `before` or its window's left edge."""
     rng = random.Random(8)
     users = [1, 2, 3, 4, 5]
-    for _ in range(30):
-        events = random_events(rng, users, rng.randint(0, 400))
+    for trial in range(40):
+        if trial % 4 == 3:
+            span, windows = 9, (0, 1, 3)
+        else:
+            span, windows = 30 * DAY, (WEEK_SECONDS, 3 * DAY)
+        events = random_events(rng, users, rng.randint(0, 400), span)
         profiles = [make_profile(u, neighbours=[v for v in users if v != u and rng.random() < 0.5])
                     for u in users]
         corpus = make_corpus(profiles, events)
@@ -221,16 +249,19 @@ def test_queries_match_brute_force_scan():
                 author_of.setdefault(e.tweet_id, e.user_id)
         for _ in range(25):
             user = rng.choice(users)
-            before = rng.randint(0, 31 * DAY)
-            window = rng.choice([None, WEEK_SECONDS, 3 * DAY])
+            before = rng.randint(0, span + span // 30 + 1)
+            window = rng.choice((None,) + windows)
             cap = rng.choice([2, 10, 1000])
             exclude = rng.choice([None, rng.randint(1, 40)])
-            for stream, actions in ((idx.posts_stream, ("authored", "retweeted")),
-                                    (idx.retweets_stream, ("retweeted",)),
-                                    (idx.seen_stream, ("seen",))):
-                got = tokens(recent(stream(user), before, window, cap, exclude))
+            for places, actions in ((idx.posts_places, ("authored", "retweeted")),
+                                    (idx.retweets_places, ("retweeted",)),
+                                    (idx.seen_places, ("seen",))):
+                got = tokens(idx.recent(places(user), before, window, cap, exclude))
                 assert got == naive_stream(
                     corpus.events, user, actions, before, window, cap, exclude)
+            for week in windows:
+                assert idx.has_posts_in(user, before, week) == naive_has_posts_in(
+                    corpus.events, user, before, week)
             other = rng.choice([v for v in users if v != user])
             got = (idx.mention_count(user, other, before), idx.retweet_count(user, other, before))
             assert got == naive_interaction(corpus.events, user, other, before, author_of)
