@@ -18,9 +18,10 @@ import sys
 from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, contains, eq, is_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,22 +166,27 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
     return d / PROFILES_FILE, d / HISTORY_FILE, d / INSTANCES_FILE
 
 
-# Each record kind is one table of (name, kind, value when absent) rows in
-# record order, which is also the order of its dataclass's fields; an
+# Each record kind is one table of (name, kind, JSON value when absent) rows
+# in record order, which is also the order of its dataclass's fields; an
 # instance's tweet fields sit flat, from `tokens` to `mentions`. The loader
-# and the writer both walk these tables. A kind loads one JSON value into
-# its Python value, or raises _BadValue with what the field must hold;
-# _REQUIRED marks a field that has no value when absent.
+# and the writer both walk these tables one column at a time: a column is
+# one field's values across a block of up to _RECORD_BLOCK records. Blocks,
+# not whole files, keep the columns of a large corpus out of memory. On the
+# README corpus a load raised a fresh process's peak RSS by 24.7 MB in
+# blocks of 128 records, 25.7 MB in blocks of 512 and 133.5 MB over whole
+# files, at about the same speed; reading one line at a time took 24.5 MB.
 #
-# A kind also takes the load's _Memo: token tuples repeat across tens of
+# A kind's `checks` are tests that every value of a column of JSON values
+# passes, in order, each with what the field must hold otherwise: a text,
+# or a function of the first value that fails. `load` converts a checked
+# column to Python values, and `dump` encodes a column of Python values as
+# JSON texts. _REQUIRED marks a field that has no value when absent.
+#
+# `load` also takes the load's _Memo: token tuples repeat across tens of
 # thousands of records, so the kinds of repeated fields return the object
 # the load already holds for an equal value, not this line's parsed copy.
 
-
-class _BadValue(ValueError):
-    """What a field must hold; the loader adds the file, line and field."""
-
-
+_RECORD_BLOCK = 128
 _REQUIRED = object()
 
 
@@ -200,72 +206,54 @@ class _Memo:
         self.counts: dict = {}
 
 
-# Integer fields must hold JSON integers. `type(v) is int` rejects floats,
-# strings and bools (`int` would truncate 1200.7, and `True == 1`). Ids and
-# timestamps fit in 64 bits, as the feature table stores instance ids; a
-# count becomes a float feature value, so it must not exceed the float range.
-_INT64 = range(-(2**63), 2**63)
-_FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
+class _Kind(NamedTuple):
+    checks: tuple[tuple[Callable[[list], bool], str | Callable[[object], str]], ...]
+    load: Callable[[list, _Memo], list]
+    dump: Callable[[list], list[str]]
 
 
-def _id(value, memo: _Memo) -> int:
-    if type(value) is int and value in _INT64:
-        return value
-    raise _BadValue("must be a 64-bit integer")
+# json.dumps with keyword arguments builds a new encoder on every call
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+_DICT = frozenset({dict})
+_INT = frozenset({int})
+_LIST = frozenset({list})
+_STR = frozenset({str})
+_NUMBER = frozenset({int, float})
+_USER_OR_NULL = frozenset({int, type(None)})
+_MAP_OR_NULL = frozenset({dict, type(None)})
 
 
-def _count(value, memo: _Memo) -> int:
-    if type(value) is int and value in _FLOAT_COUNTS:
-        return value
-    raise _BadValue("must be an integer >= 0 within the float range")
+def _ints_within(low: int, high: int) -> Callable[[list], bool]:
+    """Every value is an int in [low, high]. `type(v) is int` rejects
+    floats, strings and bools (`int` would truncate 1200.7, and `True == 1`)."""
+    return lambda col: _INT.issuperset(map(type, col)) and (
+        not col or low <= min(col) and max(col) <= high)
 
 
-def _flag(value, memo: _Memo) -> bool:
-    """JSON 0 or 1."""
-    if type(value) is int and (value == 0 or value == 1):
-        return value == 1
-    raise _BadValue("must be 0 or 1")
+def _as_is(col: list, memo: _Memo) -> list:
+    return col
 
 
-def _number(value, memo: _Memo) -> float:
-    """A JSON integer or float that is finite as a float; `json.loads`
-    accepts the non-standard literals NaN and Infinity."""
-    if type(value) in (int, float):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise _BadValue("must be a finite number")
+def _shared(keys: list, known: dict, new: Callable) -> list:
+    """known[key] for each key; `new(key)` makes and keeps the value of a
+    key not seen before."""
+    shared = list(map(known.get, keys))
+    for row in compress(range(len(keys)), map(is_, shared, repeat(None))):
+        value = known.get(keys[row])
+        shared[row] = new(keys[row]) if value is None else value
+    return shared
 
 
-def _id_list(value, memo: _Memo) -> tuple[int, ...]:
-    if type(value) is list and {int}.issuperset(map(type, value)):
-        ids = memo.ids
-        key = tuple(value)
-        shared = ids.get(key)
-        if shared is None:
-            shared = tuple(map(ids.setdefault, value, value))
-            ids[shared] = shared
+def _shared_ids(col: list, memo: _Memo) -> list[tuple[int, ...]]:
+    ids = memo.ids
+
+    def new(key: tuple) -> tuple:
+        shared = tuple(map(ids.setdefault, key, key))
+        ids[shared] = shared
         return shared
-    raise _BadValue("must be a list of integers")
 
-
-def _id_set(value, memo: _Memo) -> frozenset[int]:
-    return frozenset(_id_list(value, memo))
-
-
-def _action(value, memo: _Memo) -> str:
-    if value in ACTIONS:
-        return ACTIONS[ACTIONS.index(value)]
-    raise _BadValue(f"must be one of {', '.join(ACTIONS)}, not {value!r}")
-
-
-def _user_or_null(value, memo: _Memo) -> int | None:
-    if value is None or type(value) is int:
-        return value
-    raise _BadValue("must be an integer or null")
+    return _shared(list(map(tuple, col)), ids, new)
 
 
 # the part-of-speech counts FT47-FT49 read; a missing one reads 0
@@ -273,25 +261,109 @@ _POS_COUNT_NAMES = {name: name for name in
                     ("nouns_verbs", "definite_articles", "indefinite_articles")}
 
 
-def _pos_counts(value, memo: _Memo) -> dict | None:
-    if value is None:
-        return None
-    if type(value) is not dict or not {int}.issuperset(map(type, value.values())):
-        raise _BadValue("must map names to integers")
-    for name in value:
-        if name not in _POS_COUNT_NAMES:
-            raise _BadValue(
-                f"has unknown name {name!r}, not one of {', '.join(_POS_COUNT_NAMES)}"
-            )
-    if not all(n in _FLOAT_COUNTS for n in value.values()):
-        raise _BadValue("must map names to integers >= 0 within the float range")
-    key = tuple(value.items())
-    shared = memo.counts.get(key)
-    if shared is None:
-        # the keys become the module's name strings
-        shared = memo.counts[key] = {_POS_COUNT_NAMES[k]: n for k, n in key}
-    return shared
+def _shared_counts(col: list, memo: _Memo) -> list[dict | None]:
+    counts = memo.counts
 
+    def new(key: tuple | None) -> dict | None:
+        if key is None:
+            return None
+        # the keys become the module's name strings
+        shared = counts[key] = {_POS_COUNT_NAMES[k]: n for k, n in key}
+        return shared
+
+    return _shared([None if v is None else tuple(v.items()) for v in col], counts, new)
+
+
+def _count_values(col: list) -> Iterable:
+    """The values of a column of pos_counts maps or nulls."""
+    return chain.from_iterable(map(dict.values, filter(None, col)))
+
+
+# Integer fields must hold JSON integers. Ids and timestamps fit in 64 bits,
+# as the feature table stores instance ids; a count becomes a float feature
+# value, so it must not exceed the float range.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_FLOAT_COUNT_MAX = int(sys.float_info.max)
+
+
+def _dump_ints(col: list) -> list[str]:
+    if _INT.issuperset(map(type, col)):
+        return list(map(int.__repr__, col))
+    return list(map(_dump, col))
+
+
+def _dump_numbers(col: list) -> list[str]:
+    """Each value as the float it loads as, so an integer klout written
+    back is byte-stable."""
+    floats = list(map(float, col))
+    if all(map(math.isfinite, floats)):
+        return list(map(float.__repr__, floats))
+    return list(map(_dump, floats))
+
+
+def _dump_each(convert: Callable | None = None) -> Callable[[list], list[str]]:
+    """Encode each distinct object of a column once: tuples, dicts and
+    strings repeat across records. `convert` makes a value encodable as
+    its JSON value; a tuple of ids encodes as an array as it is."""
+    def dump(col: list) -> list[str]:
+        keys = list(map(id, col))
+        distinct = dict(zip(keys, col))
+        values = distinct.values() if convert is None else map(convert, distinct.values())
+        texts = dict(zip(distinct, map(_dump, values)))
+        return list(map(texts.__getitem__, keys))
+    return dump
+
+
+def _finite_numbers(col: list) -> bool:
+    """JSON integers or floats that are finite as floats; `json.loads`
+    accepts the non-standard literals NaN and Infinity."""
+    try:
+        return _NUMBER.issuperset(map(type, col)) and all(map(math.isfinite, col))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of_ints(col: list) -> bool:
+    return (_LIST.issuperset(map(type, col))
+            and _INT.issuperset(map(type, chain.from_iterable(col))))
+
+
+_CANONICAL_ACTION = {a: a for a in ACTIONS}
+
+_id = _Kind(((_ints_within(_INT64_MIN, _INT64_MAX), "must be a 64-bit integer"),),
+            _as_is, _dump_ints)
+_count = _Kind(((_ints_within(0, _FLOAT_COUNT_MAX),
+                 "must be an integer >= 0 within the float range"),),
+               _as_is, _dump_ints)
+# JSON 0 or 1
+_flag = _Kind(((_ints_within(0, 1), "must be 0 or 1"),),
+              lambda col, memo: list(map(bool, col)),
+              lambda col: _dump_ints(list(map(int, col))))
+_number = _Kind(((_finite_numbers, "must be a finite number"),),
+                lambda col, memo: list(map(float, col)), _dump_numbers)
+_id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _shared_ids, _dump_each())
+_id_set = _Kind(_id_list.checks,
+                lambda col, memo: list(map(frozenset, _shared_ids(col, memo))),
+                _dump_each(sorted))
+_action = _Kind(((lambda col: _STR.issuperset(map(type, col))
+                  and _CANONICAL_ACTION.keys() >= set(col),
+                  lambda value: f"must be one of {', '.join(ACTIONS)}, not {value!r}"),),
+                lambda col, memo: list(map(_CANONICAL_ACTION.__getitem__, col)), _dump_each())
+_user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col)),
+                        "must be an integer or null"),),
+                      _as_is, _dump_each())
+_pos_counts = _Kind(
+    ((lambda col: _MAP_OR_NULL.issuperset(map(type, col))
+      and _INT.issuperset(map(type, _count_values(col))),
+      "must map names to integers"),
+     (lambda col: _POS_COUNT_NAMES.keys() >= set(chain.from_iterable(filter(None, col))),
+      lambda value: f"has unknown name {next(k for k in value if k not in _POS_COUNT_NAMES)!r},"
+                    f" not one of {', '.join(_POS_COUNT_NAMES)}"),
+     (lambda col: _ints_within(0, _FLOAT_COUNT_MAX)(list(_count_values(col))),
+      "must map names to integers >= 0 within the float range")),
+    _shared_counts,
+    _dump_each(lambda counts: None if counts is None else dict(counts)),
+)
 
 _PROFILE_FIELDS = (
     ("user_id", _id, _REQUIRED),
@@ -326,11 +398,11 @@ _INSTANCE_FIELDS = (
     ("label", _flag, _REQUIRED),
     ("tokens", _id_list, _REQUIRED),
     ("char_length", _count, _REQUIRED),
-    ("has_url", _flag, False),
-    ("has_photo", _flag, False),
-    ("has_hashtag", _flag, False),
-    ("has_exclamation", _flag, False),
-    ("mentions", _id_list, ()),
+    ("has_url", _flag, 0),
+    ("has_photo", _flag, 0),
+    ("has_hashtag", _flag, 0),
+    ("has_exclamation", _flag, 0),
+    ("mentions", _id_list, []),
     ("global_retweet_count", _count, 0),
     ("global_favourite_count", _count, 0),
     ("pos_counts", _pos_counts, None),
@@ -338,33 +410,259 @@ _INSTANCE_FIELDS = (
 _TWEET = slice(7, 14)  # the instance rows that hold its tweet's fields
 
 
-def _read_records(path: Path, table: Sequence[tuple],
-                  memo: _Memo) -> Iterable[tuple[int, list]]:
-    """(line number, field values in table order) of every record line."""
+def _attribute_paths(table: Sequence[tuple], tweet: slice = slice(0)) -> dict[str, str]:
+    """Each field's attribute path in its record object; the rows in
+    `tweet` are read from the object's `tweet`."""
+    names = [name for name, _, _ in table]
+    paths = list(names)
+    paths[tweet] = [f"tweet.{name}" for name in names[tweet]]
+    return dict(zip(names, paths))
+
+
+_PROFILE_PATHS = _attribute_paths(_PROFILE_FIELDS)
+_EVENT_PATHS = _attribute_paths(_EVENT_FIELDS)
+_INSTANCE_PATHS = _attribute_paths(_INSTANCE_FIELDS, _TWEET)
+
+
+class _ObjectColumns(dict):
+    """The columns of a sequence of record objects by field name, each
+    gathered on first use."""
+
+    def __init__(self, records: Sequence, paths: Mapping[str, str]) -> None:
+        super().__init__()
+        self.records = records
+        self.paths = paths
+
+    def __missing__(self, name: str) -> list:
+        column = self[name] = list(map(attrgetter(self.paths[name]), self.records))
+        return column
+
+
+# ---- reading
+
+
+def _line_blocks(path: Path) -> Iterator[tuple[list[int], list[str]]]:
+    """(line numbers, stripped texts) of the non-blank lines of each block
+    of _RECORD_BLOCK lines of a record file. A line that is not UTF-8
+    raises after the lines before it are yielded, as reading line by line
+    would."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        first = 1
+        while True:
+            lines: list[str] = []
+            error = None
             try:
-                record = json.loads(line)
+                lines.extend(islice(fh, _RECORD_BLOCK))  # keeps the lines read before an error
+            except UnicodeDecodeError as exc:
+                error = exc
+            texts = list(map(str.strip, lines))
+            if any(texts):
+                yield list(compress(itertools.count(first), texts)), list(filter(None, texts))
+            if error is not None:
+                raise error
+            if len(lines) < _RECORD_BLOCK:
+                return
+            first += len(lines)
+
+
+# the scanner of `json.loads`: (value, end) of the JSON value that starts
+# at an index of a string
+_scan = json.JSONDecoder().scan_once
+
+
+def _decoded(texts: list[str],
+             where: Callable[[int], str]) -> tuple[list[dict], Exception | None]:
+    """The records of a block's lines, up to the first line that is not a
+    JSON object, and the error of that line, the one after the last record.
+
+    Each line is decoded on its own, and holds one value if its scan ends
+    at its end. Decoding the lines joined as one JSON array would be wrong:
+    the lines `{"x":1},{"y":[{}` and `{}]}` join into two objects. A line
+    the scanner refuses raises, or ends the map early (the scanner signals
+    a missing value with StopIteration); `json.loads` then finds the first
+    bad line, and its error says what is wrong."""
+    error = None
+    try:
+        scanned = list(map(_scan, texts, repeat(0)))
+    except (ValueError, RecursionError):  # json.loads below finds the line
+        scanned = []
+    values, ends = zip(*scanned) if scanned else ((), ())
+    if ends == tuple(map(len, texts)):
+        records = list(values)
+    else:
+        records = []
+        for text in texts:
+            try:
+                records.append(json.loads(text))
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: record is not an object")
-            values = []
-            try:
-                for name, load, absent in table:
-                    raw = record.get(name, _REQUIRED)
-                    if raw is not _REQUIRED:
-                        values.append(load(raw, memo))
-                    elif absent is not _REQUIRED:
-                        values.append(absent)
-                    else:
-                        raise _BadValue("is missing")
-            except _BadValue as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: field {name!r} {exc}") from None
-            yield lineno, values
+                error = CorpusFormatError(f"{where(len(records))}: invalid JSON ({exc.msg})")
+                error.__cause__ = exc
+            except (ValueError, RecursionError) as exc:  # raised as it is
+                error = exc
+            if error is not None:
+                break
+    if not _DICT.issuperset(map(type, records)):
+        row = next(row for row, record in enumerate(records) if type(record) is not dict)
+        del records[row:]
+        error = CorpusFormatError(f"{where(row)}: record is not an object")
+    return records, error
+
+
+_PRESENT = ((lambda col: _REQUIRED not in col, "is missing"),)
+
+
+def _first_bad(col: list, checks: Sequence[tuple]) -> tuple[int, str] | None:
+    """(row, what the field must hold) of the first value that fails one
+    of `checks`, or None if all pass."""
+    if all(test(col) for test, _ in checks):
+        return None
+    for row, value in enumerate(col):
+        for test, must in checks:
+            if not test([value]):
+                return row, must if isinstance(must, str) else must(value)
+    raise AssertionError("a column check failed on no single value")
+
+
+def _checked(records: list[dict], error: Exception | None, table: Sequence[tuple],
+             memo: _Memo, where: Callable[[int], str]
+             ) -> tuple[dict[str, list], int, Exception | None]:
+    """The loaded columns of a block's records by name, up to the first
+    record with a bad field, their length, and that record's error;
+    `error` is the block's error at the row after its last record. Within
+    a record, the first bad field in table order is named.
+
+    It empties `records` once their columns are taken: the decoded dicts,
+    alive while the loaded values are made, would leave holes in the heap
+    that later, larger allocations cannot use."""
+    limit = len(records)
+    columns = {}
+    for name, kind, absent in table:
+        col = list(map(dict.get, records[:limit], repeat(name), repeat(absent)))
+        bad = _first_bad(col, _PRESENT + kind.checks if absent is _REQUIRED else kind.checks)
+        if bad is not None:
+            limit, must = bad
+            error = CorpusFormatError(f"{where(limit)}: field {name!r} {must}")
+        columns[name] = col
+    records.clear()
+    loaded = {name: kind.load(columns.pop(name)[:limit], memo) for name, kind, _ in table}
+    return loaded, limit, error
+
+
+# Reference rules over a block's columns by name: (field, a test that every
+# row passes, the row's problem or None). A row that breaks several rules is
+# reported for the first.
+
+
+def _first_broken(rules: Sequence[tuple], columns: Mapping[str, list],
+                  rows: int) -> tuple[int, str, str] | None:
+    """(row, field, problem) of the first row that breaks a rule, or None."""
+    broken = [(field, problem) for field, test, problem in rules if not test(columns)]
+    for row in range(rows) if broken else ():
+        for field, problem in broken:
+            message = problem(columns, row)
+            if message is not None:
+                return row, field, message
+    return None
+
+
+def _unknown(uid: int, where: str) -> str:
+    return f"unknown user_id {uid} referenced by {where}"
+
+
+def _users_known(field: str, known: set, referrer: Callable[[Mapping, int], str],
+                 each: bool = False) -> tuple:
+    """The rule that a field's user id, or each of its ids, is known."""
+    def test(columns: Mapping) -> bool:
+        values = columns[field]
+        return known.issuperset(chain.from_iterable(values) if each else values)
+
+    def problem(columns: Mapping, row: int) -> str | None:
+        value = columns[field][row]
+        unknown = [uid for uid in (value if each else (value,)) if uid not in known]
+        return _unknown(unknown[0], referrer(columns, row)) if unknown else None
+
+    return field, test, problem
+
+
+def _unique(field: str, seen: AbstractSet) -> tuple:
+    """The rule that no id repeats, in the block or among `seen`."""
+    def test(columns: Mapping) -> bool:
+        ids = columns[field]
+        return len(set(ids)) == len(ids) and seen.isdisjoint(ids)
+
+    def problem(columns: Mapping, row: int) -> str | None:
+        ids = columns[field]
+        value = ids[row]
+        return f"duplicate {field} {value}" if value in seen or value in ids[:row] else None
+
+    return field, test, problem
+
+
+def _profile_rules(known: set) -> tuple:
+    def test(columns: Mapping) -> bool:
+        neighbours = columns["neighbours"]
+        return (not any(map(contains, neighbours, columns["user_id"]))
+                and known.issuperset(chain.from_iterable(neighbours)))
+
+    def problem(columns: Mapping, row: int) -> str | None:
+        uid, neighbours = columns["user_id"][row], columns["neighbours"][row]
+        if uid in neighbours:
+            return f"user {uid} lists itself as a neighbour"
+        unknown = [n for n in neighbours if n not in known]
+        return _unknown(min(unknown), f"neighbours of user {uid}") if unknown else None
+
+    return (("neighbours", test, problem),)
+
+
+def _event_rules(known: set) -> tuple:
+    def on_tweet(prefix: str) -> Callable[[Mapping, int], str]:
+        return lambda columns, row: f"{prefix}history event on tweet {columns['tweet_id'][row]}"
+
+    return (_users_known("user_id", known, on_tweet("")),
+            _users_known("mentions_user", known | {None}, on_tweet("mention in ")))
+
+
+def _instance_rules(known: set) -> tuple:
+    def of(role: str) -> Callable[[Mapping, int], str]:
+        return lambda columns, row: f"{role}instance {columns['instance_id'][row]}"
+
+    def delivered_to_self(columns: Mapping, row: int) -> str | None:
+        sender = columns["sender_id"][row]
+        if sender != columns["recipient_id"][row]:
+            return None
+        return f"instance {columns['instance_id'][row]} has sender == recipient ({sender})"
+
+    return (
+        _users_known("sender_id", known, of("sender of ")),
+        _users_known("recipient_id", known, of("recipient of ")),
+        _users_known("author_id", known, of("author of ")),
+        _users_known("mentions", known, of("mention in "), each=True),
+        ("recipient_id",
+         lambda columns: not any(map(eq, columns["sender_id"], columns["recipient_id"])),
+         delivered_to_self),
+    )
+
+
+def _raise_broken(broken: tuple[int, str, str] | None, where: Callable[[int], str]) -> None:
+    if broken is not None:
+        row, field, message = broken
+        raise CorpusIntegrityError(f"{where(row)}: field {field!r}: {message}")
+
+
+def _read_blocks(path: Path, table: Sequence[tuple], memo: _Memo,
+                 rules: Sequence[tuple]) -> Iterator[tuple[list[int], dict[str, list]]]:
+    """(line numbers, loaded columns by name) of each block of a record
+    file. The first bad record of a block raises, its format before the
+    rules; a block's rules see the records before the first bad format."""
+    for linenos, texts in _line_blocks(path):
+        def where(row: int) -> str:
+            return f"{path}:{linenos[row]}"
+
+        columns, rows, error = _checked(*_decoded(texts, where), table, memo, where)
+        _raise_broken(_first_broken(rules, columns, rows), where)
+        if error is not None:
+            raise error
+        yield linenos, columns
 
 
 @contextmanager
@@ -389,9 +687,13 @@ def load_corpus(
 ) -> Corpus:
     """Read the three record files into a validated, indexed corpus.
 
-    Malformed lines raise CorpusFormatError, and references to unknown
-    users or repeated ids raise CorpusIntegrityError; both name the file,
-    the line and the field.
+    Each file is read in blocks of lines. Each line of a block is decoded
+    on its own; each field is then checked, and loaded, as one column
+    across the block's records, and the reference rules run as set
+    operations over the block's id columns. The first bad line of a file
+    is reported: malformed lines raise CorpusFormatError, and references
+    to unknown users or repeated ids raise CorpusIntegrityError; both name
+    the file, the line and the field.
 
     Equal id tuples (tokens, mentions, neighbours), the ints inside them,
     actions and equal pos_counts dicts are each one shared object, as in a
@@ -400,47 +702,32 @@ def load_corpus(
     return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path), _Memo())
 
 
-def _check_reference(problem: tuple[str, str] | None, path: Path, lineno: int) -> None:
-    if problem is not None:
-        field, message = problem
-        raise CorpusIntegrityError(f"{path}:{lineno}: field {field!r}: {message}")
-
-
 def _read_corpus(
     profiles_path: Path, history_path: Path, instances_path: Path, memo: _Memo
 ) -> Corpus:
     profiles: dict[int, UserProfile] = {}
-    profile_lines: dict[int, int] = {}
-    for lineno, values in _read_records(profiles_path, _PROFILE_FIELDS, memo):
-        profile = UserProfile(*values)
-        uid = profile.user_id
-        if uid in profiles:
-            raise CorpusIntegrityError(
-                f"{profiles_path}:{lineno}: field 'user_id': duplicate user_id {uid}"
-            )
-        profile_lines[uid] = lineno
-        profiles[uid] = profile
-    for uid, profile in profiles.items():
-        _check_reference(_profile_problem(profile, profiles), profiles_path, profile_lines[uid])
+    profile_lines: list[int] = []
+    for linenos, columns in _read_blocks(profiles_path, _PROFILE_FIELDS, memo,
+                                         (_unique("user_id", profiles.keys()),)):
+        profiles.update(zip(columns["user_id"], map(UserProfile, *columns.values())))
+        profile_lines += linenos
+    known = set(profiles)
+    _raise_broken(
+        _first_broken(_profile_rules(known),
+                      _ObjectColumns(list(profiles.values()), _PROFILE_PATHS), len(profiles)),
+        lambda row: f"{profiles_path}:{profile_lines[row]}")
 
     events: list[HistoryEvent] = []
-    for lineno, values in _read_records(history_path, _EVENT_FIELDS, memo):
-        event = HistoryEvent(*values)
-        _check_reference(_event_problem(event, profiles), history_path, lineno)
-        events.append(event)
+    for _, columns in _read_blocks(history_path, _EVENT_FIELDS, memo, _event_rules(known)):
+        events += map(HistoryEvent, *columns.values())
 
     instances: list[Instance] = []
     seen_ids: set[int] = set()
-    for lineno, v in _read_records(instances_path, _INSTANCE_FIELDS, memo):
-        instance = Instance(*v[:7], EncodedTweet(*v[_TWEET]), *v[14:])
-        iid = instance.instance_id
-        if iid in seen_ids:
-            raise CorpusIntegrityError(
-                f"{instances_path}:{lineno}: field 'instance_id': duplicate instance_id {iid}"
-            )
-        seen_ids.add(iid)
-        _check_reference(_instance_problem(instance, profiles), instances_path, lineno)
-        instances.append(instance)
+    for _, columns in _read_blocks(instances_path, _INSTANCE_FIELDS, memo,
+                                   (_unique("instance_id", seen_ids), *_instance_rules(known))):
+        v = list(columns.values())
+        instances += map(Instance, *v[:7], map(EncodedTweet, *v[_TWEET]), *v[14:])
+        seen_ids.update(columns["instance_id"])
 
     return Corpus(profiles=profiles, events=events, instances=instances)
 
@@ -449,97 +736,47 @@ def load_corpus_dir(directory: str | Path) -> Corpus:
     return load_corpus(*corpus_paths(directory))
 
 
-# Reference checks of one record against the known user ids: None, or the
-# offending field and what is wrong with it.
-
-
-def _unknown(uid: int, where: str) -> str:
-    return f"unknown user_id {uid} referenced by {where}"
-
-
-def _profile_problem(profile: UserProfile, known: Mapping) -> tuple[str, str] | None:
-    uid = profile.user_id
-    if uid in profile.neighbours:
-        return "neighbours", f"user {uid} lists itself as a neighbour"
-    for n in sorted(profile.neighbours):
-        if n not in known:
-            return "neighbours", _unknown(n, f"neighbours of user {uid}")
-    return None
-
-
-def _event_problem(e: HistoryEvent, known: Mapping) -> tuple[str, str] | None:
-    if e.user_id not in known:
-        return "user_id", _unknown(e.user_id, f"history event on tweet {e.tweet_id}")
-    if e.mentions_user is not None and e.mentions_user not in known:
-        return "mentions_user", _unknown(
-            e.mentions_user, f"mention in history event on tweet {e.tweet_id}"
-        )
-    return None
-
-
-def _instance_problem(inst: Instance, known: Mapping) -> tuple[str, str] | None:
-    where = f"instance {inst.instance_id}"
-    for field, role in (("sender_id", "sender"), ("recipient_id", "recipient"),
-                        ("author_id", "author")):
-        uid = getattr(inst, field)
-        if uid not in known:
-            return field, _unknown(uid, f"{role} of {where}")
-    for m in inst.tweet.mentions:
-        if m not in known:
-            return "mentions", _unknown(m, f"mention in {where}")
-    if inst.sender_id == inst.recipient_id:
-        return "recipient_id", f"{where} has sender == recipient ({inst.sender_id})"
-    return None
-
-
 def _check_integrity(corpus: Corpus) -> None:
-    known = corpus.profiles
-    problems = itertools.chain(
-        (_profile_problem(p, known) for p in corpus.profiles.values()),
-        (_event_problem(e, known) for e in corpus.events),
-        (_instance_problem(i, known) for i in corpus.instances),
-    )
-    for problem in problems:
-        if problem is not None:
-            raise CorpusIntegrityError(problem[1])
+    """The loader's reference rules over a corpus built in memory: the
+    first problem raises, with its message alone."""
+    known = set(corpus.profiles)
+    for rules, records, paths in (
+        (_profile_rules(known), list(corpus.profiles.values()), _PROFILE_PATHS),
+        (_event_rules(known), corpus.events, _EVENT_PATHS),
+        (_instance_rules(known), corpus.instances, _INSTANCE_PATHS),
+    ):
+        broken = _first_broken(rules, _ObjectColumns(records, paths), len(records))
+        if broken is not None:
+            raise CorpusIntegrityError(broken[2])
 
 
-# json.dumps with keyword arguments builds a new encoder on every call
-_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# ---- writing
 
 
-# what a field's value needs before it encodes as its JSON value; a tuple
-# of ids encodes as an array as it is, and a number is written as the float
-# it loads as, so an integer klout written back is byte-stable
-_WRITE_AS = {
-    _flag: int,
-    _number: float,
-    _id_set: sorted,
-    _pos_counts: lambda counts: None if counts is None else dict(counts),
-}
+def _encoder(table: Sequence[tuple],
+             paths: Mapping[str, str]) -> Callable[[Sequence], Iterable[str]]:
+    """The JSON lines of a block of records, keys in table order: each
+    field's column is encoded whole, then each line is filled into a
+    template of the keys."""
+    template = "{" + ",".join(f"{_dump(name)}:%s" for name, _, _ in table) + "}\n"
 
-
-def _encoder(table: Sequence[tuple], tweet: slice = slice(0)):
-    """One record's JSON line from its object, keys in table order; the
-    rows in `tweet` are read from the object's `tweet`."""
-    names = [name for name, _, _ in table]
-    attrs = list(names)
-    attrs[tweet] = [f"tweet.{name}" for name in names[tweet]]
-    get = attrgetter(*attrs)
-    converts = [(i, _WRITE_AS[kind]) for i, (_, kind, _) in enumerate(table) if kind in _WRITE_AS]
-
-    def encode(obj) -> str:
-        values = list(get(obj))
-        for i, convert in converts:
-            values[i] = convert(values[i])
-        return _dump(dict(zip(names, values))) + "\n"
+    def encode(records: Sequence) -> Iterable[str]:
+        columns = _ObjectColumns(records, paths)
+        texts = [kind.dump(columns[name]) for name, kind, _ in table]
+        return map(template.__mod__, zip(*texts))
 
     return encode
 
 
-_encode_profile = _encoder(_PROFILE_FIELDS)
-_encode_event = _encoder(_EVENT_FIELDS)
-_encode_instance = _encoder(_INSTANCE_FIELDS, _TWEET)
+_encode_profiles = _encoder(_PROFILE_FIELDS, _PROFILE_PATHS)
+_encode_events = _encoder(_EVENT_FIELDS, _EVENT_PATHS)
+_encode_instances = _encoder(_INSTANCE_FIELDS, _INSTANCE_PATHS)
+
+
+def _write_records(path: str | Path, encode: Callable, records: Sequence) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(records), _RECORD_BLOCK):
+            fh.writelines(encode(records[start:start + _RECORD_BLOCK]))
 
 
 def write_corpus(
@@ -548,14 +785,16 @@ def write_corpus(
     history_path: str | Path,
     instances_path: str | Path,
 ) -> None:
-    """Write the three record files with a deterministic field and row order."""
+    """Write the three record files with a deterministic field and row order.
+
+    Records are written in blocks: each field is encoded as one column
+    across a block, each distinct tuple or dict once, and each line is
+    filled into its kind's template of the keys.
+    """
     profiles = corpus.profiles
-    with open(profiles_path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode_profile(profiles[uid]) for uid in sorted(profiles))
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_encode_event, corpus.events))
-    with open(instances_path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_encode_instance, corpus.instances))
+    _write_records(profiles_path, _encode_profiles, [profiles[uid] for uid in sorted(profiles)])
+    _write_records(history_path, _encode_events, corpus.events)
+    _write_records(instances_path, _encode_instances, corpus.instances)
 
 
 def write_corpus_dir(corpus: Corpus, directory: str | Path) -> None:

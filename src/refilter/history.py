@@ -97,6 +97,8 @@ class UserHistoryIndex:
         self.times, self.tweet_ids, users = (
             _read_only(np.fromiter(map(field, events), np.int64, n))
             for field in (_timestamp, _tweet_id, _user_id))
+        # `recent` bisects through memoryviews, whose items are Python ints
+        self._time_at = memoryview(self.times).__getitem__
         authored, retweeted = (np.fromiter(map(action.__eq__, map(_action, events)), bool, n)
                                for action in ("authored", "retweeted"))
         posts = authored | retweeted
@@ -127,10 +129,11 @@ class UserHistoryIndex:
         all strictly before `before` if no window: the most recent `cap` of
         them, then without copies of `exclude_tweet_id`. Each is the
         corpus's own event, not a copy."""
-        time = self.times.item
-        hi = bisect_left(places, before, key=time)
-        lo = 0 if window is None else bisect_left(places, before - window, 0, hi, key=time)
-        kept = [self._events[i] for i in places[max(lo, hi - cap):hi].tolist()]
+        time = self._time_at
+        view = memoryview(places)
+        hi = bisect_left(view, before, key=time)
+        lo = 0 if window is None else bisect_left(view, before - window, 0, hi, key=time)
+        kept = [self._events[i] for i in view[max(lo, hi - cap):hi].tolist()]
         if exclude_tweet_id is not None:
             kept = [e for e in kept if e.tweet_id != exclude_tweet_id]
         return kept

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -528,6 +529,96 @@ def test_integer_klout_round_trip_is_byte_stable(tmp_path):
     for a, b in zip(corpus_paths(tmp_path / "a"), corpus_paths(tmp_path / "b")):
         assert a.read_bytes() == b.read_bytes()
     assert '"klout":40.0,' in corpus_paths(tmp_path / "a")[0].read_text(encoding="utf-8")
+
+
+# The per-record writer the column writer replaced, kept as an oracle: a
+# record's line is its fields' dict, each value made encodable, dumped.
+_ORACLE_DUMP = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_KEEP, _FLAG, _NUMBER = None, int, float
+_ORACLE_FIELDS = (
+    [("user_id", _KEEP), ("followers", _KEEP), ("following", _KEEP), ("statuses", _KEEP),
+     ("listed", _KEEP), ("verified", _FLAG), ("account_age_days", _KEEP),
+     ("has_profile_url", _FLAG), ("klout", _NUMBER), ("klout_delta_1d", _NUMBER),
+     ("klout_delta_7d", _NUMBER), ("klout_delta_30d", _NUMBER), ("neighbours", sorted)],
+    [("user_id", _KEEP), ("tweet_id", _KEEP), ("action", _KEEP), ("timestamp", _KEEP),
+     ("tokens", _KEEP), ("mentions_user", _KEEP)],
+    [("instance_id", _KEEP), ("tweet_id", _KEEP), ("author_id", _KEEP), ("sender_id", _KEEP),
+     ("recipient_id", _KEEP), ("timestamp", _KEEP), ("label", _FLAG), ("tweet.tokens", _KEEP),
+     ("tweet.char_length", _KEEP), ("tweet.has_url", _FLAG), ("tweet.has_photo", _FLAG),
+     ("tweet.has_hashtag", _FLAG), ("tweet.has_exclamation", _FLAG),
+     ("tweet.mentions", _KEEP), ("global_retweet_count", _KEEP),
+     ("global_favourite_count", _KEEP),
+     ("pos_counts", lambda counts: None if counts is None else dict(counts))],
+)
+
+
+def _oracle_line(record, fields):
+    values = {}
+    for path, convert in fields:
+        value = record
+        for name in path.split("."):
+            value = getattr(value, name)
+        values[name] = value if convert is None else convert(value)
+    return _ORACLE_DUMP(values) + "\n"
+
+
+EDGE_INTS = (0, 1, -1, -7, 2**63 - 1, -(2**63), 2**53 + 1)
+EDGE_FLOATS = (1e308, 5e-324, -0.0, 0.0, 40.0, 40, -3, 61.5, 1 / 3, 2.5e-7, math.nan, math.inf,
+               -math.inf)
+
+
+def _edge_corpus(rng):
+    """Records of every kind with edge values; some id tuples and count
+    dicts are one shared object, others equal copies."""
+    def an_int():
+        return rng.choice(EDGE_INTS) if rng.random() < 0.3 else rng.randrange(-10**6, 10**12)
+
+    def ids(most=6):
+        return tuple(an_int() for _ in range(rng.randrange(most + 1)))
+
+    shared = [(), (5,), ids(), ids(20)]
+    counts = [None, {}, {"nouns_verbs": 3}, {"indefinite_articles": 0, "nouns_verbs": 2**63},
+              {"nouns_verbs": 2, "definite_articles": 1, "indefinite_articles": 0}]
+
+    def tokens():
+        pick = rng.random()
+        return rng.choice(shared) if pick < 0.4 else tuple(rng.choice(shared)) if pick < 0.5 \
+            else ids()
+
+    profiles = [make_profile(
+        uid, neighbours=ids(), followers=an_int(), statuses=an_int(), listed=an_int(),
+        verified=rng.random() < 0.5, has_profile_url=rng.random() < 0.5,
+        klout=rng.choice(EDGE_FLOATS), klout_delta_1d=rng.choice(EDGE_FLOATS),
+        klout_delta_7d=rng.uniform(-1, 1), klout_delta_30d=rng.choice(EDGE_FLOATS))
+        for uid in {an_int() for _ in range(rng.randrange(12))}]
+    events = [HistoryEvent(an_int(), an_int(), rng.choice(corpus_io.ACTIONS), an_int(), tokens(),
+                           rng.choice((None, an_int())))
+              for _ in range(rng.randrange(40))]
+    instances = [make_instance(
+        an_int(), an_int(), an_int(), an_int(), an_int(), label=rng.random() < 0.5,
+        tokens=tokens(), author=an_int(), global_retweet_count=an_int(),
+        global_favourite_count=an_int(), pos_counts=rng.choice(counts),
+        tweet_overrides=dict(char_length=an_int(), has_url=rng.random() < 0.5,
+                             has_photo=rng.random() < 0.5, has_hashtag=rng.random() < 0.5,
+                             has_exclamation=rng.random() < 0.5,
+                             mentions=rng.choice(((), (an_int(),), ids(3), shared[2]))))
+        for _ in range(rng.randrange(40))]
+    return make_corpus(profiles, events, instances)
+
+
+@pytest.mark.parametrize("block", [1, 3, corpus_io._RECORD_BLOCK])
+def test_column_writer_matches_the_per_record_writer(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(corpus_io, "_RECORD_BLOCK", block)
+    rng = random.Random(block)
+    paths = corpus_paths(tmp_path)
+    for _ in range(60):
+        corpus = _edge_corpus(rng)
+        write_corpus(corpus, *paths)
+        kinds = ([corpus.profiles[uid] for uid in sorted(corpus.profiles)], corpus.events,
+                 corpus.instances)
+        for path, records, fields in zip(paths, kinds, _ORACLE_FIELDS):
+            expected = "".join(_oracle_line(record, fields) for record in records)
+            assert path.read_text(encoding="utf-8") == expected
 
 
 # A loaded corpus keeps one object per distinct value of its repeated
