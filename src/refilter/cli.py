@@ -10,10 +10,11 @@ the REFILTER_SEED environment variable. Exit status is nonzero exactly on error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,7 @@ from . import corpus_io, experiments, features, history, learner, vectorspace
 from .corpus_io import SyntheticConfig
 from .experiments import EVAL_SETS, SplitSpec
 
-SPLIT_FILES = {
-    "train": "train_ids.csv",
-    "dev_balanced": "dev_balanced_ids.csv",
-    "dev_unbalanced": "dev_unbalanced_ids.csv",
-    "test_balanced": "test_balanced_ids.csv",
-    "test_unbalanced": "test_unbalanced_ids.csv",
-}
+SPLIT_FILES = {name: f"{name}_ids.csv" for name in ("train", *EVAL_SETS)}
 SPLIT_MANIFEST = "manifest.json"
 # the raw features of every split instance, saved by `build` and by any
 # later command whose inputs changed the table key (docs/FORMATS.md)
@@ -160,104 +155,81 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _write_split_ids(splits: experiments.DatasetSplits, out_dir: Path) -> None:
-    with open(out_dir / SPLIT_FILES["train"], "w", encoding="utf-8") as fh:
-        fh.write("batch,instance_id\n")
-        for b, batch in enumerate(splits.train_batches):
-            for inst in batch:
-                fh.write(f"{b},{inst.instance_id}\n")
+    experiments.write_csv(out_dir / SPLIT_FILES["train"], experiments.TRAIN_IDS_CSV, (
+        (b, inst.instance_id) for b, batch in enumerate(splits.train_batches) for inst in batch))
     for name in EVAL_SETS:
-        with open(out_dir / SPLIT_FILES[name], "w", encoding="utf-8") as fh:
-            fh.write("instance_id\n")
-            for inst in splits.eval_set(name):
-                fh.write(f"{inst.instance_id}\n")
-
-
-def _id_rows(path: Path, columns: int) -> list[tuple[int, list[int]]]:
-    """(line number, integer fields) of every row of a split file below
-    its header."""
-    # all rows parse before any is used; read lazily, the walkthrough's peak
-    # RSS rose by about 4 MB
-    return list(experiments.csv_rows(path, f"{columns} integer field(s)", (int,) * columns))
+        experiments.write_csv(out_dir / SPLIT_FILES[name], experiments.SET_IDS_CSV,
+                              ((inst.instance_id,) for inst in splits.eval_set(name)))
 
 
 def _read_split_spec(path: Path) -> SplitSpec:
     """The valid split spec of a manifest; ValueError names the file and
     the field."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or "spec" not in manifest:
-        raise ValueError(f"{path}: lacks the field 'spec'")
-    values = manifest["spec"]
-    if not isinstance(values, dict):
-        raise ValueError(f"{path}: field 'spec' must be an object, got {values!r}")
-    names = [f.name for f in fields(SplitSpec)]
-    unknown = ", ".join(f"'spec.{name}'" for name in sorted(set(values) - set(names)))
-    if unknown:
-        raise ValueError(f"{path}: unknown field(s) {unknown}")
-    for name in names:  # null would ask SplitSpec for a default, not the count build used
-        if values.get(name) is None:
-            raise ValueError(f"{path}: lacks the field 'spec.{name}'")
-    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"),
+                              object_pairs_hook=corpus_io.json_object)
+        if not isinstance(manifest, dict) or "spec" not in manifest:
+            raise ValueError("lacks the field 'spec'")
+        values = manifest["spec"]
+        if not isinstance(values, dict):
+            raise ValueError(f"field 'spec' must be an object, got {values!r}")
+        names = [f.name for f in fields(SplitSpec)]
+        unknown = ", ".join(f"'spec.{name}'" for name in sorted(set(values) - set(names)))
+        if unknown:
+            raise ValueError(f"unknown field(s) {unknown}")
+        for name in names:  # null would ask SplitSpec for a default, not the count build used
+            if values.get(name) is None:
+                raise ValueError(f"lacks the field 'spec.{name}'")
         return SplitSpec(**values)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:  # the checks above, SplitSpec's, and a key given twice
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _first_lines(path: Path, rows: list, others: dict[Path, dict[int, int]]) -> dict[int, int]:
-    """The first line of each id in the `_id_rows` of one split file, whose
-    id is each row's last field. An id listed twice, or already listed by
-    one of `others` (file: its `_first_lines`), is refused by file and line."""
-    first: dict[int, int] = {}
-    for lineno, row in rows:
-        iid = row[-1]
-        if iid in first:
-            raise ValueError(f"{path}:{lineno}: instance_id {iid} is listed twice, "
-                             f"first on line {first[iid]}")
-        for other, lines in others.items():
-            if iid in lines:
-                raise ValueError(f"{path}:{lineno}: instance_id {iid} is listed twice, "
-                                 f"first on {other}:{lines[iid]}")
-        first[iid] = lineno
-    return first
-
-
 def _read_split_ids(split_dir: Path) -> experiments.SplitIds:
-    """The ids of a split directory. What `build` never writes is refused
-    by file and line: a batch outside the manifest's count, a train batch
-    without rows, an id listed twice in one file or in two of train,
-    dev_balanced and test_balanced, and an unbalanced id that its balanced
-    set lacks."""
+    """The ids of a split directory. Each file is read by its format; then
+    what `build` never writes across files is refused by file (and line):
+    a train batch without rows, an id in two of train, dev_balanced and
+    test_balanced, and an unbalanced id that its balanced set lacks."""
     spec = _read_split_spec(split_dir / SPLIT_MANIFEST)
-    batches: list[list[int]] = [[] for _ in range(spec.train_batches)]
-    train_path = split_dir / SPLIT_FILES["train"]
-    train_rows = _id_rows(train_path, 2)
-    for lineno, (b, iid) in train_rows:
-        if not 0 <= b < spec.train_batches:
-            raise ValueError(
-                f"{train_path}:{lineno}: batch {b} outside 0..{spec.train_batches - 1}"
-            )
-        batches[b].append(iid)
-    for b, batch in enumerate(batches):
-        if not batch:
-            raise ValueError(f"{train_path}: train batch {b} has no rows")
-    # EVAL_SETS names each balanced set before its unbalanced subset
-    disjoint = {train_path: _first_lines(train_path, train_rows, {})}
-    eval_sets = {}
+    paths = {name: split_dir / file for name, file in SPLIT_FILES.items()}
+    ids: dict[str, list[int]] = {}
+    (batch_of, ids["train"]), _ = experiments.read_csv(
+        paths["train"], experiments.TRAIN_IDS_CSV, hi=spec.train_batches - 1)
     for name in EVAL_SETS:
-        path = split_dir / SPLIT_FILES[name]
-        rows = _id_rows(path, 1)
-        if name.endswith("_unbalanced"):
-            _first_lines(path, rows, {})
-            balanced = split_dir / SPLIT_FILES[name.replace("_unbalanced", "_balanced")]
-            for lineno, (iid,) in rows:
-                if iid not in disjoint[balanced]:
-                    raise ValueError(f"{path}:{lineno}: instance_id {iid} is not in {balanced}")
-        else:
-            disjoint[path] = _first_lines(path, rows, disjoint)
-        eval_sets[name] = [iid for _, (iid,) in rows]
-    return experiments.SplitIds(train_batches=batches, eval_sets=eval_sets)
+        (ids[name],), _ = experiments.read_csv(paths[name], experiments.SET_IDS_CSV)
+    # the rows bound the manifest's count before it sizes a list
+    present = set(batch_of)
+    if len(present) < spec.train_batches:
+        empty = next(b for b in itertools.count() if b not in present)
+        raise ValueError(f"{paths['train']}: train batch {empty} has no rows")
+    batches: list[list[int]] = [[] for _ in range(spec.train_batches)]
+    for b, iid in zip(batch_of, ids["train"]):
+        batches[b].append(iid)
+    held: set[int] = set()
+    for name in ("train", "dev_balanced", "test_balanced"):
+        if not held.isdisjoint(ids[name]):
+            lineno, iid = next((n, iid) for n, iid in enumerate(ids[name], start=2) if iid in held)
+            other = next(other for other in ("train", "dev_balanced") if iid in ids[other])
+            raise ValueError(f"{paths[name]}:{lineno}: instance_id {iid} is listed twice, "
+                             f"first on {paths[other]}:{ids[other].index(iid) + 2}")
+        held.update(ids[name])
+    for name in ("dev_unbalanced", "test_unbalanced"):
+        balanced = name.replace("_unbalanced", "_balanced")
+        within = set(ids[balanced])
+        for lineno, iid in enumerate(ids[name], start=2):
+            if iid not in within:
+                raise ValueError(
+                    f"{paths[name]}:{lineno}: instance_id {iid} is not in {paths[balanced]}")
+    return experiments.SplitIds(train_batches=batches,
+                                eval_sets={name: ids[name] for name in EVAL_SETS})
+
+
+def _write_json(path: str | Path, record: dict) -> None:
+    """The synth and split manifests and the build report: JSON with sorted
+    keys and a two-space indent."""
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _hyper_from_args(args) -> learner.Hyper:
@@ -281,16 +253,10 @@ def cmd_synth(args) -> int:
     corpus = corpus_io.generate_synthetic(config, seed)
     out = Path(args.out)
     corpus_io.write_corpus_dir(corpus, out)
-    manifest = {
-        "seed": seed,
-        "config": corpus_io.config_to_dict(config),
-        "instances": len(corpus.instances),
-        "events": len(corpus.events),
-        "users": len(corpus.profiles),
-    }
-    (out / corpus_io.MANIFEST_FILE).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / corpus_io.MANIFEST_FILE, {
+        "seed": seed, "config": corpus_io.config_to_dict(config),
+        "instances": len(corpus.instances), "events": len(corpus.events),
+        "users": len(corpus.profiles)})
     print(f"wrote corpus with {len(corpus.instances)} instances to {out}")
     return 0
 
@@ -302,33 +268,23 @@ def cmd_build(args) -> int:
     features.check_cap(args.cap)
     corpus = corpus_io.load_corpus_dir(args.corpus)
     hist = history.UserHistoryIndex(corpus)
+    error = None
     try:
         splits = experiments.build_dataset(corpus, spec, hist)
+        funnel = splits.funnel
     except experiments.DatasetError as exc:
         sizes = " ".join(f"--{name.replace('_', '-')} {getattr(spec, name)}"
                          for name in experiments.SPLIT_SIZES)
-        error = experiments.DatasetError(f"{exc}; the split flags ask for {sizes}", exc.funnel)
-        if args.report is not None:
-            _write_build_report(args.report, exc.funnel, str(error))
-        raise error from None
-    if args.report is not None:
-        _write_build_report(args.report, splits.funnel, None)
+        error, funnel = f"{exc}; the split flags ask for {sizes}", exc.funnel
+    if args.report is not None:  # docs/FORMATS.md "Build report"
+        _write_json(args.report, {"command": "build", "error": error, "funnel": asdict(funnel)})
+    if error is not None:
+        raise experiments.DatasetError(error, funnel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_split_ids(splits, out)
-    manifest = {
-        "spec": {f.name: getattr(spec, f.name) for f in fields(SplitSpec)},
-        "counts": {
-            "train": len(splits.train_instances),
-            "dev_balanced": len(splits.dev_balanced),
-            "dev_unbalanced": len(splits.dev_unbalanced),
-            "test_balanced": len(splits.test_balanced),
-            "test_unbalanced": len(splits.test_unbalanced),
-        },
-    }
-    (out / SPLIT_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / SPLIT_MANIFEST, {"spec": asdict(spec), "counts": {
+        "train": len(splits.train_instances), **{n: len(splits.eval_set(n)) for n in EVAL_SETS}}})
     # the table under the key every later command with the same pipeline
     # flags computes, so none of them parses the corpus again
     _split_table(args, split_dir=out, corpus=corpus, hist=hist)
@@ -336,18 +292,11 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _write_build_report(path: str, funnel: experiments.DatasetFunnel, error: str | None) -> None:
-    """`build --report`: the dataset funnel, and the error when the corpus
-    gives too few batches, as JSON (docs/FORMATS.md)."""
-    report = {"command": "build", "error": error, "funnel": asdict(funnel)}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def cmd_rank(args) -> int:
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.train)
     ranking = experiments.rank_features(X, y, folds=args.folds)
-    experiments.write_ranking(args.out, ranking)
+    experiments.write_csv(args.out, experiments.RANKING_CSV, map(astuple, ranking))
     print(f"wrote ranking of {len(ranking)} features to {args.out}")
     return 0
 
@@ -386,7 +335,7 @@ def cmd_eval(args) -> int:
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.eval_set(args.eval_set))
     metrics = experiments.evaluate(model, X, y, threshold=args.threshold)
-    experiments.write_metrics(args.out, metrics)
+    experiments.write_csv(args.out, experiments.METRICS_CSV, [astuple(metrics)])
     print(f"{args.eval_set}: precision={metrics.precision:.4f} "
           f"recall={metrics.recall:.4f} f1={metrics.f1:.4f}")
     return 0
@@ -407,7 +356,7 @@ def cmd_curve(args) -> int:
         folds=args.folds,
         ranking=ranking,
     )
-    experiments.write_curve(args.out, points)
+    experiments.write_csv(args.out, experiments.CURVE_CSV, map(astuple, points))
     print(f"wrote {len(points)} curve points to {args.out}")
     return 0
 
@@ -418,7 +367,7 @@ def cmd_score(args) -> int:
     members = ids.train if args.split == "train" else ids.eval_set(args.split)
     X, _ = table.rows_by_id(members)
     probs = learner.predict_proba_matrix(model, X)
-    experiments.write_scores(args.out, members, probs)
+    experiments.write_csv(args.out, experiments.SCORES_CSV, zip(members, probs))
     print(f"scored {len(members)} instances to {args.out}")
     return 0
 
@@ -430,7 +379,8 @@ def cmd_scatter(args) -> int:
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.eval_set(args.eval_set))
     data = experiments.scatter_export(X, y, args.ft_a, args.ft_b, model, threshold=args.threshold)
-    experiments.write_scatter(args.out, data)
+    experiments.write_csv(args.out, experiments.SCATTER_CSV, data.rows,
+                          head=(data.w_a, data.w_b, data.intercept))
     print(f"wrote {len(data.rows)} scatter rows to {args.out}")
     return 0
 

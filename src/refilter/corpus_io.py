@@ -465,6 +465,16 @@ def _line_blocks(path: Path) -> Iterator[tuple[list[int], list[str]]]:
             first += len(lines)
 
 
+def json_object(pairs: list[tuple[str, object]]) -> dict:
+    """`json.loads(text, object_pairs_hook=json_object)`: ValueError names
+    a key given twice, of which `json.loads` alone keeps the last."""
+    keys = [key for key, _ in pairs]
+    twice = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if twice:
+        raise ValueError(f"field {twice[0]!r} is given twice")
+    return dict(pairs)
+
+
 # the scanner of `json.loads`: (value, end) of the JSON value that starts
 # at an index of a string
 _scan = json.JSONDecoder().scan_once
@@ -822,6 +832,8 @@ _RETWEET_DELAY = 60  # seconds between receiving a tweet and retweeting it
 _MAX_DAYS = (2**63 - START_TIMESTAMP - _RETWEET_DELAY) // 86400
 # numpy's Poisson sampler refuses a larger mean
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10 * math.sqrt(np.iinfo(np.int64).max)
+# the most history events a config may expect (`SyntheticConfig`)
+_MAX_EVENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -878,6 +890,18 @@ class SyntheticConfig:
             check(name, number, lambda v: v * self.days <= _POISSON_MEAN_MAX,
                   f"at most {_POISSON_MEAN_MAX:.6g} / config.days ({self.days}), numpy's "
                   "Poisson limit on a user's expected post count")
+        # the corpus size before any draw: each user's burn-in and expected
+        # posts, each seen by the poster's expected followers, a share of whom
+        # retweet it; the field furthest above its default is named
+        posts = users * USER_TOPICS * SEED_TWEETS_PER_TOPIC + self.days * (
+            self.num_recipients * self.recipient_posts_per_day + publishers * self.posts_per_day)
+        followers = self.num_recipients * self.neighbours_per_user / (users - 1)
+        events = posts * (1 + followers * (1 + self.retweet_rate))
+        name = max(("num_recipients", "neighbours_per_user", "days", "posts_per_day",
+                    "recipient_posts_per_day"),
+                   key=lambda n: getattr(self, n) / getattr(SyntheticConfig, n))
+        check(name, number, lambda v: events <= _MAX_EVENTS, f"small enough that the "
+              f"expected {events:.3g} history events are at most {_MAX_EVENTS:,}")
 
 
 def config_to_dict(config: SyntheticConfig) -> dict:

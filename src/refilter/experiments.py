@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import io
 import logging
-import math
 import os
 import random
+import sys
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -724,8 +724,6 @@ def incremental_eval(
 
 @dataclass(frozen=True)
 class ScatterData:
-    ft_a: int
-    ft_b: int
     w_a: float
     w_b: float
     intercept: float
@@ -758,112 +756,125 @@ def scatter_export(
         (float(x[ft_a - 1]), float(x[ft_b - 1]), int(label), int(pred))
         for x, label, pred in zip(np.atleast_2d(eval_X), eval_y, preds)
     ]
-    return ScatterData(
-        ft_a=ft_a,
-        ft_b=ft_b,
-        w_a=w[ft_a],
-        w_b=w[ft_b],
-        intercept=float(model.intercept),
-        rows=rows,
-    )
+    return ScatterData(w_a=w[ft_a], w_b=w[ft_b], intercept=float(model.intercept), rows=rows)
 
 
 # ---------------------------------------------------------------------------
-# plot-ready output files (formats are part of the artifact's contract)
+# the CSV files the CLI writes (formats are part of the artifact's contract)
+
+
+@dataclass(frozen=True)
+class CsvFormat:
+    """A CSV file: the names and kinds (int or float) of each row's fields,
+    and the rules each row keeps, checked in order: ("position", column) is
+    the row's number from 1; ("unique", column); ("range", column, lo, hi[,
+    why]), with `hi` None when the reader is given it; ("non-rising",
+    column). Line 1 is `first`, by default the names, where a `<name>`
+    field stands for a float the file carries."""
+
+    names: str
+    kinds: tuple[type, ...]
+    rules: tuple[tuple, ...] = ()
+    first: str = ""
+
+    @property
+    def header(self) -> str:
+        return self.first or self.names
+
+
+RANKING_CSV = CsvFormat("ft_id,mean_abs_pearson,rank", (int, float, int), (
+    ("range", "ft_id", 1, N_FEATURES, "is outside {lo}..{hi}"), ("unique", "ft_id"),
+    ("position", "rank"),
+    # a mean |r| may round to just above 1, so only finiteness bounds it
+    ("range", "mean_abs_pearson", 0.0, sys.float_info.max, "is not a finite number >= 0"),
+    ("non-rising", "mean_abs_pearson")))
+CURVE_CSV = CsvFormat("k,train_f1,eval_f1", (int, float, float), (
+    ("position", "k"), ("range", "train_f1", 0, 1), ("range", "eval_f1", 0, 1)))
+METRICS_CSV = CsvFormat("tp,fp,fn,tn,precision,recall,f1", (int,) * 4 + (float,) * 3,
+                        (("range", "f1", 0, 1),))
+SCORES_CSV = CsvFormat("instance_id,probability", (int, float), (("unique", "instance_id"),))
+SCATTER_CSV = CsvFormat("x,y,label,predicted", (float, float, int, int),
+                        first="#separator,<w_a>,<w_b>,<b>")
+TRAIN_IDS_CSV = CsvFormat("batch,instance_id", (int, int), (  # hi: the split manifest's
+    ("range", "batch", 0, None, "outside {lo}..{hi}"), ("unique", "instance_id")))
+SET_IDS_CSV = CsvFormat("instance_id", (int,), (("unique", "instance_id"),))
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_curve(path: str | Path, points: Sequence[CurvePoint]) -> None:
+def write_csv(path: str | Path, fmt: CsvFormat, rows: Iterable[tuple],
+              head: Sequence[float] = ()) -> None:
+    """`rows` (tuples in column order) below line 1 of `fmt`, whose `<name>`
+    fields are the `head` values."""
+    texts = [_fmt if kind is float else str for kind in fmt.kinds]
+    values = map(_fmt, head)
+    first = ",".join(next(values) if field[0] == "<" else field for field in fmt.header.split(","))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,train_f1,eval_f1\n")
-        for p in points:
-            fh.write(f"{p.k},{_fmt(p.train_f1)},{_fmt(p.eval_f1)}\n")
+        fh.writelines(f"{line}\n" for line in [first, *(
+            ",".join([text(v) for text, v in zip(texts, row, strict=True)]) for row in rows)])
 
 
-def csv_rows(path: str | Path, expected: str, kinds: tuple) -> Iterator[tuple[int, list]]:
-    """(line number, fields converted by `kinds`) of each row of a CSV file
-    below its header; a row that does not convert is named by file and line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):
+def _repeats(name: str, column: list) -> Iterator[tuple[int, str]]:
+    first: dict = {}
+    return ((i, f"{name} {v!r} is listed twice, first on line {first[v] + 2}")
+            for i, v in enumerate(column) if first.setdefault(v, i) != i)
+
+
+# rule kind: (column name, column, the rule's arguments) -> (row index,
+# why) of each row that breaks it
+_RULES = {
+    "position": lambda name, column: (
+        (i, f"{name} {v!r}, expected {i + 1}") for i, v in enumerate(column) if v != i + 1),
+    "unique": _repeats,
+    "range": lambda name, column, lo, hi, why="is not a number in [{lo}, {hi}]": (
+        (i, f"{name} {v!r} {why.format(lo=lo, hi=hi)}")
+        for i, v in enumerate(column) if not lo <= v <= hi),  # False for nan
+    "non-rising": lambda name, column: (
+        (i, f"{name} {v!r} rises above {column[i - 1]!r} on line {i + 1}")
+        for i, v in enumerate(column) if i and v > column[i - 1]),
+}
+
+
+def read_csv(path: str | Path, fmt: CsvFormat, hi: int | None = None
+             ) -> tuple[list[list], tuple[float, ...]]:
+    """The columns of a CSV file of format `fmt`, and the values of the
+    `<name>` fields of line 1; `hi` is the range rule's bound that `fmt`
+    leaves open. A line 1 that is not the header, a row that does not
+    convert, and the first row that breaks a rule are refused by file and
+    line."""
+    first, *rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    header = fmt.header.split(",")
+    try:
+        fields = first.split(",")
+        if any(field != name for field, name in zip(fields, header, strict=True) if name[0] != "<"):
+            raise ValueError
+        head = tuple(float(field) for field, name in zip(fields, header) if name[0] == "<")
+    except ValueError:
+        raise ValueError(f"{path}:1: expected header {fmt.header}, got {first!r}") from None
+    columns = [[] for _ in fmt.kinds]
+    appends = [column.append for column in columns]
+    for lineno, line in enumerate(rows, start=2):
         try:
-            row = [kind(field) for kind, field in zip(kinds, line.split(","), strict=True)]
+            for append, kind, field in zip(appends, fmt.kinds, line.split(","), strict=True):
+                append(kind(field))
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected {expected}, got {line!r}") from None
-        yield lineno, row
+            raise ValueError(f"{path}:{lineno}: expected {fmt.names}, got {line!r}") from None
+    named = dict(zip(fmt.names.split(","), columns))
+    broken = [next(_RULES[kind](name, named[name], *[hi if a is None else a for a in args]), None)
+              for kind, name, *args in fmt.rules]
+    if any(broken):  # the first row, and in it the first rule
+        i, why = min(filter(None, broken), key=lambda b: b[0])
+        raise ValueError(f"{path}:{i + 2}: {why}")
+    return columns, head
 
 
 def read_curve(path: str | Path) -> list[CurvePoint]:
-    """The points of a curve file; row i (from 1) has k = i, and each F1
-    is a finite number in [0, 1]. A bad row is named by file and line."""
-    points: list[CurvePoint] = []
-    for lineno, row in csv_rows(path, "k,train_f1,eval_f1", (int, float, float)):
-        point = CurvePoint(*row)
-        if point.k != len(points) + 1:
-            raise ValueError(f"{path}:{lineno}: k {point.k}, expected {len(points) + 1}")
-        for name in ("train_f1", "eval_f1"):
-            f1 = getattr(point, name)
-            if not 0.0 <= f1 <= 1.0:  # False for nan
-                raise ValueError(f"{path}:{lineno}: {name} {f1!r} is not a number in [0, 1]")
-        points.append(point)
-    return points
-
-
-def write_metrics(path: str | Path, metrics: Metrics) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tp,fp,fn,tn,precision,recall,f1\n")
-        fh.write(
-            f"{metrics.tp},{metrics.fp},{metrics.fn},{metrics.tn},"
-            f"{_fmt(metrics.precision)},{_fmt(metrics.recall)},{_fmt(metrics.f1)}\n"
-        )
-
-
-def write_ranking(path: str | Path, ranking: Sequence[RankedFeature]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ft_id,mean_abs_pearson,rank\n")
-        for rf in ranking:
-            fh.write(f"{rf.ft_id},{_fmt(rf.pearson_r)},{rf.rank}\n")
+    """The points of a curve file (CURVE_CSV)."""
+    return [CurvePoint(*row) for row in zip(*read_csv(path, CURVE_CSV)[0])]
 
 
 def read_ranking(path: str | Path) -> list[RankedFeature]:
-    """The rows of a ranking file; each names one feature id in
-    1..N_FEATURES, once, row i (from 1) has rank i, and the scores are
-    finite, >= 0 and never rise down the file. A bad row is named by file
-    and line."""
-    out = []
-    line_of: dict[int, int] = {}
-    for lineno, fields in csv_rows(path, "ft_id,mean_abs_pearson,rank", (int, float, int)):
-        row = RankedFeature(*fields)
-        if not 1 <= row.ft_id <= N_FEATURES:
-            raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is outside 1..{N_FEATURES}")
-        if row.ft_id in line_of:
-            raise ValueError(f"{path}:{lineno}: ft_id {row.ft_id} is listed twice, "
-                             f"first on line {line_of[row.ft_id]}")
-        if row.rank != len(out) + 1:
-            raise ValueError(f"{path}:{lineno}: rank {row.rank}, expected {len(out) + 1}")
-        # a mean |r| may round to just above 1, so there is no upper bound
-        if not 0.0 <= row.pearson_r < math.inf:  # False for nan
-            raise ValueError(f"{path}:{lineno}: mean_abs_pearson {row.pearson_r!r} "
-                             "is not a finite number >= 0")
-        if out and row.pearson_r > out[-1].pearson_r:
-            raise ValueError(f"{path}:{lineno}: mean_abs_pearson {row.pearson_r!r} rises above "
-                             f"{out[-1].pearson_r!r} on line {lineno - 1}")
-        line_of[row.ft_id] = lineno
-        out.append(row)
-    return out
-
-
-def write_scatter(path: str | Path, data: ScatterData) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#separator,{_fmt(data.w_a)},{_fmt(data.w_b)},{_fmt(data.intercept)}\n")
-        for x, yv, label, pred in data.rows:
-            fh.write(f"{_fmt(x)},{_fmt(yv)},{label},{pred}\n")
-
-
-def write_scores(path: str | Path, ids: Sequence[int], probabilities: Sequence[float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("instance_id,probability\n")
-        for iid, prob in zip(ids, probabilities):
-            fh.write(f"{iid},{_fmt(prob)}\n")
+    """The rows of a ranking file (RANKING_CSV), in rank order."""
+    return [RankedFeature(*row) for row in zip(*read_csv(path, RANKING_CSV)[0])]

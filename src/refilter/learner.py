@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus_io import json_object
 from .features import N_FEATURES, ScalingParams, apply_scaling
 
 
@@ -376,6 +377,13 @@ def _count(value, field: str) -> int:
     return value
 
 
+def _known(record, names: str, where: str = "") -> None:
+    """Refuses a field of `record`, when it is an object, that `names` lacks."""
+    unknown = sorted(set(record) - set(names.split())) if isinstance(record, dict) else []
+    if unknown:
+        raise LearnerError(f"model record has unknown field {where + unknown[0]!r}")
+
+
 def _field(record: dict, name: str, where: str = ""):
     if not isinstance(record, dict) or name not in record:
         raise LearnerError(f"model record lacks field {where + name!r}")
@@ -386,11 +394,12 @@ def model_from_json(text: str) -> Model:
     """Parse a `model_to_json` record; a missing or malformed field raises
     LearnerError naming it."""
     try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LearnerError(f"invalid model record: {exc.msg}") from exc
+        record = json.loads(text, object_pairs_hook=json_object)
+    except ValueError as exc:  # not JSON, or a key given twice
+        raise LearnerError(f"invalid model record: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != "refilter-model-v1":
         raise LearnerError("unrecognized model format: field 'format' must be 'refilter-model-v1'")
+    _known(record, "format selected_features weights intercept scaling hyper converged n_iter")
     selected = _field(record, "selected_features")
     if type(selected) is not list or not all(type(f) is int and f >= 1 for f in selected):
         raise LearnerError("model field 'selected_features' must list feature ids >= 1")
@@ -408,6 +417,7 @@ def model_from_json(text: str) -> Model:
         )
     scaling = _field(record, "scaling")
     if scaling is not None:
+        _known(scaling, "mins maxs", "scaling.")
         mins = _finite_array(_field(scaling, "mins", "scaling."), "scaling.mins")
         maxs = _finite_array(_field(scaling, "maxs", "scaling."), "scaling.maxs")
         for name, values in (("scaling.mins", mins), ("scaling.maxs", maxs)):
@@ -418,6 +428,7 @@ def model_from_json(text: str) -> Model:
         scaling = ScalingParams(mins=mins, maxs=maxs)
     intercept = _finite_float(_field(record, "intercept"), "intercept")
     hyper = _field(record, "hyper")
+    _known(hyper, "lam tol max_iter", "hyper.")
     converged = _field(record, "converged")
     if type(converged) is not bool:
         raise LearnerError("model field 'converged' must be true or false")

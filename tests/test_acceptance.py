@@ -4,6 +4,7 @@ with `pytest -s` or on failure)."""
 
 import random
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from refilter.corpus_io import (
     planted_decision_values,
 )
 from refilter.experiments import (
+    CURVE_CSV,
     SplitSpec,
     build_dataset,
     evaluate,
@@ -27,7 +29,7 @@ from refilter.experiments import (
     rank_features,
     read_curve,
     train_on_batches,
-    write_curve,
+    write_csv,
 )
 from refilter.features import FeatureContext, extract_matrix
 from refilter.history import UserHistoryIndex
@@ -296,7 +298,7 @@ def test_criterion_7_learning_curve_shape(strong_pipeline, tmp_path):
         splits, table, top_m=10, eval_set="dev_balanced", ranking=ranking
     )
     path = tmp_path / "curve.csv"
-    write_curve(path, points)
+    write_csv(path, CURVE_CSV, map(astuple, points))
     rows = read_curve(path)
     assert len(rows) == len(splits.train_batches)
     assert [p.k for p in rows] == list(range(1, len(splits.train_batches) + 1))

@@ -468,6 +468,47 @@ def test_ranking_scores_are_checked_by_train(workspace, tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,name,flags", [
+    ("rank", "splits/train_ids.csv", []),
+    ("score", "splits/test_unbalanced_ids.csv", ["--split", "test_unbalanced"]),
+    ("train", "ranking.csv", ["--top-m", "10"]),
+])
+def test_file_without_its_header_is_refused(workspace, tmp_path, capsys, command, name, flags):
+    """Line 1 is read, not skipped: without it the first id or feature
+    would be dropped unseen."""
+    root, corpus, splits, ranking, model = workspace
+    shutil.copytree(splits, tmp_path / "splits")
+    shutil.copy(ranking, tmp_path / "ranking.csv")
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(f"{line}\n" for line in lines[1:]), encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = {"rank": [], "score": ["--model", str(model)],
+              "train": ["--ranking", str(tmp_path / "ranking.csv")]}[command]
+    rc = main([command, "--corpus", str(corpus), "--splits", str(tmp_path / "splits"),
+               *inputs, *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"refilter: error: {path}:1: expected header {lines[0]}, got {lines[1]!r}\n")
+    assert not out.exists()
+
+
+def test_ranking_with_another_header_is_refused(workspace, tmp_path, capsys, monkeypatch):
+    root, corpus, splits, ranking, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    rows = ranking.read_text(encoding="utf-8").splitlines()[1:]
+    (tmp_path / "ranking.csv").write_text("".join(f"{line}\n" for line in ["nope", *rows]),
+                                          encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["train", "--corpus", str(corpus), "--splits", str(splits),
+               "--ranking", "ranking.csv", "--top-m", "10", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "refilter: error: ranking.csv:1: expected header ft_id,mean_abs_pearson,rank, "
+        "got 'nope'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("train", "--lambda", "nan"), ("train", "--lambda", "1e400"), ("train", "--lambda", "-1"),
     ("train", "--lambda", "0"), ("curve", "--lambda", "0"),

@@ -412,6 +412,14 @@ def test_config_validation():
     for strength in (-1.0, 10**400):  # an int beyond the float range, too
         with pytest.raises(ValueError, match=r"'config.signal_strength' \(--signal-strength\)"):
             SyntheticConfig(signal_strength=strength)
+    # a corpus too large to generate is refused before any draw, naming the
+    # field furthest above its default; the generator never runs on these
+    for field, value in (("num_recipients", 10**12), ("days", 10**6), ("posts_per_day", 1e6)):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(ValueError, match=rf"^field 'config.{field}' \({flag}\) must be small "
+                           r"enough that the expected \S+ history events are at most 10,000,000, "
+                           rf"got {value!r}$"):
+            SyntheticConfig(**{field: value})
 
 
 def test_planted_pos_counts_deterministic(small_signal_corpus):

@@ -17,6 +17,11 @@ from refilter import cli, experiments
 from refilter.corpus_io import HistoryEvent, generate_synthetic
 from refilter.experiments import (
     EVAL_SETS,
+    CURVE_CSV,
+    METRICS_CSV,
+    RANKING_CSV,
+    SCATTER_CSV,
+    SCORES_CSV,
     CurvePoint,
     DatasetError,
     FeatureTable,
@@ -35,11 +40,7 @@ from refilter.experiments import (
     read_ranking,
     scatter_export,
     train_on_batches,
-    write_curve,
-    write_metrics,
-    write_ranking,
-    write_scatter,
-    write_scores,
+    write_csv,
 )
 from refilter.features import (
     N_FEATURES,
@@ -941,7 +942,7 @@ def test_scatter_feature_mismatch(signal_pipeline):
 def test_curve_file_round_trip(tmp_path):
     points = [CurvePoint(1, 0.5, 0.4), CurvePoint(2, 0.75, 2 / 3), CurvePoint(3, 1.0, 0.0)]
     path = tmp_path / "curve.csv"
-    write_curve(path, points)
+    write_csv(path, CURVE_CSV, map(dataclasses.astuple, points))
     text = path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "k,train_f1,eval_f1"
     assert len(text) == 4
@@ -950,7 +951,7 @@ def test_curve_file_round_trip(tmp_path):
 
 def test_metrics_file_format(tmp_path):
     path = tmp_path / "metrics.csv"
-    write_metrics(path, Metrics.from_counts(9, 1, 1, 9))
+    write_csv(path, METRICS_CSV, [dataclasses.astuple(Metrics.from_counts(9, 1, 1, 9))])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "tp,fp,fn,tn,precision,recall,f1"
     assert lines[1].startswith("9,1,1,9,0.9,0.9,")
@@ -962,7 +963,7 @@ def test_ranking_file_round_trip(tmp_path):
     y = (rng.random(50) < 0.5).astype(float)
     ranking = rank_features(X, y, folds=5)
     path = tmp_path / "ranking.csv"
-    write_ranking(path, ranking)
+    write_csv(path, RANKING_CSV, map(dataclasses.astuple, ranking))
     assert read_ranking(path) == ranking
     assert path.read_text(encoding="utf-8").splitlines()[0] == "ft_id,mean_abs_pearson,rank"
 
@@ -1048,7 +1049,7 @@ def test_scatter_file_format(tmp_path, signal_pipeline):
     model = train(X, y, selected=(10, 43))
     data = scatter_export(X[:5], y[:5], 10, 43, model)
     path = tmp_path / "scatter.csv"
-    write_scatter(path, data)
+    write_csv(path, SCATTER_CSV, data.rows, head=(data.w_a, data.w_b, data.intercept))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("#separator,")
     assert len(lines[0].split(",")) == 4  # tag plus exactly 3 parameters
@@ -1057,6 +1058,6 @@ def test_scatter_file_format(tmp_path, signal_pipeline):
 
 def test_scores_file(tmp_path):
     path = tmp_path / "scores.csv"
-    write_scores(path, [4, 5], [0.25, 0.75])
+    write_csv(path, SCORES_CSV, zip([4, 5], [0.25, 0.75]))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["instance_id,probability", "4,0.25", "5,0.75"]
