@@ -3,8 +3,9 @@ scatter.
 
 Every subcommand reads/writes plain data files, takes all configuration
 via flags, and honours `--config FILE` or `--config=FILE` (JSON flag
-defaults; explicit flags win). Only `synth` and `build` take --seed, else
-the REFILTER_SEED environment variable. Exit status is nonzero exactly on error.
+defaults; explicit flags win; a key given twice is refused). Only `synth`
+and `build` take --seed, else the REFILTER_SEED environment variable.
+Exit status is nonzero exactly on error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .experiments import EVAL_SETS, SplitSpec
 
 SPLIT_FILES = {name: f"{name}_ids.csv" for name in ("train", *EVAL_SETS)}
 SPLIT_MANIFEST = "manifest.json"
+# the fields of the split manifest's `spec`
+SPEC_FIELDS = tuple(f.name for f in fields(SplitSpec))
 # the raw features of every split instance, saved by `build` and by any
 # later command whose inputs changed the table key (docs/FORMATS.md)
 TABLE_FILE = "feature_table.npz"
@@ -168,22 +171,12 @@ def _read_split_spec(path: Path) -> SplitSpec:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"),
                               object_pairs_hook=corpus_io.json_object)
-        if not isinstance(manifest, dict) or "spec" not in manifest:
-            raise ValueError("lacks the field 'spec'")
-        values = manifest["spec"]
-        if not isinstance(values, dict):
-            raise ValueError(f"field 'spec' must be an object, got {values!r}")
-        names = [f.name for f in fields(SplitSpec)]
-        unknown = ", ".join(f"'spec.{name}'" for name in sorted(set(values) - set(names)))
-        if unknown:
-            raise ValueError(f"unknown field(s) {unknown}")
-        for name in names:  # null would ask SplitSpec for a default, not the count build used
-            if values.get(name) is None:
-                raise ValueError(f"lacks the field 'spec.{name}'")
-        return SplitSpec(**values)
+        spec = manifest.get("spec") if isinstance(manifest, dict) else None
+        # a null count would ask SplitSpec for a default, not the count build used
+        return SplitSpec(**corpus_io.json_record(spec, SPEC_FIELDS, "spec"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    except ValueError as exc:  # the checks above, SplitSpec's, and a key given twice
+    except ValueError as exc:  # the record's fields, SplitSpec's, and a key given twice
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -254,7 +247,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     corpus_io.write_corpus_dir(corpus, out)
     _write_json(out / corpus_io.MANIFEST_FILE, {
-        "seed": seed, "config": corpus_io.config_to_dict(config),
+        "seed": seed, "config": asdict(config),
         "instances": len(corpus.instances), "events": len(corpus.events),
         "users": len(corpus.profiles)})
     print(f"wrote corpus with {len(corpus.instances)} instances to {out}")
@@ -506,7 +499,8 @@ def _config_defaults(path: str, name: str, command: argparse.ArgumentParser) -> 
     """The flag defaults a --config file sets for subcommand `name`;
     ValueError names the file, and the key of a bad entry."""
     try:
-        defaults = json.loads(Path(path).read_text(encoding="utf-8"))
+        defaults = json.loads(Path(path).read_text(encoding="utf-8"),
+                              object_pairs_hook=corpus_io.json_object)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(defaults, dict):

@@ -18,6 +18,7 @@ import sys
 from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, contains, eq, is_
 from pathlib import Path
@@ -475,6 +476,37 @@ def json_object(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
+def json_record(value, names: Sequence[str], where: str = "", *, nullable: Sequence[str] = (),
+                error: type[ValueError] = ValueError) -> dict:
+    """`value`, the object at the dotted field `where` of a record that
+    `json_object` parsed, holding the fields `names` and no other. A null
+    counts as missing, in a field outside `nullable` and in `where`
+    itself. `error` names the dotted field it refuses."""
+    prefix = f"{where}." if where else ""
+    if value is None:
+        raise error(f"lacks the field {where!r}")
+    if not isinstance(value, dict):
+        raise error(f"field {where!r} must be an object, got {value!r}")
+    unknown = ", ".join(repr(prefix + name) for name in sorted(set(value) - set(names)))
+    if unknown:
+        raise error(f"unknown field(s) {unknown}")
+    for name in names:
+        if value.get(name) is None and (name not in value or name not in nullable):
+            raise error(f"lacks the field {prefix + name!r}")
+    return value
+
+
+def check_field(settings, prefix: str, name: str, kind: type | tuple, ok, bound: str, *,
+                flag: str | None = None, error: type[ValueError] = ValueError) -> None:
+    """Refuses field `name` of a settings object unless it is a `kind`,
+    never a bool, for which `ok` holds; `error` names the field as
+    `<prefix>.<name>`, its flag (by default the name's) and the `bound`."""
+    value = getattr(settings, name)
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        flag = flag or "--" + name.replace("_", "-")
+        raise error(f"field '{prefix}.{name}' ({flag}) must be {bound}, got {value!r}")
+
+
 # the scanner of `json.loads`: (value, end) of the JSON value that starts
 # at an index of a string
 _scan = json.JSONDecoder().scan_once
@@ -862,12 +894,7 @@ class SyntheticConfig:
     forward_rate: float = 0.1  # share of publisher posts that pass on an older tweet
 
     def __post_init__(self) -> None:
-        def check(name: str, kind: type | tuple, ok, bound: str) -> None:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"field 'config.{name}' ({flag}) must be {bound}, got {value!r}")
-
+        check = partial(check_field, self, "config")
         for name in ("num_recipients", "neighbours_per_user"):
             check(name, int, lambda v: v >= 1, "an integer >= 1")
         check("days", int, lambda v: 1 <= v <= _MAX_DAYS,
@@ -902,10 +929,6 @@ class SyntheticConfig:
                    key=lambda n: getattr(self, n) / getattr(SyntheticConfig, n))
         check(name, number, lambda v: events <= _MAX_EVENTS, f"small enough that the "
               f"expected {events:.3g} history events are at most {_MAX_EVENTS:,}")
-
-
-def config_to_dict(config: SyntheticConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(SyntheticConfig)}
 
 
 def config_from_dict(data: Mapping) -> SyntheticConfig:

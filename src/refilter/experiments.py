@@ -18,12 +18,13 @@ import random
 import sys
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, Instance
+from .corpus_io import Corpus, Instance, check_field
 from .features import (
     N_FEATURES,
     SCALED_FEATURE_IDS,
@@ -103,25 +104,20 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        def check(name: str, ok, bound: str) -> None:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or not ok(value):
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"field 'spec.{name}' ({flag}) must be {bound}, got {value!r}")
-
+        check = partial(check_field, self, "spec", kind=int)
         for name in SPLIT_SIZES:
-            check(name, lambda v: v >= 1, "an integer >= 1")
-        check("seed", lambda v: v >= 0, "an integer >= 0")
+            check(name, ok=lambda v: v >= 1, bound="an integer >= 1")
+        check("seed", ok=lambda v: v >= 0, bound="an integer >= 0")
         # the defaults derive from the sizes just checked
         if self.unbalanced_neg_per_batch is None:
             object.__setattr__(self, "unbalanced_neg_per_batch", self.batch_neg)
-        check("unbalanced_neg_per_batch", lambda v: 1 <= v <= self.batch_neg,
-              f"an integer in 1..spec.batch_neg ({self.batch_neg})")
+        check("unbalanced_neg_per_batch", ok=lambda v: 1 <= v <= self.batch_neg,
+              bound=f"an integer in 1..spec.batch_neg ({self.batch_neg})")
         if self.unbalanced_pos_per_batch is None:
             pos = max(1, min(self.batch_pos, round(self.unbalanced_neg_per_batch / 19)))
             object.__setattr__(self, "unbalanced_pos_per_batch", pos)
-        check("unbalanced_pos_per_batch", lambda v: 1 <= v <= self.batch_pos,
-              f"an integer in 1..spec.batch_pos ({self.batch_pos})")
+        check("unbalanced_pos_per_batch", ok=lambda v: 1 <= v <= self.batch_pos,
+              bound=f"an integer in 1..spec.batch_pos ({self.batch_pos})")
 
     @property
     def total_batches(self) -> int:

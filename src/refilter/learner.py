@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import json_object
+from .corpus_io import check_field, json_object, json_record
 from .features import N_FEATURES, ScalingParams, apply_scaling
 
 
@@ -31,13 +33,6 @@ class LearnerError(ValueError):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -54,20 +49,13 @@ class Hyper:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        # with no penalty, separable rows have no optimum to converge to
-        if not (_is_finite(self.lam) and self.lam > 0):
-            raise LearnerError(
-                f"field 'hyper.lam' (--lambda) must be a finite number > 0, got {self.lam!r}"
-            )
-        if not (_is_finite(self.tol) and self.tol > 0):
-            raise LearnerError(
-                f"field 'hyper.tol' (--tol) must be a finite number > 0, got {self.tol!r}"
-            )
-        if type(self.max_iter) is not int or self.max_iter < 1:
-            raise LearnerError(
-                f"field 'hyper.max_iter' (--max-iter) must be an integer >= 1, "
-                f"got {self.max_iter!r}"
-            )
+        check = partial(check_field, self, "hyper", error=LearnerError)
+        # with no penalty, separable rows have no optimum to converge to; the
+        # float range bound refuses inf, and NaN fails every comparison
+        for name, flag in (("lam", "--lambda"), ("tol", "--tol")):
+            check(name, (int, float), lambda v: 0 < v <= sys.float_info.max,
+                  "a finite number > 0", flag=flag)
+        check("max_iter", int, lambda v: v >= 1, "an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,16 +110,24 @@ class Design:
     width: int
 
 
-def checked_selection(selected: Sequence[int], width: int) -> tuple[int, ...]:
-    """The feature ids as a tuple: at least one, each in 1..width, none twice."""
+def checked_selection(selected: Sequence[int], width: int,
+                      field: str | None = None) -> tuple[int, ...]:
+    """The feature ids as a tuple: at least one, each in 1..width, none
+    twice. An error names the model field `field` the ids were read from,
+    when given."""
     selected = tuple(int(s) for s in selected)
+
+    def refuse(text: str, field_text: str):
+        raise LearnerError(text if field is None else f"model field {field!r} {field_text}")
+
     if not selected:
-        raise LearnerError("no features selected")
+        refuse("no features selected", "is empty")
     for i, ft in enumerate(selected):
         if not 1 <= ft <= width:
-            raise LearnerError(f"selected feature FT{ft} outside vector width {width}")
+            refuse(f"selected feature FT{ft} outside vector width {width}",
+                   f"selects FT{ft}, outside 1..{width}")
         if ft in selected[:i]:
-            raise LearnerError(f"feature FT{ft} is selected twice")
+            refuse(f"feature FT{ft} is selected twice", f"selects FT{ft} twice")
     return selected
 
 
@@ -377,17 +373,13 @@ def _count(value, field: str) -> int:
     return value
 
 
-def _known(record, names: str, where: str = "") -> None:
-    """Refuses a field of `record`, when it is an object, that `names` lacks."""
-    unknown = sorted(set(record) - set(names.split())) if isinstance(record, dict) else []
-    if unknown:
-        raise LearnerError(f"model record has unknown field {where + unknown[0]!r}")
-
-
-def _field(record: dict, name: str, where: str = ""):
-    if not isinstance(record, dict) or name not in record:
-        raise LearnerError(f"model record lacks field {where + name!r}")
-    return record[name]
+# the fields of the model record, and of its `scaling` and `hyper` objects
+MODEL_FIELDS = {
+    "": ("format", "selected_features", "weights", "intercept", "scaling", "hyper",
+         "converged", "n_iter"),
+    "scaling": ("mins", "maxs"),
+    "hyper": tuple(f.name for f in fields(Hyper)),
+}
 
 
 def model_from_json(text: str) -> Model:
@@ -399,37 +391,31 @@ def model_from_json(text: str) -> Model:
         raise LearnerError(f"invalid model record: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != "refilter-model-v1":
         raise LearnerError("unrecognized model format: field 'format' must be 'refilter-model-v1'")
-    _known(record, "format selected_features weights intercept scaling hyper converged n_iter")
-    selected = _field(record, "selected_features")
-    if type(selected) is not list or not all(type(f) is int and f >= 1 for f in selected):
-        raise LearnerError("model field 'selected_features' must list feature ids >= 1")
-    if not selected:
-        raise LearnerError("model field 'selected_features' is empty")
-    for i, ft in enumerate(selected):
-        if ft in selected[:i]:
-            raise LearnerError(f"model field 'selected_features' selects FT{ft} twice")
-    selected = tuple(selected)
-    weights = _finite_array(_field(record, "weights"), "weights")
+    json_record(record, MODEL_FIELDS[""], nullable=("scaling",), error=LearnerError)
+    selected = record["selected_features"]
+    if type(selected) is not list or not all(type(ft) is int for ft in selected):
+        raise LearnerError("model field 'selected_features' must list JSON integers")
+    selected = checked_selection(selected, N_FEATURES, "selected_features")
+    weights = _finite_array(record["weights"], "weights")
     if weights.shape != (len(selected),):
         raise LearnerError(
             f"model field 'weights' holds {weights.size} values for {len(selected)} "
             "selected features"
         )
-    scaling = _field(record, "scaling")
+    scaling = record["scaling"]
     if scaling is not None:
-        _known(scaling, "mins maxs", "scaling.")
-        mins = _finite_array(_field(scaling, "mins", "scaling."), "scaling.mins")
-        maxs = _finite_array(_field(scaling, "maxs", "scaling."), "scaling.maxs")
+        json_record(scaling, MODEL_FIELDS["scaling"], "scaling", error=LearnerError)
+        mins = _finite_array(scaling["mins"], "scaling.mins")
+        maxs = _finite_array(scaling["maxs"], "scaling.maxs")
         for name, values in (("scaling.mins", mins), ("scaling.maxs", maxs)):
             if values.shape != (N_FEATURES,):
                 raise LearnerError(
                     f"model field {name!r} holds {values.size} values, not {N_FEATURES}"
                 )
         scaling = ScalingParams(mins=mins, maxs=maxs)
-    intercept = _finite_float(_field(record, "intercept"), "intercept")
-    hyper = _field(record, "hyper")
-    _known(hyper, "lam tol max_iter", "hyper.")
-    converged = _field(record, "converged")
+    intercept = _finite_float(record["intercept"], "intercept")
+    hyper = json_record(record["hyper"], MODEL_FIELDS["hyper"], "hyper", error=LearnerError)
+    converged = record["converged"]
     if type(converged) is not bool:
         raise LearnerError("model field 'converged' must be true or false")
     return Model(
@@ -437,7 +423,7 @@ def model_from_json(text: str) -> Model:
         intercept=intercept,
         selected_features=selected,
         scaling=scaling,
-        hyper=Hyper(**{name: _field(hyper, name, "hyper.") for name in ("lam", "tol", "max_iter")}),
+        hyper=Hyper(**hyper),
         converged=converged,
-        n_iter=_count(_field(record, "n_iter"), "n_iter"),
+        n_iter=_count(record["n_iter"], "n_iter"),
     )

@@ -244,10 +244,12 @@ def test_scatter_on_wrong_model_fails(workspace, tmp_path, capsys):
 # error after the file name)
 BAD_MODELS = {
     "not_json": (None, "invalid model record: "),
-    "no_weights": (lambda m: m.pop("weights"), "model record lacks field 'weights'"),
+    "no_weights": (lambda m: m.pop("weights"), "lacks the field 'weights'"),
     "bad_lambda": (lambda m: m["hyper"].update(lam=-1),
                    "field 'hyper.lam' (--lambda) must be a finite number > 0, got -1"),
     "bad_format": (lambda m: m.update(format="v0"), "unrecognized model format: "),
+    "feature_above_50": (lambda m: m["selected_features"].__setitem__(-1, 51),
+                         "model field 'selected_features' selects FT51, outside 1..50\n"),
 }
 
 
@@ -553,6 +555,17 @@ def test_config_value_the_flag_refuses_is_error(tmp_path, capsys, key, value, fl
     err = capsys.readouterr().err
     assert err.startswith("refilter: error: config ")
     assert f"{key!r} ({flag})" in err
+    assert not out.exists()
+
+
+def test_config_key_given_twice_is_error(tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text('{"num_recipients": 4, "neighbours_per_user": 3, '
+                           '"days": 3, "days": 2}', encoding="utf-8")
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"refilter: error: cannot read config {config_file}: field 'days' is given twice\n")
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from refilter.corpus_io import (
     SyntheticConfig,
     Vocabulary,
     config_from_dict,
-    config_to_dict,
     corpus_paths,
     generate_synthetic,
     load_corpus,
@@ -400,8 +399,8 @@ def test_timeline_shared_across_signal_strengths():
 
 def test_config_round_trip():
     config = SyntheticConfig(num_recipients=7, days=9, retweet_rate=0.21)
-    assert config_from_dict(config_to_dict(config)) == config
-    assert config_from_dict({**config_to_dict(config), "junk": 1}) == config
+    assert config_from_dict(dataclasses.asdict(config)) == config
+    assert config_from_dict({**dataclasses.asdict(config), "junk": 1}) == config
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 """The files the CLI writes, checked against their declarations.
 
-docs/FORMATS.md must give each CSV format's declared header. Each file of
+docs/FORMATS.md must give each CSV format's declared header, and the
+fields of each JSON record the CLI reads back. Each file of
 a small run is then read back under a fixed catalogue of mutations: the
 reader must refuse a mutant, naming the file and the line or field, or
 writing back what it read must give the mutant's exact bytes.
@@ -67,6 +68,19 @@ def test_formats_doc_gives_each_declared_header():
     assert rows[1] == SCATTER_CSV.names
     assert re.search(r"every reader refuses\s+a file whose first line is not its\s+header",
                      _section("Analysis outputs"))
+
+
+def test_formats_doc_gives_each_json_record_field():
+    """The model file's table and the manifest's `spec` list the names the
+    record reader is given, in its order."""
+    table = re.findall(r"^\| `([\w.]+)` ", _section("Model file"), flags=re.M)
+    fields = learner.MODEL_FIELDS
+    # each object's fields follow its own row
+    assert table == [field for name in fields[""]
+                     for field in (name, *(f"{name}.{inner}" for inner in fields.get(name, ())))]
+    spec = re.search(r"`spec`: it must hold exactly the fields(.*?), each a JSON integer",
+                     _section("Split directory"), flags=re.S)
+    assert re.findall(r"`(\w+)`", spec[1]) == list(cli.SPEC_FIELDS)
 
 
 @pytest.fixture(scope="module")

@@ -449,7 +449,7 @@ def test_model_from_json_rejects_wrong_length(field, length):
     ("selected_features", [0]), ("selected_features", [1.0]), ("selected_features", "1"),
     ("weights", [10**400]), ("weights", [True]), ("intercept", "0.5"),
     ("hyper.lam", "1e-8"), ("hyper.tol", math.nan), ("hyper.max_iter", 1000.0),
-    ("n_iter", -1), ("converged", 1),
+    ("n_iter", -1), ("converged", 1), ("selected_features", [51]),
 ])
 def test_model_from_json_rejects_mistyped_field(field, value):
     record = _model_record()
