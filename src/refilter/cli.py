@@ -133,7 +133,7 @@ def _split_table(
             corpus = corpus_io.load_corpus_dir(args.corpus)
             hist = history.UserHistoryIndex(corpus)
         try:
-            instances = [corpus.instance_by_id[iid] for iid in members]
+            instances = corpus.instance_by_id.take(members)
         except KeyError as exc:
             # the first file to list it: an unbalanced id is in its balanced set
             name = next(name for name in ("train", *EVAL_SETS)
@@ -141,7 +141,7 @@ def _split_table(
             raise ValueError(
                 f"{split_dir / SPLIT_FILES[name]}: instance_id {exc.args[0]} is not in the corpus"
             ) from None
-        idf = vectorspace.build_idf(e.tokens for e in corpus.events)
+        idf = vectorspace.build_idf(corpus.events.values("tokens"))
         ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
         table = experiments.featurize(ctx, instances)
         try:
@@ -278,6 +278,7 @@ def cmd_build(args) -> int:
     _write_split_ids(splits, out)
     _write_json(out / SPLIT_MANIFEST, {"spec": asdict(spec), "counts": {
         "train": len(splits.train_instances), **{n: len(splits.eval_set(n)) for n in EVAL_SETS}}})
+    del splits  # the table's instances are made again from the ids just written
     # the table under the key every later command with the same pipeline
     # flags computes, so none of them parses the corpus again
     _split_table(args, split_dir=out, corpus=corpus, hist=hist)

@@ -5,6 +5,13 @@ A corpus is three UTF-8 JSON-lines files (one self-describing record per
 line): user profiles, history events, and labeled instances. Words are
 integer token ids; ids 0-5 are reserved for the pseudo-tokens produced by
 text normalization. Field names are frozen in docs/FORMATS.md.
+
+In memory, a `Corpus` holds its events and instances as columns: ids,
+times and counts in int64, flags in bool, the action as a small code, and
+tokens, mentions and pos_counts as numbers of the corpus's shared tuples
+and dicts. The loader and the generator append to these columns and make
+no records; `Corpus.events` and `Corpus.instances` make each record on
+access.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter, defaultdict, deque
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
@@ -118,24 +127,6 @@ class Instance:
     pos_counts: Mapping[str, int] | None = None
 
 
-def _event_key(e: HistoryEvent) -> tuple:
-    return (e.timestamp, e.user_id, _ACTION_RANK[e.action], e.tweet_id)
-
-
-@dataclass
-class Corpus:
-    """An in-memory dataset: profiles, time-sorted events, instances."""
-
-    profiles: dict[int, UserProfile]
-    events: list[HistoryEvent]
-    instances: list[Instance]
-
-    def __post_init__(self) -> None:
-        self.events = sorted(self.events, key=_event_key)
-        self.instances = sorted(self.instances, key=lambda i: i.instance_id)
-        self.instance_by_id = {i.instance_id: i for i in self.instances}
-
-
 class Vocabulary:
     """String-token to integer-id mapping with the reserved pseudo ids."""
 
@@ -211,6 +202,9 @@ class _Kind(NamedTuple):
     checks: tuple[tuple[Callable[[list], bool], str | Callable[[object], str]], ...]
     load: Callable[[list, _Memo], list]
     dump: Callable[[list], list[str]]
+    # the column a corpus holds the field in, made from the corpus's
+    # distinct tuples and distinct pos_counts; None for a profile field
+    store: Callable[[_Distinct, _Distinct], _Store] | None = None
 
 
 # json.dumps with keyword arguments builds a new encoder on every call
@@ -218,6 +212,7 @@ _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 _DICT = frozenset({dict})
 _INT = frozenset({int})
+_BOOL = frozenset({bool})
 _LIST = frozenset({list})
 _STR = frozenset({str})
 _NUMBER = frozenset({int, float})
@@ -331,28 +326,204 @@ def _list_of_ints(col: list) -> bool:
 
 _CANONICAL_ACTION = {a: a for a in ACTIONS}
 
+
+# ---- the column store
+#
+# A corpus holds each field of its events and instances as one numpy
+# column in record order. A field's _Store converts each block of its
+# values to an array.array of machine codes, and the blocks are joined
+# once, into the column. A field that gets a value without a code (a count
+# beyond int64, or a record built in memory with some other type) holds
+# every value as given, in an object array, from then on.
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+class _Column(NamedTuple):
+    """One field's codes (or values as given), its null mask or None, and
+    the function that makes its Python values from a part of both."""
+
+    values: np.ndarray
+    nulls: np.ndarray | None
+    decode: Callable[[np.ndarray, np.ndarray | None], list]
+
+    def take(self, rows: np.ndarray) -> _Column:
+        return _Column(_frozen(self.values[rows]),
+                       None if self.nulls is None else _frozen(self.nulls[rows]), self.decode)
+
+
+def _as_list(values: np.ndarray, nulls: np.ndarray | None) -> list:
+    return values.tolist()
+
+
+def _shared_ints(values: np.ndarray, nulls: np.ndarray | None) -> list:
+    """The values as ints, one object per distinct value: the records made
+    in one block share the ids and times they repeat."""
+    held = values.tolist()
+    return list(map({}.setdefault, held, held))
+
+
+def _with_nulls(values: np.ndarray, nulls: np.ndarray) -> list:
+    held = values.tolist()
+    if not nulls.any():
+        return held
+    return [None if null else value for value, null in zip(held, nulls.tolist())]
+
+
+def _coded(blocks: list[array], dtype) -> np.ndarray:
+    # the blocks joined: one allocation, read by numpy in place. Growing
+    # one array.array per field instead reallocates every field's buffer
+    # in small steps; that raised the README walkthrough's peak RSS by
+    # about 4 MB. numpy 1.24 refuses an empty buffer.
+    return _frozen(np.frombuffer(b"".join(blocks), dtype) if blocks else np.zeros(0, dtype))
+
+
+class _Distinct:
+    """One object per distinct value, numbered as first met: a corpus's id
+    tuples, or its pos_counts dicts (and null), each keyed by `key`."""
+
+    def __init__(self, key: Callable | None = None) -> None:
+        self.values: list = []
+        self._numbers: dict = {}
+        self._key = key
+
+    def numbers(self, col: Sequence) -> list[int]:
+        keys = col if self._key is None else list(map(self._key, col))
+        numbers = list(map(self._numbers.get, keys))
+        for row in compress(range(len(keys)), map(is_, numbers, repeat(None))):
+            number = self._numbers.get(keys[row])
+            if number is None:
+                number = self._numbers[keys[row]] = len(self.values)
+                self.values.append(col[row])
+            numbers[row] = number
+        return numbers
+
+    def decode(self, numbers: np.ndarray, nulls: None = None) -> list:
+        return list(map(self.values.__getitem__, numbers.tolist()))
+
+
+def _counts_key(counts: Mapping[str, int] | None) -> tuple | None:
+    return None if counts is None else tuple(counts.items())
+
+
+class _Store:
+    """A field of 64-bit integers, as int64."""
+
+    typecode, dtype, decode = "q", np.int64, staticmethod(_shared_ints)
+
+    def __init__(self, tuples: _Distinct, counts: _Distinct) -> None:
+        self.codes: list[array] = []
+        self.objects: list | None = None
+
+    def fits(self, col: Sequence) -> bool:
+        return _INT.issuperset(map(type, col)) and (
+            not col or _INT64_MIN <= min(col) and max(col) <= _INT64_MAX)
+
+    def encode(self, col: Sequence) -> None:
+        self.codes.append(array(self.typecode, col))
+
+    def extend(self, col: Sequence) -> None:
+        if self.objects is None and self.fits(col):
+            self.encode(col)
+            return
+        if self.objects is None:
+            column = self.column()
+            self.objects = column.decode(column.values, column.nulls)
+        self.objects.extend(col)
+
+    def column(self) -> _Column:
+        if self.objects is None:
+            return _Column(_coded(self.codes, self.dtype), None, self.decode)
+        return _Column(_frozen(np.fromiter(self.objects, object, len(self.objects))), None,
+                       _as_list)
+
+
+class _Flags(_Store):
+    """A field of bools, as bool."""
+
+    typecode, dtype, decode = "B", np.bool_, staticmethod(_as_list)
+
+    def fits(self, col: Sequence) -> bool:
+        return _BOOL.issuperset(map(type, col))
+
+
+class _IdsOrNull(_Store):
+    """A field of 64-bit integers or nulls, as int64 (0 at a null) with a
+    null mask."""
+
+    def __init__(self, tuples: _Distinct, counts: _Distinct) -> None:
+        super().__init__(tuples, counts)
+        self.nulls: list[array] = []
+
+    def fits(self, col: Sequence) -> bool:
+        return super().fits([value for value in col if value is not None])
+
+    def encode(self, col: Sequence) -> None:
+        self.nulls.append(array("B", map(is_, col, repeat(None))))
+        self.codes.append(array(self.typecode, [0 if value is None else value for value in col]))
+
+    def column(self) -> _Column:
+        if self.objects is None:
+            return _Column(_coded(self.codes, self.dtype), _coded(self.nulls, np.bool_),
+                           _with_nulls)
+        nulls = np.fromiter(map(is_, self.objects, repeat(None)), np.bool_, len(self.objects))
+        return super().column()._replace(nulls=_frozen(nulls), decode=_with_nulls)
+
+
+class _Actions(_Store):
+    """The action, as its place in ACTIONS."""
+
+    typecode, dtype = "B", np.uint8
+
+    def extend(self, col: Sequence) -> None:
+        self.codes.append(array(self.typecode, map(_ACTION_RANK.__getitem__, col)))
+
+    def column(self) -> _Column:
+        return _Column(_coded(self.codes, self.dtype), None,
+                       lambda codes, nulls: list(map(ACTIONS.__getitem__, codes.tolist())))
+
+
+class _Numbered(_Store):
+    """A field of tuples or dicts, as the numbers of their distinct values."""
+
+    def __init__(self, distinct: _Distinct) -> None:
+        super().__init__(distinct, distinct)
+        self.distinct = distinct
+
+    def extend(self, col: Sequence) -> None:
+        self.codes.append(array(self.typecode, self.distinct.numbers(col)))
+
+    def column(self) -> _Column:
+        return _Column(_coded(self.codes, self.dtype), None, self.distinct.decode)
+
+
 _id = _Kind(((_ints_within(_INT64_MIN, _INT64_MAX), "must be a 64-bit integer"),),
-            _as_is, _dump_ints)
+            _as_is, _dump_ints, _Store)
 _count = _Kind(((_ints_within(0, _FLOAT_COUNT_MAX),
                  "must be an integer >= 0 within the float range"),),
-               _as_is, _dump_ints)
+               _as_is, _dump_ints, _Store)
 # JSON 0 or 1
 _flag = _Kind(((_ints_within(0, 1), "must be 0 or 1"),),
               lambda col, memo: list(map(bool, col)),
-              lambda col: _dump_ints(list(map(int, col))))
+              lambda col: _dump_ints(list(map(int, col))), _Flags)
 _number = _Kind(((_finite_numbers, "must be a finite number"),),
                 lambda col, memo: list(map(float, col)), _dump_numbers)
-_id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _shared_ids, _dump_each())
+_id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _shared_ids, _dump_each(),
+                 lambda tuples, counts: _Numbered(tuples))
 _id_set = _Kind(_id_list.checks,
                 lambda col, memo: list(map(frozenset, _shared_ids(col, memo))),
                 _dump_each(sorted))
 _action = _Kind(((lambda col: _STR.issuperset(map(type, col))
                   and _CANONICAL_ACTION.keys() >= set(col),
                   lambda value: f"must be one of {', '.join(ACTIONS)}, not {value!r}"),),
-                lambda col, memo: list(map(_CANONICAL_ACTION.__getitem__, col)), _dump_each())
+                lambda col, memo: list(map(_CANONICAL_ACTION.__getitem__, col)), _dump_each(),
+                _Actions)
 _user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col)),
                         "must be an integer or null"),),
-                      _as_is, _dump_each())
+                      _as_is, _dump_each(), _IdsOrNull)
 _pos_counts = _Kind(
     ((lambda col: _MAP_OR_NULL.issuperset(map(type, col))
       and _INT.issuperset(map(type, _count_values(col))),
@@ -364,6 +535,7 @@ _pos_counts = _Kind(
       "must map names to integers >= 0 within the float range")),
     _shared_counts,
     _dump_each(lambda counts: None if counts is None else dict(counts)),
+    lambda tuples, counts: _Numbered(counts),
 )
 
 _PROFILE_FIELDS = (
@@ -420,23 +592,239 @@ def _attribute_paths(table: Sequence[tuple], tweet: slice = slice(0)) -> dict[st
     return dict(zip(names, paths))
 
 
-_PROFILE_PATHS = _attribute_paths(_PROFILE_FIELDS)
 _EVENT_PATHS = _attribute_paths(_EVENT_FIELDS)
 _INSTANCE_PATHS = _attribute_paths(_INSTANCE_FIELDS, _TWEET)
 
 
-class _ObjectColumns(dict):
-    """The columns of a sequence of record objects by field name, each
-    gathered on first use."""
+class _Values(dict):
+    """The Python values of a record kind's fields by name, each column
+    made by `values(name)` on first use."""
 
-    def __init__(self, records: Sequence, paths: Mapping[str, str]) -> None:
+    def __init__(self, values: Callable[[str], list]) -> None:
         super().__init__()
-        self.records = records
-        self.paths = paths
+        self.values = values
 
     def __missing__(self, name: str) -> list:
-        column = self[name] = list(map(attrgetter(self.paths[name]), self.records))
+        column = self[name] = self.values(name)
         return column
+
+
+def _profile_values(profiles: Sequence[UserProfile]) -> _Values:
+    return _Values(lambda name: list(map(attrgetter(name), profiles)))
+
+
+class _Builder:
+    """The columns of one record kind, appended a block of columns or one
+    record at a time. A corpus's events and instances share its distinct
+    tuples and pos_counts."""
+
+    def __init__(self, table: Sequence[tuple], tuples: _Distinct, counts: _Distinct) -> None:
+        self.tuples = tuples
+        self._names = [name for name, _, _ in table]
+        self._stores = [kind.store(tuples, counts) for _, kind, _ in table]
+        self._rows: list[tuple] = []
+
+    @classmethod
+    def of_records(cls, records: Iterable, table: Sequence[tuple], paths: Mapping[str, str],
+                   tuples: _Distinct, counts: _Distinct) -> _Builder:
+        builder = cls(table, tuples, counts)
+        getters = [attrgetter(paths[name]) for name in builder._names]
+        records = iter(records)
+        while block := list(islice(records, _RECORD_BLOCK)):
+            builder.extend([list(map(get, block)) for get in getters])
+        return builder
+
+    def append(self, *values) -> None:
+        """One record: its values in table order, an instance's tweet
+        fields flat."""
+        self._rows.append(values)
+        if len(self._rows) >= _RECORD_BLOCK:
+            self._flush()
+
+    def extend(self, columns: Iterable[Sequence]) -> None:
+        """A block of records: one column per field, in table order."""
+        self._flush()
+        for store, col in zip(self._stores, columns):
+            store.extend(col)
+
+    def _flush(self) -> None:
+        rows, self._rows = self._rows, []
+        if rows:
+            self.extend(zip(*rows))
+
+    def columns(self) -> dict[str, _Column]:
+        self._flush()
+        return {name: store.column() for name, store in zip(self._names, self._stores)}
+
+
+def _make_events(values: list[list]) -> Iterator[HistoryEvent]:
+    return map(HistoryEvent, *values)
+
+
+def _make_instances(values: list[list]) -> Iterator[Instance]:
+    return map(Instance, *values[:7], _tweets(values[_TWEET]), *values[14:])
+
+
+def _tweets(fields: list[list]) -> Iterator[EncodedTweet]:
+    """The tweets of a block of instances; a run of rows with equal tweet
+    fields, as the recipients of one delivery have, shares one tweet."""
+    last = tweet = None
+    for values in zip(*fields):
+        if values != last:
+            last, tweet = values, EncodedTweet(*values)
+        yield tweet
+
+
+class Records(Sequence):
+    """A read-only sequence of one record kind, held as columns. Each
+    record is made on access, from Python ints and bools and the corpus's
+    shared tuples and dicts: two accesses give equal records, not one
+    object."""
+
+    def __init__(self, columns: dict[str, _Column],
+                 make: Callable[[list[list]], Iterator]) -> None:
+        self._columns = columns
+        self._make = make
+        self._len = len(next(iter(columns.values())).values)
+
+    def column(self, name: str) -> np.ndarray:
+        """A field's read-only codes: int64 ids, times, counts and numbers
+        of the corpus's `tuples`, bool flags, and the action's place in
+        ACTIONS. A field with a value that has no code holds its values in
+        an object array."""
+        return self._columns[name].values
+
+    def nulls(self, name: str) -> np.ndarray | None:
+        """The null mask of `mentions_user`; None for any other field."""
+        return self._columns[name].nulls
+
+    def values(self, name: str, rows: slice | np.ndarray = slice(None)) -> list:
+        """A field's Python values at `rows`, as its records hold them."""
+        column = self._columns[name]
+        return column.decode(column.values[rows],
+                             None if column.nulls is None else column.nulls[rows])
+
+    def at(self, rows: np.ndarray | Sequence[int]) -> list:
+        """The records at places `rows`, in that order."""
+        return list(self._made(np.asarray(rows, dtype=np.int64)))
+
+    def _made(self, rows: slice | np.ndarray) -> Iterator:
+        return self._make([self.values(name, rows) for name in self._columns])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.at(np.arange(*index.indices(self._len)))
+        place = operator.index(index)
+        if place < 0:
+            place += self._len
+        if not 0 <= place < self._len:
+            raise IndexError("record index out of range")
+        return next(self._made(slice(place, place + 1)))
+
+    def __iter__(self) -> Iterator:
+        blocks = map(slice, range(0, self._len, _RECORD_BLOCK),
+                     range(_RECORD_BLOCK, self._len + _RECORD_BLOCK, _RECORD_BLOCK))
+        return chain.from_iterable(map(self._made, blocks))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+def _in_order(columns: dict[str, _Column], order: np.ndarray) -> dict[str, _Column]:
+    if np.array_equal(order, np.arange(len(order))):
+        return columns
+    return {name: column.take(order) for name, column in columns.items()}
+
+
+class InstanceIndex(Mapping):
+    """The instances by id, over the sorted id column; an id held twice
+    gives its last instance."""
+
+    def __init__(self, instances: Records) -> None:
+        self._instances = instances
+        self._ids = instances.column("instance_id")
+
+    def take(self, ids: Sequence[int]) -> list[Instance]:
+        """The instances of `ids`, in that order; KeyError names the first
+        id that is not held."""
+        held, wanted = self._ids, np.asarray(ids)
+        if wanted.ndim != 1 or wanted.dtype != held.dtype:
+            return [self[key] for key in ids]
+        at = np.searchsorted(held, wanted, side="right") - 1
+        found = held[np.maximum(at, 0)] == wanted if len(held) else np.zeros(len(wanted), bool)
+        if not found.all():
+            raise KeyError(ids[int(found.argmin())])
+        return self._instances.at(at)
+
+    def __getitem__(self, key) -> Instance:
+        held = self._ids
+        try:
+            at = int(np.searchsorted(held, key, side="right")) - 1
+            found = at >= 0 and bool(held[at] == key)
+        except (TypeError, ValueError, OverflowError):
+            found = False
+        if not found:
+            raise KeyError(key)
+        return self._instances[at]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.unique(self._ids).tolist())
+
+    def __len__(self) -> int:
+        return len(np.unique(self._ids))
+
+
+class Corpus:
+    """An in-memory dataset: profiles by user id, history events in time
+    order and instances in id order.
+
+    Events and instances are held as columns. `events` and `instances`
+    are read-only sequences (`Records`) whose records are made on access,
+    and `instance_by_id` maps an id to its instance. `tuples` holds each
+    distinct id tuple once; the tokens and mentions columns hold their
+    numbers. A corpus is built from any iterables of records, or from the
+    columns that the loader and the generator append. Equal corpora hold
+    equal profiles and records."""
+
+    def __init__(self, profiles: dict[int, UserProfile],
+                 events: Iterable[HistoryEvent] | _Builder = (),
+                 instances: Iterable[Instance] | _Builder = ()) -> None:
+        if not isinstance(events, _Builder):
+            tuples, counts = _Distinct(), _Distinct(_counts_key)
+            events = _Builder.of_records(events, _EVENT_FIELDS, _EVENT_PATHS, tuples, counts)
+            instances = _Builder.of_records(instances, _INSTANCE_FIELDS, _INSTANCE_PATHS,
+                                            tuples, counts)
+        self.profiles = profiles
+        self.tuples: list[tuple] = events.tuples.values
+        columns = events.columns()
+        # by time, then user, action and tweet id: lexsort sorts stably,
+        # by its last key first
+        order = np.lexsort([columns[name].values
+                            for name in ("tweet_id", "action", "user_id", "timestamp")])
+        self.events = Records(_in_order(columns, order), _make_events)
+        columns = instances.columns()
+        order = np.argsort(columns["instance_id"].values, kind="stable")
+        self.instances = Records(_in_order(columns, order), _make_instances)
+        self.instance_by_id = InstanceIndex(self.instances)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.profiles == other.profiles and self.events == other.events
+                and self.instances == other.instances)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"Corpus({len(self.profiles)} profiles, {len(self.events)} events, "
+                f"{len(self.instances)} instances)")
 
 
 # ---- reading
@@ -709,9 +1097,10 @@ def _read_blocks(path: Path, table: Sequence[tuple], memo: _Memo,
 
 @contextmanager
 def _cyclic_gc_paused():
-    """Pause the cyclic collector for a call that builds records which all
-    live as long as its result: the collector would only rescan them, in
-    full collections. A paused caller stays paused."""
+    """Pause the cyclic collector for a call that builds objects which
+    mostly live as long as its result (profiles, distinct tuples and
+    dicts): the collector would only rescan them, in full collections. A
+    paused caller stays paused."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -737,9 +1126,11 @@ def load_corpus(
     to unknown users or repeated ids raise CorpusIntegrityError; both name
     the file, the line and the field.
 
-    Equal id tuples (tokens, mentions, neighbours), the ints inside them,
-    actions and equal pos_counts dicts are each one shared object, as in a
-    generated corpus; no value is shared with another load.
+    The checked columns are appended to the corpus's columns; no event or
+    instance record is made. Equal id tuples (tokens, mentions,
+    neighbours), the ints inside them, actions and equal pos_counts dicts
+    are each one shared object, as in a generated corpus; no value is
+    shared with another load.
     """
     return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path), _Memo())
 
@@ -755,23 +1146,23 @@ def _read_corpus(
         profile_lines += linenos
     known = set(profiles)
     _raise_broken(
-        _first_broken(_profile_rules(known),
-                      _ObjectColumns(list(profiles.values()), _PROFILE_PATHS), len(profiles)),
+        _first_broken(_profile_rules(known), _profile_values(list(profiles.values())),
+                      len(profiles)),
         lambda row: f"{profiles_path}:{profile_lines[row]}")
 
-    events: list[HistoryEvent] = []
+    tuples, counts = _Distinct(), _Distinct(_counts_key)
+    events = _Builder(_EVENT_FIELDS, tuples, counts)
     for _, columns in _read_blocks(history_path, _EVENT_FIELDS, memo, _event_rules(known)):
-        events += map(HistoryEvent, *columns.values())
+        events.extend(columns.values())
 
-    instances: list[Instance] = []
+    instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
     seen_ids: set[int] = set()
     for _, columns in _read_blocks(instances_path, _INSTANCE_FIELDS, memo,
                                    (_unique("instance_id", seen_ids), *_instance_rules(known))):
-        v = list(columns.values())
-        instances += map(Instance, *v[:7], map(EncodedTweet, *v[_TWEET]), *v[14:])
+        instances.extend(columns.values())
         seen_ids.update(columns["instance_id"])
 
-    return Corpus(profiles=profiles, events=events, instances=instances)
+    return Corpus(profiles, events, instances)
 
 
 def load_corpus_dir(directory: str | Path) -> Corpus:
@@ -782,12 +1173,13 @@ def _check_integrity(corpus: Corpus) -> None:
     """The loader's reference rules over a corpus built in memory: the
     first problem raises, with its message alone."""
     known = set(corpus.profiles)
-    for rules, records, paths in (
-        (_profile_rules(known), list(corpus.profiles.values()), _PROFILE_PATHS),
-        (_event_rules(known), corpus.events, _EVENT_PATHS),
-        (_instance_rules(known), corpus.instances, _INSTANCE_PATHS),
+    profiles = list(corpus.profiles.values())
+    for rules, values, rows in (
+        (_profile_rules(known), _profile_values(profiles), len(profiles)),
+        (_event_rules(known), _Values(corpus.events.values), len(corpus.events)),
+        (_instance_rules(known), _Values(corpus.instances.values), len(corpus.instances)),
     ):
-        broken = _first_broken(rules, _ObjectColumns(records, paths), len(records))
+        broken = _first_broken(rules, values, rows)
         if broken is not None:
             raise CorpusIntegrityError(broken[2])
 
@@ -795,30 +1187,17 @@ def _check_integrity(corpus: Corpus) -> None:
 # ---- writing
 
 
-def _encoder(table: Sequence[tuple],
-             paths: Mapping[str, str]) -> Callable[[Sequence], Iterable[str]]:
-    """The JSON lines of a block of records, keys in table order: each
-    field's column is encoded whole, then each line is filled into a
-    template of the keys."""
+def _write_records(path: str | Path, table: Sequence[tuple], rows: int,
+                   values: Callable[[str, slice], list]) -> None:
+    """The JSON lines of `rows` records, keys in table order, in blocks:
+    each field's values across a block (`values(name, rows)`) are encoded
+    whole, then each line is filled into a template of the keys."""
     template = "{" + ",".join(f"{_dump(name)}:%s" for name, _, _ in table) + "}\n"
-
-    def encode(records: Sequence) -> Iterable[str]:
-        columns = _ObjectColumns(records, paths)
-        texts = [kind.dump(columns[name]) for name, kind, _ in table]
-        return map(template.__mod__, zip(*texts))
-
-    return encode
-
-
-_encode_profiles = _encoder(_PROFILE_FIELDS, _PROFILE_PATHS)
-_encode_events = _encoder(_EVENT_FIELDS, _EVENT_PATHS)
-_encode_instances = _encoder(_INSTANCE_FIELDS, _INSTANCE_PATHS)
-
-
-def _write_records(path: str | Path, encode: Callable, records: Sequence) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(records), _RECORD_BLOCK):
-            fh.writelines(encode(records[start:start + _RECORD_BLOCK]))
+        for start in range(0, rows, _RECORD_BLOCK):
+            block = slice(start, start + _RECORD_BLOCK)
+            texts = [kind.dump(values(name, block)) for name, kind, _ in table]
+            fh.writelines(map(template.__mod__, zip(*texts)))
 
 
 def write_corpus(
@@ -829,14 +1208,16 @@ def write_corpus(
 ) -> None:
     """Write the three record files with a deterministic field and row order.
 
-    Records are written in blocks: each field is encoded as one column
-    across a block, each distinct tuple or dict once, and each line is
-    filled into its kind's template of the keys.
+    Records are written in blocks, from the corpus's columns: each field
+    is encoded as one column across a block, each distinct tuple or dict
+    once, and each line is filled into its kind's template of the keys.
     """
-    profiles = corpus.profiles
-    _write_records(profiles_path, _encode_profiles, [profiles[uid] for uid in sorted(profiles)])
-    _write_records(history_path, _encode_events, corpus.events)
-    _write_records(instances_path, _encode_instances, corpus.instances)
+    profiles = [corpus.profiles[uid] for uid in sorted(corpus.profiles)]
+    _write_records(profiles_path, _PROFILE_FIELDS, len(profiles),
+                   lambda name, block: _profile_values(profiles[block])[name])
+    for path, table, records in ((history_path, _EVENT_FIELDS, corpus.events),
+                                 (instances_path, _INSTANCE_FIELDS, corpus.instances)):
+        _write_records(path, table, len(records), records.values)
 
 
 def write_corpus_dir(corpus: Corpus, directory: str | Path) -> None:
@@ -1038,10 +1419,8 @@ def planted_model(config: SyntheticConfig) -> PlantedModel:
 class _Tweet:
     tweet_id: int
     author_id: int
-    tweet: EncodedTweet
-    global_retweet_count: int
-    global_favourite_count: int
-    pos_counts: dict
+    tokens: tuple[int, ...]
+    fields: tuple  # an instance's fields from `tokens` to `pos_counts`, in table order
     vec: dict  # the fixed-point vector the plant's streams hold
 
 
@@ -1145,14 +1524,19 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 retweet_counts[user, author] += 1
 
     tweet_ids = itertools.count(1)
+    instance_ids = itertools.count(1)
     buffer: deque[_Tweet] = deque(maxlen=500)
-    events: list[HistoryEvent] = []
-    instances: list[Instance] = []
+    tuples, counts = _Distinct(), _Distinct(_counts_key)
+    events = _Builder(_EVENT_FIELDS, tuples, counts)
+    instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
+    # a user's statuses are its posts and retweets
+    statuses_of: Counter[int] = Counter()
     word_base = FIRST_WORD_ID
 
     def retweet(user: int, tweet: _Tweet, ts: int) -> None:
         """Record `user`'s retweet and queue it for the plant's streams."""
-        events.append(HistoryEvent(user, tweet.tweet_id, "retweeted", ts, tweet.tweet.tokens, None))
+        events.append(user, tweet.tweet_id, "retweeted", ts, tweet.tokens, None)
+        statuses_of[user] += 1
         heapq.heappush(pending, (ts, next(pending_seq), user, tweet.author_id, tweet))
 
     def mint_tweet(u: int, topic: int, ts: int) -> _Tweet:
@@ -1173,21 +1557,23 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
         tweet = _Tweet(
             tweet_id=tweet_id,
             author_id=u,
-            tweet=EncodedTweet(
-                tokens=token_tuple,
-                char_length=int(6 * len(token_tuple)),
-                has_url=has_url,
-                has_photo=bool(draws[4] < 0.1),
-                has_hashtag=bool(draws[2] < 0.2),
-                has_exclamation=bool(draws[3] < 0.2),
-                mentions=mentioned,
+            tokens=token_tuple,
+            fields=(
+                token_tuple,
+                int(6 * len(token_tuple)),  # char_length
+                has_url,
+                bool(draws[4] < 0.1),  # has_photo
+                bool(draws[2] < 0.2),  # has_hashtag
+                bool(draws[3] < 0.2),  # has_exclamation
+                mentioned,
+                int(rng.poisson(1 + 0.5 * len(followers[u]))),  # global_retweet_count
+                int(rng.poisson(1 + len(followers[u]))),  # global_favourite_count
+                _planted_pos_counts(token_tuple),
             ),
-            global_retweet_count=int(rng.poisson(1 + 0.5 * len(followers[u]))),
-            global_favourite_count=int(rng.poisson(1 + len(followers[u]))),
-            pos_counts=_planted_pos_counts(token_tuple),
             vec=vectorspace.to_fixed(vectorspace.vectorize(token_tuple, uniform_idf)),
         )
-        events.append(HistoryEvent(u, tweet_id, "authored", ts, token_tuple, mention_target))
+        events.append(u, tweet_id, "authored", ts, token_tuple, mention_target)
+        statuses_of[u] += 1
         heapq.heappush(pending, (ts, next(pending_seq), u, None, tweet))
         return tweet
 
@@ -1238,28 +1624,12 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                                           retweet_counts[r, author], author in follows[r])
             label = label_draw < plant.probability(planted, drift)
             drift = plant.next_drift(drift, label)
-            instance_id = len(instances) + 1
-            instances.append(
-                Instance(
-                    instance_id=instance_id,
-                    tweet_id=tweet.tweet_id,
-                    author_id=author,
-                    sender_id=u,
-                    recipient_id=r,
-                    timestamp=ts,
-                    label=label,
-                    tweet=tweet.tweet,
-                    global_retweet_count=tweet.global_retweet_count,
-                    global_favourite_count=tweet.global_favourite_count,
-                    pos_counts=tweet.pos_counts,
-                )
-            )
-            events.append(HistoryEvent(r, tweet.tweet_id, "seen", ts, tweet.tweet.tokens, None))
+            instances.append(next(instance_ids), tweet.tweet_id, author, u, r, ts, label,
+                             *tweet.fields)
+            events.append(r, tweet.tweet_id, "seen", ts, tweet.tokens, None)
             if label:
                 retweet(r, tweet, ts + _RETWEET_DELAY)
 
-    # a user's statuses are its posts and retweets
-    statuses_of = Counter(e.user_id for e in events if e.action != "seen")
     profiles: dict[int, UserProfile] = {}
     for u in all_users:
         followers_n = len(followers[u]) * 40 + int(rng.poisson(30))
@@ -1288,7 +1658,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
             neighbours=follows.get(u, frozenset()),
         )
 
-    corpus = Corpus(profiles=profiles, events=events, instances=instances)
+    corpus = Corpus(profiles, events, instances)
     _check_integrity(corpus)
     return corpus
 

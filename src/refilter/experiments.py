@@ -11,7 +11,6 @@ and cut into fixed-size batches that feed train/dev/test splits.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import random
@@ -210,6 +209,11 @@ def _time_key(inst: Instance) -> tuple[int, int]:
     return (inst.timestamp, inst.instance_id)
 
 
+def _items(column: np.ndarray) -> Sequence:
+    """A column's Python values, each made when it is read."""
+    return column.tolist() if column.dtype == object else memoryview(column)
+
+
 def build_dataset(
     corpus: Corpus,
     spec: SplitSpec,
@@ -217,64 +221,72 @@ def build_dataset(
 ) -> DatasetSplits:
     """Construct the batched train/dev/test splits from a labeled corpus.
     The result's `funnel`, or a `DatasetError`'s, counts what each rule
-    dropped."""
+    dropped. The rules run over the corpus's instance columns, by row;
+    only the instances of the batches are made as records."""
     if hist is None:
         hist = UserHistoryIndex(corpus)
 
-    positives: list[Instance] = []
-    negatives_by_recipient: dict[int, list[Instance]] = {}
+    instances = corpus.instances
+    labels, recipients, senders, times, ids, tweet_ids = (
+        _items(instances.column(name)) for name in
+        ("label", "recipient_id", "sender_id", "timestamp", "instance_id", "tweet_id"))
+
+    def time_key(row: int) -> tuple[int, int]:
+        return (times[row], ids[row])
+
+    positives: list[int] = []
+    negatives_by_recipient: dict[int, list[int]] = {}
     pos_count_by_recipient: dict[int, int] = {}
     never_retweeted = inactive = 0
-    for inst in corpus.instances:
-        if inst.label:
-            positives.append(inst)
-            pos_count_by_recipient[inst.recipient_id] = (
-                pos_count_by_recipient.get(inst.recipient_id, 0) + 1
-            )
+    for row, (label, recipient) in enumerate(zip(labels, recipients)):
+        if label:
+            positives.append(row)
+            pos_count_by_recipient[recipient] = pos_count_by_recipient.get(recipient, 0) + 1
         else:
             # 'easy' negatives (sender never retweeted by the recipient
             # before this arrival) and negatives from senders with no
             # posts in the prior week are excluded
-            if hist.retweet_count(inst.recipient_id, inst.sender_id, inst.timestamp) == 0:
+            sender, ts = senders[row], times[row]
+            if hist.retweet_count(recipient, sender, ts) == 0:
                 never_retweeted += 1
                 continue
-            if not hist.has_posts_in(inst.sender_id, inst.timestamp, WEEK_SECONDS):
+            if not hist.has_posts_in(sender, ts, WEEK_SECONDS):
                 inactive += 1
                 continue
-            negatives_by_recipient.setdefault(inst.recipient_id, []).append(inst)
+            negatives_by_recipient.setdefault(recipient, []).append(row)
 
     rng = random.Random(f"{spec.seed}:downsample")
-    negatives: list[Instance] = []
+    negatives: list[int] = []
     downsampled = 0
     for recipient in sorted(negatives_by_recipient):
-        negs = sorted(negatives_by_recipient[recipient], key=_time_key)
+        negs = sorted(negatives_by_recipient[recipient], key=time_key)
         quota = pos_count_by_recipient.get(recipient, 0)
         if len(negs) > quota:
             downsampled += len(negs) - quota
             negs = rng.sample(negs, quota)
         negatives.extend(negs)
 
-    def dedup(instances: Iterable[Instance]) -> list[Instance]:
-        earliest: dict[tuple[int, int], Instance] = {}
-        for inst in instances:
-            key = (inst.recipient_id, inst.tweet_id)
+    def dedup(rows: Iterable[int]) -> list[int]:
+        earliest: dict[tuple[int, int], int] = {}
+        for row in rows:
+            key = (recipients[row], tweet_ids[row])
             cur = earliest.get(key)
-            if cur is None or _time_key(inst) < _time_key(cur):
-                earliest[key] = inst
+            if cur is None or time_key(row) < time_key(cur):
+                earliest[key] = row
         return list(earliest.values())
 
     # duplicates are resolved across both classes: the earliest arrival of
     # a tweet at a recipient wins
     merged = dedup(positives + negatives)
-    pos_stream = sorted((i for i in merged if i.label), key=_time_key)
-    neg_stream = sorted((i for i in merged if not i.label), key=_time_key)
+    pos_stream = sorted((row for row in merged if labels[row]), key=time_key)
+    neg_stream = sorted((row for row in merged if not labels[row]), key=time_key)
 
     wanted = spec.total_batches
     achievable = min(len(pos_stream) // spec.batch_pos, len(neg_stream) // spec.batch_neg)
     funnel = DatasetFunnel(
-        instances=len(corpus.instances),
+        instances=len(instances),
         positives=len(positives),
-        negatives=len(corpus.instances) - len(positives),
+        negatives=len(instances) - len(positives),
         negatives_never_retweeted=never_retweeted,
         negatives_sender_inactive=inactive,
         negatives_downsampled=downsampled,
@@ -297,7 +309,7 @@ def build_dataset(
     for i in range(wanted):
         pos_part = pos_stream[i * spec.batch_pos : (i + 1) * spec.batch_pos]
         neg_part = neg_stream[i * spec.batch_neg : (i + 1) * spec.batch_neg]
-        batches.append(sorted(pos_part + neg_part, key=_time_key))
+        batches.append(instances.at(sorted(pos_part + neg_part, key=time_key)))
 
     train = batches[: spec.train_batches]
     dev = batches[spec.train_batches : spec.train_batches + spec.dev_batches]
@@ -518,16 +530,22 @@ def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
         raise
 
 
+def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array of one member, streamed into place with no copy of its
+    bytes; the member is then read to its end, where zipfile checks its
+    CRC."""
+    with zf.open(name) as fh:
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+        fh.read()
+    return array
+
+
 def read_table(path: str | Path, key: str, ids: Iterable[int]) -> FeatureTable | None:
     """The table saved at `path`, or None unless the file is intact, was
     saved under `key`, and holds exactly one row for each of `ids`."""
     try:
         with zipfile.ZipFile(path) as zf:
-            arrays = {
-                name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")),
-                                               allow_pickle=False)
-                for name in _TABLE_ARRAYS
-            }
+            arrays = {name: _read_member(zf, f"{name}.npy") for name in _TABLE_ARRAYS}
     except Exception:
         # a missing file raises OSError, but a damaged archive can fail in
         # zipfile or numpy with almost any exception type; each one means

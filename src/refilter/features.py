@@ -9,7 +9,8 @@ gives each distinct token tuple of the events and instances one slot,
 builds the fixed-point vectors of all slots at once in numpy
 (`vectorspace.PackedVectors`), gathers each history stream's slots,
 timestamps and tweet ids by the index's int64 places of its events (the
-index holds the events' timestamps and tweet ids once per corpus), and
+events' slots come from the corpus's column of token tuple numbers, and
+their timestamps and tweet ids are the corpus's int64 columns), and
 hands the stream, with every instance that queries it, to one
 `vectorspace.stream_means` call. That call answers each distinct query
 once (a tweet delivered to many recipients at one instant asks its
@@ -377,7 +378,6 @@ def extract_matrix(
     return ids, X, labels
 
 
-_TOKENS = attrgetter("tokens")
 _TWEET_TOKENS = attrgetter("tweet.tokens")
 _TIMESTAMP = attrgetter("timestamp")
 _TWEET_ID = attrgetter("tweet_id")
@@ -391,12 +391,12 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     user's posts answer the instances they send (FT10) and receive (FT11),
     and a recipient's seen and retweet streams give FT12 with FT42 and FT13
     with FT43. Every event's token slot is read into an array once per
-    call, its timestamp and tweet id are the index's `times` and
-    `tweet_ids`, and each stream's arrays are gathered by the stream's
-    places in the index. User ids, timestamps and tweet ids are 64-bit
-    integers, as the loader checks."""
-    hist, events = ctx.hist, ctx.corpus.events
-    n, m = len(instances), len(events)
+    call, from the corpus's token column; its timestamp and tweet id are
+    the index's `times` and `tweet_ids`, and each stream's arrays are
+    gathered by the stream's places in the index. User ids, timestamps
+    and tweet ids are 64-bit integers, as the loader checks."""
+    hist, corpus = ctx.hist, ctx.corpus
+    n = len(instances)
     # each distinct token tuple of the instances and events has one slot,
     # its vector's index in the pack, numbered as first met
     slot: defaultdict = defaultdict(itertools.count().__next__)
@@ -409,7 +409,14 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
 
     query = (slots(map(_TWEET_TOKENS, instances), n),
              ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
-    event = (slots(map(_TOKENS, events), m), hist.times, hist.tweet_ids)
+    # the events' tokens are numbers of the corpus's distinct tuples; each
+    # number used takes its tuple's slot, in order of first use
+    numbers = corpus.events.column("tokens")
+    used, first = np.unique(numbers, return_index=True)
+    used = used[np.argsort(first)]
+    slot_of = np.zeros(len(corpus.tuples), np.int64)
+    slot_of[used] = slots(map(corpus.tuples.__getitem__, used.tolist()), len(used))
+    event = (slot_of[numbers], hist.times, hist.tweet_ids)
     pack = PackedVectors(slot, ctx.idf)
     del slot
 

@@ -3,15 +3,15 @@
 `UserHistoryIndex.recent` is the one slice of an event stream, and every
 query returns only events strictly earlier than its `before` timestamp;
 that strictness is the leak-prevention guarantee the feature extractors
-rely on. The index is built once from a corpus and holds each stream as
-the int64 places of its events in `corpus.events`; it is immutable
-afterwards, so concurrent readers are safe.
+rely on. The index is built once from a corpus's event and instance
+columns and holds each stream as the int64 places of its events in
+`corpus.events`; it is immutable afterwards, so concurrent readers are
+safe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -21,11 +21,6 @@ if TYPE_CHECKING:
 
 WEEK_SECONDS = 7 * 86400
 DEFAULT_CAP = 1000
-
-_timestamp = attrgetter("timestamp")
-_tweet_id = attrgetter("tweet_id")
-_user_id = attrgetter("user_id")
-_action = attrgetter("action")
 
 
 def group_places(keys: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -49,6 +44,23 @@ def _places_by_user(users: np.ndarray, chosen: np.ndarray) -> dict[int, np.ndarr
     return {user: _read_only(places[at]) for user, at in group_places(users[places])}
 
 
+def _times_by_pair(a: np.ndarray, b: np.ndarray,
+                   times: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """(a, b) -> the sorted times of the rows that hold that pair."""
+    order = np.lexsort((times, b, a))
+    a, b, times = a[order], b[order], times[order]
+    cuts = np.flatnonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1])) + 1
+    firsts = np.r_[0, cuts][:len(a)]
+    return dict(zip(zip(a[firsts].tolist(), b[firsts].tolist()),
+                    (part.tolist() for part in np.split(times, cuts))))
+
+
+def _first_of_each(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the value at each one's first place."""
+    distinct, first = np.unique(keys, return_index=True)
+    return distinct, values[first]
+
+
 _NO_PLACES = _read_only(np.zeros(0, dtype=np.int64))
 
 
@@ -62,49 +74,61 @@ class UserHistoryIndex:
 
     Each stream is the read-only int64 array of its events' places in
     `corpus.events`, in time order (`posts_places` and the like). The
-    events' `times` and `tweet_ids` are held once as read-only int64
+    events' `times` and `tweet_ids` are the corpus's read-only int64
     columns, which `recent` bisects and a reader of many streams gathers
-    by the places in numpy.
+    by the places in numpy. Every part of the index is built from the
+    columns in numpy; no event record is made.
     """
 
     def __init__(self, corpus: Corpus) -> None:
-        self._events = corpus.events
-        self._mention_times: dict[tuple[int, int], list[int]] = {}
-        self._retweet_times: dict[tuple[int, int], list[int]] = {}
-        self._tweet_retweeters: dict[int, list[HistoryEvent]] = {}
-        author_of: dict[int, int] = {}
+        from .corpus_io import ACTIONS
+
+        events, instances = corpus.events, corpus.instances
+        self._events = events
         self._neighbours = {uid: p.neighbours for uid, p in corpus.profiles.items()}
-
-        for e in corpus.events:
-            if e.action == "authored":
-                author_of.setdefault(e.tweet_id, e.user_id)
-        for inst in corpus.instances:
-            author_of.setdefault(inst.tweet_id, inst.author_id)
-
-        for e in corpus.events:  # corpus events are already time-sorted
-            if e.action == "retweeted":
-                self._tweet_retweeters.setdefault(e.tweet_id, []).append(e)
-                author = author_of.get(e.tweet_id)
-                if author is not None:
-                    self._retweet_times.setdefault((e.user_id, author), []).append(
-                        e.timestamp
-                    )
-            if e.mentions_user is not None:
-                self._mention_times.setdefault((e.user_id, e.mentions_user), []).append(
-                    e.timestamp
-                )
-        events, n = corpus.events, len(corpus.events)
         self.times, self.tweet_ids, users = (
-            _read_only(np.fromiter(map(field, events), np.int64, n))
-            for field in (_timestamp, _tweet_id, _user_id))
+            np.asarray(events.column(name), np.int64)
+            for name in ("timestamp", "tweet_id", "user_id"))
         # `recent` bisects through memoryviews, whose items are Python ints
         self._time_at = memoryview(self.times).__getitem__
-        authored, retweeted = (np.fromiter(map(action.__eq__, map(_action, events)), bool, n)
-                               for action in ("authored", "retweeted"))
+        action = events.column("action")
+        authored, retweeted = (action == ACTIONS.index(name) for name in ("authored", "retweeted"))
         posts = authored | retweeted
         self._posts = _places_by_user(users, posts)
         self._retweets = _places_by_user(users, retweeted)
         self._seen = _places_by_user(users, ~posts)
+
+        mentions = np.flatnonzero(~events.nulls("mentions_user"))
+        self._mention_times = _times_by_pair(
+            users[mentions], np.asarray(events.column("mentions_user")[mentions], np.int64),
+            self.times[mentions])
+
+        # the author of a tweet: its first authored event's user, else the
+        # author of its first instance
+        tweets, authors = _first_of_each(self.tweet_ids[authored], users[authored])
+        delivered, their_authors = (
+            _first_of_each(*(np.asarray(instances.column(name), np.int64)
+                             for name in ("tweet_id", "author_id"))))
+        more = ~np.isin(delivered, tweets, assume_unique=True)
+        tweets = np.concatenate([tweets, delivered[more]])
+        authors = np.concatenate([authors, their_authors[more]])
+        order = np.argsort(tweets)
+        tweets, authors = tweets[order], authors[order]
+
+        retweets = np.flatnonzero(retweeted)
+        retweeted_ids = self.tweet_ids[retweets]
+        at = np.minimum(np.searchsorted(tweets, retweeted_ids), max(len(tweets) - 1, 0))
+        known = tweets[at] == retweeted_ids if len(tweets) else np.zeros(len(retweets), bool)
+        kept = retweets[known]
+        self._retweet_times = _times_by_pair(users[kept], authors[at[known]], self.times[kept])
+
+        # each retweeted tweet's (time, user) pairs, in event order
+        by_tweet = retweets[np.argsort(retweeted_ids, kind="stable")]
+        pairs = list(zip(self.times[by_tweet].tolist(), users[by_tweet].tolist()))
+        ids = self.tweet_ids[by_tweet]
+        cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+        self._retweeters = {tweet: pairs[lo:hi] for tweet, lo, hi in
+                            zip(ids[[0, *cuts][:len(ids)]].tolist(), [0, *cuts], [*cuts, len(ids)])}
 
     # -- time-sorted streams as places in corpus.events, sliced with `recent` --
 
@@ -127,20 +151,23 @@ class UserHistoryIndex:
     ) -> list[HistoryEvent]:
         """The events of a stream's places in [before-window, before), or
         all strictly before `before` if no window: the most recent `cap` of
-        them, then without copies of `exclude_tweet_id`. Each is the
-        corpus's own event, not a copy."""
+        them, then without copies of `exclude_tweet_id`. Each is made from
+        the corpus's columns on this call, equal to the event at its place
+        in `corpus.events`."""
         time = self._time_at
         view = memoryview(places)
         hi = bisect_left(view, before, key=time)
         lo = 0 if window is None else bisect_left(view, before - window, 0, hi, key=time)
-        kept = [self._events[i] for i in view[max(lo, hi - cap):hi].tolist()]
+        kept = places[max(lo, hi - cap):hi]
         if exclude_tweet_id is not None:
-            kept = [e for e in kept if e.tweet_id != exclude_tweet_id]
-        return kept
+            kept = kept[self.tweet_ids[kept] != exclude_tweet_id]
+        return self._events.at(kept)
 
     def has_posts_in(self, user: int, before: int, window: int) -> bool:
         """Did the user author or retweet anything in [before-window, before)?"""
-        return bool(self.recent(self.posts_places(user), before, window, cap=1))
+        view = memoryview(self.posts_places(user))
+        hi = bisect_left(view, before, key=self._time_at)
+        return hi > 0 and self._time_at(view[hi - 1]) >= before - window
 
     # -- counters ------------------------------------------------------------
 
@@ -159,7 +186,7 @@ class UserHistoryIndex:
         if not neighbours:
             return 0
         seen_users: set[int] = set()
-        for e in self._tweet_retweeters.get(tweet_id, ()):
-            if e.timestamp < before and e.user_id in neighbours:
-                seen_users.add(e.user_id)
+        for time, user in self._retweeters.get(tweet_id, ()):
+            if time < before and user in neighbours:
+                seen_users.add(user)
         return len(seen_users)

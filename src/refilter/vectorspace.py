@@ -53,14 +53,17 @@ class IdfTable:
 
 
 def build_idf(corpus: Iterable[Sequence[Token]]) -> IdfTable:
-    """Count in how many documents each token appears (not occurrences)."""
+    """Count in how many documents each token appears (not occurrences).
+
+    Each distinct document is counted once, weighted by how often it
+    occurs; tokens enter `doc_frequency` in the order of the documents
+    that first hold them, as a pass over every document would add them."""
+    docs = Counter(map(tuple, corpus))
     df: dict[Token, int] = {}
-    n = 0
-    for doc in corpus:
-        n += 1
+    for doc, times in docs.items():
         for token in set(doc):
-            df[token] = df.get(token, 0) + 1
-    return IdfTable(doc_count=n, doc_frequency=df)
+            df[token] = df.get(token, 0) + times
+    return IdfTable(doc_count=sum(docs.values()), doc_frequency=df)
 
 
 def vectorize(tokens: Sequence[Token], idf: IdfTable) -> SparseVector:

@@ -11,9 +11,12 @@ import pytest
 
 from refilter import corpus_io
 from refilter.corpus_io import (
+    Corpus,
     CorpusFormatError,
     CorpusIntegrityError,
+    EncodedTweet,
     HistoryEvent,
+    Instance,
     SyntheticConfig,
     Vocabulary,
     config_from_dict,
@@ -653,6 +656,78 @@ def _assert_shared(corpus):
     assert len({id(name) for c in counts for name in c}) == len({name for c in counts for name in c})
 
 
+def test_load_and_index_make_no_event_or_instance_record(tmp_path, small_signal_corpus,
+                                                          monkeypatch):
+    """The loader appends each checked column to the corpus's columns, and
+    the history index reads the columns: neither makes a record."""
+    _, generated = small_signal_corpus
+    write_corpus_dir(generated, tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was made")
+
+    for cls in (HistoryEvent, EncodedTweet, Instance):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    corpus = load_corpus_dir(tmp_path)
+    UserHistoryIndex(corpus)
+    monkeypatch.undo()
+    assert corpus == generated
+
+
+def _field_values(record):
+    """Each field value of a record, its tweet's included."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _field_values(value)
+        else:
+            yield field.name, value
+
+
+def test_records_made_on_access_hold_python_values(small_signal_corpus):
+    """Ids, times and counts are ints, flags are bools, id tuples hold
+    ints and pos_counts map names to ints: no numpy scalar reaches a
+    record, whichever way it is made."""
+    _, corpus = small_signal_corpus
+    events, instances = corpus.events, corpus.instances
+    iid = instances[7].instance_id
+    records = [events[0], events[-1], *events[10:13], *list(events)[-3:],
+               instances[0], instances[-1], *instances[20:23], *list(instances)[-3:],
+               corpus.instance_by_id[iid], *corpus.instance_by_id.take([iid, iid])]
+    for record in records:
+        for name, value in _field_values(record):
+            if name in ("label", "has_url", "has_photo", "has_hashtag", "has_exclamation"):
+                assert type(value) is bool, (name, value)
+            elif name in ("tokens", "mentions"):
+                assert type(value) is tuple and all(type(n) is int for n in value), name
+            elif name == "pos_counts":
+                assert type(value) is dict and all(type(n) is int for n in value.values())
+            elif name == "action":
+                assert value in corpus_io.ACTIONS
+            elif name != "mentions_user" or value is not None:
+                assert type(value) is int, (name, value)
+    assert any(e.mentions_user is not None for e in events)
+
+
+def test_generated_corpus_equals_its_round_trip_and_its_records(tmp_path, small_signal_corpus):
+    """The generator's columns, the loader's and those built from records
+    hold the same corpus; built from shuffled records, events take the
+    order of their (timestamp, user, action, tweet id) key, ties in given
+    order, and instances the order of their ids."""
+    _, generated = small_signal_corpus
+    write_corpus_dir(generated, tmp_path)
+    assert load_corpus_dir(tmp_path) == generated
+    events, instances = list(generated.events), list(generated.instances)
+    assert Corpus(dict(generated.profiles), events, instances) == generated
+    rng = random.Random(31)
+    rng.shuffle(events)
+    rng.shuffle(instances)
+    shuffled = Corpus(dict(generated.profiles), events, instances)
+    assert list(shuffled.events) == sorted(events, key=lambda e: (
+        e.timestamp, e.user_id, corpus_io.ACTIONS.index(e.action), e.tweet_id))
+    assert shuffled == generated
+
+
 def test_loaded_corpus_shares_equal_values(tmp_path, small_signal_corpus):
     _, generated = small_signal_corpus
     write_corpus_dir(generated, tmp_path)
@@ -775,20 +850,21 @@ OPTIONAL_DEFAULTS = (
 
 def _with_default(corpus, file_index, field, default):
     """`corpus` with `field` of the second record of its file at `default`."""
+    events, instances = list(corpus.events), list(corpus.instances)
     if file_index == 0:
         profile = corpus.profiles[2]
         corpus.profiles[2] = dataclasses.replace(profile, **{field: default})
     elif file_index == 1:
-        corpus.events[1] = dataclasses.replace(corpus.events[1], **{field: default})
+        events[1] = dataclasses.replace(events[1], **{field: default})
     else:
-        inst = corpus.instances[1]
+        inst = instances[1]
         if field in {f.name for f in dataclasses.fields(inst.tweet)}:
             inst = dataclasses.replace(inst, tweet=dataclasses.replace(inst.tweet,
                                                                        **{field: default}))
         else:
             inst = dataclasses.replace(inst, **{field: default})
-        corpus.instances[1] = inst
-    return make_corpus(corpus.profiles.values(), corpus.events, corpus.instances)
+        instances[1] = inst
+    return make_corpus(corpus.profiles.values(), events, instances)
 
 
 @pytest.mark.parametrize("file_index", [0, 1, 2])

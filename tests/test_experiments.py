@@ -224,7 +224,7 @@ def test_easy_negatives_dropped():
                            timestamp=(i + 7) * DAY + 600, label=False)
              for i in range(8)]
     corpus2 = make_corpus(corpus.profiles.values(), corpus.events,
-                          corpus.instances + extra)
+                          list(corpus.instances) + extra)
     splits = build_dataset(corpus2, small_spec())
     all_kept = (splits.train_instances + splits.dev_balanced + splits.test_balanced)
     assert all(i.sender_id != 3 for i in all_kept if not i.label)
@@ -250,7 +250,7 @@ def test_duplicate_arrival_keeps_earliest():
     dup = make_instance(iid, 1001, sender=2, recipient=1,
                         timestamp=40 * DAY, label=True)
     corpus2 = make_corpus(corpus.profiles.values(), corpus.events,
-                          corpus.instances + [dup])
+                          list(corpus.instances) + [dup])
     splits = build_dataset(corpus2, small_spec())
     kept = [i for i in splits.train_instances + splits.dev_balanced + splits.test_balanced
             if i.tweet_id == 1001]
@@ -284,7 +284,7 @@ def test_funnel_counts_what_each_rule_drops():
     profiles = [make_profile(1, neighbours=[2, 3, 4]), make_profile(2), make_profile(3),
                 make_profile(4)]
     # recipient 1 retweeted sender 4 once, and 4 posts nothing after day 0
-    events = corpus.events + [HistoryEvent(4, 900, "authored", 0, (6,)),
+    events = list(corpus.events) + [HistoryEvent(4, 900, "authored", 0, (6,)),
                               HistoryEvent(1, 900, "retweeted", 10, (6,))]
     extra = [make_instance(iid + i, 5000 + i, sender=3, recipient=1,
                            timestamp=(i + 7) * DAY + 600, label=False) for i in range(3)]
@@ -292,7 +292,7 @@ def test_funnel_counts_what_each_rule_drops():
                             timestamp=(i + 20) * DAY, label=False) for i in range(2)]
     extra.append(make_instance(iid + 5, 1001, sender=2, recipient=1,
                                timestamp=40 * DAY, label=True))
-    corpus = make_corpus(profiles, events, corpus.instances + extra)
+    corpus = make_corpus(profiles, events, list(corpus.instances) + extra)
     expect = experiments.DatasetFunnel(
         instances=26, positives=9, negatives=17, negatives_never_retweeted=3,
         negatives_sender_inactive=2, negatives_downsampled=3, duplicates=1,

@@ -66,6 +66,28 @@ def test_build_idf_counts_presence_not_occurrences():
     assert table.doc_frequency["a"] == 1
 
 
+def _per_document_idf(docs):
+    """The table by one pass over every document, as build_idf once was."""
+    df = {}
+    for doc in docs:
+        for token in set(doc):
+            df[token] = df.get(token, 0) + 1
+    return IdfTable(doc_count=len(docs), doc_frequency=df)
+
+
+@pytest.mark.parametrize("as_doc", [list, tuple])
+@pytest.mark.parametrize("token", [int, str])
+def test_build_idf_equals_the_per_document_count(as_doc, token):
+    """Counting each distinct document once, weighted by its repeats, gives
+    the same table, with tokens in the same insertion order."""
+    rng = random.Random(31)
+    distinct = [[token(rng.randrange(60)) for _ in range(rng.randrange(12))] for _ in range(40)]
+    docs = [as_doc(rng.choice(distinct)) for _ in range(600)]
+    got, want = build_idf(docs), _per_document_idf(docs)
+    assert got == want
+    assert list(got.doc_frequency.items()) == list(want.doc_frequency.items())
+
+
 def test_empty_corpus_gives_unit_idf():
     table = build_idf([])
     assert table.doc_count == 0
