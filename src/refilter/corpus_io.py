@@ -9,9 +9,11 @@ text normalization. Field names are frozen in docs/FORMATS.md.
 In memory, a `Corpus` holds its events and instances as columns: ids,
 times and counts in int64, flags in bool, the action as a small code, and
 tokens, mentions and pos_counts as numbers of the corpus's shared tuples
-and dicts. The loader and the generator append to these columns and make
-no records; `Corpus.events` and `Corpus.instances` make each record on
-access.
+and dicts. Every id, time and count fits in 64 bits, so every value has
+its code: the loader refuses a larger one, and `Corpus(...)` refuses a
+record's value that its column cannot hold. The loader and the generator
+append to these columns and make no records; `Corpus.events` and
+`Corpus.instances` make each record on access.
 """
 
 from __future__ import annotations
@@ -170,41 +172,25 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
 #
 # A kind's `checks` are tests that every value of a column of JSON values
 # passes, in order, each with what the field must hold otherwise: a text,
-# or a function of the first value that fails. `load` converts a checked
-# column to Python values, and `dump` encodes a column of Python values as
-# JSON texts. _REQUIRED marks a field that has no value when absent.
-#
-# `load` also takes the load's _Memo: token tuples repeat across tens of
-# thousands of records, so the kinds of repeated fields return the object
-# the load already holds for an equal value, not this line's parsed copy.
+# or a function of the first value that fails. `dump` encodes a column of
+# Python values as JSON texts. The checked column of an event or instance
+# field goes as it is to the field's `store`; a profile field's `load`, if
+# it has one, makes the values its records hold. _REQUIRED marks a field
+# that has no value when absent.
 
 _RECORD_BLOCK = 128
 _REQUIRED = object()
 
 
-class _Memo:
-    """One object per distinct value of one load's repeated fields.
-
-    `ids` maps each id tuple, and each int inside one, to itself; `counts`
-    maps a pos_counts record's items, in key order, to its dict. Only
-    exact ints and tuples of them are keys of `ids`, never floats or bools,
-    which hash like the equal ints. It lives for one load.
-    """
-
-    __slots__ = ("ids", "counts")
-
-    def __init__(self) -> None:
-        self.ids: dict = {}
-        self.counts: dict = {}
-
-
 class _Kind(NamedTuple):
     checks: tuple[tuple[Callable[[list], bool], str | Callable[[object], str]], ...]
-    load: Callable[[list, _Memo], list]
     dump: Callable[[list], list[str]]
-    # the column a corpus holds the field in, made from the corpus's
-    # distinct tuples and distinct pos_counts; None for a profile field
-    store: Callable[[_Distinct, _Distinct], _Store] | None = None
+    # a profile field's values from its checked column and the corpus's
+    # distinct tuples; None keeps the JSON values
+    load: Callable[[_Tuples, list], list] | None = None
+    # the column a corpus holds an event or instance field in, made from
+    # the corpus's distinct tuples and distinct pos_counts
+    store: Callable[[_Tuples, _Counts], _Store] | None = None
 
 
 # json.dumps with keyword arguments builds a new encoder on every call
@@ -212,7 +198,6 @@ _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 _DICT = frozenset({dict})
 _INT = frozenset({int})
-_BOOL = frozenset({bool})
 _LIST = frozenset({list})
 _STR = frozenset({str})
 _NUMBER = frozenset({int, float})
@@ -227,47 +212,9 @@ def _ints_within(low: int, high: int) -> Callable[[list], bool]:
         not col or low <= min(col) and max(col) <= high)
 
 
-def _as_is(col: list, memo: _Memo) -> list:
-    return col
-
-
-def _shared(keys: list, known: dict, new: Callable) -> list:
-    """known[key] for each key; `new(key)` makes and keeps the value of a
-    key not seen before."""
-    shared = list(map(known.get, keys))
-    for row in compress(range(len(keys)), map(is_, shared, repeat(None))):
-        value = known.get(keys[row])
-        shared[row] = new(keys[row]) if value is None else value
-    return shared
-
-
-def _shared_ids(col: list, memo: _Memo) -> list[tuple[int, ...]]:
-    ids = memo.ids
-
-    def new(key: tuple) -> tuple:
-        shared = tuple(map(ids.setdefault, key, key))
-        ids[shared] = shared
-        return shared
-
-    return _shared(list(map(tuple, col)), ids, new)
-
-
 # the part-of-speech counts FT47-FT49 read; a missing one reads 0
 _POS_COUNT_NAMES = {name: name for name in
                     ("nouns_verbs", "definite_articles", "indefinite_articles")}
-
-
-def _shared_counts(col: list, memo: _Memo) -> list[dict | None]:
-    counts = memo.counts
-
-    def new(key: tuple | None) -> dict | None:
-        if key is None:
-            return None
-        # the keys become the module's name strings
-        shared = counts[key] = {_POS_COUNT_NAMES[k]: n for k, n in key}
-        return shared
-
-    return _shared([None if v is None else tuple(v.items()) for v in col], counts, new)
 
 
 def _count_values(col: list) -> Iterable:
@@ -275,11 +222,10 @@ def _count_values(col: list) -> Iterable:
     return chain.from_iterable(map(dict.values, filter(None, col)))
 
 
-# Integer fields must hold JSON integers. Ids and timestamps fit in 64 bits,
-# as the feature table stores instance ids; a count becomes a float feature
-# value, so it must not exceed the float range.
+# Integer fields must hold JSON integers that fit in 64 bits, signed for an
+# id or timestamp and >= 0 for a count: each such field of an event or
+# instance is an int64 column, and the feature table stores instance ids.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_FLOAT_COUNT_MAX = int(sys.float_info.max)
 
 
 def _dump_ints(col: list) -> list[str]:
@@ -324,17 +270,14 @@ def _list_of_ints(col: list) -> bool:
             and _INT.issuperset(map(type, chain.from_iterable(col))))
 
 
-_CANONICAL_ACTION = {a: a for a in ACTIONS}
-
-
 # ---- the column store
 #
 # A corpus holds each field of its events and instances as one numpy
-# column in record order. A field's _Store converts each block of its
-# values to an array.array of machine codes, and the blocks are joined
-# once, into the column. A field that gets a value without a code (a count
-# beyond int64, or a record built in memory with some other type) holds
-# every value as given, in an object array, from then on.
+# column in record order. A field's _Store encodes each block of its
+# values as an array.array of machine codes, and the blocks are joined
+# once, into the column. Every value has a code: the loader's checks admit
+# no other, and a record built in memory with a value that has none is
+# refused, with its field named (`_Builder.extend`).
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -343,8 +286,8 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 class _Column(NamedTuple):
-    """One field's codes (or values as given), its null mask or None, and
-    the function that makes its Python values from a part of both."""
+    """One field's codes, its null mask or None, and the function that
+    makes its Python values from a part of both."""
 
     values: np.ndarray
     nulls: np.ndarray | None
@@ -373,6 +316,10 @@ def _with_nulls(values: np.ndarray, nulls: np.ndarray) -> list:
     return [None if null else value for value, null in zip(held, nulls.tolist())]
 
 
+def _actions(codes: np.ndarray, nulls: None) -> list[str]:
+    return list(map(ACTIONS.__getitem__, codes.tolist()))
+
+
 def _coded(blocks: list[array], dtype) -> np.ndarray:
     # the blocks joined: one allocation, read by numpy in place. Growing
     # one array.array per field instead reallocates every field's buffer
@@ -382,22 +329,25 @@ def _coded(blocks: list[array], dtype) -> np.ndarray:
 
 
 class _Distinct:
-    """One object per distinct value, numbered as first met: a corpus's id
-    tuples, or its pos_counts dicts (and null), each keyed by `key`."""
+    """One object per distinct value of a corpus's repeated field, numbered
+    as first met. A value is known by its `key`, and the object kept for a
+    new key is made by `new(key)`, whether the value came as JSON or in a
+    record."""
 
-    def __init__(self, key: Callable | None = None) -> None:
+    def __init__(self) -> None:
         self.values: list = []
         self._numbers: dict = {}
-        self._key = key
 
     def numbers(self, col: Sequence) -> list[int]:
-        keys = col if self._key is None else list(map(self._key, col))
+        keys = list(map(self.key, col))
         numbers = list(map(self._numbers.get, keys))
         for row in compress(range(len(keys)), map(is_, numbers, repeat(None))):
             number = self._numbers.get(keys[row])
             if number is None:
-                number = self._numbers[keys[row]] = len(self.values)
-                self.values.append(col[row])
+                kept = self.new(keys[row])
+                # keyed by the kept object's key, which shares its parts
+                number = self._numbers[self.key(kept)] = len(self.values)
+                self.values.append(kept)
             numbers[row] = number
         return numbers
 
@@ -405,8 +355,37 @@ class _Distinct:
         return list(map(self.values.__getitem__, numbers.tolist()))
 
 
-def _counts_key(counts: Mapping[str, int] | None) -> tuple | None:
-    return None if counts is None else tuple(counts.items())
+class _Tuples(_Distinct):
+    """A corpus's distinct id tuples (tokens and mentions), from JSON lists
+    or tuples. Each int inside one, or inside a profile's neighbours
+    (`sets`), is one object."""
+
+    key = staticmethod(tuple)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ints: dict[int, int] = {}
+
+    def new(self, key: tuple) -> tuple[int, ...]:
+        return tuple(map(self._ints.setdefault, key, key))
+
+    def sets(self, col: list[list[int]]) -> list[frozenset[int]]:
+        ints = self._ints
+        return [frozenset(map(ints.setdefault, ids, ids)) for ids in col]
+
+
+class _Counts(_Distinct):
+    """A corpus's distinct pos_counts dicts and null. A dict is known by
+    its items in key order, and the kept one's names are the module's
+    name strings."""
+
+    @staticmethod
+    def key(counts: Mapping[str, int] | None) -> tuple | None:
+        return None if counts is None else tuple(counts.items())
+
+    @staticmethod
+    def new(key: tuple | None) -> dict[str, int] | None:
+        return None if key is None else {_POS_COUNT_NAMES.get(name, name): n for name, n in key}
 
 
 class _Store:
@@ -414,76 +393,59 @@ class _Store:
 
     typecode, dtype, decode = "q", np.int64, staticmethod(_shared_ints)
 
-    def __init__(self, tuples: _Distinct, counts: _Distinct) -> None:
+    def __init__(self, tuples: _Tuples, counts: _Counts) -> None:
         self.codes: list[array] = []
-        self.objects: list | None = None
 
-    def fits(self, col: Sequence) -> bool:
-        return _INT.issuperset(map(type, col)) and (
-            not col or _INT64_MIN <= min(col) and max(col) <= _INT64_MAX)
-
-    def encode(self, col: Sequence) -> None:
-        self.codes.append(array(self.typecode, col))
+    def encode(self, col: Sequence) -> array:
+        """The codes of a block of values; one of _NO_CODE refuses a value
+        that has none."""
+        return array(self.typecode, col)
 
     def extend(self, col: Sequence) -> None:
-        if self.objects is None and self.fits(col):
-            self.encode(col)
-            return
-        if self.objects is None:
-            column = self.column()
-            self.objects = column.decode(column.values, column.nulls)
-        self.objects.extend(col)
+        self.codes.append(self.encode(col))
 
     def column(self) -> _Column:
-        if self.objects is None:
-            return _Column(_coded(self.codes, self.dtype), None, self.decode)
-        return _Column(_frozen(np.fromiter(self.objects, object, len(self.objects))), None,
-                       _as_list)
+        return _Column(_coded(self.codes, self.dtype), None, self.decode)
 
 
 class _Flags(_Store):
-    """A field of bools, as bool."""
+    """A field of bools (or 0 and 1), as bool."""
 
     typecode, dtype, decode = "B", np.bool_, staticmethod(_as_list)
 
-    def fits(self, col: Sequence) -> bool:
-        return _BOOL.issuperset(map(type, col))
+    def encode(self, col: Sequence) -> array:
+        codes = super().encode(col)
+        if max(codes, default=0) > 1:
+            raise ValueError("a flag is 0 or 1")
+        return codes
 
 
 class _IdsOrNull(_Store):
     """A field of 64-bit integers or nulls, as int64 (0 at a null) with a
     null mask."""
 
-    def __init__(self, tuples: _Distinct, counts: _Distinct) -> None:
+    def __init__(self, tuples: _Tuples, counts: _Counts) -> None:
         super().__init__(tuples, counts)
         self.nulls: list[array] = []
 
-    def fits(self, col: Sequence) -> bool:
-        return super().fits([value for value in col if value is not None])
+    def encode(self, col: Sequence) -> array:
+        return super().encode([0 if value is None else value for value in col])
 
-    def encode(self, col: Sequence) -> None:
+    def extend(self, col: Sequence) -> None:
+        super().extend(col)
         self.nulls.append(array("B", map(is_, col, repeat(None))))
-        self.codes.append(array(self.typecode, [0 if value is None else value for value in col]))
 
     def column(self) -> _Column:
-        if self.objects is None:
-            return _Column(_coded(self.codes, self.dtype), _coded(self.nulls, np.bool_),
-                           _with_nulls)
-        nulls = np.fromiter(map(is_, self.objects, repeat(None)), np.bool_, len(self.objects))
-        return super().column()._replace(nulls=_frozen(nulls), decode=_with_nulls)
+        return _Column(_coded(self.codes, self.dtype), _coded(self.nulls, np.bool_), _with_nulls)
 
 
 class _Actions(_Store):
     """The action, as its place in ACTIONS."""
 
-    typecode, dtype = "B", np.uint8
+    typecode, dtype, decode = "B", np.uint8, staticmethod(_actions)
 
-    def extend(self, col: Sequence) -> None:
-        self.codes.append(array(self.typecode, map(_ACTION_RANK.__getitem__, col)))
-
-    def column(self) -> _Column:
-        return _Column(_coded(self.codes, self.dtype), None,
-                       lambda codes, nulls: list(map(ACTIONS.__getitem__, codes.tolist())))
+    def encode(self, col: Sequence) -> array:
+        return array(self.typecode, map(_ACTION_RANK.__getitem__, col))
 
 
 class _Numbered(_Store):
@@ -491,39 +453,31 @@ class _Numbered(_Store):
 
     def __init__(self, distinct: _Distinct) -> None:
         super().__init__(distinct, distinct)
-        self.distinct = distinct
+        self.distinct, self.decode = distinct, distinct.decode
 
-    def extend(self, col: Sequence) -> None:
-        self.codes.append(array(self.typecode, self.distinct.numbers(col)))
-
-    def column(self) -> _Column:
-        return _Column(_coded(self.codes, self.dtype), None, self.distinct.decode)
+    def encode(self, col: Sequence) -> array:
+        return array(self.typecode, self.distinct.numbers(col))
 
 
 _id = _Kind(((_ints_within(_INT64_MIN, _INT64_MAX), "must be a 64-bit integer"),),
-            _as_is, _dump_ints, _Store)
-_count = _Kind(((_ints_within(0, _FLOAT_COUNT_MAX),
-                 "must be an integer >= 0 within the float range"),),
-               _as_is, _dump_ints, _Store)
+            _dump_ints, store=_Store)
+_count = _Kind(((_ints_within(0, _INT64_MAX), "must be an integer >= 0 that fits in 64 bits"),),
+               _dump_ints, store=_Store)
 # JSON 0 or 1
 _flag = _Kind(((_ints_within(0, 1), "must be 0 or 1"),),
-              lambda col, memo: list(map(bool, col)),
-              lambda col: _dump_ints(list(map(int, col))), _Flags)
-_number = _Kind(((_finite_numbers, "must be a finite number"),),
-                lambda col, memo: list(map(float, col)), _dump_numbers)
-_id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _shared_ids, _dump_each(),
-                 lambda tuples, counts: _Numbered(tuples))
-_id_set = _Kind(_id_list.checks,
-                lambda col, memo: list(map(frozenset, _shared_ids(col, memo))),
-                _dump_each(sorted))
-_action = _Kind(((lambda col: _STR.issuperset(map(type, col))
-                  and _CANONICAL_ACTION.keys() >= set(col),
+              lambda col: _dump_ints(list(map(int, col))),
+              lambda tuples, col: list(map(bool, col)), _Flags)
+_number = _Kind(((_finite_numbers, "must be a finite number"),), _dump_numbers,
+                lambda tuples, col: list(map(float, col)))
+_id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _dump_each(),
+                 store=lambda tuples, counts: _Numbered(tuples))
+_id_set = _Kind(_id_list.checks, _dump_each(sorted), _Tuples.sets)
+_action = _Kind(((lambda col: _STR.issuperset(map(type, col)) and _ACTION_RANK.keys() >= set(col),
                   lambda value: f"must be one of {', '.join(ACTIONS)}, not {value!r}"),),
-                lambda col, memo: list(map(_CANONICAL_ACTION.__getitem__, col)), _dump_each(),
-                _Actions)
+                _dump_each(), store=_Actions)
 _user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col)),
                         "must be an integer or null"),),
-                      _as_is, _dump_each(), _IdsOrNull)
+                      _dump_each(), store=_IdsOrNull)
 _pos_counts = _Kind(
     ((lambda col: _MAP_OR_NULL.issuperset(map(type, col))
       and _INT.issuperset(map(type, _count_values(col))),
@@ -531,11 +485,10 @@ _pos_counts = _Kind(
      (lambda col: _POS_COUNT_NAMES.keys() >= set(chain.from_iterable(filter(None, col))),
       lambda value: f"has unknown name {next(k for k in value if k not in _POS_COUNT_NAMES)!r},"
                     f" not one of {', '.join(_POS_COUNT_NAMES)}"),
-     (lambda col: _ints_within(0, _FLOAT_COUNT_MAX)(list(_count_values(col))),
-      "must map names to integers >= 0 within the float range")),
-    _shared_counts,
+     (lambda col: _ints_within(0, _INT64_MAX)(list(_count_values(col))),
+      "must map names to integers >= 0 that fit in 64 bits")),
     _dump_each(lambda counts: None if counts is None else dict(counts)),
-    lambda tuples, counts: _Numbered(counts),
+    store=lambda tuples, counts: _Numbered(counts),
 )
 
 _PROFILE_FIELDS = (
@@ -613,12 +566,16 @@ def _profile_values(profiles: Sequence[UserProfile]) -> _Values:
     return _Values(lambda name: list(map(attrgetter(name), profiles)))
 
 
+# what `_Store.encode` raises for a value that has no code
+_NO_CODE = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
+
+
 class _Builder:
     """The columns of one record kind, appended a block of columns or one
     record at a time. A corpus's events and instances share its distinct
     tuples and pos_counts."""
 
-    def __init__(self, table: Sequence[tuple], tuples: _Distinct, counts: _Distinct) -> None:
+    def __init__(self, table: Sequence[tuple], tuples: _Tuples, counts: _Counts) -> None:
         self.tuples = tuples
         self._names = [name for name, _, _ in table]
         self._stores = [kind.store(tuples, counts) for _, kind, _ in table]
@@ -626,7 +583,7 @@ class _Builder:
 
     @classmethod
     def of_records(cls, records: Iterable, table: Sequence[tuple], paths: Mapping[str, str],
-                   tuples: _Distinct, counts: _Distinct) -> _Builder:
+                   tuples: _Tuples, counts: _Counts) -> _Builder:
         builder = cls(table, tuples, counts)
         getters = [attrgetter(paths[name]) for name in builder._names]
         records = iter(records)
@@ -642,10 +599,15 @@ class _Builder:
             self._flush()
 
     def extend(self, columns: Iterable[Sequence]) -> None:
-        """A block of records: one column per field, in table order."""
+        """A block of records: one column per field, in table order.
+        CorpusError names the field and the first value that its column
+        cannot hold."""
         self._flush()
-        for store, col in zip(self._stores, columns):
-            store.extend(col)
+        for name, store, col in zip(self._names, self._stores, columns):
+            try:
+                store.extend(col)
+            except _NO_CODE as exc:
+                raise CorpusError(f"field {name!r} cannot hold {_refused(store, col)!r}") from exc
 
     def _flush(self) -> None:
         rows, self._rows = self._rows, []
@@ -655,6 +617,16 @@ class _Builder:
     def columns(self) -> dict[str, _Column]:
         self._flush()
         return {name: store.column() for name, store in zip(self._names, self._stores)}
+
+
+def _refused(store: _Store, col: Sequence) -> object:
+    """The first value of `col` that `store` has no code for."""
+    for value in col:
+        try:
+            store.encode([value])
+        except _NO_CODE:
+            return value
+    raise AssertionError("a block had no code, but each of its values has one")
 
 
 def _make_events(values: list[list]) -> Iterator[HistoryEvent]:
@@ -689,9 +661,8 @@ class Records(Sequence):
 
     def column(self, name: str) -> np.ndarray:
         """A field's read-only codes: int64 ids, times, counts and numbers
-        of the corpus's `tuples`, bool flags, and the action's place in
-        ACTIONS. A field with a value that has no code holds its values in
-        an object array."""
+        of the corpus's `tuples` (or of its distinct pos_counts), bool
+        flags, and the action's uint8 place in ACTIONS."""
         return self._columns[name].values
 
     def nulls(self, name: str) -> np.ndarray | None:
@@ -797,7 +768,7 @@ class Corpus:
                  events: Iterable[HistoryEvent] | _Builder = (),
                  instances: Iterable[Instance] | _Builder = ()) -> None:
         if not isinstance(events, _Builder):
-            tuples, counts = _Distinct(), _Distinct(_counts_key)
+            tuples, counts = _Tuples(), _Counts()
             events = _Builder.of_records(events, _EVENT_FIELDS, _EVENT_PATHS, tuples, counts)
             instances = _Builder.of_records(instances, _INSTANCE_FIELDS, _INSTANCE_PATHS,
                                             tuples, counts)
@@ -954,16 +925,11 @@ def _first_bad(col: list, checks: Sequence[tuple]) -> tuple[int, str] | None:
 
 
 def _checked(records: list[dict], error: Exception | None, table: Sequence[tuple],
-             memo: _Memo, where: Callable[[int], str]
-             ) -> tuple[dict[str, list], int, Exception | None]:
-    """The loaded columns of a block's records by name, up to the first
+             where: Callable[[int], str]) -> tuple[dict[str, list], int, Exception | None]:
+    """The checked columns of a block's records by name, up to the first
     record with a bad field, their length, and that record's error;
     `error` is the block's error at the row after its last record. Within
-    a record, the first bad field in table order is named.
-
-    It empties `records` once their columns are taken: the decoded dicts,
-    alive while the loaded values are made, would leave holes in the heap
-    that later, larger allocations cannot use."""
+    a record, the first bad field in table order is named."""
     limit = len(records)
     columns = {}
     for name, kind, absent in table:
@@ -973,9 +939,7 @@ def _checked(records: list[dict], error: Exception | None, table: Sequence[tuple
             limit, must = bad
             error = CorpusFormatError(f"{where(limit)}: field {name!r} {must}")
         columns[name] = col
-    records.clear()
-    loaded = {name: kind.load(columns.pop(name)[:limit], memo) for name, kind, _ in table}
-    return loaded, limit, error
+    return {name: col[:limit] for name, col in columns.items()}, limit, error
 
 
 # Reference rules over a block's columns by name: (field, a test that every
@@ -1079,16 +1043,16 @@ def _raise_broken(broken: tuple[int, str, str] | None, where: Callable[[int], st
         raise CorpusIntegrityError(f"{where(row)}: field {field!r}: {message}")
 
 
-def _read_blocks(path: Path, table: Sequence[tuple], memo: _Memo,
+def _read_blocks(path: Path, table: Sequence[tuple],
                  rules: Sequence[tuple]) -> Iterator[tuple[list[int], dict[str, list]]]:
-    """(line numbers, loaded columns by name) of each block of a record
+    """(line numbers, checked columns by name) of each block of a record
     file. The first bad record of a block raises, its format before the
     rules; a block's rules see the records before the first bad format."""
     for linenos, texts in _line_blocks(path):
         def where(row: int) -> str:
             return f"{path}:{linenos[row]}"
 
-        columns, rows, error = _checked(*_decoded(texts, where), table, memo, where)
+        columns, rows, error = _checked(*_decoded(texts, where), table, where)
         _raise_broken(_first_broken(rules, columns, rows), where)
         if error is not None:
             raise error
@@ -1119,30 +1083,30 @@ def load_corpus(
     """Read the three record files into a validated, indexed corpus.
 
     Each file is read in blocks of lines. Each line of a block is decoded
-    on its own; each field is then checked, and loaded, as one column
-    across the block's records, and the reference rules run as set
-    operations over the block's id columns. The first bad line of a file
-    is reported: malformed lines raise CorpusFormatError, and references
-    to unknown users or repeated ids raise CorpusIntegrityError; both name
-    the file, the line and the field.
+    on its own; each field is then checked as one column across the
+    block's records, and the reference rules run as set operations over
+    the block's id columns. The first bad line of a file is reported:
+    malformed lines raise CorpusFormatError, and references to unknown
+    users or repeated ids raise CorpusIntegrityError; both name the file,
+    the line and the field.
 
-    The checked columns are appended to the corpus's columns; no event or
-    instance record is made. Equal id tuples (tokens, mentions,
-    neighbours), the ints inside them, actions and equal pos_counts dicts
-    are each one shared object, as in a generated corpus; no value is
-    shared with another load.
+    Each checked column of an event or instance field is appended to its
+    column of the corpus; no event or instance record is made. Equal id
+    tuples (tokens, mentions), the ints inside them and inside the
+    profiles' neighbours, and equal pos_counts dicts are each one shared
+    object, as in a generated corpus; no value is shared with another
+    load.
     """
-    return _read_corpus(Path(profiles_path), Path(history_path), Path(instances_path), _Memo())
-
-
-def _read_corpus(
-    profiles_path: Path, history_path: Path, instances_path: Path, memo: _Memo
-) -> Corpus:
+    profiles_path, history_path, instances_path = map(
+        Path, (profiles_path, history_path, instances_path))
+    tuples, counts = _Tuples(), _Counts()
     profiles: dict[int, UserProfile] = {}
     profile_lines: list[int] = []
-    for linenos, columns in _read_blocks(profiles_path, _PROFILE_FIELDS, memo,
+    for linenos, columns in _read_blocks(profiles_path, _PROFILE_FIELDS,
                                          (_unique("user_id", profiles.keys()),)):
-        profiles.update(zip(columns["user_id"], map(UserProfile, *columns.values())))
+        values = [col if kind.load is None else kind.load(tuples, col)
+                  for (_, kind, _), col in zip(_PROFILE_FIELDS, columns.values())]
+        profiles.update(zip(columns["user_id"], map(UserProfile, *values)))
         profile_lines += linenos
     known = set(profiles)
     _raise_broken(
@@ -1150,14 +1114,13 @@ def _read_corpus(
                       len(profiles)),
         lambda row: f"{profiles_path}:{profile_lines[row]}")
 
-    tuples, counts = _Distinct(), _Distinct(_counts_key)
     events = _Builder(_EVENT_FIELDS, tuples, counts)
-    for _, columns in _read_blocks(history_path, _EVENT_FIELDS, memo, _event_rules(known)):
+    for _, columns in _read_blocks(history_path, _EVENT_FIELDS, _event_rules(known)):
         events.extend(columns.values())
 
     instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
     seen_ids: set[int] = set()
-    for _, columns in _read_blocks(instances_path, _INSTANCE_FIELDS, memo,
+    for _, columns in _read_blocks(instances_path, _INSTANCE_FIELDS,
                                    (_unique("instance_id", seen_ids), *_instance_rules(known))):
         instances.extend(columns.values())
         seen_ids.update(columns["instance_id"])
@@ -1526,7 +1489,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     tweet_ids = itertools.count(1)
     instance_ids = itertools.count(1)
     buffer: deque[_Tweet] = deque(maxlen=500)
-    tuples, counts = _Distinct(), _Distinct(_counts_key)
+    tuples, counts = _Tuples(), _Counts()
     events = _Builder(_EVENT_FIELDS, tuples, counts)
     instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
     # a user's statuses are its posts and retweets

@@ -209,11 +209,6 @@ def _time_key(inst: Instance) -> tuple[int, int]:
     return (inst.timestamp, inst.instance_id)
 
 
-def _items(column: np.ndarray) -> Sequence:
-    """A column's Python values, each made when it is read."""
-    return column.tolist() if column.dtype == object else memoryview(column)
-
-
 def build_dataset(
     corpus: Corpus,
     spec: SplitSpec,
@@ -227,8 +222,9 @@ def build_dataset(
         hist = UserHistoryIndex(corpus)
 
     instances = corpus.instances
+    # each item of a column's memoryview is made when it is read
     labels, recipients, senders, times, ids, tweet_ids = (
-        _items(instances.column(name)) for name in
+        memoryview(instances.column(name)) for name in
         ("label", "recipient_id", "sender_id", "timestamp", "instance_id", "tweet_id"))
 
     def time_key(row: int) -> tuple[int, int]:

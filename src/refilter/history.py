@@ -87,8 +87,7 @@ class UserHistoryIndex:
         self._events = events
         self._neighbours = {uid: p.neighbours for uid, p in corpus.profiles.items()}
         self.times, self.tweet_ids, users = (
-            np.asarray(events.column(name), np.int64)
-            for name in ("timestamp", "tweet_id", "user_id"))
+            events.column(name) for name in ("timestamp", "tweet_id", "user_id"))
         # `recent` bisects through memoryviews, whose items are Python ints
         self._time_at = memoryview(self.times).__getitem__
         action = events.column("action")
@@ -100,15 +99,13 @@ class UserHistoryIndex:
 
         mentions = np.flatnonzero(~events.nulls("mentions_user"))
         self._mention_times = _times_by_pair(
-            users[mentions], np.asarray(events.column("mentions_user")[mentions], np.int64),
-            self.times[mentions])
+            users[mentions], events.column("mentions_user")[mentions], self.times[mentions])
 
         # the author of a tweet: its first authored event's user, else the
         # author of its first instance
         tweets, authors = _first_of_each(self.tweet_ids[authored], users[authored])
-        delivered, their_authors = (
-            _first_of_each(*(np.asarray(instances.column(name), np.int64)
-                             for name in ("tweet_id", "author_id"))))
+        delivered, their_authors = _first_of_each(instances.column("tweet_id"),
+                                                  instances.column("author_id"))
         more = ~np.isin(delivered, tweets, assume_unique=True)
         tweets = np.concatenate([tweets, delivered[more]])
         authors = np.concatenate([authors, their_authors[more]])

@@ -4,6 +4,7 @@ with `pytest -s` or on failure)."""
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import astuple
 
 import numpy as np
@@ -206,8 +207,10 @@ def test_criterion_5_leak_freedom(strong_pipeline):
     full_rows = np.stack([features.assemble(inst, full_ctx).values for inst in sample])
     _, batch_rows, _ = extract_matrix(FeatureContext(corpus, hist, idf), sample)
     assert np.allclose(batch_rows, full_rows, atol=1e-9)
+    # events are in time order: those before an instance are a prefix
+    events, times = list(corpus.events), corpus.events.column("timestamp")
     for row, inst in zip(full_rows, sample):
-        truncated_events = [e for e in corpus.events if e.timestamp < inst.timestamp]
+        truncated_events = events[:bisect_left(times, inst.timestamp)]
         truncated = corpus_io.Corpus(
             profiles=corpus.profiles, events=truncated_events, instances=[inst]
         )

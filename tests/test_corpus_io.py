@@ -488,11 +488,45 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     (1, "timestamp", -(2**63) - 1),
     pytest.param(2, "pos_counts", {"nouns_verbs": 10**400}, id="2-pos_counts-10**400"),
     pytest.param(2, "pos_counts", {"nouns_verbs": -5}, id="2-pos_counts--5"),
+    # a count must fit in 64 bits
+    pytest.param(0, "followers", 2**63, id="0-followers-2**63"),
+    pytest.param(2, "char_length", 2**63, id="2-char_length-2**63"),
+    pytest.param(2, "pos_counts", {"nouns_verbs": 2**63}, id="2-pos_counts-2**63"),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     path = _set_second_record_field(tmp_path, file_index, field, value)
     with pytest.raises(CorpusFormatError, match=rf"{path.name}:2: field '{field}'"):
         load_corpus(*corpus_paths(tmp_path))
+
+
+@pytest.mark.parametrize("file_index,field,value", [
+    pytest.param(0, "followers", 2**63 - 1, id="0-followers-2**63-1"),
+    pytest.param(2, "char_length", 2**63 - 1, id="2-char_length-2**63-1"),
+    pytest.param(2, "pos_counts", {"nouns_verbs": 2**63 - 1}, id="2-pos_counts-2**63-1"),
+])
+def test_largest_count_loads_and_writes_back_byte_stable(tmp_path, file_index, field, value):
+    _set_second_record_field(tmp_path, file_index, field, value)
+    write_corpus_dir(load_corpus_dir(tmp_path), tmp_path / "b")
+    text = corpus_paths(tmp_path / "b")[file_index].read_text(encoding="utf-8")
+    assert json.dumps({field: value}, separators=(",", ":"))[1:-1] in text
+    write_corpus_dir(load_corpus_dir(tmp_path / "b"), tmp_path / "c")
+    for b, c in zip(corpus_paths(tmp_path / "b"), corpus_paths(tmp_path / "c")):
+        assert b.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("file_index,field,value", [
+    (1, "timestamp", 2**63),
+    (1, "timestamp", 1.5),
+    (1, "action", "posted"),
+    (2, "char_length", 2**63),
+    (2, "label", 2),
+])
+def test_corpus_refuses_a_value_its_column_cannot_hold(file_index, field, value):
+    """A record built in memory is held only if each value has a code in
+    its field's column; otherwise CorpusError names the field and value."""
+    with pytest.raises(corpus_io.CorpusError) as exc:
+        _with_default(small_corpus(), file_index, field, value)
+    assert str(exc.value) == f"field {field!r} cannot hold {value!r}"
 
 
 def _set_second_record_field(tmp_path, file_index, field, value):

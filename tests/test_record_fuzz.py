@@ -18,7 +18,6 @@ import json
 import math
 import random
 import re
-import sys
 from collections import Counter
 
 import numpy as np
@@ -224,7 +223,7 @@ class _OracleMemo:
 
 
 _ORACLE_INT64 = range(-(2**63), 2**63)
-_ORACLE_FLOAT_COUNTS = range(int(sys.float_info.max) + 1)
+_ORACLE_FLOAT_COUNTS = range(2**63)
 
 
 def _o_id(value, memo):
@@ -236,7 +235,7 @@ def _o_id(value, memo):
 def _o_count(value, memo):
     if type(value) is int and value in _ORACLE_FLOAT_COUNTS:
         return value
-    raise _OracleBadValue("must be an integer >= 0 within the float range")
+    raise _OracleBadValue("must be an integer >= 0 that fits in 64 bits")
 
 
 def _o_flag(value, memo):
@@ -298,7 +297,7 @@ def _o_pos_counts(value, memo):
             raise _OracleBadValue(
                 f"has unknown name {name!r}, not one of {', '.join(_ORACLE_POS_NAMES)}")
     if not all(n in _ORACLE_FLOAT_COUNTS for n in value.values()):
-        raise _OracleBadValue("must map names to integers >= 0 within the float range")
+        raise _OracleBadValue("must map names to integers >= 0 that fit in 64 bits")
     key = tuple(value.items())
     shared = memo.counts.get(key)
     if shared is None:
