@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, contains, eq, is_
+from operator import attrgetter, eq, is_, itemgetter
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -475,8 +475,9 @@ _id_set = _Kind(_id_list.checks, _dump_each(sorted), _Tuples.sets)
 _action = _Kind(((lambda col: _STR.issuperset(map(type, col)) and _ACTION_RANK.keys() >= set(col),
                   lambda value: f"must be one of {', '.join(ACTIONS)}, not {value!r}"),),
                 _dump_each(), store=_Actions)
-_user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col)),
-                        "must be an integer or null"),),
+_user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col))
+                        and _ints_within(_INT64_MIN, _INT64_MAX)([v for v in col if v is not None]),
+                        "must be a 64-bit integer or null"),),
                       _dump_each(), store=_IdsOrNull)
 _pos_counts = _Kind(
     ((lambda col: _MAP_OR_NULL.issuperset(map(type, col))
@@ -549,23 +550,6 @@ _EVENT_PATHS = _attribute_paths(_EVENT_FIELDS)
 _INSTANCE_PATHS = _attribute_paths(_INSTANCE_FIELDS, _TWEET)
 
 
-class _Values(dict):
-    """The Python values of a record kind's fields by name, each column
-    made by `values(name)` on first use."""
-
-    def __init__(self, values: Callable[[str], list]) -> None:
-        super().__init__()
-        self.values = values
-
-    def __missing__(self, name: str) -> list:
-        column = self[name] = self.values(name)
-        return column
-
-
-def _profile_values(profiles: Sequence[UserProfile]) -> _Values:
-    return _Values(lambda name: list(map(attrgetter(name), profiles)))
-
-
 # what `_Store.encode` raises for a value that has no code
 _NO_CODE = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
 
@@ -580,6 +564,7 @@ class _Builder:
         self._names = [name for name, _, _ in table]
         self._stores = [kind.store(tuples, counts) for _, kind, _ in table]
         self._rows: list[tuple] = []
+        self._columns: dict[str, _Column] | None = None
 
     @classmethod
     def of_records(cls, records: Iterable, table: Sequence[tuple], paths: Mapping[str, str],
@@ -615,8 +600,13 @@ class _Builder:
             self.extend(zip(*rows))
 
     def columns(self) -> dict[str, _Column]:
-        self._flush()
-        return {name: store.column() for name, store in zip(self._names, self._stores)}
+        """The columns, each store joined once, on the first call; the
+        builder takes no record after it."""
+        if self._columns is None:
+            self._flush()
+            self._columns = dict(zip(self._names, (store.column() for store in self._stores)))
+            self._stores = None  # frees the blocks
+        return self._columns
 
 
 def _refused(store: _Store, col: Sequence) -> object:
@@ -714,6 +704,25 @@ def _in_order(columns: dict[str, _Column], order: np.ndarray) -> dict[str, _Colu
     return {name: column.take(order) for name, column in columns.items()}
 
 
+def _fits_int64(value) -> bool:
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and _INT64_MIN <= value <= _INT64_MAX)
+
+
+def sorted_places(held: np.ndarray, ids: Sequence) -> np.ndarray:
+    """The place in `held`, sorted int64 ids, of each of `ids`; an id held
+    twice gives its last place. KeyError names the first id not held."""
+    wanted, fits = np.asarray(ids), True
+    if wanted.dtype != np.int64:  # ints beyond 64 bits, other values, or no id at all
+        fits = np.fromiter(map(_fits_int64, ids), bool, len(ids))
+        wanted = np.array([i if ok else 0 for i, ok in zip(ids, fits)], dtype=np.int64)
+    at = np.searchsorted(held, wanted, side="right") - 1
+    found = (held[np.maximum(at, 0)] == wanted) & fits if len(held) else np.zeros(len(at), bool)
+    if not found.all():
+        raise KeyError(ids[int(found.argmin())])
+    return at
+
+
 class InstanceIndex(Mapping):
     """The instances by id, over the sorted id column; an id held twice
     gives its last instance."""
@@ -725,25 +734,10 @@ class InstanceIndex(Mapping):
     def take(self, ids: Sequence[int]) -> list[Instance]:
         """The instances of `ids`, in that order; KeyError names the first
         id that is not held."""
-        held, wanted = self._ids, np.asarray(ids)
-        if wanted.ndim != 1 or wanted.dtype != held.dtype:
-            return [self[key] for key in ids]
-        at = np.searchsorted(held, wanted, side="right") - 1
-        found = held[np.maximum(at, 0)] == wanted if len(held) else np.zeros(len(wanted), bool)
-        if not found.all():
-            raise KeyError(ids[int(found.argmin())])
-        return self._instances.at(at)
+        return self._instances.at(sorted_places(self._ids, ids))
 
     def __getitem__(self, key) -> Instance:
-        held = self._ids
-        try:
-            at = int(np.searchsorted(held, key, side="right")) - 1
-            found = at >= 0 and bool(held[at] == key)
-        except (TypeError, ValueError, OverflowError):
-            found = False
-        if not found:
-            raise KeyError(key)
-        return self._instances[at]
+        return self._instances[int(sorted_places(self._ids, [key])[0])]
 
     def __iter__(self) -> Iterator[int]:
         return iter(np.unique(self._ids).tolist())
@@ -925,138 +919,156 @@ def _first_bad(col: list, checks: Sequence[tuple]) -> tuple[int, str] | None:
 
 
 def _checked(records: list[dict], error: Exception | None, table: Sequence[tuple],
-             where: Callable[[int], str]) -> tuple[dict[str, list], int, Exception | None]:
-    """The checked columns of a block's records by name, up to the first
-    record with a bad field, their length, and that record's error;
+             where: Callable[[int], str]) -> tuple[list[list], int, Exception | None]:
+    """The checked columns of a block's records in table order, up to the
+    first record with a bad field, their length, and that record's error;
     `error` is the block's error at the row after its last record. Within
     a record, the first bad field in table order is named."""
     limit = len(records)
-    columns = {}
+    columns = []
     for name, kind, absent in table:
         col = list(map(dict.get, records[:limit], repeat(name), repeat(absent)))
         bad = _first_bad(col, _PRESENT + kind.checks if absent is _REQUIRED else kind.checks)
         if bad is not None:
             limit, must = bad
             error = CorpusFormatError(f"{where(limit)}: field {name!r} {must}")
-        columns[name] = col
-    return {name: col[:limit] for name, col in columns.items()}, limit, error
+        columns.append(col)
+    return [col[:limit] for col in columns], limit, error
 
 
-# Reference rules over a block's columns by name: (field, a test that every
-# row passes, the row's problem or None). A row that breaks several rules is
-# reported for the first.
+# Reference rules over a record kind's columns (a `Records`): (field, the
+# mask of the rows that break the rule, the message for one such row). A
+# row that breaks several rules is reported for the first. The loader runs
+# them over the rows of a file as read, `_check_integrity` over a corpus.
 
 
-def _first_broken(rules: Sequence[tuple], columns: Mapping[str, list],
-                  rows: int) -> tuple[int, str, str] | None:
-    """(row, field, problem) of the first row that breaks a rule, or None."""
-    broken = [(field, problem) for field, test, problem in rules if not test(columns)]
-    for row in range(rows) if broken else ():
-        for field, problem in broken:
-            message = problem(columns, row)
-            if message is not None:
-                return row, field, message
-    return None
+def _first_broken(rules: Sequence[tuple], records: Records) -> tuple[int, str, str] | None:
+    """(row, field, message) of the first row that breaks a rule, or None."""
+    broken = [(int(mask.argmax()), field, message)
+              for field, test, message in rules if (mask := test(records)).any()]
+    if not broken:
+        return None
+    row, field, message = min(broken, key=itemgetter(0))  # the first rule of a row
+    return row, field, message(records, row)
 
 
 def _unknown(uid: int, where: str) -> str:
     return f"unknown user_id {uid} referenced by {where}"
 
 
-def _users_known(field: str, known: set, referrer: Callable[[Mapping, int], str],
-                 each: bool = False) -> tuple:
-    """The rule that a field's user id, or each of its ids, is known."""
-    def test(columns: Mapping) -> bool:
-        values = columns[field]
-        return known.issuperset(chain.from_iterable(values) if each else values)
+def _users_known(field: str, known: AbstractSet[int],
+                 referrer: Callable[[Records, int], str]) -> tuple:
+    """The rule that a field's user id, unless null, is known."""
+    def test(records: Records) -> np.ndarray:
+        unknown = ~np.isin(records.column(field), np.fromiter(known, np.int64, len(known)))
+        nulls = records.nulls(field)
+        return unknown if nulls is None else unknown & ~nulls
 
-    def problem(columns: Mapping, row: int) -> str | None:
-        value = columns[field][row]
-        unknown = [uid for uid in (value if each else (value,)) if uid not in known]
-        return _unknown(unknown[0], referrer(columns, row)) if unknown else None
-
-    return field, test, problem
+    return field, test, lambda records, row: _unknown(records.column(field)[row],
+                                                      referrer(records, row))
 
 
-def _unique(field: str, seen: AbstractSet) -> tuple:
-    """The rule that no id repeats, in the block or among `seen`."""
-    def test(columns: Mapping) -> bool:
-        ids = columns[field]
-        return len(set(ids)) == len(ids) and seen.isdisjoint(ids)
-
-    def problem(columns: Mapping, row: int) -> str | None:
-        ids = columns[field]
-        value = ids[row]
-        return f"duplicate {field} {value}" if value in seen or value in ids[:row] else None
-
-    return field, test, problem
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Where an id repeats one of an earlier row."""
+    order = np.argsort(ids, kind="stable")
+    repeats = np.zeros(len(ids), dtype=bool)
+    repeats[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return repeats
 
 
-def _profile_rules(known: set) -> tuple:
-    def test(columns: Mapping) -> bool:
-        neighbours = columns["neighbours"]
-        return (not any(map(contains, neighbours, columns["user_id"]))
-                and known.issuperset(chain.from_iterable(neighbours)))
+def _unique(field: str) -> tuple:
+    """The rule that no id repeats."""
+    return (field, lambda records: _repeats(records.column(field)),
+            lambda records, row: f"duplicate {field} {records.column(field)[row]}")
 
-    def problem(columns: Mapping, row: int) -> str | None:
-        uid, neighbours = columns["user_id"][row], columns["neighbours"][row]
+
+def _profile_problem(profiles: Iterable[UserProfile],
+                     known: AbstractSet[int]) -> tuple[int, str, str] | None:
+    """(row, field, message) of the first profile that lists itself or an
+    unknown user as a neighbour, or None."""
+    for row, profile in enumerate(profiles):
+        uid, neighbours = profile.user_id, profile.neighbours
         if uid in neighbours:
-            return f"user {uid} lists itself as a neighbour"
+            return row, "neighbours", f"user {uid} lists itself as a neighbour"
         unknown = [n for n in neighbours if n not in known]
-        return _unknown(min(unknown), f"neighbours of user {uid}") if unknown else None
+        if unknown:
+            return row, "neighbours", _unknown(min(unknown), f"neighbours of user {uid}")
+    return None
 
-    return (("neighbours", test, problem),)
 
-
-def _event_rules(known: set) -> tuple:
-    def on_tweet(prefix: str) -> Callable[[Mapping, int], str]:
-        return lambda columns, row: f"{prefix}history event on tweet {columns['tweet_id'][row]}"
+def _event_rules(known: AbstractSet[int]) -> tuple:
+    def on_tweet(prefix: str) -> Callable[[Records, int], str]:
+        return lambda records, row: (
+            f"{prefix}history event on tweet {records.column('tweet_id')[row]}")
 
     return (_users_known("user_id", known, on_tweet("")),
-            _users_known("mentions_user", known | {None}, on_tweet("mention in ")))
+            _users_known("mentions_user", known, on_tweet("mention in ")))
 
 
-def _instance_rules(known: set) -> tuple:
-    def of(role: str) -> Callable[[Mapping, int], str]:
-        return lambda columns, row: f"{role}instance {columns['instance_id'][row]}"
+def _instance_rules(known: AbstractSet[int], tuples: Sequence[tuple]) -> tuple:
+    """`tuples` are the corpus's distinct id tuples, which the mentions
+    column numbers: each distinct mention tuple is checked once."""
+    def of(role: str) -> Callable[[Records, int], str]:
+        return lambda records, row: f"{role}instance {records.column('instance_id')[row]}"
 
-    def delivered_to_self(columns: Mapping, row: int) -> str | None:
-        sender = columns["sender_id"][row]
-        if sender != columns["recipient_id"][row]:
-            return None
-        return f"instance {columns['instance_id'][row]} has sender == recipient ({sender})"
+    def unknown_mention(records: Records) -> np.ndarray:
+        numbers = records.column("mentions")
+        bad = [n for n in np.unique(numbers).tolist()
+               if not all(map(known.__contains__, tuples[n]))]
+        return np.isin(numbers, np.array(bad, dtype=np.int64))
 
+    def first_unknown_mention(records: Records, row: int) -> str:
+        mentions = tuples[records.column("mentions")[row]]
+        return _unknown(next(m for m in mentions if m not in known), mention_in(records, row))
+
+    def delivered_to_self(records: Records, row: int) -> str:
+        return (f"instance {records.column('instance_id')[row]} has sender == recipient "
+                f"({records.column('sender_id')[row]})")
+
+    mention_in = of("mention in ")
     return (
+        _unique("instance_id"),
         _users_known("sender_id", known, of("sender of ")),
         _users_known("recipient_id", known, of("recipient of ")),
         _users_known("author_id", known, of("author of ")),
-        _users_known("mentions", known, of("mention in "), each=True),
+        ("mentions", unknown_mention, first_unknown_mention),
         ("recipient_id",
-         lambda columns: not any(map(eq, columns["sender_id"], columns["recipient_id"])),
+         lambda records: records.column("sender_id") == records.column("recipient_id"),
          delivered_to_self),
     )
 
 
-def _raise_broken(broken: tuple[int, str, str] | None, where: Callable[[int], str]) -> None:
+def _read_file(path: Path, table: Sequence[tuple],
+               add: Callable[[list[list]], None]) -> tuple[list[int], Exception | None]:
+    """Hand each block of a record file's checked columns to `add`,
+    up to the first record with a bad format, bad JSON or a byte that is not
+    UTF-8: the line numbers of the rows handed over, and the error of that
+    record, or None."""
+    lines: list[int] = []
+    try:
+        for linenos, texts in _line_blocks(path):
+            def where(row: int) -> str:
+                return f"{path}:{linenos[row]}"
+
+            columns, rows, error = _checked(*_decoded(texts, where), table, where)
+            add(columns)
+            lines += linenos[:rows]
+            if error is not None:
+                return lines, error
+    except UnicodeDecodeError as exc:
+        return lines, exc
+    return lines, None
+
+
+def _refuse(path: Path, lines: list[int], broken: tuple[int, str, str] | None,
+            error: Exception | None = None) -> None:
+    """Raise the first bad line of a file: the row that breaks a rule, at
+    its line, before the error that stopped the reading after it."""
     if broken is not None:
         row, field, message = broken
-        raise CorpusIntegrityError(f"{where(row)}: field {field!r}: {message}")
-
-
-def _read_blocks(path: Path, table: Sequence[tuple],
-                 rules: Sequence[tuple]) -> Iterator[tuple[list[int], dict[str, list]]]:
-    """(line numbers, checked columns by name) of each block of a record
-    file. The first bad record of a block raises, its format before the
-    rules; a block's rules see the records before the first bad format."""
-    for linenos, texts in _line_blocks(path):
-        def where(row: int) -> str:
-            return f"{path}:{linenos[row]}"
-
-        columns, rows, error = _checked(*_decoded(texts, where), table, where)
-        _raise_broken(_first_broken(rules, columns, rows), where)
-        if error is not None:
-            raise error
-        yield linenos, columns
+        raise CorpusIntegrityError(f"{path}:{lines[row]}: field {field!r}: {message}")
+    if error is not None:
+        raise error
 
 
 @contextmanager
@@ -1083,12 +1095,13 @@ def load_corpus(
     """Read the three record files into a validated, indexed corpus.
 
     Each file is read in blocks of lines. Each line of a block is decoded
-    on its own; each field is then checked as one column across the
-    block's records, and the reference rules run as set operations over
-    the block's id columns. The first bad line of a file is reported:
-    malformed lines raise CorpusFormatError, and references to unknown
-    users or repeated ids raise CorpusIntegrityError; both name the file,
-    the line and the field.
+    on its own, and each field is checked as one column across the block's
+    records. A file is read up to its first malformed line, and no later
+    file after one. The reference rules then run once per file, as masks
+    over the id columns of the rows read. The first bad line of the first
+    bad file is reported: references to unknown users or repeated ids
+    raise CorpusIntegrityError, malformed lines CorpusFormatError; both
+    name the file, the line and the field.
 
     Each checked column of an event or instance field is appended to its
     column of the corpus; no event or instance record is made. Equal id
@@ -1100,31 +1113,37 @@ def load_corpus(
     profiles_path, history_path, instances_path = map(
         Path, (profiles_path, history_path, instances_path))
     tuples, counts = _Tuples(), _Counts()
-    profiles: dict[int, UserProfile] = {}
-    profile_lines: list[int] = []
-    for linenos, columns in _read_blocks(profiles_path, _PROFILE_FIELDS,
-                                         (_unique("user_id", profiles.keys()),)):
+    read: list[UserProfile] = []
+
+    def add_profiles(columns: list[list]) -> None:
         values = [col if kind.load is None else kind.load(tuples, col)
-                  for (_, kind, _), col in zip(_PROFILE_FIELDS, columns.values())]
-        profiles.update(zip(columns["user_id"], map(UserProfile, *values)))
-        profile_lines += linenos
-    known = set(profiles)
-    _raise_broken(
-        _first_broken(_profile_rules(known), _profile_values(list(profiles.values())),
-                      len(profiles)),
-        lambda row: f"{profiles_path}:{profile_lines[row]}")
+                  for (_, kind, _), col in zip(_PROFILE_FIELDS, columns)]
+        read.extend(map(UserProfile, *values))
+
+    lines, error = _read_file(profiles_path, _PROFILE_FIELDS, add_profiles)
+    ids = np.fromiter(map(attrgetter("user_id"), read), np.int64, len(read))
+    user_ids = Records({"user_id": _Column(ids, None, _as_list)}, iter)  # makes no record
+    _refuse(profiles_path, lines, _first_broken((_unique("user_id"),), user_ids), error)
+    profiles = dict(zip(ids.tolist(), read))
+    known = profiles.keys()
+    _refuse(profiles_path, lines, _profile_problem(read, known))
 
     events = _Builder(_EVENT_FIELDS, tuples, counts)
-    for _, columns in _read_blocks(history_path, _EVENT_FIELDS, _event_rules(known)):
-        events.extend(columns.values())
-
     instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
-    seen_ids: set[int] = set()
-    for _, columns in _read_blocks(instances_path, _INSTANCE_FIELDS,
-                                   (_unique("instance_id", seen_ids), *_instance_rules(known))):
-        instances.extend(columns.values())
-        seen_ids.update(columns["instance_id"])
-
+    # both files are read before a column is joined: joining the events
+    # first raised the README walkthrough's peak RSS by about 4 MB
+    files = []
+    for path, table, builder, make, rules in (
+        (history_path, _EVENT_FIELDS, events, _make_events, _event_rules(known)),
+        (instances_path, _INSTANCE_FIELDS, instances, _make_instances,
+         _instance_rules(known, tuples.values)),
+    ):
+        lines, error = _read_file(path, table, builder.extend)
+        files.append((path, lines, error, builder, make, rules))
+        if error is not None:
+            break
+    for path, lines, error, builder, make, rules in files:
+        _refuse(path, lines, _first_broken(rules, Records(builder.columns(), make)), error)
     return Corpus(profiles, events, instances)
 
 
@@ -1135,16 +1154,12 @@ def load_corpus_dir(directory: str | Path) -> Corpus:
 def _check_integrity(corpus: Corpus) -> None:
     """The loader's reference rules over a corpus built in memory: the
     first problem raises, with its message alone."""
-    known = set(corpus.profiles)
-    profiles = list(corpus.profiles.values())
-    for rules, values, rows in (
-        (_profile_rules(known), _profile_values(profiles), len(profiles)),
-        (_event_rules(known), _Values(corpus.events.values), len(corpus.events)),
-        (_instance_rules(known), _Values(corpus.instances.values), len(corpus.instances)),
-    ):
-        broken = _first_broken(rules, values, rows)
-        if broken is not None:
-            raise CorpusIntegrityError(broken[2])
+    known = corpus.profiles.keys()
+    broken = (_profile_problem(corpus.profiles.values(), known)
+              or _first_broken(_event_rules(known), corpus.events)
+              or _first_broken(_instance_rules(known, corpus.tuples), corpus.instances))
+    if broken is not None:
+        raise CorpusIntegrityError(broken[2])
 
 
 # ---- writing
@@ -1177,7 +1192,7 @@ def write_corpus(
     """
     profiles = [corpus.profiles[uid] for uid in sorted(corpus.profiles)]
     _write_records(profiles_path, _PROFILE_FIELDS, len(profiles),
-                   lambda name, block: _profile_values(profiles[block])[name])
+                   lambda name, block: list(map(attrgetter(name), profiles[block])))
     for path, table, records in ((history_path, _EVENT_FIELDS, corpus.events),
                                  (instances_path, _INSTANCE_FIELDS, corpus.instances)):
         _write_records(path, table, len(records), records.values)
@@ -1690,8 +1705,9 @@ def planted_decision_values(
     wanted = corpus.instances if instances is None else instances
     drift = 0.0
     drift_by_id: dict[int, float] = {}
-    for inst in corpus.instances:
-        drift_by_id[inst.instance_id] = drift
-        drift = model.next_drift(drift, inst.label)
+    for iid, label in zip(corpus.instances.column("instance_id").tolist(),
+                          corpus.instances.column("label").tolist()):
+        drift_by_id[iid] = drift
+        drift = model.next_drift(drift, label)
     return np.array([model.decision_value(f, drift_by_id[inst.instance_id])
                      for inst, f in zip(wanted, planted_features(corpus, wanted))])

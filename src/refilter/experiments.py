@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, Instance, check_field
+from .corpus_io import Corpus, Instance, check_field, sorted_places
 from .features import (
     N_FEATURES,
     SCALED_FEATURE_IDS,
@@ -437,14 +437,6 @@ def evaluate(
 # featurization plumbing shared by the harness and the CLI
 
 
-def _int64_id(value) -> int:
-    """An id as an int; KeyError names a value that is no 64-bit integer."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
-            and -(2**63) <= value < 2**63:
-        return int(value)
-    raise KeyError(value)
-
-
 @dataclass(frozen=True)
 class FeatureTable:
     """Raw feature rows for a set of instances, addressable by id through
@@ -464,18 +456,7 @@ class FeatureTable:
 
     def rows_by_id(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The rows of `ids`, in that order; KeyError names an unknown id."""
-        wanted = np.asarray(ids)
-        if wanted.dtype != np.int64:
-            wanted = np.array([_int64_id(i) for i in ids], dtype=np.int64)
-        held = self._sorted_ids
-        at = np.searchsorted(held, wanted, side="right") - 1
-        if len(held):
-            found = held[np.maximum(at, 0)] == wanted
-        else:
-            found = np.zeros(len(wanted), dtype=bool)
-        if not found.all():
-            raise KeyError(int(wanted[found.argmin()]))
-        idx = self._order[at]
+        idx = self._order[sorted_places(self._sorted_ids, ids)]
         return self.X[idx], self.y[idx]
 
 

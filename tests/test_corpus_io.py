@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -190,6 +191,49 @@ def test_self_delivery_rejected(tmp_path):
     with pytest.raises(CorpusIntegrityError,
                        match=r"instances\.jsonl:1: field 'recipient_id': .*sender == recipient"):
         load_corpus(*corpus_paths(tmp_path))
+
+
+def _with_second_record(file_index, change):
+    """small_corpus() with `change` made to the second record of one kind
+    (profiles, events, instances)."""
+    corpus = small_corpus()
+    kinds = [list(corpus.profiles.values()), list(corpus.events), list(corpus.instances)]
+    kinds[file_index][1] = change(kinds[file_index][1])
+    return make_corpus(*kinds)
+
+
+def _with_tweet(instance, **changes):
+    return dataclasses.replace(instance, tweet=dataclasses.replace(instance.tweet, **changes))
+
+
+@pytest.mark.parametrize("file_index,change", [
+    pytest.param(1, lambda e: dataclasses.replace(e, user_id=9), id="event-user"),
+    pytest.param(1, lambda e: dataclasses.replace(e, mentions_user=9), id="event-mention"),
+    pytest.param(2, lambda i: dataclasses.replace(i, sender_id=9), id="sender"),
+    pytest.param(2, lambda i: dataclasses.replace(i, recipient_id=9), id="recipient"),
+    pytest.param(2, lambda i: dataclasses.replace(i, author_id=9), id="author"),
+    pytest.param(2, lambda i: _with_tweet(i, mentions=(1, 9)), id="instance-mention"),
+    pytest.param(2, lambda i: dataclasses.replace(i, recipient_id=i.sender_id), id="self-delivery"),
+    pytest.param(0, lambda p: dataclasses.replace(p, neighbours=frozenset({2})),
+                 id="self-neighbour"),
+    pytest.param(0, lambda p: dataclasses.replace(p, neighbours=frozenset({1, 9})),
+                 id="unknown-neighbour"),
+    pytest.param(2, lambda i: dataclasses.replace(i, instance_id=1), id="repeated-instance-id"),
+])
+def test_generator_check_refuses_what_the_loader_refuses(tmp_path, file_index, change):
+    """`_check_integrity`, which a generated corpus passes, refuses a corpus
+    in memory with the message the loader gives for it after the file,
+    line and field."""
+    corpus_io._check_integrity(small_corpus())
+    corpus = _with_second_record(file_index, change)
+    paths = corpus_paths(tmp_path)
+    write_corpus(corpus, *paths)
+    with pytest.raises(CorpusIntegrityError) as loaded:
+        load_corpus(*paths)
+    with pytest.raises(CorpusIntegrityError) as checked:
+        corpus_io._check_integrity(corpus)
+    prefix = rf"{re.escape(str(paths[file_index]))}:2: field '\w+': "
+    assert re.fullmatch(prefix + re.escape(str(checked.value)), str(loaded.value))
 
 
 def test_unwritable_path_errors(tmp_path):
@@ -492,6 +536,7 @@ def test_referential_integrity_of_generated(small_signal_corpus):
     pytest.param(0, "followers", 2**63, id="0-followers-2**63"),
     pytest.param(2, "char_length", 2**63, id="2-char_length-2**63"),
     pytest.param(2, "pos_counts", {"nouns_verbs": 2**63}, id="2-pos_counts-2**63"),
+    pytest.param(1, "mentions_user", 2**63, id="1-mentions_user-2**63"),
 ])
 def test_non_integer_value_rejected(tmp_path, file_index, field, value):
     path = _set_second_record_field(tmp_path, file_index, field, value)

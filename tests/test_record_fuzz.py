@@ -278,9 +278,9 @@ def _o_action(value, memo):
 
 
 def _o_user_or_null(value, memo):
-    if value is None or type(value) is int:
+    if value is None or type(value) is int and value in _ORACLE_INT64:
         return value
-    raise _OracleBadValue("must be an integer or null")
+    raise _OracleBadValue("must be a 64-bit integer or null")
 
 
 _ORACLE_POS_NAMES = {name: name for name in
