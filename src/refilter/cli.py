@@ -104,34 +104,38 @@ def _table_key(args, split_dir: Path) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _split_table(
-    args,
-    *,
-    split_dir: Path | None = None,
-    corpus: corpus_io.Corpus | None = None,
-    hist: history.UserHistoryIndex | None = None,
-) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
+def _feature_context(args, corpus: corpus_io.Corpus,
+                     hist: history.UserHistoryIndex) -> features.FeatureContext:
+    idf = vectorspace.build_idf(corpus.events.values("tokens"))
+    return features.FeatureContext(corpus, hist, idf, cap=args.cap)
+
+
+def _save_table(path: Path, table: experiments.FeatureTable, key: str) -> None:
+    try:
+        experiments.write_table(path, table, key)
+    except OSError:
+        pass  # an unwritable splits directory only means the next command recomputes
+
+
+def _split_table(args) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
     """The split ids and the raw feature table of every split instance.
 
-    The table is read from TABLE_FILE in the splits directory (`split_dir`,
-    by default `--splits`) when it was saved under the current
-    `_table_key`. Otherwise it is computed from the corpus, or from
-    `corpus` and its `hist` when the caller already holds them, and saved
-    there, replacing whatever the file held. Every flag and split file is
-    checked before the lookup, so a bad input fails the same way whether
-    or not the table is saved.
+    The table is read from TABLE_FILE in the `--splits` directory when it
+    was saved under the current `_table_key` (as `build` saves it).
+    Otherwise it is computed from the corpus and saved there, replacing
+    whatever the file held. Every flag and split file is checked before
+    the lookup, so a bad input fails the same way whether or not the
+    table is saved.
     """
     features.check_cap(args.cap)
-    split_dir = Path(args.splits) if split_dir is None else split_dir
+    split_dir = Path(args.splits)
     ids = _read_split_ids(split_dir)
     key = _table_key(args, split_dir)
     path = split_dir / TABLE_FILE
     members = ids.train + [iid for name in EVAL_SETS for iid in ids.eval_set(name)]
     table = experiments.read_table(path, key, members)
     if table is None:
-        if corpus is None:
-            corpus = corpus_io.load_corpus_dir(args.corpus)
-            hist = history.UserHistoryIndex(corpus)
+        corpus = corpus_io.load_corpus_dir(args.corpus)
         try:
             instances = corpus.instance_by_id.take(members)
         except KeyError as exc:
@@ -141,13 +145,9 @@ def _split_table(
             raise ValueError(
                 f"{split_dir / SPLIT_FILES[name]}: instance_id {exc.args[0]} is not in the corpus"
             ) from None
-        idf = vectorspace.build_idf(corpus.events.values("tokens"))
-        ctx = features.FeatureContext(corpus, hist, idf, cap=args.cap)
+        ctx = _feature_context(args, corpus, history.UserHistoryIndex(corpus))
         table = experiments.featurize(ctx, instances)
-        try:
-            experiments.write_table(path, table, key)
-        except OSError:
-            pass  # an unwritable splits directory only means the next command recomputes
+        _save_table(path, table, key)
     return ids, table
 
 
@@ -278,10 +278,10 @@ def cmd_build(args) -> int:
     _write_split_ids(splits, out)
     _write_json(out / SPLIT_MANIFEST, {"spec": asdict(spec), "counts": {
         "train": len(splits.train_instances), **{n: len(splits.eval_set(n)) for n in EVAL_SETS}}})
-    del splits  # the table's instances are made again from the ids just written
     # the table under the key every later command with the same pipeline
     # flags computes, so none of them parses the corpus again
-    _split_table(args, split_dir=out, corpus=corpus, hist=hist)
+    table = experiments.featurize_splits(_feature_context(args, corpus, hist), splits)
+    _save_table(out / TABLE_FILE, table, _table_key(args, out))
     print(f"wrote {spec.total_batches} batches to {out}")
     return 0
 
@@ -369,6 +369,9 @@ def cmd_score(args) -> int:
 def cmd_scatter(args) -> int:
     _check_within_features("--ft-a", args.ft_a)
     _check_within_features("--ft-b", args.ft_b)
+    if args.ft_a == args.ft_b:
+        raise ValueError("--ft-a and --ft-b must name two different features, "
+                         f"got {args.ft_a} for both")
     model = _load_model(args.model)
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.eval_set(args.eval_set))

@@ -13,7 +13,11 @@ and dicts. Every id, time and count fits in 64 bits, so every value has
 its code: the loader refuses a larger one, and `Corpus(...)` refuses a
 record's value that its column cannot hold. The loader and the generator
 append to these columns and make no records; `Corpus.events` and
-`Corpus.instances` make each record on access.
+`Corpus.instances` make each record on access. Each field kind declares
+its column once, for all three record kinds: the loader reads profiles
+into columns too (klout in float64, neighbours as numbers of the corpus's
+distinct sets), and makes each profile record once from them, since a
+`Corpus` holds its profiles as records by user id.
 """
 
 from __future__ import annotations
@@ -173,10 +177,11 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
 # A kind's `checks` are tests that every value of a column of JSON values
 # passes, in order, each with what the field must hold otherwise: a text,
 # or a function of the first value that fails. `dump` encodes a column of
-# Python values as JSON texts. The checked column of an event or instance
-# field goes as it is to the field's `store`; a profile field's `load`, if
-# it has one, makes the values its records hold. _REQUIRED marks a field
-# that has no value when absent.
+# Python values as JSON texts. The rest declares the field's column
+# (`_Builder`): the checked column of any record kind's field, or the
+# values of records built in memory, go to `encode`, and `decode` makes
+# the values a record holds. _REQUIRED marks a field that has no value
+# when absent.
 
 _RECORD_BLOCK = 128
 _REQUIRED = object()
@@ -185,12 +190,16 @@ _REQUIRED = object()
 class _Kind(NamedTuple):
     checks: tuple[tuple[Callable[[list], bool], str | Callable[[object], str]], ...]
     dump: Callable[[list], list[str]]
-    # a profile field's values from its checked column and the corpus's
-    # distinct tuples; None keeps the JSON values
-    load: Callable[[_Tuples, list], list] | None = None
-    # the column a corpus holds an event or instance field in, made from
-    # the corpus's distinct tuples and distinct pos_counts
-    store: Callable[[_Tuples, _Counts], _Store] | None = None
+    # the array.array typecode of a block's codes, and the column's dtype
+    typecode: str
+    dtype: type
+    # a block's codes, given the corpus's distinct values (`_Tables`); one
+    # of _NO_CODE refuses a value that has none
+    encode: Callable[[_Tables, Sequence], Iterable]
+    # the Python values of a part of the codes and of the null mask
+    decode: Callable[[_Tables, np.ndarray, np.ndarray | None], list]
+    # whether the column keeps a null mask, with code 0 at a null
+    nullable: bool = False
 
 
 # json.dumps with keyword arguments builds a new encoder on every call
@@ -272,12 +281,13 @@ def _list_of_ints(col: list) -> bool:
 
 # ---- the column store
 #
-# A corpus holds each field of its events and instances as one numpy
-# column in record order. A field's _Store encodes each block of its
-# values as an array.array of machine codes, and the blocks are joined
-# once, into the column. Every value has a code: the loader's checks admit
-# no other, and a record built in memory with a value that has none is
-# refused, with its field named (`_Builder.extend`).
+# A corpus holds each field of its records as one numpy column in record
+# order: the loader holds profiles so until it makes their records, and a
+# `Corpus` holds its events and instances so. A field's kind encodes each
+# block of its values as an array.array of machine codes, and the blocks
+# are joined once, into the column (`_Builder`). Every value has a code:
+# the loader's checks admit no other, and a record built in memory with a
+# value that has none is refused, with its field named.
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -298,26 +308,53 @@ class _Column(NamedTuple):
                        None if self.nulls is None else _frozen(self.nulls[rows]), self.decode)
 
 
-def _as_list(values: np.ndarray, nulls: np.ndarray | None) -> list:
+def _as_is(tables: _Tables, col: Sequence) -> Sequence:
+    return col
+
+
+def _as_list(tables: _Tables, values: np.ndarray, nulls: np.ndarray | None) -> list:
     return values.tolist()
 
 
-def _shared_ints(values: np.ndarray, nulls: np.ndarray | None) -> list:
+def _shared_ints(tables: _Tables, values: np.ndarray, nulls: np.ndarray | None) -> list:
     """The values as ints, one object per distinct value: the records made
     in one block share the ids and times they repeat."""
     held = values.tolist()
     return list(map({}.setdefault, held, held))
 
 
-def _with_nulls(values: np.ndarray, nulls: np.ndarray) -> list:
+def _flags(tables: _Tables, col: Sequence) -> array:
+    """Bools, or 0 and 1."""
+    codes = array("B", col)
+    if max(codes, default=0) > 1:
+        raise ValueError("a flag is 0 or 1")
+    return codes
+
+
+def _zero_at_null(tables: _Tables, col: Sequence) -> list:
+    return [0 if value is None else value for value in col]
+
+
+def _with_nulls(tables: _Tables, values: np.ndarray, nulls: np.ndarray) -> list:
     held = values.tolist()
     if not nulls.any():
         return held
     return [None if null else value for value, null in zip(held, nulls.tolist())]
 
 
-def _actions(codes: np.ndarray, nulls: None) -> list[str]:
+def _action_codes(tables: _Tables, col: Sequence) -> Iterable[int]:
+    return map(_ACTION_RANK.__getitem__, col)
+
+
+def _actions(tables: _Tables, codes: np.ndarray, nulls: None) -> list[str]:
     return list(map(ACTIONS.__getitem__, codes.tolist()))
+
+
+def _numbered(distinct: Callable[[_Tables], _Distinct]) -> tuple[Callable, Callable]:
+    """The encode and decode of a field held as the numbers of its values
+    among the distinct values `distinct(tables)`."""
+    return (lambda tables, col: distinct(tables).numbers(col),
+            lambda tables, codes, nulls: distinct(tables).decode(codes))
 
 
 def _coded(blocks: list[array], dtype) -> np.ndarray:
@@ -351,27 +388,29 @@ class _Distinct:
             numbers[row] = number
         return numbers
 
-    def decode(self, numbers: np.ndarray, nulls: None = None) -> list:
+    def decode(self, numbers: np.ndarray) -> list:
         return list(map(self.values.__getitem__, numbers.tolist()))
 
 
 class _Tuples(_Distinct):
     """A corpus's distinct id tuples (tokens and mentions), from JSON lists
-    or tuples. Each int inside one, or inside a profile's neighbours
-    (`sets`), is one object."""
+    or tuples. Each int inside one is the object `ints` holds for it."""
 
     key = staticmethod(tuple)
 
-    def __init__(self) -> None:
+    def __init__(self, ints: dict[int, int]) -> None:
         super().__init__()
-        self._ints: dict[int, int] = {}
+        self._ints = ints
 
     def new(self, key: tuple) -> tuple[int, ...]:
-        return tuple(map(self._ints.setdefault, key, key))
+        return self.key(map(self._ints.setdefault, key, key))
 
-    def sets(self, col: list[list[int]]) -> list[frozenset[int]]:
-        ints = self._ints
-        return [frozenset(map(ints.setdefault, ids, ids)) for ids in col]
+
+class _Sets(_Tuples):
+    """A corpus's distinct neighbour sets, from JSON lists; they share
+    their ints with the id tuples."""
+
+    key = staticmethod(frozenset)
 
 
 class _Counts(_Distinct):
@@ -388,97 +427,36 @@ class _Counts(_Distinct):
         return None if key is None else {_POS_COUNT_NAMES.get(name, name): n for name, n in key}
 
 
-class _Store:
-    """A field of 64-bit integers, as int64."""
+class _Tables:
+    """A corpus's distinct values, shared by the columns of its record
+    kinds that hold their numbers."""
 
-    typecode, dtype, decode = "q", np.int64, staticmethod(_shared_ints)
-
-    def __init__(self, tuples: _Tuples, counts: _Counts) -> None:
-        self.codes: list[array] = []
-
-    def encode(self, col: Sequence) -> array:
-        """The codes of a block of values; one of _NO_CODE refuses a value
-        that has none."""
-        return array(self.typecode, col)
-
-    def extend(self, col: Sequence) -> None:
-        self.codes.append(self.encode(col))
-
-    def column(self) -> _Column:
-        return _Column(_coded(self.codes, self.dtype), None, self.decode)
+    def __init__(self) -> None:
+        ints: dict[int, int] = {}
+        self.tuples, self.sets, self.counts = _Tuples(ints), _Sets(ints), _Counts()
 
 
-class _Flags(_Store):
-    """A field of bools (or 0 and 1), as bool."""
-
-    typecode, dtype, decode = "B", np.bool_, staticmethod(_as_list)
-
-    def encode(self, col: Sequence) -> array:
-        codes = super().encode(col)
-        if max(codes, default=0) > 1:
-            raise ValueError("a flag is 0 or 1")
-        return codes
-
-
-class _IdsOrNull(_Store):
-    """A field of 64-bit integers or nulls, as int64 (0 at a null) with a
-    null mask."""
-
-    def __init__(self, tuples: _Tuples, counts: _Counts) -> None:
-        super().__init__(tuples, counts)
-        self.nulls: list[array] = []
-
-    def encode(self, col: Sequence) -> array:
-        return super().encode([0 if value is None else value for value in col])
-
-    def extend(self, col: Sequence) -> None:
-        super().extend(col)
-        self.nulls.append(array("B", map(is_, col, repeat(None))))
-
-    def column(self) -> _Column:
-        return _Column(_coded(self.codes, self.dtype), _coded(self.nulls, np.bool_), _with_nulls)
-
-
-class _Actions(_Store):
-    """The action, as its place in ACTIONS."""
-
-    typecode, dtype, decode = "B", np.uint8, staticmethod(_actions)
-
-    def encode(self, col: Sequence) -> array:
-        return array(self.typecode, map(_ACTION_RANK.__getitem__, col))
-
-
-class _Numbered(_Store):
-    """A field of tuples or dicts, as the numbers of their distinct values."""
-
-    def __init__(self, distinct: _Distinct) -> None:
-        super().__init__(distinct, distinct)
-        self.distinct, self.decode = distinct, distinct.decode
-
-    def encode(self, col: Sequence) -> array:
-        return array(self.typecode, self.distinct.numbers(col))
-
-
+_IDS = ("q", np.int64, _as_is, _shared_ints)
 _id = _Kind(((_ints_within(_INT64_MIN, _INT64_MAX), "must be a 64-bit integer"),),
-            _dump_ints, store=_Store)
+            _dump_ints, *_IDS)
 _count = _Kind(((_ints_within(0, _INT64_MAX), "must be an integer >= 0 that fits in 64 bits"),),
-               _dump_ints, store=_Store)
+               _dump_ints, *_IDS)
 # JSON 0 or 1
 _flag = _Kind(((_ints_within(0, 1), "must be 0 or 1"),),
-              lambda col: _dump_ints(list(map(int, col))),
-              lambda tuples, col: list(map(bool, col)), _Flags)
+              lambda col: _dump_ints(list(map(int, col))), "B", np.bool_, _flags, _as_list)
 _number = _Kind(((_finite_numbers, "must be a finite number"),), _dump_numbers,
-                lambda tuples, col: list(map(float, col)))
+                "d", np.float64, _as_is, _as_list)
 _id_list = _Kind(((_list_of_ints, "must be a list of integers"),), _dump_each(),
-                 store=lambda tuples, counts: _Numbered(tuples))
-_id_set = _Kind(_id_list.checks, _dump_each(sorted), _Tuples.sets)
+                 "q", np.int64, *_numbered(attrgetter("tuples")))
+_id_set = _Kind(_id_list.checks, _dump_each(sorted), "q", np.int64,
+                *_numbered(attrgetter("sets")))
 _action = _Kind(((lambda col: _STR.issuperset(map(type, col)) and _ACTION_RANK.keys() >= set(col),
                   lambda value: f"must be one of {', '.join(ACTIONS)}, not {value!r}"),),
-                _dump_each(), store=_Actions)
+                _dump_each(), "B", np.uint8, _action_codes, _actions)
 _user_or_null = _Kind(((lambda col: _USER_OR_NULL.issuperset(map(type, col))
                         and _ints_within(_INT64_MIN, _INT64_MAX)([v for v in col if v is not None]),
                         "must be a 64-bit integer or null"),),
-                      _dump_each(), store=_IdsOrNull)
+                      _dump_each(), "q", np.int64, _zero_at_null, _with_nulls, nullable=True)
 _pos_counts = _Kind(
     ((lambda col: _MAP_OR_NULL.issuperset(map(type, col))
       and _INT.issuperset(map(type, _count_values(col))),
@@ -489,7 +467,7 @@ _pos_counts = _Kind(
      (lambda col: _ints_within(0, _INT64_MAX)(list(_count_values(col))),
       "must map names to integers >= 0 that fit in 64 bits")),
     _dump_each(lambda counts: None if counts is None else dict(counts)),
-    store=lambda tuples, counts: _Numbered(counts),
+    "q", np.int64, *_numbered(attrgetter("counts")),
 )
 
 _PROFILE_FIELDS = (
@@ -550,26 +528,30 @@ _EVENT_PATHS = _attribute_paths(_EVENT_FIELDS)
 _INSTANCE_PATHS = _attribute_paths(_INSTANCE_FIELDS, _TWEET)
 
 
-# what `_Store.encode` raises for a value that has no code
+# what a kind's `encode` raises for a value that has no code
 _NO_CODE = (TypeError, ValueError, OverflowError, KeyError, AttributeError)
 
 
 class _Builder:
-    """The columns of one record kind, appended a block of columns or one
-    record at a time. A corpus's events and instances share its distinct
-    tuples and pos_counts."""
+    """The columns of the record kind whose fields `table` declares,
+    appended a block of columns or one record at a time. A corpus's record
+    kinds share its distinct values, `tables`, and each column decodes
+    through them."""
 
-    def __init__(self, table: Sequence[tuple], tuples: _Tuples, counts: _Counts) -> None:
-        self.tuples = tuples
+    def __init__(self, table: Sequence[tuple], tables: _Tables) -> None:
+        self.tables = tables
         self._names = [name for name, _, _ in table]
-        self._stores = [kind.store(tuples, counts) for _, kind, _ in table]
+        self._kinds = [kind for _, kind, _ in table]
+        self._codes: list[list[array]] = [[] for _ in table]
+        # a field's null blocks, or None if its kind is not nullable
+        self._nulls = [[] if kind.nullable else None for kind in self._kinds]
         self._rows: list[tuple] = []
         self._columns: dict[str, _Column] | None = None
 
     @classmethod
     def of_records(cls, records: Iterable, table: Sequence[tuple], paths: Mapping[str, str],
-                   tuples: _Tuples, counts: _Counts) -> _Builder:
-        builder = cls(table, tuples, counts)
+                   tables: _Tables) -> _Builder:
+        builder = cls(table, tables)
         getters = [attrgetter(paths[name]) for name in builder._names]
         records = iter(records)
         while block := list(islice(records, _RECORD_BLOCK)):
@@ -588,11 +570,27 @@ class _Builder:
         CorpusError names the field and the first value that its column
         cannot hold."""
         self._flush()
-        for name, store, col in zip(self._names, self._stores, columns):
+        for name, kind, codes, nulls, col in zip(
+                self._names, self._kinds, self._codes, self._nulls, columns):
             try:
-                store.extend(col)
+                codes.append(self._encoded(kind, col))
             except _NO_CODE as exc:
-                raise CorpusError(f"field {name!r} cannot hold {_refused(store, col)!r}") from exc
+                refused = self._refused(kind, col)
+                raise CorpusError(f"field {name!r} cannot hold {refused!r}") from exc
+            if nulls is not None:
+                nulls.append(array("B", map(is_, col, repeat(None))))
+
+    def _encoded(self, kind: _Kind, col: Sequence) -> array:
+        return array(kind.typecode, kind.encode(self.tables, col))
+
+    def _refused(self, kind: _Kind, col: Sequence) -> object:
+        """The first value of `col` that `kind` has no code for."""
+        for value in col:
+            try:
+                self._encoded(kind, [value])
+            except _NO_CODE:
+                return value
+        raise AssertionError("a block had no code, but each of its values has one")
 
     def _flush(self) -> None:
         rows, self._rows = self._rows, []
@@ -600,23 +598,22 @@ class _Builder:
             self.extend(zip(*rows))
 
     def columns(self) -> dict[str, _Column]:
-        """The columns, each store joined once, on the first call; the
-        builder takes no record after it."""
+        """The columns, each field's blocks joined once, on the first call;
+        the builder takes no record after it."""
         if self._columns is None:
             self._flush()
-            self._columns = dict(zip(self._names, (store.column() for store in self._stores)))
-            self._stores = None  # frees the blocks
+            self._columns = {
+                name: _Column(_coded(codes, kind.dtype),
+                              None if nulls is None else _coded(nulls, np.bool_),
+                              partial(kind.decode, self.tables))
+                for name, kind, codes, nulls in zip(self._names, self._kinds, self._codes,
+                                                    self._nulls)}
+            self._codes = self._nulls = None  # frees the blocks
         return self._columns
 
 
-def _refused(store: _Store, col: Sequence) -> object:
-    """The first value of `col` that `store` has no code for."""
-    for value in col:
-        try:
-            store.encode([value])
-        except _NO_CODE:
-            return value
-    raise AssertionError("a block had no code, but each of its values has one")
+def _make_profiles(values: list[list]) -> Iterator[UserProfile]:
+    return map(UserProfile, *values)
 
 
 def _make_events(values: list[list]) -> Iterator[HistoryEvent]:
@@ -651,8 +648,9 @@ class Records(Sequence):
 
     def column(self, name: str) -> np.ndarray:
         """A field's read-only codes: int64 ids, times, counts and numbers
-        of the corpus's `tuples` (or of its distinct pos_counts), bool
-        flags, and the action's uint8 place in ACTIONS."""
+        of the corpus's `tuples` (or of its distinct pos_counts or
+        neighbour sets), bool flags, float64 numbers, and the action's
+        uint8 place in ACTIONS."""
         return self._columns[name].values
 
     def nulls(self, name: str) -> np.ndarray | None:
@@ -762,12 +760,11 @@ class Corpus:
                  events: Iterable[HistoryEvent] | _Builder = (),
                  instances: Iterable[Instance] | _Builder = ()) -> None:
         if not isinstance(events, _Builder):
-            tuples, counts = _Tuples(), _Counts()
-            events = _Builder.of_records(events, _EVENT_FIELDS, _EVENT_PATHS, tuples, counts)
-            instances = _Builder.of_records(instances, _INSTANCE_FIELDS, _INSTANCE_PATHS,
-                                            tuples, counts)
+            tables = _Tables()
+            events = _Builder.of_records(events, _EVENT_FIELDS, _EVENT_PATHS, tables)
+            instances = _Builder.of_records(instances, _INSTANCE_FIELDS, _INSTANCE_PATHS, tables)
         self.profiles = profiles
-        self.tuples: list[tuple] = events.tuples.values
+        self.tuples: list[tuple] = events.tables.tuples.values
         columns = events.columns()
         # by time, then user, action and tweet id: lexsort sorts stably,
         # by its last key first
@@ -1103,40 +1100,33 @@ def load_corpus(
     raise CorpusIntegrityError, malformed lines CorpusFormatError; both
     name the file, the line and the field.
 
-    Each checked column of an event or instance field is appended to its
-    column of the corpus; no event or instance record is made. Equal id
-    tuples (tokens, mentions), the ints inside them and inside the
-    profiles' neighbours, and equal pos_counts dicts are each one shared
-    object, as in a generated corpus; no value is shared with another
-    load.
+    Each checked column of a field is appended to its column, through one
+    `_Builder` per record kind; no event or instance record is made, and
+    each profile record is made once, from the profile columns. Equal id
+    tuples (tokens, mentions), equal neighbour sets, the ints inside all
+    of them, and equal pos_counts dicts are each one shared object; no
+    value is shared with another load.
     """
     profiles_path, history_path, instances_path = map(
         Path, (profiles_path, history_path, instances_path))
-    tuples, counts = _Tuples(), _Counts()
-    read: list[UserProfile] = []
-
-    def add_profiles(columns: list[list]) -> None:
-        values = [col if kind.load is None else kind.load(tuples, col)
-                  for (_, kind, _), col in zip(_PROFILE_FIELDS, columns)]
-        read.extend(map(UserProfile, *values))
-
-    lines, error = _read_file(profiles_path, _PROFILE_FIELDS, add_profiles)
-    ids = np.fromiter(map(attrgetter("user_id"), read), np.int64, len(read))
-    user_ids = Records({"user_id": _Column(ids, None, _as_list)}, iter)  # makes no record
-    _refuse(profiles_path, lines, _first_broken((_unique("user_id"),), user_ids), error)
-    profiles = dict(zip(ids.tolist(), read))
+    tables = _Tables()
+    builder = _Builder(_PROFILE_FIELDS, tables)
+    lines, error = _read_file(profiles_path, _PROFILE_FIELDS, builder.extend)
+    read = Records(builder.columns(), _make_profiles)
+    _refuse(profiles_path, lines, _first_broken((_unique("user_id"),), read), error)
+    profiles = dict(zip(read.column("user_id").tolist(), read))
     known = profiles.keys()
-    _refuse(profiles_path, lines, _profile_problem(read, known))
+    _refuse(profiles_path, lines, _profile_problem(profiles.values(), known))
 
-    events = _Builder(_EVENT_FIELDS, tuples, counts)
-    instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
+    events = _Builder(_EVENT_FIELDS, tables)
+    instances = _Builder(_INSTANCE_FIELDS, tables)
     # both files are read before a column is joined: joining the events
     # first raised the README walkthrough's peak RSS by about 4 MB
     files = []
     for path, table, builder, make, rules in (
         (history_path, _EVENT_FIELDS, events, _make_events, _event_rules(known)),
         (instances_path, _INSTANCE_FIELDS, instances, _make_instances,
-         _instance_rules(known, tuples.values)),
+         _instance_rules(known, tables.tuples.values)),
     ):
         lines, error = _read_file(path, table, builder.extend)
         files.append((path, lines, error, builder, make, rules))
@@ -1504,9 +1494,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     tweet_ids = itertools.count(1)
     instance_ids = itertools.count(1)
     buffer: deque[_Tweet] = deque(maxlen=500)
-    tuples, counts = _Tuples(), _Counts()
-    events = _Builder(_EVENT_FIELDS, tuples, counts)
-    instances = _Builder(_INSTANCE_FIELDS, tuples, counts)
+    tables = _Tables()
+    events = _Builder(_EVENT_FIELDS, tables)
+    instances = _Builder(_INSTANCE_FIELDS, tables)
     # a user's statuses are its posts and retweets
     statuses_of: Counter[int] = Counter()
     word_base = FIRST_WORD_ID

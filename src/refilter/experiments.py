@@ -731,11 +731,14 @@ def scatter_export(
 ) -> ScatterData:
     """Per-instance coordinates on two features plus the model's separator.
 
-    The model must have been trained on exactly these two features; the
-    separator parameters refer to the scaled feature space the model was
-    trained in.
+    The model must have been trained on exactly these two features, which
+    must differ: the separator `w_a * a + w_b * b + intercept = 0` has one
+    weight per axis. Its parameters refer to the scaled feature space the
+    model was trained in.
     """
     check_threshold(threshold)
+    if ft_a == ft_b:
+        raise ValueError(f"the scatter's two features must differ, got FT{ft_a} for both")
     if set(model.selected_features) != {ft_a, ft_b}:
         raise ValueError(
             f"model uses features {model.selected_features}, expected {{{ft_a}, {ft_b}}}"

@@ -240,6 +240,18 @@ def test_scatter_on_wrong_model_fails(workspace, tmp_path, capsys):
     assert rc == 1
 
 
+def test_scatter_refuses_one_feature_twice_before_reading_its_inputs(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    out = tmp_path / "x.csv"
+    rc = main(["scatter", "--corpus", str(absent), "--splits", str(absent),
+               "--model", str(absent / "model.json"), "--eval-set", "dev_balanced",
+               "--ft-a", "10", "--ft-b", "10", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "refilter: error: --ft-a and --ft-b must name two different features, got 10 for both\n")
+    assert not out.exists()
+
+
 # name: (an edit of the model record, or None to cut its JSON short; the
 # error after the file name)
 BAD_MODELS = {

@@ -927,6 +927,17 @@ def test_scatter_export(signal_pipeline):
         assert row[3] == (1 if side >= 0 else 0)
 
 
+def test_scatter_export_refuses_one_feature_twice(signal_pipeline):
+    """A one-feature model names its feature for both axes, but the
+    separator's line would then count its weight twice."""
+    splits, table = signal_pipeline
+    X, y = table.rows(splits.train_instances)
+    model = train(X, y, selected=(10,))
+    with pytest.raises(ValueError) as exc:
+        scatter_export(X, y, 10, 10, model)
+    assert str(exc.value) == "the scatter's two features must differ, got FT10 for both"
+
+
 def test_scatter_feature_mismatch(signal_pipeline):
     splits, table = signal_pipeline
     X, y = table.rows(splits.train_instances)

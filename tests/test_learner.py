@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +215,44 @@ def test_max_iter_stops_short_unconverged():
     X, y = _small_problem()
     model = train(X, y, selected=(1, 2, 3), hyper=Hyper(lam=1e-8, max_iter=1))
     assert model.n_iter == 1 and not model.converged
+
+
+def _lines_run(func, call):
+    """The line numbers of `func` that run during `call()`, and what the
+    call returns."""
+    ran = set()
+
+    def in_func(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return in_func
+
+    def trace(frame, event, arg):
+        return in_func if frame.f_code is func.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return ran, result
+
+
+def test_newton_stops_at_the_float_floor():
+    """With a tol that no Newton decrement meets, the loop ends where a
+    full step no longer lowers the loss: the float floor of the optimum."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(69, 2))
+    y = (rng.random(69) < expit(X @ np.array([1.0, -2.0]))).astype(float)
+    ran, model = _lines_run(learner._newton,
+                            lambda: train(X, y, selected=(1, 2), hyper=Hyper(tol=1e-300)))
+    lines, first = inspect.getsourcelines(learner._newton)
+    test = next(i for i, line in enumerate(lines) if "if loss_new >= loss:" in line)
+    floor = next(i for i in range(test + 1, len(lines)) if "converged = True" in lines[i])
+    assert first + floor in ran
+    assert model.converged and 0 < model.n_iter < Hyper().max_iter
+    assert meets_stopping_rule(model, X, y)
 
 
 def test_regularization_shrinks_weights():
