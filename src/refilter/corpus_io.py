@@ -17,7 +17,9 @@ append to these columns and make no records; `Corpus.events` and
 its column once, for all three record kinds: the loader reads profiles
 into columns too (klout in float64, neighbours as numbers of the corpus's
 distinct sets), and makes each profile record once from them, since a
-`Corpus` holds its profiles as records by user id.
+`Corpus` holds its profiles as records by user id. Every record class is
+flat, as its line is (an `Instance` holds its tweet's fields itself), so
+one expression makes a record of any kind from its columns.
 """
 
 from __future__ import annotations
@@ -104,21 +106,10 @@ class HistoryEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class EncodedTweet:
-    """Normalized tweet content in integer-id form, plus surface flags."""
-
-    tokens: tuple[int, ...]
-    char_length: int
-    has_url: bool = False
-    has_photo: bool = False
-    has_hashtag: bool = False
-    has_exclamation: bool = False
-    mentions: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
 class Instance:
-    """One classification example: a tweet delivered to a recipient."""
+    """One classification example: a tweet delivered to a recipient. The
+    tweet's normalized content in integer-id form and its surface flags
+    sit flat, from `tokens` to `mentions`, as on an instances.jsonl line."""
 
     instance_id: int
     tweet_id: int
@@ -127,7 +118,13 @@ class Instance:
     recipient_id: int
     timestamp: int
     label: bool
-    tweet: EncodedTweet
+    tokens: tuple[int, ...]
+    char_length: int
+    has_url: bool = False
+    has_photo: bool = False
+    has_hashtag: bool = False
+    has_exclamation: bool = False
+    mentions: tuple[int, ...] = ()
     global_retweet_count: int = 0
     global_favourite_count: int = 0
     pos_counts: Mapping[str, int] | None = None
@@ -165,14 +162,15 @@ def corpus_paths(directory: str | Path) -> tuple[Path, Path, Path]:
 
 
 # Each record kind is one table of (name, kind, JSON value when absent) rows
-# in record order, which is also the order of its dataclass's fields; an
-# instance's tweet fields sit flat, from `tokens` to `mentions`. The loader
-# and the writer both walk these tables one column at a time: a column is
-# one field's values across a block of up to _RECORD_BLOCK records. Blocks,
-# not whole files, keep the columns of a large corpus out of memory. On the
-# README corpus a load raised a fresh process's peak RSS by 24.7 MB in
-# blocks of 128 records, 25.7 MB in blocks of 512 and 133.5 MB over whole
-# files, at about the same speed; reading one line at a time took 24.5 MB.
+# in line order, which is also the order of its record class's fields, so
+# a record is made from its columns in table order; a line may hold no key
+# that its table does not declare. The loader and the writer both walk
+# these tables one column at a time: a column is one field's values across
+# a block of up to _RECORD_BLOCK records. Blocks, not whole files, keep the
+# columns of a large corpus out of memory. On the README corpus a load
+# raised a fresh process's peak RSS by 24.7 MB in blocks of 128 records,
+# 25.7 MB in blocks of 512 and 133.5 MB over whole files, at about the same
+# speed; reading one line at a time took 24.5 MB.
 #
 # A kind's `checks` are tests that every value of a column of JSON values
 # passes, in order, each with what the field must hold otherwise: a text,
@@ -512,20 +510,6 @@ _INSTANCE_FIELDS = (
     ("global_favourite_count", _count, 0),
     ("pos_counts", _pos_counts, None),
 )
-_TWEET = slice(7, 14)  # the instance rows that hold its tweet's fields
-
-
-def _attribute_paths(table: Sequence[tuple], tweet: slice = slice(0)) -> dict[str, str]:
-    """Each field's attribute path in its record object; the rows in
-    `tweet` are read from the object's `tweet`."""
-    names = [name for name, _, _ in table]
-    paths = list(names)
-    paths[tweet] = [f"tweet.{name}" for name in names[tweet]]
-    return dict(zip(names, paths))
-
-
-_EVENT_PATHS = _attribute_paths(_EVENT_FIELDS)
-_INSTANCE_PATHS = _attribute_paths(_INSTANCE_FIELDS, _TWEET)
 
 
 # what a kind's `encode` raises for a value that has no code
@@ -549,18 +533,16 @@ class _Builder:
         self._columns: dict[str, _Column] | None = None
 
     @classmethod
-    def of_records(cls, records: Iterable, table: Sequence[tuple], paths: Mapping[str, str],
-                   tables: _Tables) -> _Builder:
+    def of_records(cls, records: Iterable, table: Sequence[tuple], tables: _Tables) -> _Builder:
         builder = cls(table, tables)
-        getters = [attrgetter(paths[name]) for name in builder._names]
+        getters = list(map(attrgetter, builder._names))
         records = iter(records)
         while block := list(islice(records, _RECORD_BLOCK)):
             builder.extend([list(map(get, block)) for get in getters])
         return builder
 
     def append(self, *values) -> None:
-        """One record: its values in table order, an instance's tweet
-        fields flat."""
+        """One record: its values in table order."""
         self._rows.append(values)
         if len(self._rows) >= _RECORD_BLOCK:
             self._flush()
@@ -612,38 +594,15 @@ class _Builder:
         return self._columns
 
 
-def _make_profiles(values: list[list]) -> Iterator[UserProfile]:
-    return map(UserProfile, *values)
-
-
-def _make_events(values: list[list]) -> Iterator[HistoryEvent]:
-    return map(HistoryEvent, *values)
-
-
-def _make_instances(values: list[list]) -> Iterator[Instance]:
-    return map(Instance, *values[:7], _tweets(values[_TWEET]), *values[14:])
-
-
-def _tweets(fields: list[list]) -> Iterator[EncodedTweet]:
-    """The tweets of a block of instances; a run of rows with equal tweet
-    fields, as the recipients of one delivery have, shares one tweet."""
-    last = tweet = None
-    for values in zip(*fields):
-        if values != last:
-            last, tweet = values, EncodedTweet(*values)
-        yield tweet
-
-
 class Records(Sequence):
-    """A read-only sequence of one record kind, held as columns. Each
-    record is made on access, from Python ints and bools and the corpus's
-    shared tuples and dicts: two accesses give equal records, not one
-    object."""
+    """A read-only sequence of one record kind, held as columns in the
+    order of its class's fields. Each record is made on access, from
+    Python ints and bools and the corpus's shared tuples and dicts: two
+    accesses give equal records, not one object."""
 
-    def __init__(self, columns: dict[str, _Column],
-                 make: Callable[[list[list]], Iterator]) -> None:
+    def __init__(self, columns: dict[str, _Column], cls: type) -> None:
         self._columns = columns
-        self._make = make
+        self._cls = cls
         self._len = len(next(iter(columns.values())).values)
 
     def column(self, name: str) -> np.ndarray:
@@ -668,7 +627,7 @@ class Records(Sequence):
         return list(self._made(np.asarray(rows, dtype=np.int64)))
 
     def _made(self, rows: slice | np.ndarray) -> Iterator:
-        return self._make([self.values(name, rows) for name in self._columns])
+        return map(self._cls, *[self.values(name, rows) for name in self._columns])
 
     def __len__(self) -> int:
         return self._len
@@ -761,8 +720,8 @@ class Corpus:
                  instances: Iterable[Instance] | _Builder = ()) -> None:
         if not isinstance(events, _Builder):
             tables = _Tables()
-            events = _Builder.of_records(events, _EVENT_FIELDS, _EVENT_PATHS, tables)
-            instances = _Builder.of_records(instances, _INSTANCE_FIELDS, _INSTANCE_PATHS, tables)
+            events = _Builder.of_records(events, _EVENT_FIELDS, tables)
+            instances = _Builder.of_records(instances, _INSTANCE_FIELDS, tables)
         self.profiles = profiles
         self.tuples: list[tuple] = events.tables.tuples.values
         columns = events.columns()
@@ -770,10 +729,10 @@ class Corpus:
         # by its last key first
         order = np.lexsort([columns[name].values
                             for name in ("tweet_id", "action", "user_id", "timestamp")])
-        self.events = Records(_in_order(columns, order), _make_events)
+        self.events = Records(_in_order(columns, order), HistoryEvent)
         columns = instances.columns()
         order = np.argsort(columns["instance_id"].values, kind="stable")
-        self.instances = Records(_in_order(columns, order), _make_instances)
+        self.instances = Records(_in_order(columns, order), Instance)
         self.instance_by_id = InstanceIndex(self.instances)
 
     def __eq__(self, other) -> bool:
@@ -920,16 +879,35 @@ def _checked(records: list[dict], error: Exception | None, table: Sequence[tuple
     """The checked columns of a block's records in table order, up to the
     first record with a bad field, their length, and that record's error;
     `error` is the block's error at the row after its last record. Within
-    a record, the first bad field in table order is named."""
+    a record, the first bad field in table order is named, and then the
+    first key that the table does not declare."""
     limit = len(records)
-    columns = []
+    columns, gaps = [], []
     for name, kind, absent in table:
-        col = list(map(dict.get, records[:limit], repeat(name), repeat(absent)))
-        bad = _first_bad(col, _PRESENT + kind.checks if absent is _REQUIRED else kind.checks)
+        checks = kind.checks
+        try:
+            col = list(map(itemgetter(name), records[:limit]))
+        except KeyError:  # a record lacks the field
+            col = list(map(dict.get, records[:limit], repeat(name), repeat(_REQUIRED)))
+            if absent is _REQUIRED:
+                checks = _PRESENT + checks
+            else:
+                gaps.append(col)
+                col = [absent if value is _REQUIRED else value for value in col]
+        bad = _first_bad(col, checks)
         if bad is not None:
             limit, must = bad
             error = CorpusFormatError(f"{where(limit)}: field {name!r} {must}")
         columns.append(col)
+    # the records hold no undeclared key when their keys number the
+    # declared fields they hold; the rows are searched only when not
+    kept = records[:limit]
+    declared = limit * len(table) - sum(col[:limit].count(_REQUIRED) for col in gaps)
+    if sum(map(len, kept)) != declared:
+        names = {name for name, _, _ in table}
+        limit = next(row for row, record in enumerate(kept) if not names.issuperset(record))
+        unknown = next(key for key in kept[limit] if key not in names)
+        error = CorpusFormatError(f"{where(limit)}: unknown field {unknown!r}")
     return [col[:limit] for col in columns], limit, error
 
 
@@ -1112,7 +1090,7 @@ def load_corpus(
     tables = _Tables()
     builder = _Builder(_PROFILE_FIELDS, tables)
     lines, error = _read_file(profiles_path, _PROFILE_FIELDS, builder.extend)
-    read = Records(builder.columns(), _make_profiles)
+    read = Records(builder.columns(), UserProfile)
     _refuse(profiles_path, lines, _first_broken((_unique("user_id"),), read), error)
     profiles = dict(zip(read.column("user_id").tolist(), read))
     known = profiles.keys()
@@ -1123,17 +1101,17 @@ def load_corpus(
     # both files are read before a column is joined: joining the events
     # first raised the README walkthrough's peak RSS by about 4 MB
     files = []
-    for path, table, builder, make, rules in (
-        (history_path, _EVENT_FIELDS, events, _make_events, _event_rules(known)),
-        (instances_path, _INSTANCE_FIELDS, instances, _make_instances,
+    for path, table, builder, cls, rules in (
+        (history_path, _EVENT_FIELDS, events, HistoryEvent, _event_rules(known)),
+        (instances_path, _INSTANCE_FIELDS, instances, Instance,
          _instance_rules(known, tables.tuples.values)),
     ):
         lines, error = _read_file(path, table, builder.extend)
-        files.append((path, lines, error, builder, make, rules))
+        files.append((path, lines, error, builder, cls, rules))
         if error is not None:
             break
-    for path, lines, error, builder, make, rules in files:
-        _refuse(path, lines, _first_broken(rules, Records(builder.columns(), make)), error)
+    for path, lines, error, builder, cls, rules in files:
+        _refuse(path, lines, _first_broken(rules, Records(builder.columns(), cls)), error)
     return Corpus(profiles, events, instances)
 
 
@@ -1660,7 +1638,7 @@ def planted_features(
         kept = hist.recent(places, inst.timestamp, window, PLANT_HISTORY_CAP, inst.tweet_id)
         if not kept:
             return 0.0
-        v = vec_for(inst.tweet.tokens)
+        v = vec_for(inst.tokens)
         total = sum(vectorspace.cosine(v, vec_for(e.tokens)) for e in kept)
         return min(max(total / len(kept), 0.0), 1.0)
 

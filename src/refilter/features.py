@@ -139,17 +139,16 @@ class FeatureContext:
 
 
 def extract_group1(instance: Instance) -> list[float]:
-    t = instance.tweet
     return [
-        float(t.char_length),
-        1.0 if t.has_url else 0.0,
-        1.0 if t.mentions else 0.0,
-        1.0 if t.has_hashtag else 0.0,
+        float(instance.char_length),
+        1.0 if instance.has_url else 0.0,
+        1.0 if instance.mentions else 0.0,
+        1.0 if instance.has_hashtag else 0.0,
         float(instance.global_retweet_count),
         float(instance.global_favourite_count),
-        1.0 if t.has_exclamation else 0.0,
-        1.0 if t.has_photo else 0.0,
-        float(len(t.mentions)),
+        1.0 if instance.has_exclamation else 0.0,
+        1.0 if instance.has_photo else 0.0,
+        float(len(instance.mentions)),
     ]
 
 
@@ -163,7 +162,7 @@ def _history_similarities(
 ) -> list[float]:
     """Mean similarity of the tweet to the `recent` events of each stream,
     leaving out copies of the tweet itself."""
-    t, ts, tid = instance.tweet.tokens, instance.timestamp, instance.tweet_id
+    t, ts, tid = instance.tokens, instance.timestamp, instance.tweet_id
     return [
         avg_similarity(t, [e.tokens for e in hist.recent(places, ts, window, cap, tid)], idf)
         for places in streams
@@ -211,7 +210,7 @@ def extract_group4(instance: Instance, hist: UserHistoryIndex) -> list[float]:
     s, r = instance.sender_id, instance.recipient_id
     r_retweeted_s = hist.retweet_count(r, s, ts)
     return [
-        1.0 if r in instance.tweet.mentions else 0.0,
+        1.0 if r in instance.mentions else 0.0,
         1.0 if hist.mention_count(s, r, ts) > 0 else 0.0,
         1.0 if hist.mention_count(r, s, ts) > 0 else 0.0,
         1.0 if hist.retweet_count(s, r, ts) > 0 else 0.0,
@@ -294,7 +293,7 @@ def extract_group7(
     keywords: KeywordConfig,
     vocab: Mapping[int, str] | None = None,
 ) -> list[float]:
-    strings = _token_strings(instance.tweet.tokens, vocab)
+    strings = _token_strings(instance.tokens, vocab)
     if strings is None:
         share = good = bad = 0
     else:
@@ -326,7 +325,7 @@ def _note_fallback(ctx: FeatureContext, instance_id: int) -> None:
 
 def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
     """All 50 raw features of one instance, straight from history queries."""
-    if instance.pos_counts is None and _token_strings(instance.tweet.tokens, ctx.vocab) is not None:
+    if instance.pos_counts is None and _token_strings(instance.tokens, ctx.vocab) is not None:
         _note_fallback(ctx, instance.instance_id)
     values = (
         extract_group1(instance)
@@ -378,7 +377,7 @@ def extract_matrix(
     return ids, X, labels
 
 
-_TWEET_TOKENS = attrgetter("tweet.tokens")
+_TOKENS = attrgetter("tokens")
 _TIMESTAMP = attrgetter("timestamp")
 _TWEET_ID = attrgetter("tweet_id")
 _SENDER = attrgetter("sender_id")
@@ -407,7 +406,7 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     def ints(records: Sequence, field: attrgetter) -> np.ndarray:
         return _column(map(field, records), len(records), np.int64)
 
-    query = (slots(map(_TWEET_TOKENS, instances), n),
+    query = (slots(map(_TOKENS, instances), n),
              ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
     # the events' tokens are numbers of the corpus's distinct tuples; each
     # number used takes its tuple's slot, in order of first use
@@ -452,23 +451,22 @@ def _column_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarr
     """Groups 1, 3, 4, 6 and 7, one column at a time, each value the one
     `assemble` computes for its row."""
     hist, profiles, n = ctx.hist, ctx.corpus.profiles, len(instances)
-    tweets = [inst.tweet for inst in instances]
     senders = [inst.sender_id for inst in instances]
     recipients = [inst.recipient_id for inst in instances]
     times = [inst.timestamp for inst in instances]
 
-    def attr(objects: Sequence, name: str, dtype=np.float64) -> np.ndarray:
-        return _column(map(attrgetter(name), objects), n, dtype)
+    def attr(name: str, dtype=np.float64) -> np.ndarray:
+        return _column(map(attrgetter(name), instances), n, dtype)
 
     # group 1: FT1-9
-    X[:, 0] = attr(tweets, "char_length")
-    X[:, 1] = attr(tweets, "has_url", bool)
-    X[:, 3] = attr(tweets, "has_hashtag", bool)
-    X[:, 4] = attr(instances, "global_retweet_count")
-    X[:, 5] = attr(instances, "global_favourite_count")
-    X[:, 6] = attr(tweets, "has_exclamation", bool)
-    X[:, 7] = attr(tweets, "has_photo", bool)
-    X[:, 8] = _column(map(len, map(attrgetter("mentions"), tweets)), n)
+    X[:, 0] = attr("char_length")
+    X[:, 1] = attr("has_url", bool)
+    X[:, 3] = attr("has_hashtag", bool)
+    X[:, 4] = attr("global_retweet_count")
+    X[:, 5] = attr("global_favourite_count")
+    X[:, 6] = attr("has_exclamation", bool)
+    X[:, 7] = attr("has_photo", bool)
+    X[:, 8] = _column(map(len, map(attrgetter("mentions"), instances)), n)
     X[:, 2] = X[:, 8] > 0.0
 
     # group 3: FT14-35, each user's eleven profile values once
@@ -483,7 +481,7 @@ def _column_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarr
             X[:, first + j] = table[rows, j]
 
     # group 4: FT36-41
-    X[:, 35] = _column(map(contains, map(attrgetter("mentions"), tweets), recipients), n, bool)
+    X[:, 35] = _column(map(contains, map(attrgetter("mentions"), instances), recipients), n, bool)
     X[:, 36] = _column(map(hist.mention_count, senders, recipients, times), n, bool)
     X[:, 37] = _column(map(hist.mention_count, recipients, senders, times), n, bool)
     X[:, 38] = _column(map(hist.retweet_count, senders, recipients, times), n, bool)
@@ -517,7 +515,7 @@ def _wording_columns(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     """Group 7 (FT46-50), with the token-string work once per distinct
     token tuple; the fallback-tagger warning is logged once per context."""
     n = len(instances)
-    token_rows = [inst.tweet.tokens for inst in instances]
+    token_rows = [inst.tokens for inst in instances]
     wording = dict.fromkeys(token_rows)
     for tokens in wording:
         wording[tokens] = _wording(tokens, ctx.keywords, ctx.vocab)

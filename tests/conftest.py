@@ -4,7 +4,6 @@ import pytest
 
 from refilter.corpus_io import (
     Corpus,
-    EncodedTweet,
     HistoryEvent,
     Instance,
     SyntheticConfig,
@@ -33,20 +32,6 @@ def make_profile(user_id, neighbours=(), **overrides):
     return UserProfile(**defaults)
 
 
-def make_tweet(tokens=(10, 11, 12), **overrides):
-    defaults = dict(
-        tokens=tuple(tokens),
-        char_length=6 * len(tokens),
-        has_url=False,
-        has_photo=False,
-        has_hashtag=False,
-        has_exclamation=False,
-        mentions=(),
-    )
-    defaults.update(overrides)
-    return EncodedTweet(**defaults)
-
-
 def make_instance(
     instance_id,
     tweet_id,
@@ -58,7 +43,7 @@ def make_instance(
     author=None,
     **overrides,
 ):
-    tweet_overrides = overrides.pop("tweet_overrides", {})
+    overrides.setdefault("char_length", 6 * len(tokens))
     return Instance(
         instance_id=instance_id,
         tweet_id=tweet_id,
@@ -67,7 +52,7 @@ def make_instance(
         recipient_id=recipient,
         timestamp=timestamp,
         label=label,
-        tweet=make_tweet(tokens, **tweet_overrides),
+        tokens=tuple(tokens),
         **overrides,
     )
 

@@ -229,7 +229,7 @@ def adversarial_events(inst):
     mention of the recipient."""
     users = sorted({inst.sender_id, inst.recipient_id, inst.author_id})
     return [
-        HistoryEvent(user, inst.tweet_id, action, inst.timestamp + delay, inst.tweet.tokens,
+        HistoryEvent(user, inst.tweet_id, action, inst.timestamp + delay, inst.tokens,
                      mentions)
         for delay in (0, 1)
         for user in users

@@ -15,7 +15,6 @@ from refilter.corpus_io import (
     Corpus,
     CorpusFormatError,
     CorpusIntegrityError,
-    EncodedTweet,
     HistoryEvent,
     Instance,
     SyntheticConfig,
@@ -202,17 +201,13 @@ def _with_second_record(file_index, change):
     return make_corpus(*kinds)
 
 
-def _with_tweet(instance, **changes):
-    return dataclasses.replace(instance, tweet=dataclasses.replace(instance.tweet, **changes))
-
-
 @pytest.mark.parametrize("file_index,change", [
     pytest.param(1, lambda e: dataclasses.replace(e, user_id=9), id="event-user"),
     pytest.param(1, lambda e: dataclasses.replace(e, mentions_user=9), id="event-mention"),
     pytest.param(2, lambda i: dataclasses.replace(i, sender_id=9), id="sender"),
     pytest.param(2, lambda i: dataclasses.replace(i, recipient_id=9), id="recipient"),
     pytest.param(2, lambda i: dataclasses.replace(i, author_id=9), id="author"),
-    pytest.param(2, lambda i: _with_tweet(i, mentions=(1, 9)), id="instance-mention"),
+    pytest.param(2, lambda i: dataclasses.replace(i, mentions=(1, 9)), id="instance-mention"),
     pytest.param(2, lambda i: dataclasses.replace(i, recipient_id=i.sender_id), id="self-delivery"),
     pytest.param(0, lambda p: dataclasses.replace(p, neighbours=frozenset({2})),
                  id="self-neighbour"),
@@ -471,7 +466,7 @@ def test_config_validation():
 def test_planted_pos_counts_deterministic(small_signal_corpus):
     _, corpus = small_signal_corpus
     inst = corpus.instances[0]
-    assert inst.pos_counts == corpus_io._planted_pos_counts(inst.tweet.tokens)
+    assert inst.pos_counts == corpus_io._planted_pos_counts(inst.tokens)
 
 
 def test_referential_integrity_of_generated(small_signal_corpus):
@@ -632,10 +627,9 @@ _ORACLE_FIELDS = (
     [("user_id", _KEEP), ("tweet_id", _KEEP), ("action", _KEEP), ("timestamp", _KEEP),
      ("tokens", _KEEP), ("mentions_user", _KEEP)],
     [("instance_id", _KEEP), ("tweet_id", _KEEP), ("author_id", _KEEP), ("sender_id", _KEEP),
-     ("recipient_id", _KEEP), ("timestamp", _KEEP), ("label", _FLAG), ("tweet.tokens", _KEEP),
-     ("tweet.char_length", _KEEP), ("tweet.has_url", _FLAG), ("tweet.has_photo", _FLAG),
-     ("tweet.has_hashtag", _FLAG), ("tweet.has_exclamation", _FLAG),
-     ("tweet.mentions", _KEEP), ("global_retweet_count", _KEEP),
+     ("recipient_id", _KEEP), ("timestamp", _KEEP), ("label", _FLAG), ("tokens", _KEEP),
+     ("char_length", _KEEP), ("has_url", _FLAG), ("has_photo", _FLAG), ("has_hashtag", _FLAG),
+     ("has_exclamation", _FLAG), ("mentions", _KEEP), ("global_retweet_count", _KEEP),
      ("global_favourite_count", _KEEP),
      ("pos_counts", lambda counts: None if counts is None else dict(counts))],
 )
@@ -643,10 +637,8 @@ _ORACLE_FIELDS = (
 
 def _oracle_line(record, fields):
     values = {}
-    for path, convert in fields:
-        value = record
-        for name in path.split("."):
-            value = getattr(value, name)
+    for name, convert in fields:
+        value = getattr(record, name)
         values[name] = value if convert is None else convert(value)
     return _ORACLE_DUMP(values) + "\n"
 
@@ -687,10 +679,9 @@ def _edge_corpus(rng):
         an_int(), an_int(), an_int(), an_int(), an_int(), label=rng.random() < 0.5,
         tokens=tokens(), author=an_int(), global_retweet_count=an_int(),
         global_favourite_count=an_int(), pos_counts=rng.choice(counts),
-        tweet_overrides=dict(char_length=an_int(), has_url=rng.random() < 0.5,
-                             has_photo=rng.random() < 0.5, has_hashtag=rng.random() < 0.5,
-                             has_exclamation=rng.random() < 0.5,
-                             mentions=rng.choice(((), (an_int(),), ids(3), shared[2]))))
+        char_length=an_int(), has_url=rng.random() < 0.5, has_photo=rng.random() < 0.5,
+        has_hashtag=rng.random() < 0.5, has_exclamation=rng.random() < 0.5,
+        mentions=rng.choice(((), (an_int(),), ids(3), shared[2])))
         for _ in range(rng.randrange(40))]
     return make_corpus(profiles, events, instances)
 
@@ -717,14 +708,13 @@ def test_column_writer_matches_the_per_record_writer(tmp_path, monkeypatch, bloc
 def _id_tuples(corpus):
     """Every id tuple of a corpus: tokens and mentions."""
     return ([e.tokens for e in corpus.events]
-            + [i.tweet.tokens for i in corpus.instances]
-            + [i.tweet.mentions for i in corpus.instances])
+            + [i.tokens for i in corpus.instances]
+            + [i.mentions for i in corpus.instances])
 
 
 def _assert_shared(corpus):
     rows = _id_tuples(corpus)
-    for part in ([e.tokens for e in corpus.events], [i.tweet.tokens for i in corpus.instances],
-                 rows):
+    for part in ([e.tokens for e in corpus.events], [i.tokens for i in corpus.instances], rows):
         assert len({id(t) for t in part}) == len(set(part))
     ints = [n for row in rows for n in row]
     ints += [n for p in corpus.profiles.values() for n in p.neighbours]
@@ -745,22 +735,12 @@ def test_load_and_index_make_no_event_or_instance_record(tmp_path, small_signal_
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was made")
 
-    for cls in (HistoryEvent, EncodedTweet, Instance):
+    for cls in (HistoryEvent, Instance):
         monkeypatch.setattr(cls, "__init__", refuse)
     corpus = load_corpus_dir(tmp_path)
     UserHistoryIndex(corpus)
     monkeypatch.undo()
     assert corpus == generated
-
-
-def _field_values(record):
-    """Each field value of a record, its tweet's included."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if dataclasses.is_dataclass(value):
-            yield from _field_values(value)
-        else:
-            yield field.name, value
 
 
 def test_records_made_on_access_hold_python_values(small_signal_corpus):
@@ -774,7 +754,8 @@ def test_records_made_on_access_hold_python_values(small_signal_corpus):
                instances[0], instances[-1], *instances[20:23], *list(instances)[-3:],
                corpus.instance_by_id[iid], *corpus.instance_by_id.take([iid, iid])]
     for record in records:
-        for name, value in _field_values(record):
+        for name in (field.name for field in dataclasses.fields(record)):
+            value = getattr(record, name)
             if name in ("label", "has_url", "has_photo", "has_hashtag", "has_exclamation"):
                 assert type(value) is bool, (name, value)
             elif name in ("tokens", "mentions"):
@@ -862,9 +843,8 @@ def every_field_corpus():
                       tokens=(12, 0), global_retweet_count=4, global_favourite_count=9,
                       pos_counts={"nouns_verbs": 2, "definite_articles": 1,
                                   "indefinite_articles": 0},
-                      tweet_overrides=dict(char_length=31, has_url=True, has_photo=True,
-                                           has_hashtag=True, has_exclamation=True,
-                                           mentions=(2, 1))),
+                      char_length=31, has_url=True, has_photo=True, has_hashtag=True,
+                      has_exclamation=True, mentions=(2, 1)),
         make_instance(3, 101, sender=1, recipient=3, timestamp=1400, author=1),
     ]
     return make_corpus(profiles, events, instances)
@@ -936,13 +916,7 @@ def _with_default(corpus, file_index, field, default):
     elif file_index == 1:
         events[1] = dataclasses.replace(events[1], **{field: default})
     else:
-        inst = instances[1]
-        if field in {f.name for f in dataclasses.fields(inst.tweet)}:
-            inst = dataclasses.replace(inst, tweet=dataclasses.replace(inst.tweet,
-                                                                       **{field: default}))
-        else:
-            inst = dataclasses.replace(inst, **{field: default})
-        instances[1] = inst
+        instances[1] = dataclasses.replace(instances[1], **{field: default})
     return make_corpus(corpus.profiles.values(), events, instances)
 
 

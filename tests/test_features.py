@@ -57,7 +57,7 @@ def test_group1_surface_features():
     inst = make_instance(
         1, 10, sender=2, recipient=1, timestamp=100,
         tokens=(6, 7), global_retweet_count=17, global_favourite_count=4,
-        tweet_overrides=dict(char_length=11, has_exclamation=True, mentions=(1,)),
+        char_length=11, has_exclamation=True, mentions=(1,),
     )
     g1 = extract_group1(inst)
     assert g1 == [11.0, 0.0, 1.0, 0.0, 17.0, 4.0, 1.0, 0.0, 1.0]
@@ -66,7 +66,7 @@ def test_group1_surface_features():
 def test_group1_photo_and_hashtag_flags():
     inst = make_instance(
         1, 10, sender=2, recipient=1, timestamp=100,
-        tweet_overrides=dict(has_photo=True, has_hashtag=True, has_url=True),
+        has_photo=True, has_hashtag=True, has_url=True,
     )
     g1 = extract_group1(inst)
     assert ft(g1, 2) == 1.0 and ft(g1, 4) == 1.0 and ft(g1, 8) == 1.0
@@ -164,7 +164,7 @@ def test_group4_flags_and_count():
     ctx = context_for([make_profile(1), make_profile(2)], events)
     inst = make_instance(
         1, 10, sender=2, recipient=1, timestamp=100,
-        tweet_overrides=dict(mentions=(1,)),
+        mentions=(1,),
     )
     g4 = extract_group4(inst, ctx.hist)
     # recipient mentioned, sender mentioned recipient, recipient never

@@ -7,6 +7,7 @@ reader must refuse a mutant, naming the file and the line or field, or
 writing back what it read must give the mutant's exact bytes.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from refilter import cli, learner
+from refilter import cli, corpus_io, learner
 from refilter.experiments import (
     CURVE_CSV,
     METRICS_CSV,
@@ -81,6 +82,26 @@ def test_formats_doc_gives_each_json_record_field():
     spec = re.search(r"`spec`: it must hold exactly the fields(.*?), each a JSON integer",
                      _section("Split directory"), flags=re.S)
     assert re.findall(r"`(\w+)`", spec[1]) == list(cli.SPEC_FIELDS)
+
+
+@pytest.mark.parametrize("heading,table,cls", [
+    ("profiles.jsonl", corpus_io._PROFILE_FIELDS, corpus_io.UserProfile),
+    ("history.jsonl", corpus_io._EVENT_FIELDS, corpus_io.HistoryEvent),
+    ("instances.jsonl", corpus_io._INSTANCE_FIELDS, corpus_io.Instance),
+])
+def test_formats_doc_and_record_class_give_each_corpus_field(heading, table, cls):
+    """A corpus file's table lists the fields its loader declares, in
+    order, and marks "optional" exactly those with a value when absent.
+    The record class holds the same fields in the same order, which is
+    the order in which a record is made from its columns."""
+    section = next(part for part in _section("Corpus directory").split("\n### ")
+                   if part.startswith(heading))
+    rows = re.findall(r"^\| `(\w+)`\s*\|[^|]*\|(.*)\|$", section, flags=re.M)
+    names = [name for name, _, _ in table]
+    assert [name for name, _ in rows] == names
+    assert [re.search(r"\boptional\b", notes) is not None for _, notes in rows] == [
+        absent is not corpus_io._REQUIRED for _, _, absent in table]
+    assert [field.name for field in dataclasses.fields(cls)] == names
 
 
 @pytest.fixture(scope="module")

@@ -255,6 +255,27 @@ def test_newton_stops_at_the_float_floor():
     assert meets_stopping_rule(model, X, y)
 
 
+def test_newton_stops_when_the_step_size_underflows(monkeypatch):
+    """When every trial point of the line search is worse, the step halves
+    below its floor and the fit stops at its start, not converged."""
+    X, y = _small_problem()
+    loss, calls = learner._loss, []
+
+    def loss_then_inf(*args):
+        calls.append(None)
+        return loss(*args) if len(calls) == 1 else math.inf
+
+    monkeypatch.setattr(learner, "_loss", loss_then_inf)
+    start = (np.array([0.3, -0.2]), 0.1)
+    ran, model = _lines_run(learner._newton,
+                            lambda: train(X, y, selected=(1, 2), start=start))
+    lines, first = inspect.getsourcelines(learner._newton)
+    test = next(i for i, line in enumerate(lines) if "if not improved:" in line)
+    assert first + test + 1 in ran and "break" in lines[test + 1]
+    assert not model.converged and model.n_iter == 0
+    assert model.weights.tolist() == start[0].tolist() and model.intercept == start[1]
+
+
 def test_regularization_shrinks_weights():
     rng = np.random.default_rng(8)
     X = rng.normal(0, 1, size=(200, 3))

@@ -29,7 +29,6 @@ from refilter.corpus_io import (
     CorpusError,
     CorpusFormatError,
     CorpusIntegrityError,
-    EncodedTweet,
     HistoryEvent,
     Instance,
     SyntheticConfig,
@@ -99,13 +98,13 @@ def _valid_corpus():
     instances = [
         make_instance(1, 101, sender=2, recipient=1, timestamp=1200, label=True,
                       global_retweet_count=4,
-                      tweet_overrides=dict(has_url=True, mentions=(3,))),
+                      has_url=True, mentions=(3,)),
         make_instance(2, 102, sender=3, recipient=1, timestamp=1300,
                       pos_counts={"nouns_verbs": 2, "definite_articles": 1,
                                   "indefinite_articles": 0},
-                      tweet_overrides=dict(has_photo=True, has_exclamation=True)),
+                      has_photo=True, has_exclamation=True),
         make_instance(3, 102, sender=3, recipient=2, timestamp=1300,
-                      tweet_overrides=dict(has_hashtag=True)),
+                      has_hashtag=True),
     ]
     return make_corpus(profiles, events, instances)
 
@@ -353,6 +352,9 @@ def _oracle_read_records(path, table, memo):
                         raise _OracleBadValue("is missing")
             except _OracleBadValue as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: field {name!r} {exc}") from None
+            for key in record:
+                if key not in [name for name, _, _ in table]:
+                    raise CorpusFormatError(f"{path}:{lineno}: unknown field {key!r}")
             yield lineno, values
 
 
@@ -386,7 +388,7 @@ def _oracle_instance_problem(inst, known):
         uid = getattr(inst, field)
         if uid not in known:
             return field, _oracle_unknown(uid, f"{role} of {where}")
-    for m in inst.tweet.mentions:
+    for m in inst.mentions:
         if m not in known:
             return "mentions", _oracle_unknown(m, f"mention in {where}")
     if inst.sender_id == inst.recipient_id:
@@ -425,7 +427,7 @@ def _oracle_read_corpus(profiles_path, history_path, instances_path):
     instances = []
     seen_ids = set()
     for lineno, v in _oracle_read_records(instances_path, _ORACLE_INSTANCE_FIELDS, memo):
-        instance = Instance(*v[:7], EncodedTweet(*v[7:14]), *v[14:])
+        instance = Instance(*v)
         iid = instance.instance_id
         if iid in seen_ids:
             raise CorpusIntegrityError(
@@ -441,8 +443,8 @@ def _oracle_read_corpus(profiles_path, history_path, instances_path):
 def _sharing(corpus):
     """Where each id tuple, each int inside one, each action and each
     pos_counts dict of a corpus first occurs, as an object."""
-    tuples = ([e.tokens for e in corpus.events] + [i.tweet.tokens for i in corpus.instances]
-              + [i.tweet.mentions for i in corpus.instances])
+    tuples = ([e.tokens for e in corpus.events] + [i.tokens for i in corpus.instances]
+              + [i.mentions for i in corpus.instances])
     ints = [n for t in tuples for n in t]
     ints += [n for p in corpus.profiles.values() for n in sorted(p.neighbours)]
     objects = (tuples + ints + [e.action for e in corpus.events]
@@ -704,3 +706,33 @@ def test_a_bad_line_before_a_byte_that_is_not_utf8_is_named_first(tmp_path, monk
     assert _refusal(paths, monkeypatch, files) == (
         CorpusFormatError, f"{paths[1]}:4: invalid JSON (Expecting property name enclosed in "
                            "double quotes)")
+
+
+def test_a_key_that_the_table_does_not_declare_is_refused(tmp_path, monkeypatch):
+    """An extra key is refused at its line, after the record's declared
+    fields pass, and before a bad line later in the file."""
+    paths, files = _valid_lines(tmp_path)
+    files[0][1] = files[0][1][:-1] + ',"bogus":5}'
+    assert _refusal(paths, monkeypatch, files) == (
+        CorpusFormatError, f"{paths[0]}:2: unknown field 'bogus'")
+    files[0][2] = "{"
+    assert _refusal(paths, monkeypatch, files)[1] == f"{paths[0]}:2: unknown field 'bogus'"
+    # a misspelt optional key would otherwise load as the field's default
+    paths, files = _valid_lines(tmp_path)
+    files[0][0] = files[0][0].replace('"klout_delta_7d"', '"klout_delta_7"')
+    assert _refusal(paths, monkeypatch, files) == (
+        CorpusFormatError, f"{paths[0]}:1: unknown field 'klout_delta_7'")
+    # an extra key on the same line as a bad declared field
+    paths, files = _valid_lines(tmp_path)
+    files[2][2] = files[2][2].replace('"label":0', '"label":2,"label2":0')
+    assert _refusal(paths, monkeypatch, files) == (
+        CorpusFormatError, f"{paths[2]}:3: field 'label' must be 0 or 1")
+    files[2][2] = files[2][2].replace('"label":2', '"label":0')
+    assert _refusal(paths, monkeypatch, files) == (
+        CorpusFormatError, f"{paths[2]}:3: unknown field 'label2'")
+    # every event lacks its optional key and holds an extra one, so each
+    # holds as many keys as its table declares
+    paths, files = _valid_lines(tmp_path)
+    files[1] = [line.replace('"mentions_user"', '"mention_user"') for line in files[1]]
+    assert _refusal(paths, monkeypatch, files) == (
+        CorpusFormatError, f"{paths[1]}:1: unknown field 'mention_user'")
