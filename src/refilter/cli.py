@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,27 @@ def _config_from_args(args, cls):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
+def _check_within(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be in {lo}..{hi}, got {value}")
+
+
 def _check_within_features(flag: str, value: int) -> None:
     """A feature id, or a count of features, is in 1..N_FEATURES."""
-    if not 1 <= value <= features.N_FEATURES:
-        raise ValueError(f"{flag} must be in 1..{features.N_FEATURES}, got {value}")
+    _check_within(flag, value, 1, features.N_FEATURES)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:  # False for nan
+        raise ValueError(f"--threshold must lie in (0, 1), got {threshold}")
+
+
+def _check_folds(folds: int, ids: experiments.SplitIds) -> None:
+    """--folds cuts the train rows into at least two folds of one row or more."""
+    if folds < 2:
+        raise ValueError(f"--folds must be at least 2, got {folds}")
+    if folds > len(ids.train):
+        raise ValueError(f"--folds must be at most the {len(ids.train)} train rows, got {folds}")
 
 
 def _parse_feature_list(text: str) -> tuple[int, ...]:
@@ -117,7 +135,7 @@ def _save_table(path: Path, table: experiments.FeatureTable, key: str) -> None:
         pass  # an unwritable splits directory only means the next command recomputes
 
 
-def _split_table(args) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
+def _split_table(args, check=None) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
     """The split ids and the raw feature table of every split instance.
 
     The table is read from TABLE_FILE in the `--splits` directory when it
@@ -125,11 +143,14 @@ def _split_table(args) -> tuple[experiments.SplitIds, experiments.FeatureTable]:
     Otherwise it is computed from the corpus and saved there, replacing
     whatever the file held. Every flag and split file is checked before
     the lookup, so a bad input fails the same way whether or not the
-    table is saved.
+    table is saved: `check(ids)`, when given, refuses the flags whose
+    bounds need the split ids.
     """
     features.check_cap(args.cap)
     split_dir = Path(args.splits)
     ids = _read_split_ids(split_dir)
+    if check is not None:
+        check(ids)
     key = _table_key(args, split_dir)
     path = split_dir / TABLE_FILE
     members = ids.train + [iid for name in EVAL_SETS for iid in ids.eval_set(name)]
@@ -287,9 +308,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ids, table = _split_table(args)
-    X, y = table.rows_by_id(ids.train)
-    ranking = experiments.rank_features(X, y, folds=args.folds)
+    ids, table = _split_table(args, partial(_check_folds, args.folds))
+    ranking = experiments.rank_features(table.X, table.y, folds=args.folds,
+                                        rows=table.places(ids.train))
     experiments.write_csv(args.out, experiments.RANKING_CSV, map(astuple, ranking))
     print(f"wrote ranking of {len(ranking)} features to {args.out}")
     return 0
@@ -307,7 +328,8 @@ def _selected_features(args) -> tuple[int, ...]:
 def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
     selected = _selected_features(args)
-    ids, table = _split_table(args)
+    ids, table = _split_table(args, None if args.k is None else lambda ids: _check_within(
+        "--k", args.k, 1, len(ids.train_batches)))
     model = experiments.train_on_batches(ids, table, selected, hyper, k=args.k)
     Path(args.out).write_text(learner.model_to_json(model) + "\n", encoding="utf-8")
     status = "converged" if model.converged else "hit max_iter"
@@ -325,6 +347,7 @@ def _load_model(path: str) -> learner.Model:
 
 
 def cmd_eval(args) -> int:
+    _check_threshold(args.threshold)
     model = _load_model(args.model)
     ids, table = _split_table(args)
     X, y = table.rows_by_id(ids.eval_set(args.eval_set))
@@ -338,8 +361,11 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     hyper = _hyper_from_args(args)
     _check_within_features("--top-m", args.top_m)
+    _check_threshold(args.threshold)
     ranking = experiments.read_ranking(args.ranking) if args.ranking else None
-    ids, table = _split_table(args)
+    # the curve ranks the train rows only without a ranking file
+    check = partial(_check_folds, args.folds) if ranking is None else None
+    ids, table = _split_table(args, check)
     points = experiments.incremental_eval(
         ids,
         table,
@@ -369,6 +395,7 @@ def cmd_score(args) -> int:
 def cmd_scatter(args) -> int:
     _check_within_features("--ft-a", args.ft_a)
     _check_within_features("--ft-b", args.ft_b)
+    _check_threshold(args.threshold)
     if args.ft_a == args.ft_b:
         raise ValueError("--ft-a and --ft-b must name two different features, "
                          f"got {args.ft_a} for both")

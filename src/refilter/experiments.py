@@ -358,45 +358,67 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float(xc @ yc) / denom
 
 
+# the widest block of columns `rank_features` scores a fold over. Within
+# a block of two or more columns each column is reduced row by row, so any
+# such block gives the same bits; a block of one column would be summed
+# pairwise. Balanced blocks of at most 25 are at least 2 wide, and each
+# block costs a pass over the fold's rows: the 50 features take two.
+_RANK_BLOCK = 25
+
+
 def rank_features(
-    matrix: np.ndarray, labels: np.ndarray, folds: int = 10
+    matrix: np.ndarray, labels: np.ndarray, folds: int = 10,
+    rows: np.ndarray | None = None,
 ) -> list[RankedFeature]:
     """Rank features by mean |pearson r| to the label across contiguous
     cross-validation folds (each fold's training portion is scored).
+    `rows` are the places in `matrix` and `labels` of the rows ranked, in
+    order; by default every row.
 
-    All columns of a fold are scored in one pass, with `pearson`'s rules
-    (an exactly constant column or label vector scores 0), by reductions
-    that do not go through BLAS: the scores are the same bits on any BLAS
-    thread count."""
+    Each fold is scored over blocks of columns, with `pearson`'s rules (an
+    exactly constant column or label vector scores 0), by reductions that
+    do not go through BLAS: the scores are the same bits on any BLAS thread
+    count. Only one block of the rows, and its copy for one fold, is held
+    at a time."""
     if folds < 2:
         raise ValueError("folds must be at least 2")
     X = np.asarray(matrix, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    n = X.shape[0]
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    y = np.asarray(labels, dtype=np.float64)[rows]
+    n, width = len(rows), X.shape[1]
     if n < folds:
         raise ValueError(f"cannot split {n} rows into {folds} folds")
 
-    fold_slices = np.array_split(np.arange(n), folds)
-    scores = np.zeros(X.shape[1])
-    for fold in fold_slices:
+    # each fold whose training labels vary: its training rows, their labels
+    # centred, and the labels' sum of squares
+    fits = []
+    for fold in np.array_split(np.arange(n), folds):
         keep = np.ones(n, dtype=bool)
         keep[fold] = False
-        Xf, yf = X[keep], y[keep]
+        yf = y[keep]
         if len(yf) < 2:
             raise ValueError("pearson needs at least 2 points")
         if np.all(yf == yf[0]):
             continue  # every column scores 0
-        live = ~np.all(Xf == Xf[0], axis=0)
-        Xf -= Xf.mean(axis=0)  # Xf is this fold's own copy
         yc = yf - yf.mean()
-        denom = np.sqrt(np.einsum("ij,ij->j", Xf, Xf) * np.einsum("i,i->", yc, yc))
-        live &= denom != 0.0
-        r = np.zeros(X.shape[1])
-        np.divide(np.einsum("ij,i->j", Xf, yc), denom, out=r, where=live)
-        scores += np.abs(r)
+        fits.append((keep, yc, np.einsum("i,i->", yc, yc)))
+    scores = np.zeros(width)
+    blocks = -(-width // _RANK_BLOCK)
+    edges = [width * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = X[rows, lo:hi]
+        for keep, yc, yy in fits:  # in fold order, as each score sums
+            Xf = block[keep]
+            live = ~np.all(Xf == Xf[0], axis=0)
+            Xf -= Xf.mean(axis=0)  # Xf is this fold's own copy
+            denom = np.sqrt(np.einsum("ij,ij->j", Xf, Xf) * yy)
+            live &= denom != 0.0
+            r = np.zeros(hi - lo)
+            np.divide(np.einsum("ij,i->j", Xf, yc), denom, out=r, where=live)
+            scores[lo:hi] += np.abs(r)
     scores /= folds
 
-    order = sorted(range(X.shape[1]), key=lambda j: (-scores[j], j))
+    order = sorted(range(width), key=lambda j: (-scores[j], j))
     return [
         RankedFeature(ft_id=j + 1, pearson_r=float(scores[j]), rank=pos + 1)
         for pos, j in enumerate(order)
@@ -454,10 +476,15 @@ class FeatureTable:
     def rows(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
         return self.rows_by_id([inst.instance_id for inst in instances])
 
+    def places(self, ids: Sequence[int]) -> np.ndarray:
+        """The place in `X` and `y` of each of `ids`, in that order;
+        KeyError names an unknown id."""
+        return self._order[sorted_places(self._sorted_ids, ids)]
+
     def rows_by_id(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The rows of `ids`, in that order; KeyError names an unknown id."""
-        idx = self._order[sorted_places(self._sorted_ids, ids)]
-        return self.X[idx], self.y[idx]
+        places = self.places(ids)
+        return self.X[places], self.y[places]
 
 
 def featurize(ctx: FeatureContext, instances: Sequence[Instance]) -> FeatureTable:
@@ -481,15 +508,32 @@ def featurize_splits(ctx: FeatureContext, splits: DatasetSplits) -> FeatureTable
 
 
 _TABLE_ARRAYS = ("key", "ids", "X", "y")
+_MEMBER_SLICE = 1 << 20  # bytes
+
+
+def _write_member(fh, array: np.ndarray) -> None:
+    """The bytes `np.lib.format.write_array` writes, with the data of a
+    C-contiguous array of plain values handed over in slices of its own
+    memory. `write_array` gives a stream that is not a file `tobytes()`
+    copies of up to 16 MiB, so a table's X would be copied whole; any
+    other array takes that path, where an object array is refused."""
+    if not array.flags.c_contiguous or array.dtype.hasobject:
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+        return
+    np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+    data = array.reshape(-1).view(np.uint8)  # a 0-d array too keeps its bytes
+    for start in range(0, len(data), _MEMBER_SLICE):
+        fh.write(data[start:start + _MEMBER_SLICE])
 
 
 def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
     """Save the table and its key as an uncompressed `.npz` archive.
 
     Every member carries the same fixed timestamp, so the bytes depend on
-    the arrays alone. Each array streams into its member, with no second
-    copy in memory. The file appears atomically: it is written to a
-    temporary file in the same directory, then renamed over `path`.
+    the arrays alone. Each array streams into its member in slices of at
+    most 1 MiB of its own memory, with no copy of its data. The file
+    appears atomically: it is written to a temporary file in the same
+    directory, then renamed over `path`.
     """
     path = Path(path)
     arrays = {"key": np.array(key), "ids": table.ids, "X": table.X, "y": table.y}
@@ -500,7 +544,7 @@ def write_table(path: str | Path, table: FeatureTable, key: str) -> None:
                 member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
                 member.external_attr = 0o644 << 16
                 with zf.open(member, "w") as fh:
-                    np.lib.format.write_array(fh, arrays[name], allow_pickle=False)
+                    _write_member(fh, arrays[name])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -558,45 +602,52 @@ class CurvePoint:
 
 
 class _BatchPrefixes:
-    """The train rows in batch order, laid out once as the design of
-    `selected`, so that the first k batches are the prefix `A[:ends[k-1]]`.
+    """The rows of the train batches `batches` (lists of ids), in batch
+    order, laid out once as the design of `selected`, so that the first k
+    batches are the prefix `A[:ends[k-1]]`. Every raw value is read from
+    `table.X` through the rows' places; the train matrix is never copied.
 
     The scaling of each prefix is the running column min/max over the
-    per-batch extremes. Min and max are exact, so it equals `fit_scaling`
-    on the prefix bit for bit.
+    per-batch extremes, each taken over its own batch's rows. Min and max
+    are exact, so it equals `fit_scaling` on the prefix bit for bit.
 
     `scaled` serves every prefix from the one design matrix `A`: the
     selected columns, in selected order, then a column of ones, in
     column-major order (`learner.design_matrix`). A call brings `A[:n]` to
     the prefix's scaling: a scaled column whose extremes differ from the
-    buffer's is scaled anew over the whole prefix, any other only on the
-    rows the last call left out. The returned view holds the values, the
-    layout and so the fit bits of a prefix scaled anew and gathered by
-    `train`.
+    buffer's is read from the table and scaled anew over the whole prefix,
+    one column at a time; the other scaled columns only on the rows the
+    last call left out. The returned view holds the values, the layout and
+    so the fit bits of a prefix scaled anew and gathered by `train`.
     """
 
-    def __init__(self, splits: SplitIds, X: np.ndarray, y: np.ndarray,
+    def __init__(self, batches: Sequence[Sequence[int]], table: FeatureTable,
                  selected: Sequence[int]) -> None:
-        selected = checked_selection(selected, X.shape[1])
-        self.width = X.shape[1]
-        self.y = y
-        sizes = np.array([len(batch) for batch in splits.train_batches])
+        self._X = table.X
+        self._places = table.places([iid for batch in batches for iid in batch])
+        self.width = self._X.shape[1]
+        selected = checked_selection(selected, self.width)
+        self.y = table.y[self._places]
+        sizes = np.array([len(batch) for batch in batches], dtype=np.intp)
         self.ends = np.cumsum(sizes)
-        batches = [X[end - size : end] for size, end in zip(sizes, self.ends)]
         # an empty batch yields the identity of min (max), which leaves the
         # running extremes as they were
-        self.mins = np.minimum.accumulate([b.min(axis=0, initial=np.inf) for b in batches])
-        self.maxs = np.maximum.accumulate([b.max(axis=0, initial=-np.inf) for b in batches])
+        mins, maxs = [], []
+        for start, end in zip(self.ends - sizes, self.ends):
+            rows = self._X[self._places[start:end]]
+            mins.append(rows.min(axis=0, initial=np.inf))
+            maxs.append(rows.max(axis=0, initial=-np.inf))
+        self.mins = np.minimum.accumulate(mins)
+        self.maxs = np.maximum.accumulate(maxs)
         # A holds the unscaled columns from the start; its scaled columns
-        # (at positions _pos, feature columns _cols) hold X[:_rows] in the
-        # scaling (_mins, _maxs), and _raw keeps their raw values
-        self._A = design_matrix(X, selected)
+        # (at positions _pos, feature columns _cols) hold the first _rows
+        # rows in the scaling (_mins, _maxs)
+        self._A = design_matrix(self._X, selected, self._places)
         self._pos = np.array([j for j, ft in enumerate(selected) if ft in SCALED_FEATURE_IDS],
                              dtype=np.intp)
         self._cols = np.array([selected[j] - 1 for j in self._pos], dtype=np.intp)
-        self._raw = np.asfortranarray(X[:, self._cols])
         self._rows = 0
-        self._mins = self._maxs = np.zeros(X.shape[1])
+        self._mins = self._maxs = np.zeros(self.width)
 
     def scaled(self, k: int) -> tuple[Design, np.ndarray, ScalingParams]:
         """The design of the first k batches' rows in their own scaling,
@@ -610,11 +661,14 @@ class _BatchPrefixes:
             maxs.view(np.int64) != self._maxs.view(np.int64)
         )
         moved = moved[self._cols]
-        for which, rows in ((moved, slice(0, n)), (~moved, slice(self._rows, n))):
-            cols = self._cols[which]
-            self._A[rows, self._pos[which]] = scale_columns(
-                self._raw[rows, which], mins[cols], maxs[cols]
-            )
+        # the columns that kept their extremes, on the new rows only
+        cols = self._cols[~moved]
+        self._A[self._rows:n, self._pos[~moved]] = scale_columns(
+            self._X[np.ix_(self._places[self._rows:n], cols)], mins[cols], maxs[cols])
+        for pos, col in zip(self._pos[moved], self._cols[moved]):
+            one = slice(col, col + 1)
+            self._A[:n, pos:pos + 1] = scale_columns(
+                self._X[self._places[:n], one], mins[one], maxs[one])
         self._rows, self._mins, self._maxs = n, mins, maxs
         return Design(self._A[:n], self.width), self.y[:n], ScalingParams(mins=mins, maxs=maxs)
 
@@ -654,8 +708,7 @@ def train_on_batches(
     k = len(splits.train_batches) if k is None else k
     if not 1 <= k <= len(splits.train_batches):
         raise ValueError(f"k must be in 1..{len(splits.train_batches)}")
-    X, y = table.rows_by_id(splits.train)
-    design, y, scaling = _BatchPrefixes(splits, X, y, selected).scaled(k)
+    design, y, scaling = _BatchPrefixes(splits.train_batches[:k], table, selected).scaled(k)
     return train(design, y, selected, hyper, scaling)
 
 
@@ -674,24 +727,23 @@ def incremental_eval(
 
     The feature ranking is computed once on the full training set and
     reused for all k. The scaling at k is the running min/max of the first
-    k batches, which equals a refit on those rows. The train rows are
-    gathered once; the design of k is a view of one column-major buffer of
-    the selected columns that each k updates only where its scaling moved.
-    The fit and the train F1 share that view, and the next k overwrites
-    it. The fit at k starts from the optimum at k-1, mapped into the
-    scaling at k; Newton runs to the optimum, so the start moves its path
-    but not its result.
+    k batches, which equals a refit on those rows. The ranking and the
+    design read the train rows from `table.X` through their places, with
+    no copy of the train matrix. The design of k is a view of one
+    column-major buffer of the selected columns that each k updates only
+    where its scaling moved. The fit and the train F1 share that view, and
+    the next k overwrites it. The fit at k starts from the optimum at k-1,
+    mapped into the scaling at k; Newton runs to the optimum, so the start
+    moves its path but not its result.
     """
     if not 1 <= top_m <= N_FEATURES:
         raise ValueError(f"top_m must be in 1..{N_FEATURES}")
     check_threshold(threshold)
     splits = _split_ids(splits)
-    X, y = table.rows_by_id(splits.train)
     if ranking is None:
-        ranking = rank_features(X, y, folds=folds)
+        ranking = rank_features(table.X, table.y, folds=folds, rows=table.places(splits.train))
     selected = top_features(ranking, top_m)
-    prefixes = _BatchPrefixes(splits, X, y, selected)
-    del X  # the prefixes keep the selected columns
+    prefixes = _BatchPrefixes(splits.train_batches, table, selected)
 
     eval_X, eval_y = table.rows_by_id(splits.eval_set(eval_set))
 

@@ -131,11 +131,18 @@ def checked_selection(selected: Sequence[int], width: int,
     return selected
 
 
-def design_matrix(vectors: np.ndarray, selected: Sequence[int]) -> np.ndarray:
-    """[X[:, cols], 1] for the feature ids `selected`, column-major."""
+def design_matrix(vectors: np.ndarray, selected: Sequence[int],
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """[X[rows][:, cols], 1] for the feature ids `selected` and the row
+    places `rows` (every row by default), column-major. Each column is
+    copied into place on its own, so no copy of the selected columns is
+    made on the way."""
     X = np.asarray(vectors, dtype=np.float64)
-    A = np.empty((X.shape[0], len(selected) + 1), order="F")
-    A[:, :-1] = X[:, [ft - 1 for ft in selected]]
+    n = X.shape[0] if rows is None else len(rows)
+    rows = slice(None) if rows is None else rows
+    A = np.empty((n, len(selected) + 1), order="F")
+    for j, ft in enumerate(selected):
+        A[:, j] = X[rows, ft - 1]
     A[:, -1] = 1.0
     return A
 
@@ -175,9 +182,8 @@ def train(
 
     # the one copy of the selected columns; a Design is fitted where it lies
     A = X if design else design_matrix(X, selected)
-    finite = np.isfinite(A)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
+    if not np.isfinite(A).all():
+        row, col = np.argwhere(~np.isfinite(A))[0]
         raise LearnerError(f"non-finite feature value at instance row {row}, FT{selected[col]}")
 
     k = len(selected)
@@ -214,13 +220,18 @@ def _newton(A: np.ndarray, y: np.ndarray, theta: np.ndarray, hyper: Hyper):
     # step; one sigmoid of them serves the gradient and the Hessian
     z = A @ theta
     loss = _loss(z, y, theta[:k], lam)
+    # the weighted rows sqrt(d) * A of each iterate, in one column-major
+    # buffer per fit, as `A * sqrt(d)[:, None]` would lay them out: the
+    # Hessian B.T @ B is numpy's syrk path (one triangle, mirrored), and
+    # no iterate holds a second buffer of A's size
+    B = np.empty(A.shape, order="F")
 
     for n_iter in range(max_iter + 1):
         p = _sigmoid(z)
         g = np.einsum("ij,i->j", A, (p - y) / n) + penalty * theta
         d = np.maximum(p * (1.0 - p), 1e-12) / n
-        B = A * np.sqrt(d)[:, None]
-        H = B.T @ B  # numpy's syrk path: one triangle, mirrored
+        np.multiply(A, np.sqrt(d)[:, None], out=B)
+        H = B.T @ B
         H[np.diag_indices_from(H)] += penalty
         step = _solve(H, g, 0.0)
         # the Newton decrement is the loss drop a full step predicts; it is

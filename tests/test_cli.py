@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from refilter import corpus_io, experiments, history
-from refilter.cli import build_parser, main
+from refilter.cli import TABLE_FILE, build_parser, main
 from refilter.corpus_io import SyntheticConfig, config_from_dict, load_corpus_dir
 from refilter.experiments import read_curve, read_ranking
 
@@ -413,6 +413,35 @@ def test_top_m_outside_the_features_fails_before_the_table(workspace, tmp_path, 
     err = capsys.readouterr().err
     assert err == f"refilter: error: --top-m must be in 1..50, got {top_m}\n"
     assert reads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("rank", ["--folds", "1"], "--folds must be at least 2, got 1"),
+    ("curve", ["--folds", "1"], "--folds must be at least 2, got 1"),
+    ("rank", ["--folds", "100000"], "--folds must be at most the 400 train rows, got 100000"),
+    ("curve", ["--folds", "100000"], "--folds must be at most the 400 train rows, got 100000"),
+    ("train", ["--k", "0"], "--k must be in 1..8, got 0"),
+    ("train", ["--k", "999"], "--k must be in 1..8, got 999"),
+    ("curve", ["--threshold", "1.5"], "--threshold must lie in (0, 1), got 1.5"),
+    ("eval", ["--threshold", "1.5"], "--threshold must lie in (0, 1), got 1.5"),
+    ("scatter", ["--threshold", "nan", "--ft-a", "10", "--ft-b", "43"],
+     "--threshold must lie in (0, 1), got nan"),
+])
+def test_bad_flag_fails_before_a_table_miss_builds_the_table(workspace, tmp_path, capsys,
+                                                             command, flags, message):
+    """With no saved table, a bad flag is refused before the corpus is
+    parsed and the table built and saved."""
+    root, corpus, splits, ranking, model = workspace
+    bare = tmp_path / "splits"
+    shutil.copytree(splits, bare, ignore=shutil.ignore_patterns(TABLE_FILE))
+    inputs = {"train": ["--ranking", str(ranking)], "eval": ["--model", str(model)],
+              "scatter": ["--model", str(model)]}.get(command, [])
+    out = tmp_path / "out"
+    rc = main([command, "--corpus", str(corpus), "--splits", str(bare), *inputs, *flags,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"refilter: error: {message}\n"
+    assert not (bare / TABLE_FILE).exists() and not out.exists()
 
 
 @pytest.mark.parametrize("command,ranked,flags,named", [

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,58 @@ def test_ranking_matches_per_column_pearson():
     assert ranking[-1].ft_id == 3 and ranking[-1].pearson_r == 0.0
 
 
+def ranking_scores_in_one_pass(X, y, folds):
+    """The mean |r| of every column, each fold scored over all columns of
+    its own copy of the training rows at once."""
+    n = len(X)
+    scores = np.zeros(X.shape[1])
+    for fold in np.array_split(np.arange(n), folds):
+        keep = np.ones(n, dtype=bool)
+        keep[fold] = False
+        Xf, yf = X[keep], y[keep]
+        if np.all(yf == yf[0]):
+            continue
+        live = ~np.all(Xf == Xf[0], axis=0)
+        Xf -= Xf.mean(axis=0)
+        yc = yf - yf.mean()
+        denom = np.sqrt(np.einsum("ij,ij->j", Xf, Xf) * np.einsum("i,i->", yc, yc))
+        live &= denom != 0.0
+        r = np.zeros(X.shape[1])
+        np.divide(np.einsum("ij,i->j", Xf, yc), denom, out=r, where=live)
+        scores += np.abs(r)
+    return scores / folds
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 18, 26, 35, 50, 69])
+def test_ranking_from_row_places_is_the_one_pass_ranking_bit_for_bit(width):
+    """Ranking the rows at some places of a larger matrix, one column block
+    at a time, gives the bits of scoring the gathered rows in one pass.
+    Constant columns and columns whose squares underflow to 0 sit on each
+    side of every block edge and at the ends, and the first fold holds
+    the only positives, so the training labels of that fold are constant."""
+    rng = np.random.default_rng(width)
+    n, folds = 600, 10
+    y = np.zeros(n)
+    y[:60] = 1.0  # exactly the first fold's rows
+    X = np.exp(rng.normal(0, 2, size=(n, width))) + 0.3 * y[:, None]
+    blocks = -(-width // experiments._RANK_BLOCK)
+    edges = {width * b // blocks for b in range(blocks + 1)}
+    special = [col for edge in sorted(edges) for col in (edge - 1, edge) if 0 <= col < width]
+    for i, col in enumerate(special):
+        X[:, col] = 2.5 if i % 2 else rng.choice([0.0, 1e-200], n)
+    expected = ranking_scores_in_one_pass(X.copy(), y, folds)
+    # the rows sit, shuffled, among others in a larger table
+    places = rng.permutation(n + 200)[:n]
+    big_X, big_y = rng.normal(size=(n + 200, width)), rng.integers(0, 2, n + 200)
+    big_X[places], big_y[places] = X, y
+    for ranking in (rank_features(big_X, big_y, folds=folds, rows=places),
+                    rank_features(X, y, folds=folds)):
+        got = np.array([rf.pearson_r for rf in sorted(ranking, key=lambda rf: rf.ft_id)])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.all(expected[special] == 0.0)
+    assert width <= 2 or np.any(expected != 0.0)  # every column of 1 or 2 is special
+
+
 # Ranks 12,000 rows and fits a 50-feature model on them through
 # train_on_batches; prints the ranking and the model record.
 _THREAD_PROBE = """
@@ -771,7 +824,7 @@ def test_scaled_prefix_is_a_fresh_scaling_bit_for_bit(request, order, pipeline):
     # every feature, in an order other than the table's
     selected = list(range(1, N_FEATURES + 1))
     random.Random(1).shuffle(selected)
-    prefixes = experiments._BatchPrefixes(splits, *prefix_rows(splits, table, len(ks)), selected)
+    prefixes = experiments._BatchPrefixes(splits.train_batches, table, selected)
     for k in ks:
         design, y, scaling = prefixes.scaled(k)
         X, expected_y = prefix_rows(splits, table, k)
@@ -782,6 +835,63 @@ def test_scaled_prefix_is_a_fresh_scaling_bit_for_bit(request, order, pipeline):
         assert np.array_equal(bits(design.A), bits(expected)), k
         assert np.array_equal(y, expected_y)
         assert design.A.strides[0] == design.A.itemsize  # column-major
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "one"])
+def test_design_matrix_fills_the_columns_of_a_fancy_index(order):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(90, N_FEATURES))
+    X[3, 7], X[5, 0], X[8, 49] = math.nan, -0.0, math.inf
+    selected = {"ascending": [1, 8, 9, 30, 50], "descending": [50, 30, 9, 8, 1],
+                "shuffled": random.Random(2).sample(range(1, N_FEATURES + 1), N_FEATURES),
+                "one": [8]}[order]
+    cols = [ft - 1 for ft in selected]
+    rows = rng.permutation(90)[:60]
+    for got, expected in ((design_matrix(X, selected), X[:, cols]),
+                          (design_matrix(X, selected, rows), X[rows][:, cols])):
+        assert got.flags.f_contiguous and got.shape == (len(expected), len(selected) + 1)
+        assert np.array_equal(bits(got[:, :-1]), bits(expected))
+        assert np.all(got[:, -1] == 1.0)
+
+
+def wide_curve(n=3000, batches=30, seed=3):
+    """Splits and a table of n train rows in `batches` batches, shuffled
+    among 200 eval rows, over every feature; half the scaled columns are
+    log-normal, so their extremes move along the curve."""
+    rng = np.random.default_rng(seed)
+    total = n + 200
+    y = rng.integers(0, 2, total)
+    X = rng.normal(size=(total, N_FEATURES)) + 0.3 * y[:, None] * rng.normal(size=N_FEATURES)
+    X[:, :25] = np.exp(X[:, :25])
+    ids = rng.permutation(np.arange(1, total + 1, dtype=np.int64))
+    per = n // batches
+    splits = SplitIds([ids[i * per:(i + 1) * per].tolist() for i in range(batches)],
+                      {name: ids[n:].tolist() for name in EVAL_SETS})
+    return splits, FeatureTable(ids=np.sort(ids), X=X, y=y.astype(np.int64))
+
+
+# the traced peak of a curve, or of one fit, over the bytes of its design
+# matrix: the design and the fit's one weighted copy of it, with room for
+# the row-sized work. A copy of the train matrix, or a second weighted
+# copy, takes it past 3.
+DESIGN_PEAK_RATIO = 3.0
+
+
+@pytest.mark.parametrize("call", ["curve", "train_on_batches"])
+def test_curve_and_fit_hold_one_design_sized_working_set(call):
+    splits, table = wide_curve()
+    run = {"curve": lambda: incremental_eval(splits, table, top_m=N_FEATURES),
+           "train_on_batches": lambda: train_on_batches(splits, table,
+                                                        range(1, N_FEATURES + 1))}[call]
+    run()  # what a first call loads stays loaded, outside the measure
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design_bytes = len(splits.train) * (N_FEATURES + 1) * 8
+    assert peak < DESIGN_PEAK_RATIO * design_bytes, peak / design_bytes
 
 
 @pytest.mark.parametrize("pipeline", ["signal", "late"])

@@ -8,12 +8,13 @@ import io
 import json
 import os
 import shutil
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
-from refilter import corpus_io
+from refilter import corpus_io, experiments
 from refilter.cli import TABLE_FILE, main
 from refilter.experiments import FeatureTable, read_table, write_table
 
@@ -494,6 +495,53 @@ def test_table_file_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "cca82f5110256cbffd5130106c19a51d138e4229f73c2c9adefe50368163f778"
     )
+
+
+def _member_arrays():
+    rng = np.random.default_rng(8)
+    big = rng.normal(size=(300, 500))  # 1.2 MB: more than one slice
+    return {
+        "C-order": big,
+        "F-order": np.asfortranarray(big[:40, :30]),
+        "strided": big[::3, 1::2],
+        "0-d string": np.array("a fixed key"),
+        "0-d float": np.array(-0.0),
+        "int64": np.arange(-5, 1000, dtype=np.int64),
+        "empty": np.empty((0, 50)),
+        "bool": rng.random(77) < 0.5,
+    }
+
+
+@pytest.mark.parametrize("name", list(_member_arrays()))
+def test_each_member_holds_the_bytes_numpy_writes(name):
+    array = _member_arrays()[name]
+    expected, got = io.BytesIO(), io.BytesIO()
+    np.lib.format.write_array(expected, array, allow_pickle=False)
+    experiments._write_member(got, array)
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_an_object_array_is_refused_as_numpy_refuses_it():
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        experiments._write_member(io.BytesIO(), np.array([1, "a"], dtype=object))
+
+
+def test_writing_a_table_copies_none_of_its_arrays(tmp_path):
+    """The archive is written from the arrays' own memory: the traced peak
+    stays below a quarter of X's bytes, where a `tobytes()` copy of X
+    alone would be all of them."""
+    rng = np.random.default_rng(9)
+    n = 8000  # X is 3.2 MB
+    table = FeatureTable(ids=np.arange(n, dtype=np.int64), X=rng.normal(size=(n, 50)),
+                         y=rng.integers(0, 2, n))
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / TABLE_FILE, table, "k" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.X.nbytes / 4, peak
+    assert read_table(tmp_path / TABLE_FILE, "k" * 64, table.ids.tolist()) is not None
 
 
 def test_corrupted_table_file_reads_as_a_miss(tmp_path):
