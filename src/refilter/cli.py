@@ -158,7 +158,7 @@ def _split_table(args, check=None) -> tuple[experiments.SplitIds, experiments.Fe
     if table is None:
         corpus = corpus_io.load_corpus_dir(args.corpus)
         try:
-            instances = corpus.instance_by_id.take(members)
+            rows = corpus_io.sorted_places(corpus.instances.column("instance_id"), members)
         except KeyError as exc:
             # the first file to list it: an unbalanced id is in its balanced set
             name = next(name for name in ("train", *EVAL_SETS)
@@ -167,7 +167,7 @@ def _split_table(args, check=None) -> tuple[experiments.SplitIds, experiments.Fe
                 f"{split_dir / SPLIT_FILES[name]}: instance_id {exc.args[0]} is not in the corpus"
             ) from None
         ctx = _feature_context(args, corpus, history.UserHistoryIndex(corpus))
-        table = experiments.featurize(ctx, instances)
+        table = experiments.featurize(ctx, corpus.instances.take(rows))
         _save_table(path, table, key)
     return ids, table
 
@@ -179,11 +179,12 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _write_split_ids(splits: experiments.DatasetSplits, out_dir: Path) -> None:
+    ids = splits.ids()
     experiments.write_csv(out_dir / SPLIT_FILES["train"], experiments.TRAIN_IDS_CSV, (
-        (b, inst.instance_id) for b, batch in enumerate(splits.train_batches) for inst in batch))
+        (b, iid) for b, batch in enumerate(ids.train_batches) for iid in batch))
     for name in EVAL_SETS:
         experiments.write_csv(out_dir / SPLIT_FILES[name], experiments.SET_IDS_CSV,
-                              ((inst.instance_id,) for inst in splits.eval_set(name)))
+                              ((iid,) for iid in ids.eval_set(name)))
 
 
 def _read_split_spec(path: Path) -> SplitSpec:
@@ -298,7 +299,8 @@ def cmd_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_split_ids(splits, out)
     _write_json(out / SPLIT_MANIFEST, {"spec": asdict(spec), "counts": {
-        "train": len(splits.train_instances), **{n: len(splits.eval_set(n)) for n in EVAL_SETS}}})
+        "train": sum(map(len, splits.batch_rows)),
+        **{n: len(splits.set_rows[n]) for n in EVAL_SETS}}})
     # the table under the key every later command with the same pipeline
     # flags computes, so none of them parses the corpus again
     table = experiments.featurize_splits(_feature_context(args, corpus, hist), splits)

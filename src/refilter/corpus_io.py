@@ -626,6 +626,14 @@ class Records(Sequence):
         """The records at places `rows`, in that order."""
         return list(self._made(np.asarray(rows, dtype=np.int64)))
 
+    def take(self, rows: np.ndarray) -> Records:
+        """The records at places `rows`, in that order, held as columns and
+        made on access; itself when `rows` are all its places in order."""
+        if len(rows) == self._len and np.array_equal(rows, np.arange(self._len)):
+            return self
+        return Records({name: column.take(rows) for name, column in self._columns.items()},
+                       self._cls)
+
     def _made(self, rows: slice | np.ndarray) -> Iterator:
         return map(self._cls, *[self.values(name, rows) for name in self._columns])
 
@@ -655,10 +663,12 @@ class Records(Sequence):
     __hash__ = None
 
 
-def _in_order(columns: dict[str, _Column], order: np.ndarray) -> dict[str, _Column]:
-    if np.array_equal(order, np.arange(len(order))):
-        return columns
-    return {name: column.take(order) for name, column in columns.items()}
+def instance_records(instances: Sequence[Instance]) -> Records:
+    """`instances` as columns: itself if it is a `Records`, else its
+    records' columns, built once with their own distinct values."""
+    if isinstance(instances, Records):
+        return instances
+    return Records(_Builder.of_records(instances, _INSTANCE_FIELDS, _Tables()).columns(), Instance)
 
 
 def _fits_int64(value) -> bool:
@@ -729,10 +739,10 @@ class Corpus:
         # by its last key first
         order = np.lexsort([columns[name].values
                             for name in ("tweet_id", "action", "user_id", "timestamp")])
-        self.events = Records(_in_order(columns, order), HistoryEvent)
+        self.events = Records(columns, HistoryEvent).take(order)
         columns = instances.columns()
         order = np.argsort(columns["instance_id"].values, kind="stable")
-        self.instances = Records(_in_order(columns, order), Instance)
+        self.instances = Records(columns, Instance).take(order)
         self.instance_by_id = InstanceIndex(self.instances)
 
     def __eq__(self, other) -> bool:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, Instance, check_field, sorted_places
+from .corpus_io import Corpus, Instance, Records, check_field, instance_records, sorted_places
 from .features import (
     N_FEATURES,
     SCALED_FEATURE_IDS,
@@ -157,29 +157,38 @@ def top_features(ranking: Sequence[RankedFeature], top_m: int) -> list[int]:
 
 @dataclass
 class DatasetSplits:
-    train_batches: list[list[Instance]]
-    dev_balanced: list[Instance]
-    dev_unbalanced: list[Instance]
-    test_balanced: list[Instance]
-    test_unbalanced: list[Instance]
+    """The splits as places in `instances`, the corpus's instances: the
+    int64 rows of each train batch (`batch_rows`) and of each eval set
+    (`set_rows`), in split order. Each record accessor makes its records
+    on access; `ids` reads the id column."""
+
+    instances: Records
+    batch_rows: list[np.ndarray]
+    set_rows: dict[str, np.ndarray]
     funnel: DatasetFunnel | None = None
 
     @property
+    def train_batches(self) -> list[list[Instance]]:
+        return [self.instances.at(rows) for rows in self.batch_rows]
+
+    @property
     def train_instances(self) -> list[Instance]:
-        return [inst for batch in self.train_batches for inst in batch]
+        return self.instances.at(np.concatenate(self.batch_rows))
 
     def eval_set(self, name: str) -> list[Instance]:
         if name not in EVAL_SETS:
             raise ValueError(f"unknown eval set {name!r}; one of {sorted(EVAL_SETS)}")
-        return getattr(self, name)
+        return self.instances.at(self.set_rows[name])
+
+    dev_balanced = property(lambda self: self.eval_set("dev_balanced"))
+    dev_unbalanced = property(lambda self: self.eval_set("dev_unbalanced"))
+    test_balanced = property(lambda self: self.eval_set("test_balanced"))
+    test_unbalanced = property(lambda self: self.eval_set("test_unbalanced"))
 
     def ids(self) -> "SplitIds":
-        return SplitIds(
-            train_batches=[[inst.instance_id for inst in batch] for batch in self.train_batches],
-            eval_sets={
-                name: [inst.instance_id for inst in self.eval_set(name)] for name in EVAL_SETS
-            },
-        )
+        ids = self.instances.column("instance_id")
+        return SplitIds(train_batches=[ids[rows].tolist() for rows in self.batch_rows],
+                        eval_sets={name: ids[self.set_rows[name]].tolist() for name in EVAL_SETS})
 
 
 @dataclass
@@ -205,10 +214,6 @@ def _split_ids(splits: DatasetSplits | SplitIds) -> SplitIds:
     return splits.ids() if isinstance(splits, DatasetSplits) else splits
 
 
-def _time_key(inst: Instance) -> tuple[int, int]:
-    return (inst.timestamp, inst.instance_id)
-
-
 def build_dataset(
     corpus: Corpus,
     spec: SplitSpec,
@@ -216,8 +221,8 @@ def build_dataset(
 ) -> DatasetSplits:
     """Construct the batched train/dev/test splits from a labeled corpus.
     The result's `funnel`, or a `DatasetError`'s, counts what each rule
-    dropped. The rules run over the corpus's instance columns, by row;
-    only the instances of the batches are made as records."""
+    dropped. The rules run over the corpus's instance columns, by row,
+    and the splits hold rows of `corpus.instances`: no record is made."""
     if hist is None:
         hist = UserHistoryIndex(corpus)
 
@@ -301,38 +306,30 @@ def build_dataset(
             funnel,
         )
 
-    batches: list[list[Instance]] = []
-    for i in range(wanted):
-        pos_part = pos_stream[i * spec.batch_pos : (i + 1) * spec.batch_pos]
-        neg_part = neg_stream[i * spec.batch_neg : (i + 1) * spec.batch_neg]
-        batches.append(instances.at(sorted(pos_part + neg_part, key=time_key)))
-
+    batches = [np.array(sorted(pos_stream[i * spec.batch_pos : (i + 1) * spec.batch_pos]
+                               + neg_stream[i * spec.batch_neg : (i + 1) * spec.batch_neg],
+                               key=time_key), dtype=np.int64) for i in range(wanted)]
     train = batches[: spec.train_batches]
     dev = batches[spec.train_batches : spec.train_batches + spec.dev_batches]
     test = batches[spec.train_batches + spec.dev_batches :]
 
-    def downsample(batch_list: list[list[Instance]], split: str) -> list[Instance]:
-        out: list[Instance] = []
+    def downsample(batch_list: list[np.ndarray], split: str) -> np.ndarray:
+        out: list[int] = []
         for idx, batch in enumerate(batch_list):
-            # a batch is in _time_key order, and so is each class of it
-            pos = [i for i in batch if i.label]
-            neg = [i for i in batch if not i.label]
+            # a batch is in time_key order, and so is each class of it
+            positive = instances.column("label")[batch]
+            pos, neg = batch[positive].tolist(), batch[~positive].tolist()
             brng = random.Random(f"{spec.seed}:unbalanced:{split}:{idx}")
             if len(pos) > spec.unbalanced_pos_per_batch:
                 pos = brng.sample(pos, spec.unbalanced_pos_per_batch)
             if len(neg) > spec.unbalanced_neg_per_batch:
                 neg = brng.sample(neg, spec.unbalanced_neg_per_batch)
-            out.extend(sorted(pos + neg, key=_time_key))
-        return out
+            out.extend(sorted(pos + neg, key=time_key))
+        return np.array(out, dtype=np.int64)
 
-    return DatasetSplits(
-        train_batches=train,
-        dev_balanced=[i for b in dev for i in b],
-        dev_unbalanced=downsample(dev, "dev"),
-        test_balanced=[i for b in test for i in b],
-        test_unbalanced=downsample(test, "test"),
-        funnel=funnel,
-    )
+    return DatasetSplits(instances, train, {
+        "dev_balanced": np.concatenate(dev), "dev_unbalanced": downsample(dev, "dev"),
+        "test_balanced": np.concatenate(test), "test_unbalanced": downsample(test, "test")}, funnel)
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +484,19 @@ class FeatureTable:
         return self.X[places], self.y[places]
 
 
-def featurize(ctx: FeatureContext, instances: Sequence[Instance]) -> FeatureTable:
-    unique: dict[int, Instance] = {}
-    for inst in instances:
-        unique.setdefault(inst.instance_id, inst)
-    ordered = list(unique.values())
-    ids, X, y = extract_matrix(ctx, ordered)
+def featurize(ctx: FeatureContext, instances: Records | Sequence[Instance]) -> FeatureTable:
+    """The raw features of `instances`, a `Records` or any records, with
+    each id's first row kept, in input order."""
+    instances = instance_records(instances)
+    _, first = np.unique(instances.column("instance_id"), return_index=True)
+    ids, X, y = extract_matrix(ctx, instances.take(np.sort(first)))
     return FeatureTable(ids=ids, X=X, y=y)
 
 
 def featurize_splits(ctx: FeatureContext, splits: DatasetSplits) -> FeatureTable:
-    instances = (
-        splits.train_instances
-        + splits.dev_balanced
-        + splits.test_balanced
-        + splits.dev_unbalanced
-        + splits.test_unbalanced
-    )
-    return featurize(ctx, instances)
+    """One sweep of a selection of every split row."""
+    rows = [*splits.batch_rows, *(splits.set_rows[name] for name in EVAL_SETS)]
+    return featurize(ctx, splits.instances.take(np.concatenate(rows)))
 
 
 _TABLE_ARRAYS = ("key", "ids", "X", "y")

@@ -3,9 +3,10 @@
 Feature values are extracted raw; min-max scaling parameters are fit on
 training data only and applied (with clamping) everywhere else. Two
 extraction paths exist: `assemble` computes one instance directly from
-history queries, and `extract_matrix` featurizes many instances in two
-passes, orders of magnitude faster on large corpora. Its similarity pass
-gives each distinct token tuple of the events and instances one slot,
+history queries, and `extract_matrix` featurizes the columns of many
+instances (a `Records`, or any records built into one) in two passes,
+orders of magnitude faster on large corpora. Its similarity pass gives
+each distinct token tuple number of the events and instances one slot,
 builds the fixed-point vectors of all slots at once in numpy
 (`vectorspace.PackedVectors`), gathers each history stream's slots,
 timestamps and tweet ids by the index's int64 places of its events (the
@@ -17,7 +18,8 @@ once (a tweet delivered to many recipients at one instant asks its
 sender's posts one question), sums the held docs' vectors exactly in
 int64 limbs, divides each mean in int64, and gives both the capped and,
 for the recipient's seen and retweet streams, the weekly mean. Its
-column pass fills the other 44 features one column at a time. Those 44
+column pass fills the other 44 features one column at a time, from the
+instance columns, with each distinct number's value read once. Those 44
 columns equal `assemble` bitwise; the six similarity features agree with
 it to within a few units of 1e-16 when every record of a tweet id carries
 the same tokens, since the sweep leaves out the tweet's own copies by
@@ -32,12 +34,13 @@ import itertools
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, contains, itemgetter
+from operator import contains, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus, Instance, UserProfile
+from .corpus_io import (
+    Corpus, CorpusIntegrityError, Instance, Records, UserProfile, instance_records)
 from .history import DEFAULT_CAP, WEEK_SECONDS, UserHistoryIndex, group_places
 from .vectorspace import (
     IdfTable,
@@ -323,8 +326,16 @@ def _note_fallback(ctx: FeatureContext, instance_id: int) -> None:
         ctx._warned_fallback = True
 
 
+_USERS = ("sender_id", "recipient_id")
+_NO_PROFILE = "instance {}: {} {} has no profile"
+
+
 def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
     """All 50 raw features of one instance, straight from history queries."""
+    for field in _USERS:
+        if getattr(instance, field) not in ctx.corpus.profiles:
+            raise CorpusIntegrityError(
+                _NO_PROFILE.format(instance.instance_id, field, getattr(instance, field)))
     if instance.pos_counts is None and _token_strings(instance.tokens, ctx.vocab) is not None:
         _note_fallback(ctx, instance.instance_id)
     values = (
@@ -347,45 +358,44 @@ def assemble(instance: Instance, ctx: FeatureContext) -> FeatureVector:
 
 
 # ---------------------------------------------------------------------------
-# batch extraction: a similarity pass over rolling history summaries, then a
-# column pass for the other 44 features
+# batch extraction: a column pass for 44 features, then a similarity pass
+# over the history streams
 
 
 def extract_matrix(
-    ctx: FeatureContext, instances: Sequence[Instance]
+    ctx: FeatureContext, instances: Records | Sequence[Instance]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature matrix for many instances: (ids, X of shape (n, 50), labels).
 
-    Rows are returned in the order of `instances`. Two passes write
-    straight into X. The similarity pass (FT10-13, FT42-43) answers all
-    queries of one history stream with one `stream_means` call, whose
-    exact integer sums give the capped and, for the recipient's seen and
-    retweet streams, the weekly mean. Each distinct token tuple has one
-    vector per call, all of them built together in numpy with each
-    distinct token's idf read once, and each distinct query of a stream
-    is answered once.
-    The column pass fills the other 44 columns one column at a time, with
-    each user's profile values and each token tuple's wording counts
-    computed once.
+    The sweep reads columns: a `Records`, such as a selection of
+    `corpus.instances`, as it is, and any other records through
+    `instance_records` once. Rows are returned in the order of
+    `instances`. Two passes write straight into X. The column pass fills
+    44 columns one at a time, with each user's profile and each distinct
+    tokens, mentions and pos_counts number read once; CorpusIntegrityError
+    names an instance whose sender or recipient has no profile. The
+    similarity pass (FT10-13, FT42-43) answers all queries of one history
+    stream with one `stream_means` call, whose exact integer sums give the
+    capped and, for the recipient's seen and retweet streams, the weekly
+    mean. Each distinct token tuple has one vector per call, all built
+    together in numpy, and each distinct query of a stream is answered
+    once.
     """
-    n = len(instances)
-    ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
-    labels = np.array([int(inst.label) for inst in instances], dtype=np.int64)
-    X = np.empty((n, N_FEATURES), dtype=np.float64)
-    _similarity_pass(ctx, instances, X)
+    instances = instance_records(instances)
+    X = np.empty((len(instances), N_FEATURES), dtype=np.float64)
     _column_pass(ctx, instances, X)
-    return ids, X, labels
+    _similarity_pass(ctx, instances, X)
+    return instances.column("instance_id"), X, instances.column("label").astype(np.int64)
 
 
-_TOKENS = attrgetter("tokens")
-_TIMESTAMP = attrgetter("timestamp")
-_TWEET_ID = attrgetter("tweet_id")
-_SENDER = attrgetter("sender_id")
-_RECIPIENT = attrgetter("recipient_id")
-_INSTANCE_ID = attrgetter("instance_id")
+def _distinct(records: Records, name: str) -> tuple[list, np.ndarray]:
+    """The distinct values of a field held as numbers (tokens, mentions,
+    pos_counts), each decoded once, and each row's place among them."""
+    _, first, inverse = np.unique(records.column(name), return_index=True, return_inverse=True)
+    return records.values(name, first), inverse
 
 
-def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+def _similarity_pass(ctx: FeatureContext, instances: Records, X: np.ndarray) -> None:
     """FT10-13 and FT42-43, one `stream_means` call per history stream: a
     user's posts answer the instances they send (FT10) and receive (FT11),
     and a recipient's seen and retweet streams give FT12 with FT42 and FT13
@@ -394,28 +404,18 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     the index's `times` and `tweet_ids`, and each stream's arrays are
     gathered by the stream's places in the index. User ids, timestamps
     and tweet ids are 64-bit integers, as the loader checks."""
-    hist, corpus = ctx.hist, ctx.corpus
-    n = len(instances)
+    hist, n = ctx.hist, len(instances)
     # each distinct token tuple of the instances and events has one slot,
-    # its vector's index in the pack, numbered as first met
+    # its vector's index in the pack; a vector's bits do not depend on it
     slot: defaultdict = defaultdict(itertools.count().__next__)
 
-    def slots(tuples: Iterable[tuple], count: int) -> np.ndarray:
-        return np.fromiter(map(slot.__getitem__, tuples), np.int64, count)
+    def slots(records: Records) -> np.ndarray:
+        tuples, place = _distinct(records, "tokens")
+        return np.fromiter(map(slot.__getitem__, tuples), np.int64, len(tuples))[place]
 
-    def ints(records: Sequence, field: attrgetter) -> np.ndarray:
-        return _column(map(field, records), len(records), np.int64)
-
-    query = (slots(map(_TOKENS, instances), n),
-             ints(instances, _TIMESTAMP), ints(instances, _TWEET_ID))
-    # the events' tokens are numbers of the corpus's distinct tuples; each
-    # number used takes its tuple's slot, in order of first use
-    numbers = corpus.events.column("tokens")
-    used, first = np.unique(numbers, return_index=True)
-    used = used[np.argsort(first)]
-    slot_of = np.zeros(len(corpus.tuples), np.int64)
-    slot_of[used] = slots(map(corpus.tuples.__getitem__, used.tolist()), len(used))
-    event = (slot_of[numbers], hist.times, hist.tweet_ids)
+    times = instances.column("timestamp")
+    query = (slots(instances), times, instances.column("tweet_id"))
+    event = (slots(ctx.corpus.events), hist.times, hist.tweet_ids)
     pack = PackedVectors(slot, ctx.idf)
     del slot
 
@@ -427,8 +427,8 @@ def _similarity_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.n
     # `stream_means` sorts by time at little cost; the posts of a user
     # answer first the rows they send (FT10), then the rows they receive
     # (FT11)
-    by_time = np.lexsort((ints(instances, _INSTANCE_ID), query[1]))
-    senders, recipients = (ints(instances, field)[by_time] for field in (_SENDER, _RECIPIENT))
+    by_time = np.lexsort((instances.column("instance_id"), times))
+    senders, recipients = (instances.column(name)[by_time] for name in _USERS)
     for user, at in group_places(np.concatenate([senders, recipients])):
         rows = by_time[at % n]
         X[rows, np.where(at < n, 9, 10)] = means(hist.posts_places(user), rows, None)[0]
@@ -444,44 +444,37 @@ def _column(values: Iterable, n: int, dtype=np.float64) -> np.ndarray:
     return np.fromiter(values, dtype=dtype, count=n)
 
 
-_NO_POS_COUNTS: Mapping[str, int] = {}
-
-
-def _column_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+def _column_pass(ctx: FeatureContext, instances: Records, X: np.ndarray) -> None:
     """Groups 1, 3, 4, 6 and 7, one column at a time, each value the one
     `assemble` computes for its row."""
     hist, profiles, n = ctx.hist, ctx.corpus.profiles, len(instances)
-    senders = [inst.sender_id for inst in instances]
-    recipients = [inst.recipient_id for inst in instances]
-    times = [inst.timestamp for inst in instances]
-
-    def attr(name: str, dtype=np.float64) -> np.ndarray:
-        return _column(map(attrgetter(name), instances), n, dtype)
+    column = instances.column
 
     # group 1: FT1-9
-    X[:, 0] = attr("char_length")
-    X[:, 1] = attr("has_url", bool)
-    X[:, 3] = attr("has_hashtag", bool)
-    X[:, 4] = attr("global_retweet_count")
-    X[:, 5] = attr("global_favourite_count")
-    X[:, 6] = attr("has_exclamation", bool)
-    X[:, 7] = attr("has_photo", bool)
-    X[:, 8] = _column(map(len, map(attrgetter("mentions"), instances)), n)
+    for col, name in ((0, "char_length"), (1, "has_url"), (3, "has_hashtag"),
+                      (4, "global_retweet_count"), (5, "global_favourite_count"),
+                      (6, "has_exclamation"), (7, "has_photo")):
+        X[:, col] = column(name)
+    mentions, mentions_at = _distinct(instances, "mentions")
+    X[:, 8] = _column(map(len, mentions), len(mentions))[mentions_at]
     X[:, 2] = X[:, 8] > 0.0
 
     # group 3: FT14-35, each user's eleven profile values once
-    slot: dict[int, int] = {}
-    for user in itertools.chain(senders, recipients):
-        slot.setdefault(user, len(slot))
-    table = np.array([_profile_values(profiles[uid]) for uid in slot], dtype=np.float64)
-    table = table.reshape(len(slot), 11)
-    for first, users in ((13, senders), (24, recipients)):
-        rows = _column(map(slot.__getitem__, users), n, np.intp)
-        for j in range(11):
-            X[:, first + j] = table[rows, j]
+    both = np.concatenate([column(name) for name in _USERS])
+    users, at = np.unique(both, return_inverse=True)
+    held = list(map(profiles.get, users.tolist()))
+    if None in held:  # the first sender, else the first recipient, without one
+        lost = int(np.array([p is None for p in held])[at].argmax())
+        raise CorpusIntegrityError(
+            _NO_PROFILE.format(column("instance_id")[lost % n], _USERS[lost // n], both[lost]))
+    table = np.array(list(map(_profile_values, held)), dtype=np.float64).reshape(len(held), 11)
+    for j, values in enumerate(table.T):  # a column at a time: no n x 11 copy
+        X[:, 13 + j], X[:, 24 + j] = values[at[:n]], values[at[n:]]
 
     # group 4: FT36-41
-    X[:, 35] = _column(map(contains, map(attrgetter("mentions"), instances), recipients), n, bool)
+    senders, recipients, times = (memoryview(column(name)) for name in (*_USERS, "timestamp"))
+    X[:, 35] = _column(map(contains, map(mentions.__getitem__, mentions_at.tolist()), recipients),
+                       n, bool)
     X[:, 36] = _column(map(hist.mention_count, senders, recipients, times), n, bool)
     X[:, 37] = _column(map(hist.mention_count, recipients, senders, times), n, bool)
     X[:, 38] = _column(map(hist.retweet_count, senders, recipients, times), n, bool)
@@ -489,10 +482,11 @@ def _column_pass(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarr
     X[:, 39] = X[:, 40] > 0.0
 
     # group 6: FT44-45
-    X[:, 43] = _column(
-        (i.author_id in profiles[i.recipient_id].neighbours for i in instances), n, bool)
-    tweet_ids = map(attrgetter("tweet_id"), instances)
-    X[:, 44] = _column(map(hist.neighbour_retweets, tweet_ids, recipients, times), n)
+    neighbours = [p.neighbours for p in held]
+    X[:, 43] = _column(map(contains, map(neighbours.__getitem__, at[n:].tolist()),
+                           memoryview(column("author_id"))), n, bool)
+    X[:, 44] = _column(map(hist.neighbour_retweets, memoryview(column("tweet_id")), recipients,
+                           times), n)
 
     _wording_columns(ctx, instances, X)
 
@@ -511,29 +505,26 @@ def _wording(tokens: Sequence, keywords: KeywordConfig, vocab: Mapping[int, str]
     )
 
 
-def _wording_columns(ctx: FeatureContext, instances: Sequence[Instance], X: np.ndarray) -> None:
+def _wording_columns(ctx: FeatureContext, instances: Records, X: np.ndarray) -> None:
     """Group 7 (FT46-50), with the token-string work once per distinct
-    token tuple; the fallback-tagger warning is logged once per context."""
-    n = len(instances)
-    token_rows = [inst.tokens for inst in instances]
-    wording = dict.fromkeys(token_rows)
-    for tokens in wording:
-        wording[tokens] = _wording(tokens, ctx.keywords, ctx.vocab)
-    words_of = list(map(wording.__getitem__, token_rows))
-    pos_of = [inst.pos_counts for inst in instances]
-    for row, pos in enumerate(pos_of):
-        if pos is None:
-            fallback = words_of[row][2]
-            if fallback is None:
-                pos_of[row] = _NO_POS_COUNTS
-            else:
-                _note_fallback(ctx, instances[row].instance_id)
-                pos_of[row] = fallback
+    token tuple and each distinct pos_counts read once; the
+    fallback-tagger warning is logged once per context."""
+    tuples, tokens_at = _distinct(instances, "tokens")
+    wording = [_wording(tokens, ctx.keywords, ctx.vocab) for tokens in tuples]
+    counts, counts_at = _distinct(instances, "pos_counts")
+    # a row without pos_counts reads the fallback tagger's counts, or 0
+    # when its tokens do not resolve to strings
+    missing = _column((c is None for c in counts), len(counts), bool)[counts_at]
+    tagged = _column((w[2] is not None for w in wording), len(wording), bool)[tokens_at]
+    if (fallback := missing & tagged).any():
+        _note_fallback(ctx, int(instances.column("instance_id")[fallback.argmax()]))
 
-    X[:, 45] = _column(map(itemgetter(0), words_of), n)
+    X[:, 45] = _column(map(itemgetter(0), wording), len(wording))[tokens_at]
     for col, name in ((46, "nouns_verbs"), (47, "definite_articles"), (48, "indefinite_articles")):
-        X[:, col] = _column((pos.get(name, 0) for pos in pos_of), n)
-    X[:, 49] = _column(map(itemgetter(1), words_of), n)
+        given = _column((0 if c is None else c.get(name, 0) for c in counts), len(counts))
+        guessed = _column((0 if w[2] is None else w[2][name] for w in wording), len(wording))
+        X[:, col] = np.where(missing, guessed[tokens_at], given[counts_at])
+    X[:, 49] = _column(map(itemgetter(1), wording), len(wording))[tokens_at]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus_io import check_field, json_object, json_record
-from .features import N_FEATURES, ScalingParams, apply_scaling
+from .features import N_FEATURES, SCALED_FEATURE_IDS, ScalingParams, scale_columns
 
 
 class LearnerError(ValueError):
@@ -285,13 +285,17 @@ def _prepare(model: Model, vectors: np.ndarray) -> np.ndarray:
         raise LearnerError(
             f"vector has {X.shape[1]} coordinates, model needs FT{needed}"
         )
+    # a copy of the model's columns, its scaled ones then scaled in place:
+    # the bits `apply_scaling` gives, with no copy of X
+    Xs = X[:, [ft - 1 for ft in model.selected_features]]
     if model.scaling is not None:
         if X.shape[1] != N_FEATURES:
             raise LearnerError(
                 f"scaled models score full {N_FEATURES}-feature vectors, got {X.shape[1]}"
             )
-        X = apply_scaling(X, model.scaling)
-    Xs = X[:, [ft - 1 for ft in model.selected_features]]
+        pos = [j for j, ft in enumerate(model.selected_features) if ft in SCALED_FEATURE_IDS]
+        cols = [model.selected_features[j] - 1 for j in pos]
+        Xs[:, pos] = scale_columns(Xs[:, pos], model.scaling.mins[cols], model.scaling.maxs[cols])
     return Xs[0] if single else Xs
 
 

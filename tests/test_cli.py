@@ -64,6 +64,29 @@ def test_build_writes_id_lists(workspace):
     assert len(dev_lines) - 1 == manifest["counts"]["dev_unbalanced"] == 2 * 27
 
 
+def test_build_and_a_table_miss_make_no_instance_record(workspace, tmp_path, monkeypatch):
+    """`build` keeps the splits as rows of the corpus's instances and the
+    sweep reads their columns; a later command with no saved table
+    selects the rows by id. Neither makes an `Instance`, and both give
+    the workspace's bytes."""
+    root, corpus, splits, ranking, _ = workspace
+    out = tmp_path / "splits"
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was made")
+
+    monkeypatch.setattr(corpus_io.Instance, "__init__", refuse)
+    assert main(["build", "--corpus", str(corpus), "--out", str(out), "--seed", "3",
+                 *BUILD_FLAGS]) == 0
+    (out / TABLE_FILE).unlink()
+    assert main(["rank", "--corpus", str(corpus), "--splits", str(out),
+                 "--out", str(tmp_path / "ranking.csv")]) == 0
+    monkeypatch.undo()
+    for name in os.listdir(splits):
+        assert (out / name).read_bytes() == (splits / name).read_bytes(), name
+    assert (tmp_path / "ranking.csv").read_bytes() == ranking.read_bytes()
+
+
 def funnel_adds_up(funnel: dict) -> None:
     """Each instance is a positive or a negative; each negative is dropped
     by one rule or kept; dedup takes `duplicates` from what is kept."""

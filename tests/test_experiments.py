@@ -771,12 +771,13 @@ def test_empty_batch_mid_curve_takes_no_step(monkeypatch):
 
 def test_train_on_batches_skips_empty_batch(signal_pipeline):
     splits, table = signal_pipeline
-    first, *rest = splits.train_batches[:3]
-    gapped = dataclasses.replace(splits, train_batches=[first, [], *rest])
+    first, *rest = splits.batch_rows[:3]
+    empty = np.zeros(0, dtype=np.int64)
+    gapped = dataclasses.replace(splits, batch_rows=[first, empty, *rest])
     _, oracle_models = per_k_oracle(gapped, table, top_m=50)
     for k, oracle in enumerate(oracle_models, start=1):
         assert_same_model(train_on_batches(gapped, table, oracle.selected_features, k=k), oracle)
-    empty_first = dataclasses.replace(splits, train_batches=[[], first])
+    empty_first = dataclasses.replace(splits, batch_rows=[empty, first])
     with pytest.raises(LearnerError, match="degenerate labels"):
         train_on_batches(empty_first, table, [13], k=1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -11,7 +12,12 @@ import pytest
 
 from refilter import features
 from refilter.experiments import featurize
-from refilter.corpus_io import HistoryEvent, generate_synthetic
+from refilter.corpus_io import (
+    CorpusIntegrityError,
+    HistoryEvent,
+    generate_synthetic,
+    instance_records,
+)
 from refilter.features import (
     KeywordConfig,
     FeatureContext,
@@ -518,6 +524,105 @@ def test_empty_and_one_instance_sweeps_are_assemble(small_signal_corpus, count):
         assert got_ids.tolist() == [inst.instance_id for inst in instances]
         assert got_labels.tolist() == [int(inst.label) for inst in instances]
     assert count == 0 or np.any(X[0, SIMILARITY_COLUMNS] > 0.0)
+
+
+def _sweep_context():
+    """A corpus whose instances repeat token and mentions tuples, some with
+    pos_counts and some with string tokens the fallback tagger reads, and
+    hand-made instances whose tuples the corpus does not hold."""
+    profiles = [make_profile(u, neighbours=[2, 3] if u == 1 else [1]) for u in (1, 2, 3)]
+    events = [
+        HistoryEvent(2, 40, "authored", 50, ("the", "news")),
+        HistoryEvent(1, 40, "retweeted", 60, ("the", "news")),
+        HistoryEvent(3, 41, "authored", 70, ("a", "vote"), mentions_user=1),
+        HistoryEvent(1, 42, "authored", 80, ("rt", "the", "vote")),
+    ]
+    instances = [
+        make_instance(1, 10, sender=2, recipient=1, timestamp=100, tokens=(6, 7), mentions=(1,),
+                      pos_counts={"nouns_verbs": 2}),
+        make_instance(2, 11, sender=3, recipient=1, timestamp=101, tokens=("the", "news"),
+                      label=True),
+        make_instance(3, 12, sender=2, recipient=3, timestamp=102, tokens=("a", "vote"),
+                      mentions=(1,), pos_counts={"definite_articles": 1}),
+        make_instance(4, 13, sender=1, recipient=2, timestamp=103, tokens=("the", "news"),
+                      author=3),
+    ]
+    hand_made = [
+        make_instance(5, 14, sender=2, recipient=1, timestamp=104, tokens=("new", "words"),
+                      mentions=(3, 1)),
+        make_instance(6, 15, sender=3, recipient=2, timestamp=105, tokens=(99, 98),
+                      mentions=(2,), has_url=True, label=True),
+        # the id of the corpus's second instance, with other fields
+        make_instance(2, 16, sender=1, recipient=3, timestamp=90, tokens=("other",),
+                      mentions=(3,)),
+    ]
+    corpus = make_corpus(profiles, events, instances)
+    for inst in hand_made:
+        assert inst.tokens not in corpus.tuples and inst.mentions not in corpus.tuples
+    idf = build_idf(e.tokens for e in events)
+    return corpus, hand_made, lambda: FeatureContext(corpus, UserHistoryIndex(corpus), idf)
+
+
+def _swept(context, instances, caplog):
+    """extract_matrix and featurize of `instances` with a fresh context
+    each, and the messages each logged."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="refilter.features"):
+        ids, X, y = extract_matrix(context(), instances)
+        table = featurize(context(), instances)
+    return ids, X, y, table, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("order", [[3, 1, 0, 2], [1, 4, 6, 5, 0, 4], [6, 1, 5], [5, 2], []])
+def test_a_selection_and_a_list_of_the_same_records_sweep_to_the_same_bits(caplog, order):
+    """A `Records` selection and a list of its records give the same ids,
+    rows, labels and log; featurize keeps each id's first row. Rows 4-6
+    are hand-made, with tuples the corpus does not hold; row 6 repeats the
+    id of row 1."""
+    corpus, hand_made, context = _sweep_context()
+    records = [*corpus.instances, *hand_made]
+    as_list = [records[i] for i in order]
+    rows = np.array(order, dtype=np.int64)
+    selections = [instance_records(records).take(rows)]
+    if all(i < len(corpus.instances) for i in order):
+        selections.append(corpus.instances.take(rows))
+    ids, X, y, table, logged = _swept(context, as_list, caplog)
+    for selection in selections:
+        got = _swept(context, selection, caplog)
+        assert np.array_equal(got[0], ids) and got[0].dtype == np.int64
+        assert np.array_equal(got[1].view(np.int64), X.view(np.int64))
+        assert np.array_equal(got[2], y) and got[2].dtype == np.int64
+        for a, b in zip((got[3].ids, got[3].X, got[3].y), (table.ids, table.X, table.y)):
+            assert np.array_equal(a, b)
+        assert got[4] == logged
+    assert X.shape == (len(order), N_FEATURES)
+    assert ids.tolist() == [records[i].instance_id for i in order]
+    first = sorted({iid: row for row, iid in reversed(list(enumerate(ids.tolist())))}.values())
+    assert table.ids.tolist() == ids[first].tolist() and np.array_equal(table.X, X[first])
+    # the first row that reads the fallback tagger is logged, once per context
+    fallback = [records[i].instance_id for i in order
+                if records[i].pos_counts is None and isinstance(records[i].tokens[0], str)]
+    message = "instance {}: pos_counts missing, using fallback tagger"
+    assert logged == [message.format(fallback[0])] * 2 if fallback else logged == []
+    ctx = context()
+    direct = np.reshape([assemble(records[i], ctx).values for i in order], (-1, N_FEATURES))
+    assert np.array_equal(X[:, OTHER_COLUMNS], direct[:, OTHER_COLUMNS])
+
+
+@pytest.mark.parametrize("field", ["sender_id", "recipient_id"])
+@pytest.mark.parametrize("path", ["list", "selection", "featurize", "assemble"])
+def test_an_instance_without_a_profile_is_refused_by_name(field, path):
+    corpus, hand_made, context = _sweep_context()
+    bad = dataclasses.replace(hand_made[0], instance_id=17, **{field: 1_000_000})
+    records = [*corpus.instances, bad, hand_made[1]]
+    run = {"list": lambda: extract_matrix(context(), records),
+           "selection": lambda: extract_matrix(
+               context(), instance_records(records).take(np.array([5, 4, 1]))),
+           "featurize": lambda: featurize(context(), records),
+           "assemble": lambda: assemble(bad, context())}[path]
+    with pytest.raises(CorpusIntegrityError,
+                       match=f"^instance 17: {field} 1000000 has no profile$"):
+        run()
 
 
 @pytest.mark.parametrize("cap", [1000, 5, 1])

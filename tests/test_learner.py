@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,54 @@ def test_scaled_model_scores_raw_vectors():
     # scoring with scaling demands full-width vectors
     with pytest.raises(LearnerError):
         predict_proba(model, np.zeros(10))
+
+
+# in a mixed order: scaled FT1 and FT5, unscaled FT2 and FT10, FT6 scaled
+# with min == max, and FT9 scaled with a NaN span
+MIXED_FEATURES = (10, 1, 6, 2, 9, 5)
+
+
+@pytest.mark.parametrize("rows", [slice(None), 7])
+def test_scoring_raw_vectors_gives_the_bits_of_apply_scaling(rows):
+    """Scoring selects the model's columns and scales them in place: the
+    margins are bitwise those of `apply_scaling` on every column, then the
+    selection, for a matrix and for one vector, and the input is left as
+    it was."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(5.0, 3.0, size=(40, N_FEATURES))
+    scaling = fit_scaling(X[:20])  # later rows clamp
+    scaling.mins[5] = scaling.maxs[5] = 3.0
+    scaling.mins[8] = np.nan
+    model = Model(rng.normal(size=len(MIXED_FEATURES)), 0.25, MIXED_FEATURES, scaling,
+                  Hyper(), True, 1)
+    X = X[rows]
+    before = X.copy()
+    cols = [ft - 1 for ft in MIXED_FEATURES]
+    expected = np.atleast_2d(apply_scaling(X, scaling)[..., cols]) @ model.weights + model.intercept
+    got = decision_values(model, X)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(predict_proba_matrix(model, X), learner._sigmoid(expected))
+    if X.ndim == 1:
+        z = float(apply_scaling(X, scaling)[cols] @ model.weights + model.intercept)
+        assert predict_proba(model, X) == float(learner._sigmoid(np.array([z]))[0])
+    assert np.array_equal(X, before)
+
+
+def test_scoring_copies_only_the_models_columns():
+    """Scoring a 12,000 x 50 matrix with a 10-feature model holds the
+    selected columns, not a scaled copy of every column."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12_000, N_FEATURES))
+    selected = (1, 5, 6, 9, 14, 10, 11, 2, 3, 15)
+    model = Model(np.ones(len(selected)), 0.0, selected, fit_scaling(X), Hyper(), True, 1)
+    decision_values(model, X)
+    tracemalloc.start()
+    try:
+        decision_values(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes, peak / X.nbytes
 
 
 def test_decision_values_match_probabilities():
